@@ -311,13 +311,11 @@ type (
 	ServeStats = serve.Stats
 	// EmbeddingStore is the read interface of a final-layer node-embedding
 	// store, organized around a row codec: LookupRow returns a node's row
-	// in the backend's native encoding (an EmbeddingRow), LookupInto
-	// decodes into a caller-owned float64 buffer. Three backends implement
-	// it: the sharded heap store built by NewEmbeddingStore, the
-	// out-of-core mmap'd store opened by OpenMappedStore, and the
-	// int8-quantized store opened by OpenQuantStore. LookupRow results may
-	// alias backend memory — Clone before retaining (see serve.Store for
-	// the full contract).
+	// in the store's native encoding (an EmbeddingRow), LookupInto decodes
+	// into a caller-owned float64 buffer. RowStore implements it; the
+	// interface exists so callers can wrap one. LookupRow results may alias
+	// store memory — Clone before retaining (see serve.Store for the full
+	// contract).
 	EmbeddingStore = serve.Store
 	// EmbeddingRow is one store row in its native codec: full-precision
 	// float64s (CodecF64) or affine-quantized int8s with a per-row scale
@@ -326,20 +324,13 @@ type (
 	EmbeddingRow = serve.Row
 	// RowCodec names an EmbeddingRow's encoding.
 	RowCodec = serve.Codec
-	// MemEmbeddingStore is the heap-resident EmbeddingStore backend.
-	MemEmbeddingStore = serve.MemStore
-	// MappedEmbeddingStore is the out-of-core EmbeddingStore backend: a
-	// checksummed fixed-stride file served via mmap with zero
-	// deserialization, so open is O(1) and resident memory is bounded by
-	// what the page cache keeps warm. Close it when done.
-	MappedEmbeddingStore = serve.MappedStore
-	// QuantEmbeddingStore is the int8-quantized EmbeddingStore backend:
-	// each row stores one int8 per dimension plus a float32 scale and
-	// zero-point (~7-8x smaller than MemEmbeddingStore), served either
-	// from the heap (QuantizeStore) or mmap'd from an AGLQNT01 file
-	// (OpenQuantStore). Under a dot-product edge head, link scores compute
-	// directly on the quantized rows. Close it when done.
-	QuantEmbeddingStore = serve.QuantStore
+	// RowStore is the embedding store, one type over one checksummed file
+	// format. Its rows are float64 (NewEmbeddingStore) or int8-quantized,
+	// ~7-8x smaller (QuantizeStore); its bytes live on the heap or, opened
+	// with OpenEmbeddingStore(path, true), in a read-only mmap of the file
+	// with O(1) open and resident memory bounded by what the page cache
+	// keeps warm. Save persists it, Verify checksums it, Close releases it.
+	RowStore = serve.RowStore
 	// StoreSpec is the declarative store-backend selection (mem, mmap, or
 	// quant; open-from-file or build-from-embeddings; verify and save)
 	// shared by cmd/aglserve's flag surface and embedding API users.
@@ -387,51 +378,28 @@ func ReadFlightFile(path string) ([]FlightSample, error) {
 	return serve.ReadFlightFile(path)
 }
 
-// NewEmbeddingStore builds a sharded heap embedding store, typically from
-// InferResult.Embeddings (run Infer with KeepEmbeddings set). numShards
-// <= 0 selects a default.
-func NewEmbeddingStore(numShards int, embeddings map[int64][]float64) (*MemEmbeddingStore, error) {
-	return serve.NewStore(numShards, embeddings)
-}
-
-// LoadEmbeddingStore reads a store serialized with MemEmbeddingStore.WriteTo.
-func LoadEmbeddingStore(r io.Reader) (*MemEmbeddingStore, error) {
-	return serve.ReadStore(r)
-}
-
-// CreateMappedStore writes src's embeddings to path in the out-of-core
-// mapped layout (see MappedEmbeddingStore). The write is staged and
-// renamed into place atomically.
-func CreateMappedStore(path string, src EmbeddingStore) error {
-	return serve.CreateMapped(path, src)
-}
-
-// OpenMappedStore maps the store at path in O(1) time and memory: only
-// the header is read eagerly; rows fault in on demand. Call Verify to
-// checksum the full file, Close to unmap it.
-func OpenMappedStore(path string) (*MappedEmbeddingStore, error) {
-	return serve.OpenMapped(path)
+// NewEmbeddingStore builds a heap-resident float64 embedding store,
+// typically from InferResult.Embeddings (run Infer with KeepEmbeddings
+// set).
+func NewEmbeddingStore(embeddings map[int64][]float64) (*RowStore, error) {
+	return serve.NewStore(0, embeddings)
 }
 
 // QuantizeStore quantizes src's rows to int8 (per-row affine scale +
-// zero-point) into a heap-resident QuantEmbeddingStore. Rows with
-// non-finite values are rejected.
-func QuantizeStore(src EmbeddingStore) (*QuantEmbeddingStore, error) {
+// zero-point) into a heap-resident store. Rows with non-finite values are
+// rejected. Under a dot-product edge head, link scores compute directly on
+// the quantized rows.
+func QuantizeStore(src EmbeddingStore) (*RowStore, error) {
 	return serve.Quantize(src)
 }
 
-// CreateQuantStore quantizes src to the AGLQNT01 file layout at path,
-// staged and renamed into place atomically. Open the result with
-// OpenQuantStore.
-func CreateQuantStore(path string, src EmbeddingStore) error {
-	return serve.CreateQuant(path, src)
-}
-
-// OpenQuantStore maps the quantized store at path in O(1) time and
-// memory, mirroring OpenMappedStore: header checks are eager, row pages
-// fault in on demand, Verify checksums the full file, Close unmaps it.
-func OpenQuantStore(path string) (*QuantEmbeddingStore, error) {
-	return serve.OpenQuant(path)
+// OpenEmbeddingStore opens a store file written by RowStore.Save. With
+// mapped unset the file is read onto the heap and fully verified; with
+// mapped set it is mmap'd in O(1) time and memory (only the header is
+// checked eagerly; rows fault in on demand, Verify checksums the full file,
+// Close unmaps it).
+func OpenEmbeddingStore(path string, mapped bool) (*RowStore, error) {
+	return serve.OpenStore(path, mapped)
 }
 
 // Cluster serving types. A fleet of replicas partitions the warm embedding

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"agl"
@@ -80,18 +81,19 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 	// Online serving over the offline artifacts: warm requests off the
 	// embedding store must agree with the batch GraphInfer scores.
-	store, err := agl.NewEmbeddingStore(0, inf.Embeddings)
+	store, err := agl.NewEmbeddingStore(inf.Embeddings)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var storeBuf bytes.Buffer
-	if _, err := store.WriteTo(&storeBuf); err != nil {
+	storePath := filepath.Join(t.TempDir(), "store.agl")
+	if err := store.Save(storePath); err != nil {
 		t.Fatal(err)
 	}
-	store, err = agl.LoadEmbeddingStore(&storeBuf)
+	store, err = agl.OpenEmbeddingStore(storePath, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 	srv, err := agl.Serve(agl.ServeConfig{MaxNeighbors: 10, Seed: 2}, loaded, ds.G, store)
 	if err != nil {
 		t.Fatal(err)
@@ -256,7 +258,7 @@ func TestPublicAPILinkPrediction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := agl.NewEmbeddingStore(0, inf.Embeddings)
+	store, err := agl.NewEmbeddingStore(inf.Embeddings)
 	if err != nil {
 		t.Fatal(err)
 	}

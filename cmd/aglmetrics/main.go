@@ -86,8 +86,8 @@ func main() {
 	fmt.Printf("totals: %d requests, %d shed, %d expired, %d errors; max queue %d, worst cold p99 %s\n",
 		reqs, shed, expired, errs, maxQueue,
 		time.Duration(worstCold)*time.Microsecond)
-	// Cluster-health counters are zero outside cluster mode (and in
-	// AGLFR001 files); show the columns only when something happened.
+	// Cluster-health counters are zero outside cluster mode; show the
+	// columns only when something happened.
 	cluster := hbMissed+failovers+pRetries+bOpens > 0
 	if cluster {
 		fmt.Printf("cluster: %d heartbeats missed, %d failovers, %d proxied retries, %d breaker opens\n",

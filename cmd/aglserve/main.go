@@ -68,20 +68,23 @@
 //
 // With -precompute (the default) GraphInfer runs once at startup so steady
 // traffic is served from the embedding store + prediction slice. The store
-// backend is selected with one flag set:
+// is selected with one flag set:
 //
-//	-store-backend mem|mmap|quant   implementation (default mem)
+//	-store-backend mem|mmap|quant   rows and residency (default mem)
 //	-store-path FILE                open a saved store instead of precomputing
-//	-store-save FILE                persist the store in the backend's format
+//	-store-save FILE                persist the store
 //	-store-verify                   full checksum pass at startup
-//	-store-quant                    shorthand for -store-backend quant
 //
-// mem is the heap-resident AGLEMB02 store, mmap serves the AGLMAP01 layout
-// out-of-core with O(1) startup, and quant serves int8-quantized rows
-// (AGLQNT01, ~7-8x smaller than mem) that score links without dequantizing
-// under a dot-product edge head. The pre-redesign flags -store,
-// -store-mmap, -save-store and -save-store-mmap remain as deprecated
-// aliases onto this set.
+// All three backends are the same store type over the same file format
+// (AGLSTOR1): mem holds float64 rows on the heap, mmap serves them
+// out-of-core from the mapped file with O(1) startup, and quant serves
+// int8-quantized rows (~7-8x smaller) that score links without
+// dequantizing under a dot-product edge head. A store file is a cache of
+// GraphInfer output: files in a retired format are refused with a message
+// saying so, and are regenerated by booting once with -store-save.
+//
+// SIGINT and SIGTERM both drain in-flight HTTP requests, close the replica
+// and release the store before the process exits 0.
 package main
 
 import (
@@ -97,6 +100,7 @@ import (
 	"os/signal"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"agl/internal/core"
@@ -135,14 +139,9 @@ func main() {
 	seed := flag.Int64("seed", 1, "sampling seed (match training)")
 	precompute := flag.Bool("precompute", true, "run GraphInfer at startup to build the embedding store")
 	storeBackend := flag.String("store-backend", "", "embedding store backend: mem (heap, default), mmap (out-of-core), or quant (int8-quantized)")
-	storeFile := flag.String("store-path", "", "open the embedding store from this file (the backend's native format) instead of precomputing")
-	storeSave := flag.String("store-save", "", "persist the embedding store to this file in the backend's native format")
+	storeFile := flag.String("store-path", "", "open the embedding store from this file instead of precomputing")
+	storeSave := flag.String("store-save", "", "persist the embedding store to this file")
 	storeVerify := flag.Bool("store-verify", false, "run the store file's full checksum verification at startup")
-	storeQuant := flag.Bool("store-quant", false, "serve int8-quantized embeddings (shorthand for -store-backend quant)")
-	storeOld := flag.String("store", "", "deprecated: alias for -store-path with the mem backend")
-	storeMmapOld := flag.String("store-mmap", "", "deprecated: alias for -store-backend mmap -store-path")
-	saveStoreOld := flag.String("save-store", "", "deprecated: alias for -store-save with the mem backend")
-	saveStoreMmapOld := flag.String("save-store-mmap", "", "deprecated: alias for -store-backend mmap -store-save")
 	cacheSize := flag.Int("cache", 4096, "LRU score-cache entries")
 	maxBatch := flag.Int("max-batch", 64, "micro-batch size cap")
 	maxWait := flag.Duration("max-wait", 0, "micro-batch linger: wait up to this long for batch companions (0 flushes greedily)")
@@ -167,49 +166,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Fold the flag surface (including the deprecated per-backend aliases)
-	// into one StoreSpec; conflicting selections fail fast instead of
-	// silently preferring one flag over another.
 	spec := serve.StoreSpec{
 		Backend: *storeBackend, Path: *storeFile,
 		Verify: *storeVerify, SavePath: *storeSave,
-	}
-	setBackend := func(backend, from string) {
-		if spec.Backend != "" && spec.Backend != backend {
-			log.Fatalf("%s conflicts with -store-backend %s", from, spec.Backend)
-		}
-		spec.Backend = backend
-	}
-	if *storeQuant {
-		setBackend(serve.BackendQuant, "-store-quant")
-	}
-	for _, alias := range []struct {
-		name, val, backend string
-		save               bool
-	}{
-		{"-store", *storeOld, serve.BackendMem, false},
-		{"-store-mmap", *storeMmapOld, serve.BackendMmap, false},
-		{"-save-store", *saveStoreOld, serve.BackendMem, true},
-		{"-save-store-mmap", *saveStoreMmapOld, serve.BackendMmap, true},
-	} {
-		if alias.val == "" {
-			continue
-		}
-		log.Printf("flag %s is deprecated; use -store-backend/-store-path/-store-save", alias.name)
-		if alias.backend != serve.BackendMem {
-			setBackend(alias.backend, alias.name)
-		}
-		if alias.save {
-			if spec.SavePath != "" && spec.SavePath != alias.val {
-				log.Fatalf("%s conflicts with -store-save %s", alias.name, spec.SavePath)
-			}
-			spec.SavePath = alias.val
-		} else {
-			if spec.Path != "" && spec.Path != alias.val {
-				log.Fatalf("%s conflicts with -store-path %s", alias.name, spec.Path)
-			}
-			spec.Path = alias.val
-		}
 	}
 	if err := spec.Validate(); err != nil {
 		log.Fatal(err)
@@ -305,7 +264,7 @@ func main() {
 				time.Since(t0).Round(time.Millisecond))
 		}
 		if spec.SavePath != "" {
-			log.Printf("saved %s-format embedding store to %s", backend, spec.SavePath)
+			log.Printf("saved the %s embedding store to %s", backend, spec.SavePath)
 		}
 	}
 
@@ -597,7 +556,7 @@ func main() {
 	}()
 
 	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
 	log.Print("shutting down")
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

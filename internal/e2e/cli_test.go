@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -171,19 +172,25 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		wantScores[parts[0]] = v
 	}
 	addr := freeAddr(t)
-	serveCmd := exec.Command(bins["aglserve"],
+	storePath := filepath.Join(dir, "store.agl")
+	serveArgs := []string{
 		"-m", modelPath, "-n", nodePath, "-e", edgePath,
 		"-s", "weighted", "-max-neighbors", "10", "-seed", "3",
-		"-addr", addr)
+		"-addr", addr}
+	serveCmd := exec.Command(bins["aglserve"],
+		append(serveArgs, "-store-backend", "mmap", "-store-save", storePath)...)
 	var serveOut bytes.Buffer
 	serveCmd.Stdout = &serveOut
 	serveCmd.Stderr = &serveOut
 	if err := serveCmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	stopped := false
 	defer func() {
-		serveCmd.Process.Kill()
-		serveCmd.Wait()
+		if !stopped {
+			serveCmd.Process.Kill()
+			serveCmd.Wait()
+		}
 	}()
 	waitHealthy(t, addr, &serveOut)
 
@@ -337,6 +344,38 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	if len(feed.Entries) != 0 {
 		t.Fatalf("caught-up feed should be empty: %+v", feed)
 	}
+
+	// Step 5: a container stop is SIGTERM. It must take the same graceful
+	// path as SIGINT — drain, close, unmap the store — and exit 0.
+	if err := serveCmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	err = serveCmd.Wait()
+	stopped = true
+	if err != nil || !strings.Contains(serveOut.String(), "shutting down") {
+		t.Fatalf("SIGTERM: exit %v, want 0 after a logged shutdown; log:\n%s", err, serveOut.String())
+	}
+
+	// Step 6: what PR 12 removed fails fast and says what to do. The saved
+	// store reopens through the flags that replaced the aliases; a removed
+	// alias is an unknown flag; a store file in a retired format is
+	// refused with the regenerate message.
+	mustFail := func(wantSub string, extra ...string) {
+		t.Helper()
+		out, err := exec.Command(bins["aglserve"], append(serveArgs, extra...)...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), wantSub) {
+			t.Fatalf("aglserve %v: err %v, want a failure mentioning %q; output:\n%s", extra, err, wantSub, out)
+		}
+	}
+	mustFail("flag provided but not defined: -store-mmap", "-store-mmap", storePath)
+	mustFail("flag provided but not defined: -store-quant", "-store-quant")
+	retired := filepath.Join(dir, "old.aglmap")
+	if err := os.WriteFile(retired, append([]byte("AGLMAP01"), make([]byte, 56)...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustFail("format AGLMAP01 retired, regenerate with aglserve -store-save",
+		"-store-backend", "mmap", "-store-path", retired)
+	mustFail("holds f64 rows", "-store-backend", "quant", "-store-path", storePath)
 }
 
 // postJSON posts a JSON body, asserts the status, and decodes the response.

@@ -35,8 +35,8 @@ type OOCoreResult struct {
 	TrainWall time.Duration
 	FinalLoss float64
 	StoreLen  int
-	// RAMOpen is ReadStore wall time (full decode); MmapOpen is OpenMapped
-	// wall time (header checks only, no deserialization).
+	// RAMOpen is the wall time of opening the store file onto the heap
+	// (full read and verify); MmapOpen of mapping it (header checks only).
 	RAMOpen, MmapOpen time.Duration
 	// WarmRAM / WarmMmap are identical warm-path load tests over the two
 	// store backends.
@@ -152,9 +152,9 @@ func OOCore(opt Options) (*OOCoreResult, error) {
 		res.FinalLoss = tr.History[len(tr.History)-1].Loss
 	}
 
-	// Phase 4 — GraphInfer precompute, then both store serializations: the
-	// in-RAM AGLEMB file (full decode on open) and the AGLMAP mmap file
-	// (O(1) open, rows read on demand straight from the page cache).
+	// Phase 4 — GraphInfer precompute, then one store file opened both
+	// ways: onto the heap (full read and verify on open) and mmap'd (O(1)
+	// open, rows read on demand straight from the page cache).
 	opt.logf("oocore: infer embeddings for %d nodes", nodes)
 	inf, err := core.Infer(core.InferConfig{
 		Seed: opt.Seed + 45, TempDir: tmp, NumReducers: 8, KeepEmbeddings: true,
@@ -162,42 +162,24 @@ func OOCore(opt Options) (*OOCoreResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	memStore, err := serve.NewStore(0, inf.Embeddings)
+	built, err := serve.NewStore(0, inf.Embeddings)
 	if err != nil {
 		return nil, err
 	}
-	res.StoreLen = memStore.Len()
-
-	ramPath := filepath.Join(tmp, "store.emb")
-	f, err := os.Create(ramPath)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := memStore.WriteTo(f); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	mmapPath := filepath.Join(tmp, "store.aglmap")
-	if err := serve.CreateMapped(mmapPath, memStore); err != nil {
+	res.StoreLen = built.Len()
+	storePath := filepath.Join(tmp, "store.agl")
+	if err := built.Save(storePath); err != nil {
 		return nil, err
 	}
 
 	t0 := time.Now()
-	rf, err := os.Open(ramPath)
-	if err != nil {
-		return nil, err
-	}
-	ramStore, err := serve.ReadStore(rf)
-	rf.Close()
+	ramStore, err := serve.OpenStore(storePath, false)
 	if err != nil {
 		return nil, err
 	}
 	res.RAMOpen = time.Since(t0)
 	t0 = time.Now()
-	mmapStore, err := serve.OpenMapped(mmapPath)
+	mmapStore, err := serve.OpenStore(storePath, true)
 	if err != nil {
 		return nil, err
 	}

@@ -25,7 +25,7 @@ func benchServer(b *testing.B, withStore bool, cacheSize int) (*Server, *graph.G
 	if err != nil {
 		b.Fatal(err)
 	}
-	var store *MemStore
+	var store *RowStore
 	if withStore {
 		res, err := core.Infer(core.InferConfig{Seed: 4, TempDir: b.TempDir(), KeepEmbeddings: true},
 			model, mapreduce.MemInput(core.TableRecords(ds.G)))

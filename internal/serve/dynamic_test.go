@@ -89,25 +89,24 @@ func randomMutations(rng *rand.Rand, cur *graph.Graph, nextID *int64, n int) []g
 	return muts
 }
 
-// buildBackend materializes one Store backend over GraphInfer embeddings:
-// the heap MemStore, or a MappedStore round-tripped through its on-disk
-// layout. Consistency suites run over both — the serving tier must behave
-// identically regardless of where the rows live, and for the mapped
-// backend the dirty-row overlay must shadow rows without ever writing the
-// (read-only) mapped file.
-func buildBackend(t *testing.T, name string, embs map[int64][]float64) Store {
+// buildBackend materializes a store over GraphInfer embeddings, on the heap
+// or round-tripped through a store file and mmap'd. Consistency suites run
+// over both — the serving tier must behave identically regardless of where
+// the rows live, and for the mapped store the dirty-row overlay must shadow
+// rows without ever writing the (read-only) mapped file.
+func buildBackend(t *testing.T, name string, embs map[int64][]float64) *RowStore {
 	t.Helper()
-	mem, err := NewStore(8, embs)
+	mem, err := NewStore(0, embs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if name == "mmap" {
-		return mappedFromMem(t, mem)
+		return openSaved(t, mem, true)
 	}
 	return mem
 }
 
-// storeBackendNames lists the Store implementations the parameterized
+// storeBackendNames lists the store residencies the parameterized
 // consistency suites cover.
 var storeBackendNames = []string{"mem", "mmap"}
 
@@ -177,13 +176,11 @@ func testIncrementalConsistency(t *testing.T, backend string) {
 	if st.Applies != 5 || st.Mutations == 0 || st.Invalidated == 0 {
 		t.Fatalf("mutation accounting off: %+v", st)
 	}
-	// The mapped file is read-only: dirty rows live in the resident
-	// overlay, so after all the mutation traffic the on-disk sections must
-	// still checksum clean.
-	if ms, ok := store.(*MappedStore); ok {
-		if err := ms.Verify(); err != nil {
-			t.Fatalf("dynamic serving wrote through to the mapped file: %v", err)
-		}
+	// The store is read-only: dirty rows live in the resident overlay, so
+	// after all the mutation traffic its sections must still checksum
+	// clean.
+	if err := store.Verify(); err != nil {
+		t.Fatalf("dynamic serving wrote through to the store: %v", err)
 	}
 }
 

@@ -1,7 +1,7 @@
 package serve
 
 // Flight recorder: an ftdc-style fixed-size ring of per-interval counter
-// samples, always on and cheap enough to never turn off (~72 bytes/second).
+// samples, always on and cheap enough to never turn off (88 bytes/second).
 // The ring lives in memory and, when a path is configured, is mirrored to a
 // fixed-size binary file slot-by-slot so a crashed or wedged process leaves
 // behind the last N intervals for post-hoc diagnosis without logs.
@@ -20,11 +20,6 @@ package serve
 // slot write is a single WriteAt followed by a WriteAt of the header seq, so
 // a torn final slot is detectable (its UnixNanos predates its neighbors) but
 // never corrupts older samples.
-//
-// Version history: AGLFR001 used 72-byte slots (16 counter fields);
-// AGLFR002 appends four cluster-health counters for 88-byte slots.
-// ReadFlightFile decodes both — the four new fields read as zero from an
-// AGLFR001 file.
 
 import (
 	"encoding/binary"
@@ -37,10 +32,8 @@ import (
 
 const (
 	flightMagic    = "AGLFR002"
-	flightMagicV1  = "AGLFR001"
 	flightHdrSize  = 32
 	flightSlotSize = 88
-	flightSlotV1   = 72
 	flightSeqOff   = 16
 )
 
@@ -68,7 +61,7 @@ type FlightSample struct {
 	DirtyRows  uint32 `json:"dirty_rows"` // store rows shadowed by the dynamic overlay (gauge)
 	Applies    uint32 `json:"applies"`    // mutation batches applied
 
-	// Cluster-health counters (AGLFR002; zero outside cluster mode).
+	// Cluster-health counters (zero outside cluster mode).
 	HeartbeatsMissed uint32 `json:"heartbeats_missed"` // peers seen suspect/dead by the failure detector
 	Failovers        uint32 `json:"failovers"`         // committed failover tables
 	ProxiedRetries   uint32 `json:"proxied_retries"`   // idempotent proxied-read retry attempts
@@ -83,24 +76,17 @@ func (s *FlightSample) encode(buf []byte) {
 	}
 }
 
-// decode reads as many fields as buf holds — an AGLFR001 slot (72 bytes)
-// fills the first 16 and leaves the cluster counters zero.
 func (s *FlightSample) decode(buf []byte) {
 	le := binary.LittleEndian
 	s.UnixNanos = int64(le.Uint64(buf[0:]))
-	f := []*uint32{
+	for i, p := range []*uint32{
 		&s.QueueDepth, &s.BatchMax, &s.Requests, &s.CacheHits,
 		&s.Warm, &s.Cold, &s.Batches, &s.Shed,
 		&s.Expired, &s.Errors, &s.WarmP50us, &s.WarmP99us,
 		&s.ColdP50us, &s.ColdP99us, &s.DirtyRows, &s.Applies,
 		&s.HeartbeatsMissed, &s.Failovers, &s.ProxiedRetries, &s.BreakerOpens,
-	}
-	for i, p := range f {
-		off := 8 + 4*i
-		if off+4 > len(buf) {
-			break
-		}
-		*p = le.Uint32(buf[off:])
+	} {
+		*p = le.Uint32(buf[8+4*i:])
 	}
 }
 
@@ -241,20 +227,17 @@ func ReadFlightFile(path string) ([]FlightSample, error) {
 	if _, err := io.ReadFull(f, hdr); err != nil {
 		return nil, fmt.Errorf("serve: flight header: %w", err)
 	}
-	var wantSlot uint32
-	switch string(hdr[:8]) {
-	case flightMagic:
-		wantSlot = flightSlotSize
-	case flightMagicV1:
-		wantSlot = flightSlotV1
-	default:
+	if err := retiredFormat("flight file "+path, hdr); err != nil {
+		return nil, err
+	}
+	if string(hdr[:8]) != flightMagic {
 		return nil, fmt.Errorf("serve: not a flight file (magic %q)", hdr[:8])
 	}
 	slotSize := binary.LittleEndian.Uint32(hdr[8:])
 	count := binary.LittleEndian.Uint32(hdr[12:])
 	seq := binary.LittleEndian.Uint64(hdr[16:])
-	if slotSize != wantSlot {
-		return nil, fmt.Errorf("serve: flight slot size %d unsupported (want %d)", slotSize, wantSlot)
+	if slotSize != flightSlotSize {
+		return nil, fmt.Errorf("serve: flight slot size %d unsupported (want %d)", slotSize, flightSlotSize)
 	}
 	if count == 0 || count > 1<<24 {
 		return nil, fmt.Errorf("serve: flight slot count %d out of range", count)

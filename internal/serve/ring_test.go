@@ -118,51 +118,11 @@ func TestReadFlightFileRejectsGarbage(t *testing.T) {
 		t.Fatal("garbage file decoded without error")
 	}
 	short := filepath.Join(dir, "short.aglfr")
-	if err := os.WriteFile(short, []byte("AGLFR001"), 0o644); err != nil {
+	if err := os.WriteFile(short, []byte(flightMagic), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadFlightFile(short); err == nil {
 		t.Fatal("truncated header decoded without error")
-	}
-}
-
-// TestReadFlightFileV1Compat: an AGLFR001 file (72-byte slots, 16 fields,
-// written by pre-cluster-health builds) still decodes; the four cluster
-// counters read as zero.
-func TestReadFlightFileV1Compat(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "v1.aglfr")
-	const count = 3
-	hdr := make([]byte, flightHdrSize)
-	copy(hdr, flightMagicV1)
-	le := func(b []byte, off int, v uint32) {
-		b[off] = byte(v)
-		b[off+1] = byte(v >> 8)
-		b[off+2] = byte(v >> 16)
-		b[off+3] = byte(v >> 24)
-	}
-	le(hdr, 8, flightSlotV1)
-	le(hdr, 12, count)
-	le(hdr, 16, 2) // seq: two samples appended, no wrap
-	body := make([]byte, count*flightSlotV1)
-	rng := rand.New(rand.NewSource(5))
-	var want []FlightSample
-	for i := 0; i < 2; i++ {
-		s := randSample(rng, i)
-		s.HeartbeatsMissed, s.Failovers, s.ProxiedRetries, s.BreakerOpens = 0, 0, 0, 0
-		want = append(want, s)
-		var full [flightSlotSize]byte
-		s.encode(full[:])
-		copy(body[i*flightSlotV1:(i+1)*flightSlotV1], full[:flightSlotV1])
-	}
-	if err := os.WriteFile(path, append(hdr, body...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadFlightFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1 decode diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 

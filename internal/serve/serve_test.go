@@ -57,7 +57,7 @@ func TestStoreLookupAndRoundTrip(t *testing.T) {
 		t.Fatalf("store len=%d dim=%d, want %d/8", store.Len(), store.Dim(), len(embs))
 	}
 	if store.RowCodec() != CodecF64 {
-		t.Fatalf("MemStore codec = %v, want %v", store.RowCodec(), CodecF64)
+		t.Fatalf("NewStore codec = %v, want %v", store.RowCodec(), CodecF64)
 	}
 	buf64 := make([]float64, store.Dim())
 	for id, want := range embs {
@@ -87,7 +87,7 @@ func TestStoreLookupAndRoundTrip(t *testing.T) {
 	if _, err := store.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadStore(&buf)
+	loaded, err := parseStore(buf.Bytes(), "store image")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +106,6 @@ func TestStoreLookupAndRoundTrip(t *testing.T) {
 				t.Fatalf("roundtrip node %d dim %d: got %v want %v", id, j, got[j], want[j])
 			}
 		}
-	}
-}
-
-func TestReadStoreRejectsGarbage(t *testing.T) {
-	if _, err := ReadStore(bytes.NewReader([]byte("not a store at all"))); err == nil {
-		t.Fatal("garbage store accepted")
 	}
 }
 

@@ -291,12 +291,11 @@ func (c *call) extendDeadline(d int64) {
 
 // New starts a Server for model over g, optionally backed by an embedding
 // store built from GraphInfer output (nil serves everything cold). Every
-// backend works: a heap MemStore, an mmap'd MappedStore, or an
-// int8-quantized QuantStore — the server never writes through the store,
-// so dirty rows from mutations live in a resident overlay either way, and
-// rows flow through the tier in their native codec (a QuantStore's
-// dot-product link scoring never dequantizes). The model's prediction
-// slice is segmented out once at startup.
+// RowStore works, heap or mmap'd, f64 or int8-quantized — the server never
+// writes through the store, so dirty rows from mutations live in a
+// resident overlay either way, and rows flow through the tier in their
+// native codec (dot-product link scoring over q8 rows never dequantizes).
+// The model's prediction slice is segmented out once at startup.
 func New(cfg Config, model *gnn.Model, g *graph.Graph, store Store) (*Server, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -308,7 +307,7 @@ func New(cfg Config, model *gnn.Model, g *graph.Graph, store Store) (*Server, er
 		return nil, errors.New("serve: nil graph")
 	}
 	if store == nil {
-		store = (*MemStore)(nil) // method set is nil-tolerant; empty store
+		store = (*RowStore)(nil) // method set is nil-tolerant; empty store
 	}
 	cfg = cfg.withDefaults(len(model.Layers))
 	if store.Len() > 0 && store.Dim() != model.Cfg.Hidden {
@@ -436,6 +435,14 @@ func (s *Server) Score(ctx context.Context, node int64) ([]float64, error) {
 		s.errors.Add(1)
 		return nil, ErrClosed
 	}
+	if v, ok := s.cache.get(node); ok {
+		// The computation this request missed finished between the two
+		// lock holds: serve its result rather than compute it again.
+		s.mu.Unlock()
+		s.adm.release()
+		s.hits.Add(1)
+		return v, nil
+	}
 	if c, ok := s.inflight[node]; ok {
 		// Raced with another registration for the same node; join it.
 		s.mu.Unlock()
@@ -488,7 +495,7 @@ func (s *Server) ScoreMany(ctx context.Context, nodes []int64) ([][]float64, []e
 
 // ScoreLink returns the model's link logit for the (src, dst) pair — the
 // online edge-level workload (fraud-pair scoring, recommendation). The warm
-// path is two shard lookups plus one pairwise-head forward, with no k-hop
+// path is two store lookups plus one pairwise-head forward, with no k-hop
 // extraction; endpoints missing from the store (new or dirtied by
 // mutations) resolve cold through the same micro-batched single-flight
 // pipeline as node scoring, then the pair is scored off the fresh

@@ -1,46 +1,37 @@
 package serve
 
-import (
-	"fmt"
-	"os"
-)
+import "fmt"
 
-// Store backend names accepted by StoreSpec.Backend.
+// Store backend names accepted by StoreSpec.Backend. A backend is a row
+// codec plus where a store opened from a file lives; all three are the
+// same RowStore over the same file format.
 const (
-	BackendMem   = "mem"   // heap-resident MemStore (AGLEMB02)
-	BackendMmap  = "mmap"  // mmap'd MappedStore (AGLMAP01)
-	BackendQuant = "quant" // int8-quantized QuantStore (AGLQNT01)
+	BackendMem   = "mem"   // f64 rows on the heap
+	BackendMmap  = "mmap"  // f64 rows served from an mmap of the store file
+	BackendQuant = "quant" // int8-quantized rows; a store file is served mmap'd
 )
 
-// StoreSpec is the one-stop description of an embedding-store backend:
-// which of the three implementations to use, where its file lives (or
-// should be written), and whether to run the full checksum pass after
-// opening. It replaces the per-backend flag pile that was accreting in
-// cmd/aglserve (-store / -store-mmap / -save-store / -save-store-mmap)
-// with a single declarative selection shared by the CLI, the experiments,
-// and embedding API users.
+// StoreSpec is the declarative description of an embedding store: which
+// backend, where its file lives (or should be written), and whether to run
+// the full checksum pass after opening. cmd/aglserve's flags, the
+// experiments and embedding API users all select a store through it.
 type StoreSpec struct {
-	// Backend selects the implementation: BackendMem (default when
-	// empty), BackendMmap, or BackendQuant.
+	// Backend selects BackendMem (default when empty), BackendMmap, or
+	// BackendQuant.
 	Backend string
-	// Path is an existing store file to open, in the backend's native
-	// format. Empty means build the store from the embeddings passed to
-	// Open (GraphInfer output).
+	// Path is an existing store file to open. Empty means build the store
+	// from the embeddings passed to Open (GraphInfer output).
 	Path string
-	// Verify runs the backend's full checksum verification after opening
-	// Path (one sequential read of the file). MemStore files are always
-	// verified during decode; for the mmap-backed backends this is the
-	// deferred O(size) half of their O(1) open.
+	// Verify runs the full checksum verification after opening Path (one
+	// sequential read of the file). The mem backend always verifies as it
+	// reads; for the mmap'd backends this is the deferred O(size) half of
+	// their O(1) open.
 	Verify bool
 	// SavePath, when non-empty, persists the opened or built store there
-	// in the backend's native format (staged and renamed, never
-	// half-written). A built mmap/quant store is served FROM the saved
-	// file, so SavePath doubles as the serving path for those backends.
+	// (staged and renamed, never half-written). A built mmap/quant store
+	// is served FROM the saved file, so SavePath doubles as the serving
+	// path for those backends.
 	SavePath string
-	// Shards is the MemStore shard count (0 selects the default); also
-	// used for the intermediate heap store when building the other
-	// backends from embeddings.
-	Shards int
 }
 
 // Validate rejects contradictory or unknown specs with descriptive
@@ -68,135 +59,52 @@ func (sp StoreSpec) backend() string {
 	return sp.Backend
 }
 
-// Open materializes the spec: it opens Path when set, otherwise builds
-// the backend from embeddings (which may be nil for an empty store), and
-// honors Verify/SavePath. The returned close function releases any file
-// mapping (a no-op for heap stores) — call it when done serving.
+// Open materializes the spec: it opens Path when set, otherwise builds the
+// store from embeddings (which may be nil for an empty store), and honors
+// SavePath and Verify. The returned close function releases the store —
+// call it when done serving.
 func (sp StoreSpec) Open(embeddings map[int64][]float64) (Store, func() error, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, nil, err
 	}
-	noop := func() error { return nil }
-	buildMem := func() (*MemStore, error) {
-		if sp.Path == "" {
-			return NewStore(sp.Shards, embeddings)
-		}
-		f, err := os.Open(sp.Path)
-		if err != nil {
-			return nil, err
-		}
-		defer f.Close()
-		return ReadStore(f)
+	backend := sp.backend()
+	mapped := backend != BackendMem
+	codec := CodecF64
+	if backend == BackendQuant {
+		codec = CodecQ8
 	}
-	switch sp.backend() {
-	case BackendMem:
-		st, err := buildMem()
-		if err != nil {
-			return nil, nil, err
-		}
-		if sp.SavePath != "" {
-			if err := saveStoreFile(sp.SavePath, st); err != nil {
-				return nil, nil, err
-			}
-		}
-		return st, noop, nil
-
-	case BackendMmap:
-		path := sp.Path
-		if path == "" {
-			mem, err := buildMem()
-			if err != nil {
-				return nil, nil, err
-			}
-			if err := CreateMapped(sp.SavePath, mem); err != nil {
-				return nil, nil, err
-			}
-			path = sp.SavePath
-		} else if sp.SavePath != "" && sp.SavePath != path {
-			st, err := OpenMapped(path)
-			if err != nil {
-				return nil, nil, err
-			}
-			err = saveStoreFile(sp.SavePath, st)
-			st.Close()
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		st, err := OpenMapped(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		if sp.Verify {
-			if err := st.Verify(); err != nil {
-				st.Close()
-				return nil, nil, err
-			}
-		}
-		return st, st.Close, nil
-
-	case BackendQuant:
-		if sp.Path != "" {
-			st, err := OpenQuant(sp.Path)
-			if err != nil {
-				return nil, nil, err
-			}
-			if sp.Verify {
-				if err := st.Verify(); err != nil {
-					st.Close()
-					return nil, nil, err
-				}
-			}
-			if sp.SavePath != "" && sp.SavePath != sp.Path {
-				if err := saveStoreFile(sp.SavePath, st); err != nil {
-					st.Close()
-					return nil, nil, err
-				}
-			}
-			return st, st.Close, nil
-		}
-		mem, err := buildMem()
-		if err != nil {
-			return nil, nil, err
-		}
-		if sp.SavePath != "" {
-			if err := CreateQuant(sp.SavePath, mem); err != nil {
-				return nil, nil, err
-			}
-			st, err := OpenQuant(sp.SavePath)
-			if err != nil {
-				return nil, nil, err
-			}
-			return st, st.Close, nil
-		}
-		st, err := Quantize(mem)
-		if err != nil {
-			return nil, nil, err
-		}
-		return st, noop, nil
+	var st *RowStore
+	fail := func(err error) (Store, func() error, error) {
+		st.Close()
+		return nil, nil, err
 	}
-	return nil, nil, fmt.Errorf("serve: unknown store backend %q", sp.Backend)
-}
-
-// saveStoreFile persists any store's native serialization (WriteTo) at
-// path, staged at path+".tmp" and renamed into place on success.
-func saveStoreFile(path string, st Store) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	var err error
+	if sp.Path != "" {
+		st, err = OpenStore(sp.Path, mapped)
+	} else if st, err = NewStore(0, embeddings); err == nil && codec == CodecQ8 {
+		st, err = Quantize(st)
+	}
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	defer os.Remove(tmp) // no-op after the rename
-	if _, err := st.WriteTo(f); err != nil {
-		f.Close()
-		return fmt.Errorf("serve: write store %s: %w", tmp, err)
+	if st.RowCodec() != codec {
+		return fail(fmt.Errorf("serve: store %s holds %s rows, the %s backend serves %s",
+			sp.Path, st.RowCodec(), backend, codec))
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if sp.SavePath != "" && sp.SavePath != sp.Path {
+		if err := st.Save(sp.SavePath); err != nil {
+			return fail(err)
+		}
+		if sp.Path == "" && mapped { // a built mmap/quant store is served from the file just saved
+			if st, err = OpenStore(sp.SavePath, true); err != nil {
+				return fail(err)
+			}
+		}
 	}
-	if err := f.Close(); err != nil {
-		return err
+	if sp.Verify && mapped { // the mem backend verified as it read
+		if err := st.Verify(); err != nil {
+			return fail(err)
+		}
 	}
-	return os.Rename(tmp, path)
+	return st, st.Close, nil
 }
