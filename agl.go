@@ -16,6 +16,12 @@
 //     round MapReduce pipeline that computes every node embedding exactly
 //     once.
 //
+// Flatten and Infer are one message-passing engine with two payloads, and
+// the serving tier's cold path walks the same graph: for equal
+// MaxNeighbors, Strategy, Seed (and, offline, HubThreshold) every node has
+// one sampled in-edge set, so a model is trained on, batch-scored on and
+// served from the same neighborhoods.
+//
 // A minimal end-to-end run:
 //
 //	ds, _ := agl.NewUUG(agl.UUGConfig{Nodes: 5000})
@@ -291,7 +297,8 @@ type (
 
 // Infer runs the GraphInfer pipeline over the whole graph and returns
 // predicted scores for every node (plus final-layer embeddings when
-// cfg.KeepEmbeddings is set).
+// cfg.KeepEmbeddings is set). With the sampling fields of the Flatten run,
+// the scores equal a forward pass over each node's GraphFeature within 1e-9.
 func Infer(cfg InferConfig, m *Model, g *Graph) (*InferResult, error) {
 	return core.Infer(cfg, m, mapreduce.MemInput(core.TableRecords(g)))
 }

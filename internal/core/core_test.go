@@ -197,6 +197,29 @@ func TestFlattenSamplingCapsInDegree(t *testing.T) {
 	if fmt.Sprint(nodeIDs(rec.SG)) == fmt.Sprint(nodeIDs(rec3.SG)) {
 		t.Log("warning: same sample under different seed (possible but unlikely)")
 	}
+
+	// MaxNeighbors is a per-node cap, not a per-round one: over several
+	// rounds no node of any record — target or interior — exceeds it.
+	ug := buildInferGraph(t)
+	all := map[int64]Target{}
+	for _, id := range ug.IDs() {
+		all[id] = Target{}
+	}
+	for _, hops := range []int{2, 3} {
+		res := flatten(t, ug, FlatConfig{Hops: hops, MaxNeighbors: 3, Seed: 11}, all)
+		for _, raw := range res.Records {
+			rec, err := wire.DecodeTrainRecord(raw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			inCount := map[int64]int{}
+			for _, e := range rec.SG.Edges {
+				if inCount[e.Dst]++; inCount[e.Dst] > 3 {
+					t.Fatalf("hops %d target %d: node %d has more than 3 in-edges", hops, rec.TargetID, e.Dst)
+				}
+			}
+		}
+	}
 }
 
 func TestFlattenWeightedSamplingPrefersHeavy(t *testing.T) {
@@ -533,43 +556,72 @@ func TestGraphInferMatchesDirectInference(t *testing.T) {
 	}
 }
 
+// TestOriginalInferMatchesGraphInfer: a forward pass over each node's own
+// GraphFeature and GraphInfer's message passing score every node the same,
+// unsampled and — because both keep one sampled in-edge set per node — under
+// every strategy, with and without hub re-indexing.
 func TestOriginalInferMatchesGraphInfer(t *testing.T) {
-	g := buildInferGraph(t)
-	model, err := gnn.NewModel(gnn.Config{
-		Kind: gnn.KindGCN, InDim: 6, Hidden: 8, Classes: 1, Layers: 2,
-		Act: nn.ActTanh, Seed: 22,
-	})
+	edgeDS, err := datagen.UUG(datagen.UUGConfig{Nodes: 70, FeatDim: 6, EdgeFeatDim: 4, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tables := mapreduce.MemInput(TableRecords(g))
-	fast, err := Infer(InferConfig{Seed: 4, TempDir: t.TempDir()}, model, tables)
-	if err != nil {
-		t.Fatal(err)
+	models := []struct {
+		g   *graph.Graph
+		cfg gnn.Config
+	}{
+		{buildInferGraph(t), gnn.Config{Kind: gnn.KindGCN, InDim: 6, Hidden: 8, Classes: 1, Layers: 2, Act: nn.ActTanh, Seed: 22}},
+		{edgeDS.G, gnn.Config{Kind: gnn.KindGAT, InDim: 6, Hidden: 8, Classes: 1, Layers: 2, Heads: 2, EdgeDim: 4, Act: nn.ActTanh, Seed: 32}},
 	}
-	slow, err := OriginalInfer(FlatConfig{Hops: 2, Seed: 4, TempDir: t.TempDir()},
-		model, tables, g.IDs())
-	if err != nil {
-		t.Fatal(err)
+	type sample struct {
+		maxNeighbors int
+		strategy     sampling.Strategy
+		hubThreshold int
 	}
-	if len(slow.Scores) != len(fast.Scores) {
-		t.Fatalf("score counts differ: %d vs %d", len(slow.Scores), len(fast.Scores))
+	samples := []sample{{0, nil, 0}}
+	for _, s := range []sampling.Strategy{sampling.Uniform{}, sampling.Weighted{}, sampling.TopK{}} {
+		samples = append(samples, sample{3, s, 0}, sample{3, s, 6})
 	}
-	for id, want := range fast.Scores {
-		got := slow.Scores[id]
-		if math.Abs(got[0]-want[0]) > 1e-9 {
-			t.Fatalf("node %d: original %v graphinfer %v", id, got[0], want[0])
+	for _, m := range models {
+		model, err := gnn.NewModel(m.cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// GraphInfer must shuffle less than the original's GraphFlat phase on
-	// overlapping neighborhoods.
-	var flatBytes int64
-	for _, s := range slow.FlatStats {
-		flatBytes += s.BytesShuffled
-	}
-	if fast.TotalShuffledBytes() >= flatBytes {
-		t.Fatalf("GraphInfer shuffled more than baseline: %d vs %d",
-			fast.TotalShuffledBytes(), flatBytes)
+		tables := mapreduce.MemInput(TableRecords(m.g))
+		for _, sm := range samples {
+			name := fmt.Sprintf("%s cap %d hub %d", m.cfg.Kind, sm.maxNeighbors, sm.hubThreshold)
+			if sm.strategy != nil {
+				name += " " + sm.strategy.Name()
+			}
+			fast, err := Infer(InferConfig{Seed: 4, MaxNeighbors: sm.maxNeighbors, Strategy: sm.strategy,
+				HubThreshold: sm.hubThreshold, TempDir: t.TempDir()}, model, tables)
+			if err != nil {
+				t.Fatal(err)
+			}
+			slow, err := OriginalInfer(FlatConfig{Hops: 2, Seed: 4, MaxNeighbors: sm.maxNeighbors, Strategy: sm.strategy,
+				HubThreshold: sm.hubThreshold, TempDir: t.TempDir()}, model, tables, m.g.IDs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(slow.Scores) != len(fast.Scores) || len(fast.Scores) != m.g.NumNodes() {
+				t.Fatalf("%s: score counts differ: %d vs %d", name, len(slow.Scores), len(fast.Scores))
+			}
+			for id, want := range fast.Scores {
+				got := slow.Scores[id]
+				if math.Abs(got[0]-want[0]) > 1e-9 {
+					t.Fatalf("%s node %d: original %v graphinfer %v", name, id, got[0], want[0])
+				}
+			}
+			// GraphInfer must shuffle less than the original's GraphFlat phase on
+			// overlapping neighborhoods.
+			var flatBytes int64
+			for _, s := range slow.FlatStats {
+				flatBytes += s.BytesShuffled
+			}
+			if fast.TotalShuffledBytes() >= flatBytes {
+				t.Fatalf("%s: GraphInfer shuffled more than baseline: %d vs %d",
+					name, fast.TotalShuffledBytes(), flatBytes)
+			}
+		}
 	}
 }
 

@@ -1,9 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"os"
 	"sort"
 	"strconv"
@@ -26,12 +26,15 @@ type Target struct {
 type FlatConfig struct {
 	// Hops is K, the neighborhood radius; must match the model depth.
 	Hops int
-	// MaxNeighbors caps each node's in-edges per round (0 = no sampling).
+	// MaxNeighbors caps each node's in-edges (0 = no sampling). Every node
+	// has one sampled in-edge set, a function of (Seed, node, its in-edges)
+	// only, and a GraphFeature is the k-hop BFS of that sampled graph.
 	MaxNeighbors int
 	// Strategy picks which in-edges survive sampling (default uniform).
 	Strategy sampling.Strategy
-	// Seed drives deterministic per-(node, round) sampling; GraphInfer must
-	// use the same seed for consistent decisions.
+	// Seed drives the deterministic per-node sampling decision; GraphInfer
+	// and the serving tier keep the same in-edges when given the same
+	// MaxNeighbors, Strategy, Seed and HubThreshold.
 	Seed int64
 	// HubThreshold enables re-indexing: nodes whose in-degree exceeds the
 	// threshold have their shuffle keys split across suffixed sub-keys
@@ -83,15 +86,116 @@ func (c FlatConfig) withDefaults() FlatConfig {
 	return c
 }
 
-func (c FlatConfig) mrConfig(name string) mapreduce.Config {
-	return mapreduce.Config{
-		Name:        name,
-		NumMappers:  c.NumMappers,
-		NumReducers: c.NumReducers,
-		TempDir:     c.TempDir,
-		MaxAttempts: c.MaxAttempts,
-		Faults:      c.Faults,
+// engine is the one message-passing scheme behind GraphFlat and GraphInfer
+// (paper §3.2.1, §3.4): a degree job, a join round that seeds every node's
+// state, then K rounds that merge the states of a node's sampled in-edge
+// neighbors into its own and propagate the result along its out-edges. The
+// two pipelines differ only in the job: what the state is and how it merges.
+type engine struct {
+	what, name string // "GraphFlat"/"flat": error prefix and MapReduce job prefix
+
+	maxNeighbors int
+	strategy     sampling.Strategy
+	seed         int64
+	hubThreshold int
+
+	mr    mapreduce.Config
+	spill bool
+}
+
+func (c FlatConfig) engine() engine {
+	return engine{
+		what: "GraphFlat", name: "flat",
+		maxNeighbors: c.MaxNeighbors, strategy: c.Strategy, seed: c.Seed, hubThreshold: c.HubThreshold,
+		mr: mapreduce.Config{NumMappers: c.NumMappers, NumReducers: c.NumReducers,
+			TempDir: c.TempDir, MaxAttempts: c.MaxAttempts, Faults: c.Faults},
+		spill: c.SpillRounds,
 	}
+}
+
+// job is what one pipeline carries along the sampled graph. State is opaque
+// to the engine: GraphFlat's is an encoded wire.Subgraph, GraphInfer's an
+// encoded wire.Embedding.
+type job struct {
+	// seed encodes a node's round-0 state from its node-table row.
+	seed func(id int64, feat []float64, deg float64) []byte
+	// merge returns round r's mergeFunc (GraphInfer loads model slice r).
+	merge func(round int) (mergeFunc, error)
+}
+
+// mergeFunc folds the states riding a node's kept in-edges into the node's
+// own state. It returns the new state, which the engine propagates; in the
+// final round it returns the finished shuffle value for the node instead,
+// nil to emit nothing.
+type mergeFunc func(id int64, self []byte, kept []*flatMsg, final bool) ([]byte, error)
+
+// passes is what engine.run hands back: the last round's output plus the
+// accounting of every round that ran.
+type passes struct {
+	out      mapreduce.Input
+	collect  func() ([]mapreduce.KeyValue, error)
+	stats    []*mapreduce.Stats
+	inDeg    map[int64]int
+	weighted map[int64]float64
+	hubs     int
+}
+
+// run drives the rounds: degrees, hub set, the join round (which attaches
+// node features to out-edges — the paper's "in-edge information: feature of
+// the in-edge and the neighbor node"), then K merge/propagate rounds, each
+// preceded by a re-index/sample/invert job for hub keys when re-indexing is
+// on (paper Figure 3).
+func (e engine) run(tables mapreduce.Input, rounds int, j job) (*passes, error) {
+	p := &passes{}
+	var err error
+	cfg := e.mr
+	cfg.Name = e.name + "-degrees"
+	p.weighted, p.inDeg, err = WeightedInDegrees(tables, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: %s degrees: %w", e.what, err)
+	}
+	// Hub set for re-indexing: node id -> number of suffix shards.
+	hubs := map[int64]int{}
+	if e.hubThreshold > 0 {
+		for id, d := range p.inDeg {
+			if d > e.hubThreshold {
+				hubs[id] = (d + e.hubThreshold - 1) / e.hubThreshold
+			}
+		}
+	}
+	p.hubs = len(hubs)
+
+	// step runs one round over the previous round's output, which it lets go
+	// of first: once the map phase has read it, it is garbage.
+	p.out = tables
+	step := func(name string, mapper mapreduce.Mapper, reducer mapreduce.Reducer) error {
+		in := p.out
+		p.out, p.collect = nil, nil
+		out, collect, stats, err := e.runRound(name, mapper, reducer, in)
+		if err != nil {
+			return fmt.Errorf("core: %s %s: %w", e.what, name, err)
+		}
+		p.out, p.collect, p.stats = out, collect, append(p.stats, stats)
+		return nil
+	}
+	if err := step(e.name+"-join", joinMapper(), joinReducer(p.weighted, j.seed)); err != nil {
+		return nil, err
+	}
+	for round := 1; round <= rounds; round++ {
+		if len(hubs) > 0 {
+			if err := step(fmt.Sprintf("%s-reindex-%d", e.name, round), reindexMapper(hubs), e.reindexReducer(hubs)); err != nil {
+				return nil, err
+			}
+		}
+		merge, err := j.merge(round)
+		if err != nil {
+			return nil, err
+		}
+		if err := step(fmt.Sprintf("%s-merge-%d", e.name, round), mapreduce.IdentityMapper, e.mergeReducer(merge, round == rounds)); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 // FlatResult is GraphFlat's output: one serialized TrainRecord (the triple
@@ -120,13 +224,8 @@ func (r *FlatResult) TotalShuffledBytes() int64 {
 }
 
 // Flatten runs the GraphFlat pipeline over node/edge table records (see
-// TableRecords) producing the k-hop neighborhood of every target.
-//
-// The pipeline is: one degree-counting job, one join round (round 0, which
-// attaches node features to out-edges — realizing the paper's "in-edge
-// information: feature of the in-edge and the neighbor node"), then K
-// merge/propagate rounds. When re-indexing is enabled, each merge round is
-// preceded by a re-index/sample/invert job for hub keys (paper Figure 3).
+// TableRecords) producing the k-hop neighborhood of every target: the
+// engine's rounds with a wire.Subgraph as the state.
 func Flatten(cfg FlatConfig, tables mapreduce.Input, targets map[int64]Target) (*FlatResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -145,77 +244,82 @@ func Flatten(cfg FlatConfig, tables mapreduce.Input, targets map[int64]Target) (
 // flattenEdges reuses it to materialize every pair endpoint's neighborhood.
 func flattenNodes(cfg FlatConfig, tables mapreduce.Input, targets map[int64]Target) (*FlatResult, error) {
 	cfg = cfg.withDefaults()
-	res := &FlatResult{}
-
-	weighted, unweighted, err := WeightedInDegrees(tables, cfg.mrConfig("flat-degrees"))
+	p, err := cfg.engine().run(tables, cfg.Hops, job{
+		seed: func(id int64, feat []float64, deg float64) []byte {
+			return wire.EncodeSubgraph(nil, &wire.Subgraph{Target: id, Nodes: []wire.SGNode{{ID: id, Feat: feat, Deg: deg}}})
+		},
+		merge: func(int) (mergeFunc, error) { return subgraphMerge(targets), nil },
+	})
 	if err != nil {
-		return nil, fmt.Errorf("core: GraphFlat degrees: %w", err)
+		return nil, err
 	}
-	res.InDegrees = unweighted
-	res.WeightedDeg = weighted
+	res := &FlatResult{RoundStats: p.stats, InDegrees: p.inDeg, WeightedDeg: p.weighted, HubCount: p.hubs}
+	return res.deliver(cfg, p.out, p.collect, nil)
+}
 
-	// Hub set for re-indexing: node id -> number of suffix shards.
-	hubs := map[int64]int{}
-	if cfg.HubThreshold > 0 {
-		for id, d := range unweighted {
-			if d > cfg.HubThreshold {
-				hubs[id] = (d + cfg.HubThreshold - 1) / cfg.HubThreshold
-			}
-		}
-	}
-	res.HubCount = len(hubs)
-
-	// Round 0: join node features onto out-edges.
-	cur, collect, stats, err := runRound(cfg, "flat-join", joinMapper(), joinReducer(weighted), tables)
-	if err != nil {
-		return nil, fmt.Errorf("core: GraphFlat join: %w", err)
-	}
-	res.RoundStats = append(res.RoundStats, stats)
-
-	for round := 1; round <= cfg.Hops; round++ {
-		if len(hubs) > 0 {
-			cur, collect, stats, err = runRound(cfg, fmt.Sprintf("flat-reindex-%d", round),
-				reindexMapper(hubs), reindexReducer(cfg, hubs, round), cur)
-			if err != nil {
-				return nil, fmt.Errorf("core: GraphFlat reindex round %d: %w", round, err)
-			}
-			res.RoundStats = append(res.RoundStats, stats)
-		}
-		final := round == cfg.Hops
-		cur, collect, stats, err = runRound(cfg, fmt.Sprintf("flat-merge-%d", round),
-			mapreduce.IdentityMapper, mergeReducer(cfg, targets, round, final), cur)
-		if err != nil {
-			return nil, fmt.Errorf("core: GraphFlat merge round %d: %w", round, err)
-		}
-		res.RoundStats = append(res.RoundStats, stats)
-	}
+// deliver lands the final round's records. Partitioned mode streams them
+// straight into the hash-partitioned part files (by target id, or by the
+// source endpoint of pairs) and materializes nothing — with SpillRounds the
+// records go disk to disk; otherwise they are collected into res.Records
+// and, when set, written to cfg.Output.
+func (res *FlatResult) deliver(cfg FlatConfig, final mapreduce.Input, collect func() ([]mapreduce.KeyValue, error), pairs []EdgeTarget) (*FlatResult, error) {
+	res.Records = nil
 	if cfg.Partitions > 0 {
-		// Partitioned mode streams the final round straight into the
-		// hash-partitioned part files; nothing is materialized here (with
-		// SpillRounds the records go disk to disk).
-		man, err := writePartitionedOutput(cfg, cur, nil)
+		man, err := writePartitionedOutput(cfg, final, pairs)
 		if err != nil {
 			return nil, fmt.Errorf("core: GraphFlat partitioned output: %w", err)
 		}
 		res.Partitioned = man
 		return res, nil
 	}
-
-	pairs, err := collect()
+	kvs, err := collect()
 	if err != nil {
 		return nil, fmt.Errorf("core: GraphFlat collect: %w", err)
 	}
-	res.Records = make([][]byte, 0, len(pairs))
-	for _, kv := range pairs {
+	res.Records = make([][]byte, 0, len(kvs))
+	for _, kv := range kvs {
 		res.Records = append(res.Records, kv.Value)
 	}
 	if cfg.Output != nil {
-		n := cfg.NumReducers
-		if err := cfg.Output.WriteAll(res.Records, n); err != nil {
+		if err := cfg.Output.WriteAll(res.Records, cfg.NumReducers); err != nil {
 			return nil, fmt.Errorf("core: GraphFlat output: %w", err)
 		}
 	}
 	return res, nil
+}
+
+// subgraphMerge is GraphFlat's merge (paper Figure 2): the kept in-edges and
+// the neighborhoods they carry are unioned into the node's own, which after
+// round r is its r-hop neighborhood in the sampled graph. The final round
+// wraps a target's neighborhood in its TrainRecord and drops everyone else.
+func subgraphMerge(targets map[int64]Target) mergeFunc {
+	return func(id int64, self []byte, kept []*flatMsg, final bool) ([]byte, error) {
+		tgt, isTarget := targets[id]
+		if final && !isTarget {
+			return nil, nil
+		}
+		sg, err := wire.DecodeSubgraph(wire.NewReader(self))
+		if err != nil {
+			return nil, err
+		}
+		seenN, seenE := sg.NewSeenSets()
+		for _, in := range kept {
+			from, err := wire.DecodeSubgraph(wire.NewReader(in.State))
+			if err != nil {
+				return nil, err
+			}
+			ek := [2]int64{in.Src, id}
+			if !seenE[ek] {
+				seenE[ek] = true
+				sg.Edges = append(sg.Edges, wire.SGEdge{Src: in.Src, Dst: id, Weight: in.W, Feat: in.EFeat})
+			}
+			sg.MergeInto(from, seenN, seenE)
+		}
+		if final {
+			return wire.EncodeTrainRecord(&wire.TrainRecord{TargetID: id, Label: tgt.Label, LabelVec: tgt.LabelVec, SG: sg}), nil
+		}
+		return wire.EncodeSubgraph(nil, sg), nil
+	}
 }
 
 // pairsInput re-frames a previous round's output as the next round's input.
@@ -231,8 +335,10 @@ func pairsInput(pairs []mapreduce.KeyValue) mapreduce.MemInput {
 // memory (default) or through dfs part files (SpillRounds). It returns the
 // next round's input and a collector that materializes the round's pairs
 // (used after the final round).
-func runRound(cfg FlatConfig, name string, mapper mapreduce.Mapper, reducer mapreduce.Reducer, input mapreduce.Input) (mapreduce.Input, func() ([]mapreduce.KeyValue, error), *mapreduce.Stats, error) {
-	if cfg.SpillRounds {
+func (e engine) runRound(name string, mapper mapreduce.Mapper, reducer mapreduce.Reducer, input mapreduce.Input) (mapreduce.Input, func() ([]mapreduce.KeyValue, error), *mapreduce.Stats, error) {
+	cfg := e.mr
+	cfg.Name = name
+	if e.spill {
 		spillRoot := cfg.TempDir
 		if spillRoot == "" {
 			spillRoot = os.TempDir()
@@ -245,7 +351,7 @@ func runRound(cfg FlatConfig, name string, mapper mapreduce.Mapper, reducer mapr
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		stats, err := mapreduce.Run(cfg.mrConfig(name), mapper, reducer, input, mapreduce.DFSOutput{Dir: dir})
+		stats, err := mapreduce.Run(cfg, mapper, reducer, input, mapreduce.DFSOutput{Dir: dir})
 		if err != nil {
 			return nil, nil, stats, err
 		}
@@ -267,7 +373,7 @@ func runRound(cfg FlatConfig, name string, mapper mapreduce.Mapper, reducer mapr
 		return mapreduce.DFSInput{Dir: dir}, collect, stats, nil
 	}
 	out := mapreduce.NewMemOutput()
-	stats, err := mapreduce.Run(cfg.mrConfig(name), mapper, reducer, input, out)
+	stats, err := mapreduce.Run(cfg, mapper, reducer, input, out)
 	if err != nil {
 		return nil, nil, stats, err
 	}
@@ -295,43 +401,69 @@ func joinMapper() mapreduce.Mapper {
 	})
 }
 
-// joinReducer seeds the message-passing state: each node u emits its
-// 0-hop self info, its out-edge info, and the initial in-edge info
-// (u's id, features, normalization degree and edge weight) to each
-// destination it points at. Values stream off the shuffle one at a time;
-// only the decoded out-edge list (O(out-degree)) is retained.
-func joinReducer(weightedDeg map[int64]float64) mapreduce.Reducer {
+// gather streams one node's shuffle values into the three kinds of
+// information of paper §3.2.1. Values come off the shuffle one at a time;
+// node is the tagNodeRow message in the join round and the tagSelf message
+// in every later one (nil when the key has neither).
+func gather(key string, values mapreduce.ValueIter, nodeTag byte) (id int64, node *flatMsg, outs, ins []*flatMsg, err error) {
+	if id, err = strconv.ParseInt(key, 10, 64); err != nil {
+		return
+	}
+	for {
+		v, ok := values.Next()
+		if !ok {
+			break
+		}
+		var m *flatMsg
+		if m, err = decodeMsg(v); err != nil {
+			return
+		}
+		switch {
+		case m.Tag == nodeTag:
+			node = m
+		case m.Tag == tagOutEdge:
+			outs = append(outs, m)
+		case m.Tag == tagInEdge && nodeTag == tagSelf:
+			ins = append(ins, m)
+		default:
+			err = fmt.Errorf("core: reducer for node %d got tag %d", id, m.Tag)
+			return
+		}
+	}
+	err = values.Err()
+	return
+}
+
+// propagate emits a node's new state as its self info, passes its out-edge
+// info on to the next round, and sends the state along every out-edge as the
+// destination's in-edge info (source id, edge weight and features, state).
+func propagate(emit mapreduce.Emit, key string, id int64, state []byte, outs []*flatMsg) error {
+	sm := flatMsg{Tag: tagSelf, State: state}
+	if err := emit(mapreduce.KeyValue{Key: key, Value: sm.encode()}); err != nil {
+		return err
+	}
+	for _, o := range outs {
+		if err := emit(mapreduce.KeyValue{Key: key, Value: o.encode()}); err != nil {
+			return err
+		}
+		im := flatMsg{Tag: tagInEdge, Src: id, W: o.W, EFeat: o.EFeat, State: state}
+		if err := emit(mapreduce.KeyValue{Key: key64(o.Dst), Value: im.encode()}); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// joinReducer seeds the message passing: each node's state starts from its
+// row (features and normalization degree) and is propagated to every
+// destination it points at.
+func joinReducer(weightedDeg map[int64]float64, seed func(id int64, feat []float64, deg float64) []byte) mapreduce.Reducer {
 	return mapreduce.ReducerFunc(func(key string, values mapreduce.ValueIter, emit mapreduce.Emit) error {
-		id, err := strconv.ParseInt(key, 10, 64)
+		id, row, outs, _, err := gather(key, values, tagNodeRow)
 		if err != nil {
 			return err
 		}
-		var feat []float64
-		var haveNode bool
-		var outs []*flatMsg
-		for {
-			v, ok := values.Next()
-			if !ok {
-				break
-			}
-			m, err := decodeMsg(v)
-			if err != nil {
-				return err
-			}
-			switch m.Tag {
-			case tagNodeRow:
-				feat = m.Feat
-				haveNode = true
-			case tagOutEdge:
-				outs = append(outs, m)
-			default:
-				return fmt.Errorf("core: join reducer got tag %d", m.Tag)
-			}
-		}
-		if err := values.Err(); err != nil {
-			return err
-		}
-		if !haveNode {
+		if row == nil {
 			// Edge rows referencing a node absent from the node table:
 			// drop, matching the Build validation upstream.
 			return nil
@@ -340,101 +472,52 @@ func joinReducer(weightedDeg map[int64]float64) mapreduce.Reducer {
 		if deg == 0 {
 			deg = 1
 		}
-		self := &wire.Subgraph{Target: id, Nodes: []wire.SGNode{{ID: id, Feat: feat, Deg: deg}}}
-		sm := flatMsg{Tag: tagSelf, Payload: self}
-		if err := emit(mapreduce.KeyValue{Key: key, Value: sm.encode()}); err != nil {
-			return err
-		}
-		payload := &wire.Subgraph{Target: id, Nodes: []wire.SGNode{{ID: id, Feat: feat, Deg: deg}}}
-		for _, o := range outs {
-			om := flatMsg{Tag: tagOutEdge, Dst: o.Dst, W: o.W, EFeat: o.EFeat}
-			if err := emit(mapreduce.KeyValue{Key: key, Value: om.encode()}); err != nil {
-				return err
-			}
-			im := flatMsg{Tag: tagInEdge, Src: id, W: o.W, EFeat: o.EFeat, Payload: payload}
-			if err := emit(mapreduce.KeyValue{Key: key64(o.Dst), Value: im.encode()}); err != nil {
-				return err
-			}
-		}
-		return nil
+		return propagate(emit, key, id, seed(id, row.Feat, deg), outs)
 	})
 }
 
-// sampleInEdges applies the sampling framework to a node's in-edge
-// messages: candidates are sorted (deterministic order shared with
-// GraphInfer), then the strategy picks at most cfg.MaxNeighbors survivors
-// with the per-(node, round) RNG.
-func sampleInEdges(cfg FlatConfig, node int64, round int, ins []*flatMsg) []*flatMsg {
-	return sampleInEdgesWithRNG(cfg.MaxNeighbors, cfg.Strategy,
-		sampling.NodeRNG(cfg.Seed, node, round), ins)
-}
-
-// sampleInEdgesWithRNG is the shared sampling primitive: it sorts
-// candidates into the canonical (src, weight) order and applies the
-// strategy. GraphFlat and GraphInfer both funnel through it, which is what
-// keeps their sampling decisions identical for the same (seed, node,
-// round).
-func sampleInEdgesWithRNG(maxNeighbors int, strategy sampling.Strategy, rng *rand.Rand, ins []*flatMsg) []*flatMsg {
-	sortIns(ins)
-	if maxNeighbors <= 0 || len(ins) <= maxNeighbors {
+// keepInEdges is the sampling decision, the only place in the package that
+// draws from a Strategy: it sorts a node's candidate in-edges into the
+// canonical (src, weight) order and keeps at most limit of them, with an RNG
+// keyed by (seed, node, stream) and nothing else. Stream 0 is the node's own
+// decision; 1+s pre-samples shard s of a re-indexed hub. No round and no
+// depth enters, so a node keeps the same in-edges in every round of
+// GraphFlat, in GraphInfer and in LocalFlattener. ins is reordered in place.
+func keepInEdges[E any](strategy sampling.Strategy, seed, node int64, stream, limit int, ins []E, key func(E) (src int64, w float64)) []E {
+	sort.SliceStable(ins, func(a, b int) bool {
+		sa, wa := key(ins[a])
+		sb, wb := key(ins[b])
+		if sa != sb {
+			return sa < sb
+		}
+		return wa < wb
+	})
+	if limit <= 0 || len(ins) <= limit {
 		return ins
 	}
 	weights := make([]float64, len(ins))
-	for i, m := range ins {
-		weights[i] = m.W
+	for i := range ins {
+		_, weights[i] = key(ins[i])
 	}
-	idx := strategy.Sample(rng, len(ins), weights, maxNeighbors)
+	idx := strategy.Sample(sampling.NodeRNG(seed, node, stream), len(ins), weights, limit)
 	sort.Ints(idx)
-	out := make([]*flatMsg, 0, len(idx))
-	for _, i := range idx {
-		out = append(out, ins[i])
+	out := make([]E, len(idx))
+	for i, at := range idx {
+		out[i] = ins[at]
 	}
 	return out
 }
 
-func sortIns(ins []*flatMsg) {
-	sort.SliceStable(ins, func(a, b int) bool {
-		if ins[a].Src != ins[b].Src {
-			return ins[a].Src < ins[b].Src
-		}
-		return ins[a].W < ins[b].W
-	})
-}
+func msgKey(m *flatMsg) (int64, float64) { return m.Src, m.W }
 
-// mergeReducer is one merge/propagate round (paper Figure 2): merge self +
-// in-edge info into the new self info (the node's round-hop neighborhood),
-// then propagate it along out-edges. In the final round it emits the
-// TrainRecord for target nodes instead.
-func mergeReducer(cfg FlatConfig, targets map[int64]Target, round int, final bool) mapreduce.Reducer {
+// mergeReducer is one merge/propagate round (paper Figure 2) for any job:
+// gather the node's self, out-edge and in-edge info, keep the sampled
+// in-edges, let the job merge their states into the node's, and propagate
+// the result. The final round emits the job's finished value instead.
+func (e engine) mergeReducer(merge mergeFunc, final bool) mapreduce.Reducer {
 	return mapreduce.ReducerFunc(func(key string, values mapreduce.ValueIter, emit mapreduce.Emit) error {
-		id, err := strconv.ParseInt(key, 10, 64)
+		id, self, outs, ins, err := gather(key, values, tagSelf)
 		if err != nil {
-			return err
-		}
-		var self *wire.Subgraph
-		var outs []*flatMsg
-		var ins []*flatMsg
-		for {
-			v, ok := values.Next()
-			if !ok {
-				break
-			}
-			m, err := decodeMsg(v)
-			if err != nil {
-				return err
-			}
-			switch m.Tag {
-			case tagSelf:
-				self = m.Payload
-			case tagOutEdge:
-				outs = append(outs, m)
-			case tagInEdge:
-				ins = append(ins, m)
-			default:
-				return fmt.Errorf("core: merge reducer got tag %d", m.Tag)
-			}
-		}
-		if err := values.Err(); err != nil {
 			return err
 		}
 		if self == nil {
@@ -442,63 +525,48 @@ func mergeReducer(cfg FlatConfig, targets map[int64]Target, round int, final boo
 			// in the node table): nothing to merge into.
 			return nil
 		}
-		ins = sampleInEdges(cfg, id, round, ins)
-		seenN, seenE := self.NewSeenSets()
-		for _, in := range ins {
-			ek := [2]int64{in.Src, id}
-			if !seenE[ek] {
-				seenE[ek] = true
-				self.Edges = append(self.Edges, wire.SGEdge{
-					Src: in.Src, Dst: id, Weight: in.W, Feat: in.EFeat,
-				})
-			}
-			self.MergeInto(in.Payload, seenN, seenE)
-		}
-		if final {
-			tgt, ok := targets[id]
-			if !ok {
-				return nil
-			}
-			rec := &wire.TrainRecord{TargetID: id, Label: tgt.Label, LabelVec: tgt.LabelVec, SG: self}
-			return emit(mapreduce.KeyValue{Key: key, Value: wire.EncodeTrainRecord(rec)})
-		}
-		sm := flatMsg{Tag: tagSelf, Payload: self}
-		if err := emit(mapreduce.KeyValue{Key: key, Value: sm.encode()}); err != nil {
+		kept := keepInEdges(e.strategy, e.seed, id, 0, e.maxNeighbors, ins, msgKey)
+		state, err := merge(id, self.State, kept, final)
+		if err != nil || (final && state == nil) {
 			return err
 		}
-		for _, o := range outs {
-			om := flatMsg{Tag: tagOutEdge, Dst: o.Dst, W: o.W, EFeat: o.EFeat}
-			if err := emit(mapreduce.KeyValue{Key: key, Value: om.encode()}); err != nil {
-				return err
-			}
-			im := flatMsg{Tag: tagInEdge, Src: id, W: o.W, EFeat: o.EFeat, Payload: self}
-			if err := emit(mapreduce.KeyValue{Key: key64(o.Dst), Value: im.encode()}); err != nil {
-				return err
-			}
+		if final {
+			return emit(mapreduce.KeyValue{Key: key, Value: state})
 		}
-		return nil
+		return propagate(emit, key, id, state, outs)
 	})
+}
+
+// hubShard assigns an in-edge to one of its hub destination's shards: a pure
+// function of (src, shards), so every round and both pipelines split a hub's
+// in-edges the same way.
+func hubShard(src int64, shards int) int {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(src))
+	h := fnv.New32a()
+	h.Write(b[:])
+	return int(h.Sum32() % uint32(shards))
 }
 
 // reindexMapper splits hub destinations' in-edge traffic across suffixed
 // shuffle keys so no single reducer drowns (paper §3.2.2, "re-indexing").
+// Only the source id is read off an in-edge value (tag, src, ...); the state
+// behind it is never decoded.
 func reindexMapper(hubs map[int64]int) mapreduce.Mapper {
 	return mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
 		kv, err := mapreduce.DecodeKV(rec)
 		if err != nil {
 			return err
 		}
-		if len(kv.Value) > 0 && (kv.Value[0] == tagInEdge || kv.Value[0] == tagInEmb) {
+		if len(kv.Value) > 0 && kv.Value[0] == tagInEdge {
 			if id, err := strconv.ParseInt(kv.Key, 10, 64); err == nil {
 				if shards, ok := hubs[id]; ok && shards > 1 {
-					m, err := decodeMsg(kv.Value)
-					if err != nil {
-						return err
+					r := wire.NewReader(kv.Value[1:])
+					src := r.Varint()
+					if err := r.Err(); err != nil {
+						return fmt.Errorf("core: in-edge to hub %d: %w", id, err)
 					}
-					h := fnv.New32a()
-					fmt.Fprintf(h, "%d", m.Src)
-					suffix := int(h.Sum32() % uint32(shards))
-					kv.Key = fmt.Sprintf("%s#%d", kv.Key, suffix)
+					kv.Key = fmt.Sprintf("%s#%d", kv.Key, hubShard(src, shards))
 				}
 			}
 		}
@@ -509,7 +577,7 @@ func reindexMapper(hubs map[int64]int) mapreduce.Mapper {
 // reindexReducer pre-samples each suffixed shard of a hub's in-edges, then
 // inverts the key back to the original node id (paper §3.2.2, "sampling"
 // plus "inverted indexing"). Non-suffixed keys pass through untouched.
-func reindexReducer(cfg FlatConfig, hubs map[int64]int, round int) mapreduce.Reducer {
+func (e engine) reindexReducer(hubs map[int64]int) mapreduce.Reducer {
 	return mapreduce.ReducerFunc(func(key string, values mapreduce.ValueIter, emit mapreduce.Emit) error {
 		hash := strings.IndexByte(key, '#')
 		if hash < 0 {
@@ -530,14 +598,14 @@ func reindexReducer(cfg FlatConfig, hubs map[int64]int, round int) mapreduce.Red
 		if err != nil {
 			return err
 		}
-		suffix, err := strconv.Atoi(key[hash+1:])
+		shard, err := strconv.Atoi(key[hash+1:])
 		if err != nil {
 			return err
 		}
 		shards := hubs[id]
-		budget := cfg.MaxNeighbors
+		budget := e.maxNeighbors
 		if budget <= 0 {
-			budget = cfg.HubThreshold
+			budget = e.hubThreshold
 		}
 		perShard := (budget + shards - 1) / shards
 		if perShard < 1 {
@@ -558,10 +626,8 @@ func reindexReducer(cfg FlatConfig, hubs map[int64]int, round int) mapreduce.Red
 		if err := values.Err(); err != nil {
 			return err
 		}
-		// A distinct RNG stream per suffix keeps shards independent.
-		kept := sampleInEdgesWithRNG(perShard, cfg.Strategy,
-			sampling.NodeRNG(cfg.Seed, id, round*1000+suffix), ins)
-		for _, m := range kept {
+		// A distinct RNG stream per shard keeps shards independent.
+		for _, m := range keepInEdges(e.strategy, e.seed, id, 1+shard, perShard, ins, msgKey) {
 			if err := emit(mapreduce.KeyValue{Key: orig, Value: m.encode()}); err != nil {
 				return err
 			}

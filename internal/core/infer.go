@@ -16,9 +16,11 @@ import (
 
 // InferConfig parameterizes GraphInfer.
 type InferConfig struct {
-	// MaxNeighbors, Strategy, Seed and HubThreshold mirror FlatConfig; use
-	// the same values as training's GraphFlat run so sampling decisions
-	// match and inference stays unbiased (paper §3.4).
+	// MaxNeighbors, Strategy, Seed and HubThreshold mean what they mean in
+	// FlatConfig. Given the training run's values, GraphInfer keeps exactly
+	// the in-edges GraphFlat kept for every node, so its scores are those of
+	// a forward pass over the training-time GraphFeatures (within 1e-9) and
+	// inference stays unbiased (paper §3.4).
 	MaxNeighbors int
 	Strategy     sampling.Strategy
 	Seed         int64
@@ -55,14 +57,12 @@ func (c InferConfig) withDefaults() InferConfig {
 	return c
 }
 
-func (c InferConfig) mrConfig(name string) mapreduce.Config {
-	return mapreduce.Config{
-		Name:        name,
-		NumMappers:  c.NumMappers,
-		NumReducers: c.NumReducers,
-		TempDir:     c.TempDir,
-		MaxAttempts: c.MaxAttempts,
-		Faults:      c.Faults,
+func (c InferConfig) engine() engine {
+	return engine{
+		what: "GraphInfer", name: "infer",
+		maxNeighbors: c.MaxNeighbors, strategy: c.Strategy, seed: c.Seed, hubThreshold: c.HubThreshold,
+		mr: mapreduce.Config{NumMappers: c.NumMappers, NumReducers: c.NumReducers,
+			TempDir: c.TempDir, MaxAttempts: c.MaxAttempts, Faults: c.Faults},
 	}
 }
 
@@ -106,11 +106,11 @@ func (r *InferResult) TotalBusy() time.Duration {
 }
 
 // Infer runs the GraphInfer pipeline (paper §3.4) over node/edge tables:
-// the model is hierarchically segmented into K+1 slices; K embedding
-// rounds merge each node's previous-layer in-edge embeddings and propagate
-// the new embedding along out-edges, and the final round applies the
-// prediction slice. Every node's layer-k embedding is computed exactly
-// once.
+// the model is hierarchically segmented into K+1 slices; the engine's K
+// rounds, with a wire.Embedding as the state, merge each node's
+// previous-layer in-edge embeddings and propagate the new embedding along
+// out-edges, and a final round applies the prediction slice. Every node's
+// layer-k embedding is computed exactly once.
 func Infer(cfg InferConfig, model *gnn.Model, tables mapreduce.Input) (*InferResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -143,58 +143,22 @@ func Infer(cfg InferConfig, model *gnn.Model, tables mapreduce.Input) (*InferRes
 	}
 	k := len(slices) - 1 // number of GNN layers
 
-	weighted, unweighted, err := WeightedInDegrees(tables, cfg.mrConfig("infer-degrees"))
-	if err != nil {
-		return nil, fmt.Errorf("core: GraphInfer degrees: %w", err)
-	}
-	hubs := map[int64]int{}
-	if cfg.HubThreshold > 0 {
-		for id, d := range unweighted {
-			if d > cfg.HubThreshold {
-				hubs[id] = (d + cfg.HubThreshold - 1) / cfg.HubThreshold
-			}
-		}
-	}
-
-	// Round 0: join features onto out-edges, seed h0 embeddings.
-	out := mapreduce.NewMemOutput()
-	stats, err := mapreduce.Run(cfg.mrConfig("infer-join"), joinMapper(), joinEmbReducer(weighted), tables, out)
-	if err != nil {
-		return nil, fmt.Errorf("core: GraphInfer join: %w", err)
-	}
-	res.RoundStats = append(res.RoundStats, stats)
-	pairs := out.Pairs()
-
-	flatLike := FlatConfig{
-		MaxNeighbors: cfg.MaxNeighbors,
-		Strategy:     cfg.Strategy,
-		Seed:         cfg.Seed,
-		HubThreshold: cfg.HubThreshold,
-	}
-	for round := 1; round <= k; round++ {
-		if len(hubs) > 0 {
-			reOut := mapreduce.NewMemOutput()
-			stats, err := mapreduce.Run(cfg.mrConfig(fmt.Sprintf("infer-reindex-%d", round)),
-				reindexMapper(hubs), reindexReducer(flatLike, hubs, round), pairsInput(pairs), reOut)
+	e := cfg.engine()
+	p, err := e.run(tables, k, job{
+		// h0 is the raw features.
+		seed: func(id int64, feat []float64, deg float64) []byte {
+			return wire.EncodeEmbedding(nil, &wire.Embedding{ID: id, H: feat, Deg: deg})
+		},
+		merge: func(round int) (mergeFunc, error) {
+			slice, err := gnn.DecodeSlice(sliceBytes[round-1])
 			if err != nil {
-				return nil, fmt.Errorf("core: GraphInfer reindex round %d: %w", round, err)
+				return nil, err
 			}
-			res.RoundStats = append(res.RoundStats, stats)
-			pairs = reOut.Pairs()
-		}
-		slice, err := gnn.DecodeSlice(sliceBytes[round-1])
-		if err != nil {
-			return nil, err
-		}
-		final := round == k
-		roundOut := mapreduce.NewMemOutput()
-		stats, err := mapreduce.Run(cfg.mrConfig(fmt.Sprintf("infer-emb-%d", round)),
-			mapreduce.IdentityMapper, embReducer(flatLike, slice, round, final), pairsInput(pairs), roundOut)
-		if err != nil {
-			return nil, fmt.Errorf("core: GraphInfer round %d: %w", round, err)
-		}
-		res.RoundStats = append(res.RoundStats, stats)
-		pairs = roundOut.Pairs()
+			return embeddingMerge(slice), nil
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Round K+1: prediction slice.
@@ -202,15 +166,18 @@ func Infer(cfg InferConfig, model *gnn.Model, tables mapreduce.Input) (*InferRes
 	if err != nil {
 		return nil, err
 	}
-	predOut := mapreduce.NewMemOutput()
-	stats, err = mapreduce.Run(cfg.mrConfig("infer-predict"),
-		mapreduce.IdentityMapper, predictReducer(predSlice, cfg.KeepEmbeddings), pairsInput(pairs), predOut)
+	res.RoundStats = p.stats
+	_, collect, stats, err := e.runRound("infer-predict",
+		mapreduce.IdentityMapper, predictReducer(predSlice, cfg.KeepEmbeddings), p.out)
 	if err != nil {
 		return nil, fmt.Errorf("core: GraphInfer predict: %w", err)
 	}
 	res.RoundStats = append(res.RoundStats, stats)
-
-	for _, kv := range predOut.Pairs() {
+	scored, err := collect()
+	if err != nil {
+		return nil, fmt.Errorf("core: GraphInfer collect: %w", err)
+	}
+	for _, kv := range scored {
 		id, err := strconv.ParseInt(kv.Key, 10, 64)
 		if err != nil {
 			return nil, err
@@ -223,8 +190,12 @@ func Infer(cfg InferConfig, model *gnn.Model, tables mapreduce.Input) (*InferRes
 			return nil, fmt.Errorf("core: prediction round emitted tag %d", m.Tag)
 		}
 		res.Scores[id] = m.Scores
-		if res.Embeddings != nil && m.Emb != nil {
-			res.Embeddings[id] = m.Emb.H
+		if res.Embeddings != nil && len(m.State) > 0 {
+			emb, err := wire.DecodeEmbedding(wire.NewReader(m.State))
+			if err != nil {
+				return nil, err
+			}
+			res.Embeddings[id] = emb.H
 		}
 	}
 	if len(cfg.EdgeTargets) > 0 {
@@ -308,131 +279,33 @@ func OriginalInfer(cfg FlatConfig, model *gnn.Model, tables mapreduce.Input, ids
 	return res, nil
 }
 
-// joinEmbReducer seeds GraphInfer's message state: each node's h0 (= raw
-// features) plus its normalization degree, propagated to out-edge
-// destinations.
-func joinEmbReducer(weightedDeg map[int64]float64) mapreduce.Reducer {
-	return mapreduce.ReducerFunc(func(key string, values mapreduce.ValueIter, emit mapreduce.Emit) error {
-		id, err := strconv.ParseInt(key, 10, 64)
+// embeddingMerge is GraphInfer's merge for round k: the kth model slice
+// turns the node's own (k−1)-layer embedding and those riding its kept
+// in-edges into its k-layer embedding. After the final embedding round only
+// the embedding itself is forwarded, as self info for the prediction round
+// (paper §3.4).
+func embeddingMerge(slice *gnn.Slice) mergeFunc {
+	return func(id int64, self []byte, kept []*flatMsg, final bool) ([]byte, error) {
+		own, err := wire.DecodeEmbedding(wire.NewReader(self))
 		if err != nil {
-			return err
+			return nil, err
 		}
-		var feat []float64
-		var haveNode bool
-		var outs []*flatMsg
-		for {
-			v, ok := values.Next()
-			if !ok {
-				break
-			}
-			m, err := decodeMsg(v)
+		msgs := make([]gnn.NeighborMsg, 0, len(kept))
+		for _, in := range kept {
+			from, err := wire.DecodeEmbedding(wire.NewReader(in.State))
 			if err != nil {
-				return err
+				return nil, err
 			}
-			switch m.Tag {
-			case tagNodeRow:
-				feat = m.Feat
-				haveNode = true
-			case tagOutEdge:
-				outs = append(outs, m)
-			default:
-				return fmt.Errorf("core: infer join reducer got tag %d", m.Tag)
-			}
+			msgs = append(msgs, gnn.NeighborMsg{H: from.H, W: in.W, Deg: from.Deg, EFeat: in.EFeat})
 		}
-		if err := values.Err(); err != nil {
-			return err
-		}
-		if !haveNode {
-			return nil
-		}
-		deg := weightedDeg[id]
-		if deg == 0 {
-			deg = 1
-		}
-		emb := &wire.Embedding{ID: id, H: feat, Deg: deg}
-		sm := flatMsg{Tag: tagEmbSelf, Emb: emb}
-		if err := emit(mapreduce.KeyValue{Key: key, Value: sm.encode()}); err != nil {
-			return err
-		}
-		for _, o := range outs {
-			om := flatMsg{Tag: tagOutEdge, Dst: o.Dst, W: o.W, EFeat: o.EFeat}
-			if err := emit(mapreduce.KeyValue{Key: key, Value: om.encode()}); err != nil {
-				return err
-			}
-			im := flatMsg{Tag: tagInEmb, Src: id, W: o.W, EFeat: o.EFeat, Emb: emb}
-			if err := emit(mapreduce.KeyValue{Key: key64(o.Dst), Value: im.encode()}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-}
-
-// embReducer is GraphInfer's round-k reducer: it loads the kth model slice,
-// merges the (k−1)-layer embeddings from sampled in-edges into the node's
-// k-layer embedding, and propagates it along out-edges. In the final
-// embedding round only the embedding itself is forwarded (paper §3.4).
-func embReducer(cfg FlatConfig, slice *gnn.Slice, round int, final bool) mapreduce.Reducer {
-	return mapreduce.ReducerFunc(func(key string, values mapreduce.ValueIter, emit mapreduce.Emit) error {
-		id, err := strconv.ParseInt(key, 10, 64)
-		if err != nil {
-			return err
-		}
-		var self *wire.Embedding
-		var outs []*flatMsg
-		var ins []*flatMsg
-		for {
-			v, ok := values.Next()
-			if !ok {
-				break
-			}
-			m, err := decodeMsg(v)
-			if err != nil {
-				return err
-			}
-			switch m.Tag {
-			case tagEmbSelf:
-				self = m.Emb
-			case tagOutEdge:
-				outs = append(outs, m)
-			case tagInEmb:
-				ins = append(ins, m)
-			default:
-				return fmt.Errorf("core: emb reducer got tag %d", m.Tag)
-			}
-		}
-		if err := values.Err(); err != nil {
-			return err
-		}
-		if self == nil {
-			return nil
-		}
-		ins = sampleInEdges(cfg, id, round, ins)
-		msgs := make([]gnn.NeighborMsg, 0, len(ins))
-		for _, in := range ins {
-			msgs = append(msgs, gnn.NeighborMsg{H: in.Emb.H, W: in.W, Deg: in.Emb.Deg, EFeat: in.EFeat})
-		}
-		h := slice.Layer.InferNode(self.H, self.Deg, msgs)
-		emb := &wire.Embedding{ID: id, H: h, Deg: self.Deg}
-		sm := flatMsg{Tag: tagEmbSelf, Emb: emb}
-		if err := emit(mapreduce.KeyValue{Key: key, Value: sm.encode()}); err != nil {
-			return err
-		}
+		h := slice.Layer.InferNode(own.H, own.Deg, msgs)
+		state := wire.EncodeEmbedding(nil, &wire.Embedding{ID: id, H: h, Deg: own.Deg})
 		if final {
-			return nil
+			sm := flatMsg{Tag: tagSelf, State: state}
+			return sm.encode(), nil
 		}
-		for _, o := range outs {
-			om := flatMsg{Tag: tagOutEdge, Dst: o.Dst, W: o.W, EFeat: o.EFeat}
-			if err := emit(mapreduce.KeyValue{Key: key, Value: om.encode()}); err != nil {
-				return err
-			}
-			im := flatMsg{Tag: tagInEmb, Src: id, W: o.W, EFeat: o.EFeat, Emb: emb}
-			if err := emit(mapreduce.KeyValue{Key: key64(o.Dst), Value: im.encode()}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+		return state, nil
+	}
 }
 
 // predictReducer applies the prediction slice to each node's final
@@ -450,14 +323,16 @@ func predictReducer(slice *gnn.Slice, keepEmb bool) mapreduce.Reducer {
 			if err != nil {
 				return err
 			}
-			if m.Tag != tagEmbSelf {
+			if m.Tag != tagSelf {
 				return fmt.Errorf("core: predict reducer got tag %d", m.Tag)
 			}
-			logits := gnn.ApplyDense(slice.Head, m.Emb.H)
-			scores := ScoresFromLogits(logits)
-			sm := flatMsg{Tag: tagScore, Scores: scores}
+			emb, err := wire.DecodeEmbedding(wire.NewReader(m.State))
+			if err != nil {
+				return err
+			}
+			sm := flatMsg{Tag: tagScore, Scores: ScoresFromLogits(gnn.ApplyDense(slice.Head, emb.H))}
 			if keepEmb {
-				sm.Emb = m.Emb
+				sm.State = m.State
 			}
 			if err := emit(mapreduce.KeyValue{Key: key, Value: sm.encode()}); err != nil {
 				return err

@@ -27,13 +27,14 @@ type EdgeTarget = wire.EdgeTarget
 // two endpoint subgraphs into a LinkRecord. The pair pass rides the same
 // streaming shuffle as every other round.
 func flattenEdges(cfg FlatConfig, tables mapreduce.Input) (*FlatResult, error) {
+	cfg = cfg.withDefaults()
 	pairs := cfg.EdgeTargets
 	nodeTargets := make(map[int64]Target, 2*len(pairs))
 	for _, p := range pairs {
 		nodeTargets[p.Src] = Target{Label: -1}
 		nodeTargets[p.Dst] = Target{Label: -1}
 	}
-	sub := cfg.withDefaults()
+	sub := cfg
 	sub.EdgeTargets = nil
 	sub.Output = nil   // the output dataset receives LinkRecords, not endpoint records
 	sub.Partitions = 0 // only the final pair records are partitioned
@@ -103,36 +104,13 @@ func flattenEdges(cfg FlatConfig, tables mapreduce.Input) (*FlatResult, error) {
 		return emit(mapreduce.KeyValue{Key: key, Value: wire.EncodeLinkRecord(rec)})
 	})
 
-	cur, collect, stats, err := runRound(sub, "flat-pairs", pairMapper, pairReducer,
+	cur, collect, stats, err := sub.engine().runRound("flat-pairs", pairMapper, pairReducer,
 		mapreduce.MemInput(res.Records))
 	if err != nil {
 		return nil, fmt.Errorf("core: GraphFlat pair merge: %w", err)
 	}
 	res.RoundStats = append(res.RoundStats, stats)
-	if cfg.Partitions > 0 {
-		// Partition the pair records by source endpoint; see flattenNodes.
-		man, err := writePartitionedOutput(cfg, cur, pairs)
-		if err != nil {
-			return nil, fmt.Errorf("core: GraphFlat partitioned output: %w", err)
-		}
-		res.Records = nil
-		res.Partitioned = man
-		return res, nil
-	}
-	kvs, err := collect()
-	if err != nil {
-		return nil, fmt.Errorf("core: GraphFlat pair collect: %w", err)
-	}
-	res.Records = make([][]byte, 0, len(kvs))
-	for _, kv := range kvs {
-		res.Records = append(res.Records, kv.Value)
-	}
-	if cfg.Output != nil {
-		if err := cfg.Output.WriteAll(res.Records, sub.NumReducers); err != nil {
-			return nil, fmt.Errorf("core: GraphFlat output: %w", err)
-		}
-	}
-	return res, nil
+	return res.deliver(cfg, cur, collect, pairs)
 }
 
 // LinkBatch is a vectorized batch of link examples: the merged subgraph of

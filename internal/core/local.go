@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"agl/internal/graph"
-	"agl/internal/sampling"
 	"agl/internal/wire"
 )
 
@@ -20,19 +20,21 @@ var ErrNodeNotFound = errors.New("node not in graph")
 // along in-edges replaces the K MapReduce merge rounds, producing a
 // TrainRecord a forward pass can consume.
 //
-// With sampling disabled (MaxNeighbors = 0) the extracted subgraph contains
-// exactly the nodes and edges GraphFlat would materialize for the same
-// target: every node on a directed path of length ≤ Hops into the target,
-// and every in-edge of nodes within Hops−1. With sampling enabled, the same
-// Strategy and a deterministic per-(node, depth) RNG keep decisions stable
-// across requests, though they need not coincide with the offline run's
-// per-round choices.
+// The extracted subgraph contains exactly the nodes and edges GraphFlat
+// materializes for the same target: every node on a directed path of length
+// ≤ Hops into the target, and every in-edge of nodes within Hops−1, in the
+// sampled graph. Each node's in-edges are sampled once, when its row is
+// indexed, by the same keepInEdges decision the offline pipelines make, so
+// for equal MaxNeighbors, Strategy and Seed a cold extraction, the Flatten
+// record and the graph GraphInfer passes messages over coincide. The
+// guarantee holds for HubThreshold == 0: the flattener sees a node's whole
+// in-edge list and does not reproduce re-indexing's per-shard pre-sample.
 type LocalFlattener struct {
 	cfg FlatConfig
 	g   *graph.Graph
-	// ins[i] lists node i's in-edges (by dense index); deg[i] is the
-	// node's normalization degree (weighted in-degree + 1), matching
-	// WeightedInDegrees.
+	// ins[i] lists node i's kept in-edges (by dense index, in canonical
+	// order); deg[i] is the node's normalization degree (weighted in-degree
+	// of the unsampled graph + 1), matching WeightedInDegrees.
 	ins [][]inRef
 	deg []float64
 }
@@ -45,23 +47,33 @@ type inRef struct {
 
 // NewLocalFlattener indexes g's in-edges for request-time extraction.
 func NewLocalFlattener(cfg FlatConfig, g *graph.Graph) *LocalFlattener {
-	cfg = cfg.withDefaults()
-	lf := &LocalFlattener{
-		cfg: cfg,
-		g:   g,
-		ins: make([][]inRef, g.NumNodes()),
-		deg: make([]float64, g.NumNodes()),
-	}
-	for i := range lf.deg {
-		lf.deg[i] = 1 // isolated nodes normalize by 1, as in WeightedInDegrees
-	}
-	for _, e := range g.Edges {
-		si := g.MustIndex(e.Src)
-		di := g.MustIndex(e.Dst)
-		lf.ins[di] = append(lf.ins[di], inRef{src: si, w: e.Weight, efeat: e.Feat})
-		lf.deg[di] += e.Weight
-	}
+	n := g.NumNodes()
+	lf := &LocalFlattener{cfg: cfg.withDefaults(), g: g, ins: make([][]inRef, n), deg: make([]float64, n)}
+	lf.index(slices.Repeat([]bool{true}, n))
 	return lf
+}
+
+// index (re)builds the rows of the stale nodes: in-edges from the graph's
+// edge table, the normalization degree (isolated nodes normalize by 1, as in
+// WeightedInDegrees), then the one sampling decision per node.
+func (lf *LocalFlattener) index(stale []bool) {
+	for i, s := range stale {
+		if s {
+			lf.ins[i], lf.deg[i] = nil, 1
+		}
+	}
+	for _, e := range lf.g.Edges {
+		if di := lf.g.MustIndex(e.Dst); stale[di] {
+			lf.ins[di] = append(lf.ins[di], inRef{src: lf.g.MustIndex(e.Src), w: e.Weight, efeat: e.Feat})
+			lf.deg[di] += e.Weight
+		}
+	}
+	srcKey := func(in inRef) (int64, float64) { return lf.g.Nodes[in.src].ID, in.w }
+	for i, s := range stale {
+		if s {
+			lf.ins[i] = keepInEdges(lf.cfg.Strategy, lf.cfg.Seed, lf.g.Nodes[i].ID, 0, lf.cfg.MaxNeighbors, lf.ins[i], srcKey)
+		}
+	}
 }
 
 // Graph returns the graph version this flattener extracts from.
@@ -73,49 +85,36 @@ func (lf *LocalFlattener) Hops() int { return lf.cfg.Hops }
 // Rebind returns a flattener over next, the graph produced by applying
 // muts to lf's graph (see graph.Graph.Apply). Per-node in-edge rows are
 // copy-on-write: only nodes whose in-edge set the batch touched are
-// re-indexed, every other row is shared with lf. Rebound rows are rebuilt
-// from next's edge table in table order — exactly what NewLocalFlattener
-// would produce — so a rebound flattener's extractions (including sampled
-// ones, which canonicalize candidate order) are indistinguishable from a
-// freshly constructed flattener's.
+// re-indexed and re-sampled, every other row is shared with lf. Rebound rows
+// are rebuilt from next's edge table exactly as NewLocalFlattener would, so
+// a rebound flattener's extractions are indistinguishable from a freshly
+// constructed flattener's.
 //
 // lf itself is never modified: extractions in flight on the old version
 // keep their consistent view.
 func (lf *LocalFlattener) Rebind(next *graph.Graph, muts []graph.Mutation) *LocalFlattener {
-	nn := next.NumNodes()
-	ins := make([][]inRef, nn)
-	copy(ins, lf.ins)
-	deg := make([]float64, nn)
-	copy(deg, lf.deg)
-	for i := len(lf.deg); i < nn; i++ {
-		deg[i] = 1 // new nodes start isolated, normalized by 1
-	}
+	n, old := next.NumNodes(), len(lf.deg)
+	out := &LocalFlattener{cfg: lf.cfg, g: next, ins: make([][]inRef, n), deg: make([]float64, n)}
+	copy(out.ins, lf.ins)
+	copy(out.deg, lf.deg)
 
-	touched := make(map[int]bool)
+	// New nodes start isolated; rows whose in-edge set changed are rebuilt.
+	stale, dirty := make([]bool, n), n > old
+	for i := old; i < n; i++ {
+		stale[i] = true
+	}
 	for _, m := range muts {
 		switch m.Op {
 		case graph.OpAddEdge, graph.OpRemoveEdge:
 			if di, ok := next.Index(m.Dst); ok {
-				touched[di] = true
+				stale[di], dirty = true, true
 			}
 		}
 	}
-	if len(touched) == 0 {
-		return &LocalFlattener{cfg: lf.cfg, g: next, ins: ins, deg: deg}
+	if dirty {
+		out.index(stale)
 	}
-	for di := range touched {
-		ins[di] = nil
-		deg[di] = 1
-	}
-	for _, e := range next.Edges {
-		di := next.MustIndex(e.Dst)
-		if !touched[di] {
-			continue
-		}
-		ins[di] = append(ins[di], inRef{src: next.MustIndex(e.Src), w: e.Weight, efeat: e.Feat})
-		deg[di] += e.Weight
-	}
-	return &LocalFlattener{cfg: lf.cfg, g: next, ins: ins, deg: deg}
+	return out
 }
 
 // GraphFeature extracts the target's k-hop neighborhood as a TrainRecord
@@ -133,7 +132,7 @@ func (lf *LocalFlattener) GraphFeature(id int64) (*wire.TrainRecord, error) {
 	for depth := 1; depth <= lf.cfg.Hops && len(frontier) > 0; depth++ {
 		var next []int
 		for _, v := range frontier {
-			for _, in := range lf.sampledIns(v, depth) {
+			for _, in := range lf.ins[v] {
 				sg.Edges = append(sg.Edges, wire.SGEdge{
 					Src:    lf.g.Nodes[in.src].ID,
 					Dst:    lf.g.Nodes[v].ID,
@@ -155,25 +154,4 @@ func (lf *LocalFlattener) GraphFeature(id int64) (*wire.TrainRecord, error) {
 func (lf *LocalFlattener) sgNode(i int) wire.SGNode {
 	n := lf.g.Nodes[i]
 	return wire.SGNode{ID: n.ID, Feat: n.Feat, Deg: lf.deg[i]}
-}
-
-// sampledIns applies the shared sampling framework to node i's in-edges:
-// candidates funnel through the same canonical ordering and Strategy as
-// GraphFlat/GraphInfer, with a per-(node, depth) RNG for determinism.
-func (lf *LocalFlattener) sampledIns(i, depth int) []inRef {
-	ins := lf.ins[i]
-	if lf.cfg.MaxNeighbors <= 0 || len(ins) <= lf.cfg.MaxNeighbors {
-		return ins
-	}
-	msgs := make([]*flatMsg, len(ins))
-	for j, in := range ins {
-		msgs[j] = &flatMsg{Src: lf.g.Nodes[in.src].ID, W: in.w, EFeat: in.efeat}
-	}
-	kept := sampleInEdgesWithRNG(lf.cfg.MaxNeighbors, lf.cfg.Strategy,
-		sampling.NodeRNG(lf.cfg.Seed, lf.g.Nodes[i].ID, depth), msgs)
-	out := make([]inRef, 0, len(kept))
-	for _, m := range kept {
-		out = append(out, inRef{src: lf.g.MustIndex(m.Src), w: m.W, efeat: m.EFeat})
-	}
-	return out
 }

@@ -4,7 +4,9 @@ import (
 	"sort"
 	"testing"
 
+	"agl/internal/graph"
 	"agl/internal/mapreduce"
+	"agl/internal/sampling"
 	"agl/internal/wire"
 )
 
@@ -29,18 +31,28 @@ func subgraphSets(sg *wire.Subgraph) ([]int64, [][2]int64) {
 	return nodes, edges
 }
 
-// TestLocalFlattenerMatchesFlatten: with sampling disabled, the
-// request-time BFS extraction must produce exactly the GraphFeature the
-// batch pipeline materializes — same node set, edge set and degrees.
+// TestLocalFlattenerMatchesFlatten: the request-time BFS extraction must
+// produce exactly the GraphFeature the batch pipeline materializes — same
+// node set, edge set and degrees — unsampled over 10 targets, and sampled
+// (one kept in-edge set per node, shared by both) over every node.
 func TestLocalFlattenerMatchesFlatten(t *testing.T) {
 	g := buildInferGraph(t)
+	testLocalMatchesFlatten(t, g, FlatConfig{Hops: 2, Seed: 4}, g.IDs()[:10])
+	for _, s := range []sampling.Strategy{sampling.Uniform{}, sampling.Weighted{}} {
+		testLocalMatchesFlatten(t, g, FlatConfig{Hops: 2, MaxNeighbors: 3, Strategy: s, Seed: 4}, g.IDs())
+		testLocalMatchesFlatten(t, g, FlatConfig{Hops: 3, MaxNeighbors: 3, Strategy: s, Seed: 4}, g.IDs())
+	}
+}
+
+func testLocalMatchesFlatten(t *testing.T, g *graph.Graph, cfg FlatConfig, ids []int64) {
+	t.Helper()
 	targets := map[int64]Target{}
-	ids := g.IDs()[:10]
 	for _, id := range ids {
 		targets[id] = Target{Label: -1}
 	}
-	flat, err := Flatten(FlatConfig{Hops: 2, Seed: 4, TempDir: t.TempDir()},
-		mapreduce.MemInput(TableRecords(g)), targets)
+	batch := cfg
+	batch.TempDir = t.TempDir()
+	flat, err := Flatten(batch, mapreduce.MemInput(TableRecords(g)), targets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +65,7 @@ func TestLocalFlattenerMatchesFlatten(t *testing.T) {
 		offline[tr.TargetID] = tr.SG
 	}
 
-	lf := NewLocalFlattener(FlatConfig{Hops: 2, Seed: 4}, g)
+	lf := NewLocalFlattener(cfg, g)
 	for _, id := range ids {
 		rec, err := lf.GraphFeature(id)
 		if err != nil {

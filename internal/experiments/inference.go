@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"agl/internal/cluster"
@@ -60,6 +61,22 @@ func Table5(opt Options) (*Table5Result, error) {
 	}, model, tables)
 	if err != nil {
 		return nil, err
+	}
+	// The table compares the cost of equal work: both modules keep the same
+	// sampled in-edges for every node, so they must score every node alike.
+	if len(orig.Scores) != len(fast.Scores) {
+		return nil, fmt.Errorf("table5: original inference scored %d nodes, GraphInfer %d", len(orig.Scores), len(fast.Scores))
+	}
+	for id, want := range fast.Scores {
+		got, ok := orig.Scores[id]
+		if !ok || len(got) != len(want) {
+			return nil, fmt.Errorf("table5: node %d: original inference has no comparable score", id)
+		}
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-9 {
+				return nil, fmt.Errorf("table5: node %d: original %v, GraphInfer %v — the two modules computed different scores", id, got, want)
+			}
+		}
 	}
 
 	res := &Table5Result{}

@@ -1,9 +1,9 @@
 // Package sampling is AGL's neighbor-sampling framework (paper §3.2.2): a
 // set of strategies that bound the in-degree of k-hop neighborhoods so hub
 // nodes neither skew reducer load nor blow up memory. The same strategy,
-// seeded deterministically per (node, round), runs in GraphFlat and
-// GraphInfer so inference stays consistent with the data the model was
-// trained on.
+// seeded deterministically per node, runs in GraphFlat, GraphInfer and the
+// online flattener, so every node has one sampled in-edge set and inference
+// stays consistent with the data the model was trained on.
 package sampling
 
 import (
@@ -129,13 +129,17 @@ func Parse(s string) (Strategy, error) {
 	return nil, fmt.Errorf("sampling: unknown strategy %q", s)
 }
 
-// NodeRNG derives a deterministic RNG for one (node, round) pair from a
-// pipeline seed, so GraphFlat and GraphInfer make identical sampling
+// NodeRNG derives a deterministic RNG for one node from a pipeline seed, so
+// GraphFlat, GraphInfer and the online flattener make identical sampling
 // decisions — the property the paper relies on for unbiased inference.
-func NodeRNG(seed, nodeID int64, round int) *rand.Rand {
+// stream separates the independent draws a node needs: 0 is its sampling
+// decision, 1+s the pre-sample of shard s of a re-indexed hub. It must never
+// carry a round or a depth: a node keeps the same in-edges wherever it is
+// met.
+func NodeRNG(seed, nodeID int64, stream int) *rand.Rand {
 	h := uint64(seed) * 0x9E3779B97F4A7C15
 	h ^= uint64(nodeID) + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)
-	h ^= uint64(round+1)*0xBF58476D1CE4E5B9 + (h << 13)
+	h ^= uint64(stream+1)*0xBF58476D1CE4E5B9 + (h << 13)
 	h ^= h >> 31
 	return rand.New(rand.NewSource(int64(h)))
 }

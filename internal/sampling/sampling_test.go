@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -104,16 +105,19 @@ func TestTopKDeterministic(t *testing.T) {
 }
 
 func TestNodeRNGDeterministicAndDistinct(t *testing.T) {
-	a := NodeRNG(7, 100, 1).Int63()
-	b := NodeRNG(7, 100, 1).Int63()
+	// Stream 0 is a node's sampling decision, 1+s a hub shard's pre-sample.
+	a := NodeRNG(7, 100, 0).Int63()
+	b := NodeRNG(7, 100, 0).Int63()
 	if a != b {
 		t.Fatal("NodeRNG not deterministic")
 	}
-	c := NodeRNG(7, 100, 2).Int63()
-	d := NodeRNG(7, 101, 1).Int63()
-	e := NodeRNG(8, 100, 1).Int63()
-	if a == c || a == d || a == e {
-		t.Fatal("NodeRNG collisions across (seed,node,round)")
+	seen := map[int64]string{a: "(7,100,0)"}
+	for _, k := range [][3]int64{{7, 100, 1}, {7, 100, 2}, {7, 101, 0}, {7, 101, 1}, {8, 100, 0}, {8, 100, 1}} {
+		v := NodeRNG(k[0], k[1], int(k[2])).Int63()
+		if prev, dup := seen[v]; dup {
+			t.Fatalf("NodeRNG collision across (seed,node,stream): %v and %s", k, prev)
+		}
+		seen[v] = fmt.Sprint(k)
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 //
 // The BFS deliberately follows the full fan-out rather than the sampled
 // fan-out used at extraction time: sampling (FlatConfig.MaxNeighbors +
-// Strategy) decides per (node, depth) which in-edges survive, and a
-// mutation can flip those decisions arbitrarily, so bounding the
+// Strategy) decides per node which in-edges survive, and a mutation of
+// the node's in-edges can flip that decision arbitrarily, so bounding the
 // dependency walk by the sampled set would under-invalidate. Full fan-out
 // over-approximates — an invalidation is never missed, at worst a few
 // unaffected entries recompute once.

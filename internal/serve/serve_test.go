@@ -14,6 +14,7 @@ import (
 	"agl/internal/graph"
 	"agl/internal/mapreduce"
 	"agl/internal/nn"
+	"agl/internal/sampling"
 )
 
 // testGraph builds a small power-law graph plus a trained-shape model and
@@ -168,6 +169,64 @@ func TestColdPathMatchesGraphInfer(t *testing.T) {
 	st := srv.Stats()
 	if st.Cold == 0 || st.Warm != 0 {
 		t.Fatalf("expected all-cold serving, got %+v", st)
+	}
+}
+
+// TestWarmAndColdAgreeUnderSampling: GraphInfer and the request-time
+// extraction keep the same sampled in-edges for every node (same
+// MaxNeighbors, Strategy and Seed; HubThreshold 0), so the score of a node
+// is the same whether it is served off a store built by Infer or computed
+// cold.
+func TestWarmAndColdAgreeUnderSampling(t *testing.T) {
+	g, model, _ := testGraph(t)
+	const seed = 17
+	res, err := core.Infer(core.InferConfig{MaxNeighbors: 3, Strategy: sampling.Weighted{}, Seed: seed,
+		TempDir: t.TempDir(), KeepEmbeddings: true}, model, mapreduce.MemInput(core.TableRecords(g)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStore(8, res.Embeddings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{MaxNeighbors: 3, Strategy: sampling.Weighted{}, Seed: seed}
+	warm, err := New(cfg, model, g, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	cold, err := New(cfg, model, g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cold.Close()
+
+	inDeg := map[int64]int{}
+	for _, e := range g.Edges {
+		inDeg[e.Dst]++
+	}
+	sampled := 0
+	for _, n := range g.Nodes {
+		if inDeg[n.ID] > 3 {
+			sampled++
+		}
+		w, err := warm.Score(context.Background(), n.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := cold.Score(context.Background(), n.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(w[0]-c[0]) > 1e-9 {
+			t.Fatalf("node %d (in-degree %d): warm %v cold %v", n.ID, inDeg[n.ID], w[0], c[0])
+		}
+	}
+	if sampled == 0 {
+		t.Fatal("no node exceeds MaxNeighbors: the test sampled nothing")
+	}
+	if ws, cs := warm.Stats(), cold.Stats(); ws.Cold != 0 || cs.Warm != 0 {
+		t.Fatalf("expected one all-warm and one all-cold server, got %+v and %+v", ws, cs)
 	}
 }
 

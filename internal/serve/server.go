@@ -36,9 +36,15 @@ var ErrNoEdgeHead = errors.New("serve: model has no edge head (not a link model)
 
 // Config parameterizes a Server.
 type Config struct {
-	// Hops, MaxNeighbors, Strategy and Seed mirror FlatConfig for the cold
-	// path's request-time neighborhood extraction; use the training run's
-	// values. Hops defaults to the model's layer count.
+	// Hops, MaxNeighbors, Strategy and Seed mean what they mean in
+	// FlatConfig, for the cold path's request-time neighborhood extraction.
+	// Given the values of the training run and of the GraphInfer run that
+	// built the store, a cold extraction keeps exactly the in-edges those
+	// kept for every node, so warm and cold scores of a node agree within
+	// 1e-9 under sampling too. There is no HubThreshold here: the guarantee
+	// holds for offline runs with HubThreshold 0 (with re-indexing on, the
+	// offline pre-sample of a hub's in-edge shards has no online
+	// counterpart). Hops defaults to the model's layer count.
 	Hops         int
 	MaxNeighbors int
 	Strategy     sampling.Strategy
