@@ -272,12 +272,16 @@ const (
 )
 
 // Train runs distributed parameter-server training over GraphFeature
-// records produced by Flatten.
+// records produced by Flatten, scoring cfg.Eval once on the final model.
+// With one worker the result is a function of cfg and the records alone,
+// byte for byte; see core.Train for the guarantee and its limit.
 func Train(cfg TrainConfig, records [][]byte) (*TrainResult, error) {
 	return core.Train(cfg, records)
 }
 
-// TrainWithHistory is Train with per-epoch evaluation (convergence curves).
+// TrainWithHistory is Train scoring a snapshot every cfg.EvalEvery epochs
+// (convergence curves) and stopping early under cfg.Patience. It is the same
+// training run as Train: without early stopping both return the same model.
 func TrainWithHistory(cfg TrainConfig, records [][]byte) (*TrainResult, error) {
 	return core.TrainWithHistory(cfg, records)
 }

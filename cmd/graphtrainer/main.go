@@ -145,8 +145,8 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, st := range res.History {
-		line := fmt.Sprintf("epoch %2d  loss %.4f  vec %s  compute %s",
-			st.Epoch, st.Loss, st.VecBusy.Round(1e6), st.ComputeBusy.Round(1e6))
+		line := fmt.Sprintf("epoch %2d  loss %.4f  wall %s  vec %s  compute %s",
+			st.Epoch, st.Loss, st.Duration.Round(1e6), st.VecBusy.Round(1e6), st.ComputeBusy.Round(1e6))
 		if st.HasMetric {
 			line += fmt.Sprintf("  %s %.4f", cfg.EvalMetric, st.Metric)
 		}

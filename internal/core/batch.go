@@ -38,44 +38,87 @@ func AssembleBatchWS(ws *tensor.Workspace, recs []*wire.TrainRecord, numClasses 
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
-	index := make(map[int64]int)
-	var nodeIDs []int64
+	sgs := make([]*wire.Subgraph, len(recs))
+	for i, rec := range recs {
+		sgs[i] = rec.SG
+	}
+	m, err := mergeSubgraphs(ws, sgs)
+	if err != nil {
+		return nil, err
+	}
+	b := &Batch{NodeIDs: m.nodeIDs}
+	if multiLabel || len(recs[0].LabelVec) > 0 {
+		cols := numClasses
+		if len(recs[0].LabelVec) > 0 {
+			cols = len(recs[0].LabelVec)
+		}
+		b.LabelVecs = tensor.New(len(recs), cols)
+	}
+	var targets []int
+	for bi, rec := range recs {
+		ti, ok := m.row[rec.TargetID]
+		if !ok {
+			return nil, fmt.Errorf("core: target %d missing from its own subgraph", rec.TargetID)
+		}
+		targets = append(targets, ti)
+		b.TargetIDs = append(b.TargetIDs, rec.TargetID)
+		b.Labels = append(b.Labels, int(rec.Label))
+		if b.LabelVecs != nil {
+			copy(b.LabelVecs.Row(bi), rec.LabelVec)
+		}
+	}
+	b.Graph = m.graph(targets)
+	return b, nil
+}
+
+// merged is the union of a batch's subgraphs in vectorized form, plus the
+// id maps its callers resolve targets and pairs against.
+type merged struct {
+	g *gnn.BatchGraph
+	// nodeIDs maps batch row -> original node id; row is its inverse.
+	nodeIDs []int64
+	row     map[int64]int
+	// edges holds the (src, dst) ids of every batch edge.
+	edges map[[2]int64]bool
+}
+
+// mergeSubgraphs is the one subgraph-vectorization routine: it merges the
+// (overlapping) k-hop neighborhoods of a batch, deduplicating nodes and
+// edges by id, into the adjacency (COO -> CSR, row = destination), the
+// node feature matrix X (drawn from ws; nil allocates), the edge features
+// and the normalization degrees.
+func mergeSubgraphs(ws *tensor.Workspace, sgs []*wire.Subgraph) (*merged, error) {
+	m := &merged{row: make(map[int64]int), edges: make(map[[2]int64]bool)}
 	var feats [][]float64
 	var degs []float64
 	anyDeg := false
-	edgeSeen := make(map[[2]int64]bool)
-	var coos []sparse.Coo
-
-	addNode := func(n wire.SGNode) int {
-		if i, ok := index[n.ID]; ok {
-			return i
-		}
-		i := len(nodeIDs)
-		index[n.ID] = i
-		nodeIDs = append(nodeIDs, n.ID)
-		feats = append(feats, n.Feat)
-		degs = append(degs, n.Deg)
-		if n.Deg > 0 {
-			anyDeg = true
-		}
-		return i
-	}
-
-	for _, rec := range recs {
-		for _, n := range rec.SG.Nodes {
-			addNode(n)
-		}
-	}
-	var edgeFeat map[[2]int][]float64
-	for _, rec := range recs {
-		for _, e := range rec.SG.Edges {
-			k := [2]int64{e.Src, e.Dst}
-			if edgeSeen[k] {
+	featDim := 0
+	for _, sg := range sgs {
+		for _, n := range sg.Nodes {
+			if _, ok := m.row[n.ID]; ok {
 				continue
 			}
-			edgeSeen[k] = true
-			si, ok1 := index[e.Src]
-			di, ok2 := index[e.Dst]
+			m.row[n.ID] = len(m.nodeIDs)
+			m.nodeIDs = append(m.nodeIDs, n.ID)
+			feats = append(feats, n.Feat)
+			featDim = max(featDim, len(n.Feat))
+			degs = append(degs, n.Deg)
+			if n.Deg > 0 {
+				anyDeg = true
+			}
+		}
+	}
+	var coos []sparse.Coo
+	var edgeFeat map[[2]int][]float64
+	for _, sg := range sgs {
+		for _, e := range sg.Edges {
+			k := [2]int64{e.Src, e.Dst}
+			if m.edges[k] {
+				continue
+			}
+			m.edges[k] = true
+			si, ok1 := m.row[e.Src]
+			di, ok2 := m.row[e.Dst]
 			if !ok1 || !ok2 {
 				return nil, fmt.Errorf("core: edge (%d,%d) references node outside subgraphs", e.Src, e.Dst)
 			}
@@ -88,57 +131,36 @@ func AssembleBatchWS(ws *tensor.Workspace, recs []*wire.TrainRecord, numClasses 
 			}
 		}
 	}
-
-	featDim := 0
-	for _, f := range feats {
-		if len(f) > featDim {
-			featDim = len(f)
-		}
-	}
-	x := ws.Get(len(nodeIDs), featDim)
+	x := ws.Get(len(m.nodeIDs), featDim)
 	for i, f := range feats {
 		copy(x.Row(i), f)
 	}
-
-	adj := sparse.NewCSR(len(nodeIDs), len(nodeIDs), coos)
-	b := &Batch{
-		Graph:   &gnn.BatchGraph{Adj: adj, X: x},
-		NodeIDs: nodeIDs,
-	}
+	m.g = &gnn.BatchGraph{Adj: sparse.NewCSR(len(m.nodeIDs), len(m.nodeIDs), coos), X: x, EdgeFeat: edgeFeat}
 	if anyDeg {
-		b.Graph.Deg = degs
+		m.g.Deg = degs
 	}
-	b.Graph.EdgeFeat = edgeFeat
-	if multiLabel || len(recs[0].LabelVec) > 0 {
-		cols := numClasses
-		if len(recs[0].LabelVec) > 0 {
-			cols = len(recs[0].LabelVec)
-		}
-		b.LabelVecs = tensor.New(len(recs), cols)
-	}
-	for bi, rec := range recs {
-		ti, ok := index[rec.TargetID]
-		if !ok {
-			return nil, fmt.Errorf("core: target %d missing from its own subgraph", rec.TargetID)
-		}
-		b.Graph.Targets = append(b.Graph.Targets, ti)
-		b.TargetIDs = append(b.TargetIDs, rec.TargetID)
-		b.Labels = append(b.Labels, int(rec.Label))
-		if b.LabelVecs != nil {
-			copy(b.LabelVecs.Row(bi), rec.LabelVec)
-		}
-	}
-	b.Graph.Dist = gnn.ComputeDistances(adj, b.Graph.Targets)
-	return b, nil
+	return m, nil
+}
+
+// graph completes the batch graph with its target rows (the rows whose
+// embeddings must survive all K layers) and every row's distance to them.
+func (m *merged) graph(targets []int) *gnn.BatchGraph {
+	m.g.Targets = targets
+	m.g.Dist = gnn.ComputeDistances(m.g.Adj, targets)
+	return m.g
 }
 
 // DecodeRecords parses a slice of encoded TrainRecords.
 func DecodeRecords(encoded [][]byte) ([]*wire.TrainRecord, error) {
-	out := make([]*wire.TrainRecord, 0, len(encoded))
+	return decodeAll(encoded, "record", wire.DecodeTrainRecord)
+}
+
+func decodeAll[R any](encoded [][]byte, what string, decode func([]byte) (R, error)) ([]R, error) {
+	out := make([]R, 0, len(encoded))
 	for i, e := range encoded {
-		rec, err := wire.DecodeTrainRecord(e)
+		rec, err := decode(e)
 		if err != nil {
-			return nil, fmt.Errorf("core: record %d: %w", i, err)
+			return nil, fmt.Errorf("core: %s %d: %w", what, i, err)
 		}
 		out = append(out, rec)
 	}

@@ -1,14 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"sort"
 	"sync/atomic"
 	"testing"
 
 	"agl/internal/datagen"
+	"agl/internal/dfs"
 	"agl/internal/gnn"
 	"agl/internal/graph"
 	"agl/internal/mapreduce"
@@ -427,25 +430,178 @@ func TestTrainMultiWorkerModes(t *testing.T) {
 	}
 }
 
-func TestTrainPipelineDoesNotChangeResults(t *testing.T) {
-	train, test, _ := miniCora(t, 1)
-	var metrics []float64
-	for _, pipeline := range []bool{false, true} {
-		res, err := Train(TrainConfig{
-			Model: gnn.Config{
-				Kind: gnn.KindGCN, InDim: 48, Hidden: 8, Classes: 4, Layers: 1,
-				Act: nn.ActReLU, Seed: 1,
-			},
-			Loss: LossCE, BatchSize: 16, Epochs: 5, LR: 0.02,
-			Pipeline: pipeline, Eval: test, EvalMetric: MetricAccuracy, Seed: 4,
-		}, train)
-		if err != nil {
+// TestSyncWorkersAllRegisterBeforeAnyPush: in Sync mode a server averages
+// over the workers registered when a push arrives, so every worker must have
+// joined before the first push of a pass, or that push is applied alone as an
+// extra, unaveraged step. With equal batch counts per worker, every shard
+// must therefore take exactly batches-per-worker steps per epoch.
+func TestSyncWorkersAllRegisterBeforeAnyPush(t *testing.T) {
+	train, _, _ := miniCora(t, 1)
+	const workers, batch, epochs = 3, 4, 5
+	perWorker := len(train) / workers / batch
+	if perWorker < 2 {
+		t.Fatalf("only %d records", len(train))
+	}
+	train = train[:workers*batch*perWorker]
+	tr, err := newTrainer(TrainConfig{
+		Model: gnn.Config{
+			Kind: gnn.KindSAGE, InDim: 48, Hidden: 12, Classes: 4, Layers: 1,
+			Act: nn.ActReLU, Seed: 1,
+		},
+		Loss: LossCE, BatchSize: batch, LR: 0.02, Pipeline: true,
+		Workers: workers, PSShards: 2, Mode: ps.Sync, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < epochs; e++ {
+		if err := tr.pass(train); err != nil {
 			t.Fatal(err)
 		}
-		metrics = append(metrics, res.History[len(res.History)-1].Metric)
 	}
-	if math.Abs(metrics[0]-metrics[1]) > 1e-9 {
-		t.Fatalf("pipeline changed training results: %v vs %v", metrics[0], metrics[1])
+	stepped := 0
+	for i := 0; i < tr.cluster.NumShards(); i++ {
+		shard := tr.cluster.Shard(i)
+		if len(shard.Names()) == 0 {
+			continue
+		}
+		stepped++
+		if got, want := shard.Version(), int64(perWorker*epochs); got != want {
+			t.Errorf("shard %d took %d steps, want %d (%d batches per worker x %d epochs)", i, got, want, perWorker, epochs)
+		}
+	}
+	if stepped == 0 {
+		t.Fatal("no shard owns a parameter")
+	}
+}
+
+// flattenOnePartition flattens into a one-partition output dataset and
+// returns it with its records in on-disk order, so in-memory and streamed
+// training can be fed exactly the same records in the same order.
+func flattenOnePartition(t *testing.T, g *graph.Graph, cfg FlatConfig, targets map[int64]Target) (*PartitionSet, [][]byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "flat")
+	out, err := dfs.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.TempDir, cfg.Output, cfg.Partitions = t.TempDir(), out, 1
+	if _, err := Flatten(cfg, mapreduce.MemInput(TableRecords(g)), targets); err != nil {
+		t.Fatal(err)
+	}
+	parts, err := OpenPartitions(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := parts.Load(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return parts, recs
+}
+
+// TestTrainPipelineDoesNotChangeResults: for a fixed seed and one worker the
+// trained model is a function of the records alone. Neither the training
+// pipeline nor the entry point may change it: Train with and without
+// Pipeline, TrainWithHistory (which evaluates every epoch) and
+// TrainPartitions over a one-partition dataset holding the same records
+// must return byte-identical models and identical per-epoch losses, with
+// dropout on (so no epoch may replay another's masks) and for the link task
+// too (so the negative-sampling stream is carried the same way).
+func TestTrainPipelineDoesNotChangeResults(t *testing.T) {
+	cora, err := datagen.Cora(datagen.CoraConfig{Nodes: 240, Edges: 700, FeatDim: 48, Classes: 4, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coraTargets := map[int64]Target{}
+	for _, id := range cora.Train {
+		coraTargets[id] = Target{Label: int64(cora.LabelOf(id))}
+	}
+	uug, err := datagen.UUG(datagen.UUGConfig{Nodes: 150, FeatDim: 6, EdgeFeatDim: 4, Seed: 31})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uugTargets := map[int64]Target{}
+	for _, id := range uug.Train {
+		y := uug.LabelOf(id)
+		uugTargets[id] = Target{Label: int64(y), LabelVec: []float64{float64(y)}}
+	}
+	linkG, linkPairs, _ := linkFixtureGraph(t, 7)
+
+	cases := []struct {
+		name    string
+		g       *graph.Graph
+		flat    FlatConfig
+		targets map[int64]Target
+		cfg     TrainConfig
+	}{
+		{"GCN", cora.G, FlatConfig{Hops: 1, Seed: 5}, coraTargets, TrainConfig{
+			Model: gnn.Config{Kind: gnn.KindGCN, InDim: 48, Hidden: 8, Classes: 4, Layers: 1, Act: nn.ActReLU},
+			Loss:  LossCE, EvalMetric: MetricAccuracy, BatchSize: 8, Epochs: 5,
+		}},
+		{"GAT+edge features", uug.G, FlatConfig{Hops: 2, Seed: 5}, uugTargets, TrainConfig{
+			Model: gnn.Config{Kind: gnn.KindGAT, InDim: 6, Hidden: 8, Classes: 1, Layers: 2, Heads: 2, EdgeDim: 4, Act: nn.ActTanh},
+			Loss:  LossBCE, EvalMetric: MetricAUC, BatchSize: 8, Epochs: 3,
+		}},
+		{"link", linkG, FlatConfig{Hops: 2, EdgeTargets: linkPairs}, nil, TrainConfig{
+			Model: gnn.Config{Kind: gnn.KindGCN, InDim: 2, Hidden: 8, Classes: 1, Layers: 2, Act: nn.ActTanh, EdgeHead: gnn.EdgeHeadBilinear},
+			Loss:  LossBCE, EvalMetric: MetricAUC, BatchSize: 32, Epochs: 3, NegativeRatio: 2, Pruning: true,
+		}},
+	}
+	for _, tc := range cases {
+		parts, recs := flattenOnePartition(t, tc.g, tc.flat, tc.targets)
+		cfg := tc.cfg
+		cfg.Model.Seed, cfg.Model.Dropout = 1, 0.3
+		cfg.LR, cfg.Seed, cfg.Eval = 0.02, 4, recs
+		pipelined := cfg
+		pipelined.Pipeline = true
+		runs := []struct {
+			name string
+			run  func() (*TrainResult, error)
+		}{
+			{"Train", func() (*TrainResult, error) { return Train(cfg, recs) }},
+			{"Train pipelined", func() (*TrainResult, error) { return Train(pipelined, recs) }},
+			{"TrainWithHistory", func() (*TrainResult, error) { return TrainWithHistory(cfg, recs) }},
+			{"TrainPartitions", func() (*TrainResult, error) { return TrainPartitions(pipelined, parts) }},
+		}
+		var wantModel []byte
+		var want []EpochStats
+		for _, r := range runs {
+			res, err := r.run()
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, r.name, err)
+			}
+			enc, err := gnn.MarshalModel(res.Model)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range res.History {
+				if st.Duration <= 0 {
+					t.Errorf("%s %s: epoch %d has no Duration", tc.name, r.name, st.Epoch)
+				}
+			}
+			if want == nil {
+				if len(recs) < 3*cfg.BatchSize {
+					t.Fatalf("%s: only %d records, want several batches per epoch", tc.name, len(recs))
+				}
+				wantModel, want = enc, res.History
+				continue
+			}
+			if len(res.History) != len(want) {
+				t.Fatalf("%s %s: %d epochs, Train ran %d", tc.name, r.name, len(res.History), len(want))
+			}
+			for e, st := range res.History {
+				if st.Loss != want[e].Loss {
+					t.Errorf("%s %s: epoch %d loss %v, Train had %v", tc.name, r.name, e+1, st.Loss, want[e].Loss)
+				}
+			}
+			if last := len(want) - 1; res.History[last].Metric != want[last].Metric {
+				t.Errorf("%s %s: final metric %v, Train had %v", tc.name, r.name, res.History[last].Metric, want[last].Metric)
+			}
+			if !bytes.Equal(enc, wantModel) {
+				t.Errorf("%s %s: model bytes differ from Train's", tc.name, r.name)
+			}
+		}
 	}
 }
 

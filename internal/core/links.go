@@ -9,7 +9,6 @@ import (
 	"agl/internal/mapreduce"
 	"agl/internal/metrics"
 	"agl/internal/nn"
-	"agl/internal/sparse"
 	"agl/internal/tensor"
 	"agl/internal/wire"
 )
@@ -146,51 +145,15 @@ func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPo
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("core: empty link batch")
 	}
-	index := make(map[int64]int)
-	var nodeIDs []int64
-	var feats [][]float64
-	var degs []float64
-	anyDeg := false
-	edgeSeen := make(map[[2]int64]bool)
-	var coos []sparse.Coo
-
-	for _, rec := range recs {
-		for _, n := range rec.SG.Nodes {
-			if _, ok := index[n.ID]; ok {
-				continue
-			}
-			index[n.ID] = len(nodeIDs)
-			nodeIDs = append(nodeIDs, n.ID)
-			feats = append(feats, n.Feat)
-			degs = append(degs, n.Deg)
-			if n.Deg > 0 {
-				anyDeg = true
-			}
-		}
+	sgs := make([]*wire.Subgraph, len(recs))
+	for i, rec := range recs {
+		sgs[i] = rec.SG
 	}
-	var edgeFeat map[[2]int][]float64
-	for _, rec := range recs {
-		for _, e := range rec.SG.Edges {
-			k := [2]int64{e.Src, e.Dst}
-			if edgeSeen[k] {
-				continue
-			}
-			edgeSeen[k] = true
-			si, ok1 := index[e.Src]
-			di, ok2 := index[e.Dst]
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("core: edge (%d,%d) references node outside subgraphs", e.Src, e.Dst)
-			}
-			coos = append(coos, sparse.Coo{Row: di, Col: si, Val: e.Weight})
-			if len(e.Feat) > 0 {
-				if edgeFeat == nil {
-					edgeFeat = make(map[[2]int][]float64)
-				}
-				edgeFeat[[2]int{di, si}] = e.Feat
-			}
-		}
+	m, err := mergeSubgraphs(ws, sgs)
+	if err != nil {
+		return nil, err
 	}
-
+	nodeIDs := m.nodeIDs
 	b := &LinkBatch{NodeIDs: nodeIDs}
 	posSeen := make(map[[2]int64]bool, len(recs))
 	var labels []float64
@@ -201,8 +164,8 @@ func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPo
 		labels = append(labels, label)
 	}
 	for _, rec := range recs {
-		si, ok1 := index[rec.Src]
-		di, ok2 := index[rec.Dst]
+		si, ok1 := m.row[rec.Src]
+		di, ok2 := m.row[rec.Dst]
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("core: pair (%d,%d) endpoints missing from merged subgraph", rec.Src, rec.Dst)
 		}
@@ -216,7 +179,7 @@ func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPo
 			if rec.Label == 0 {
 				continue
 			}
-			si := index[rec.Src]
+			si := m.row[rec.Src]
 			for k := 0; k < negPerPos; k++ {
 				for attempt := 0; attempt < 10; attempt++ {
 					di := rng.Intn(len(nodeIDs))
@@ -227,7 +190,7 @@ func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPo
 					// datagen.Links' negative sampling).
 					if di == si ||
 						posSeen[[2]int64{rec.Src, dstID}] || posSeen[[2]int64{dstID, rec.Src}] ||
-						edgeSeen[[2]int64{rec.Src, dstID}] || edgeSeen[[2]int64{dstID, rec.Src}] {
+						m.edges[[2]int64{rec.Src, dstID}] || m.edges[[2]int64{dstID, rec.Src}] {
 						continue
 					}
 					addPair(si, di, rec.Src, dstID, 0)
@@ -237,48 +200,52 @@ func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPo
 			}
 		}
 	}
-
-	featDim := 0
-	for _, f := range feats {
-		if len(f) > featDim {
-			featDim = len(f)
-		}
-	}
-	x := ws.Get(len(nodeIDs), featDim)
-	for i, f := range feats {
-		copy(x.Row(i), f)
-	}
-	b.Graph = &gnn.BatchGraph{Adj: sparse.NewCSR(len(nodeIDs), len(nodeIDs), coos), X: x, EdgeFeat: edgeFeat}
-	if anyDeg {
-		b.Graph.Deg = degs
-	}
 	// Every endpoint row (including sampled negatives) is a pruning target:
 	// its embedding must survive all K layers.
+	var targets []int
 	seenT := make(map[int]bool, len(b.SrcRows)*2)
 	for _, rows := range [][]int{b.SrcRows, b.DstRows} {
 		for _, r := range rows {
 			if !seenT[r] {
 				seenT[r] = true
-				b.Graph.Targets = append(b.Graph.Targets, r)
+				targets = append(targets, r)
 			}
 		}
 	}
-	b.Graph.Dist = gnn.ComputeDistances(b.Graph.Adj, b.Graph.Targets)
+	b.Graph = m.graph(targets)
 	b.Labels = tensor.FromSlice(len(labels), 1, labels)
 	return b, nil
 }
 
+// linkTask is the pairwise task of the one worker loop: LinkRecords, with
+// NegativeRatio uniform negatives sampled per positive at batch-assembly
+// time, trained through the GNN stack plus the edge head with sigmoid BCE.
+func linkTask(cfg TrainConfig) task {
+	negPerPos := max(cfg.NegativeRatio, 1)
+	return task{
+		assemble: func(ws *tensor.Workspace, encoded [][]byte, neg *rand.Rand) (*vectorized, error) {
+			recs, err := DecodeLinkRecords(encoded)
+			if err != nil {
+				return nil, err
+			}
+			b, err := AssembleLinkBatchWS(ws, recs, negPerPos, neg)
+			if err != nil {
+				return nil, err
+			}
+			return &vectorized{graph: b.Graph, src: b.SrcRows, dst: b.DstRows, targets: b.Labels}, nil
+		},
+		step: func(m *gnn.Model, v *vectorized, opt gnn.RunOptions) (float64, error) {
+			st := m.ForwardEdges(v.graph, v.prep, v.src, v.dst, opt)
+			loss, dLogits := nn.SigmoidBCEWS(opt.Workspace, st.Logits, v.targets)
+			m.BackwardEdges(st, dLogits)
+			return loss, nil
+		},
+	}
+}
+
 // DecodeLinkRecords parses a slice of encoded LinkRecords.
 func DecodeLinkRecords(encoded [][]byte) ([]*wire.LinkRecord, error) {
-	out := make([]*wire.LinkRecord, 0, len(encoded))
-	for i, e := range encoded {
-		rec, err := wire.DecodeLinkRecord(e)
-		if err != nil {
-			return nil, fmt.Errorf("core: link record %d: %w", i, err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
+	return decodeAll(encoded, "link record", wire.DecodeLinkRecord)
 }
 
 // PredictLinks runs batched link inference over LinkRecords, returning the
@@ -287,28 +254,17 @@ func PredictLinks(model *gnn.Model, records [][]byte, batchSize int, opt gnn.Run
 	if model.Edge == nil {
 		return nil, nil, nil, fmt.Errorf("core: model has no edge head (set ModelConfig.EdgeHead)")
 	}
-	if batchSize <= 0 {
-		batchSize = 256
-	}
 	var scores []float64
 	var labels []int
 	var pairs [][2]int64
-	// Per-batch workspace: scores are extracted scalar by scalar before
-	// the reset, so nothing workspace-owned escapes the loop.
-	ws := tensor.NewWorkspace()
-	opt.Workspace = ws
-	for lo := 0; lo < len(records); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(records) {
-			hi = len(records)
-		}
-		recs, err := DecodeLinkRecords(records[lo:hi])
+	err := inferBatches(records, batchSize, opt, func(encoded [][]byte, opt gnn.RunOptions) error {
+		recs, err := DecodeLinkRecords(encoded)
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
-		b, err := AssembleLinkBatchWS(ws, recs, 0, nil)
+		b, err := AssembleLinkBatchWS(opt.Workspace, recs, 0, nil)
 		if err != nil {
-			return nil, nil, nil, err
+			return err
 		}
 		logits := model.InferEdges(b.Graph, b.SrcRows, b.DstRows, opt)
 		for p := 0; p < logits.Rows; p++ {
@@ -316,7 +272,10 @@ func PredictLinks(model *gnn.Model, records [][]byte, batchSize int, opt gnn.Run
 			labels = append(labels, int(b.Labels.At(p, 0)))
 		}
 		pairs = append(pairs, b.Pairs...)
-		ws.Reset()
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	return scores, labels, pairs, nil
 }
@@ -332,10 +291,4 @@ func EvaluateLinks(model *gnn.Model, records [][]byte, cfg EvalConfig) (float64,
 		return 0, err
 	}
 	return metrics.AUC(scores, labels), nil
-}
-
-// preparedLinkBatch is a vectorized link batch ready for model computation.
-type preparedLinkBatch struct {
-	batch *LinkBatch
-	prep  *gnn.Prepared
 }

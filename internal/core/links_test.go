@@ -201,9 +201,10 @@ func TestLinkValidation(t *testing.T) {
 	}
 }
 
-// linkTrainingFixture flattens train/eval pairs over a two-community graph
-// where intra-community links are dense — learnable link structure.
-func linkTrainingFixture(t *testing.T, seed int64) (train, eval [][]byte, inDim int) {
+// linkFixtureGraph builds a two-community graph where intra-community links
+// are dense — learnable link structure — and splits its edges into train
+// pairs and eval pairs (the latter padded with sampled negatives).
+func linkFixtureGraph(t *testing.T, seed int64) (g *graph.Graph, trainPairs, evalPairs []EdgeTarget) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	const n = 60
@@ -236,7 +237,6 @@ func linkTrainingFixture(t *testing.T, seed int64) (train, eval [][]byte, inDim 
 	for _, e := range g.Edges {
 		exists[[2]int64{e.Src, e.Dst}] = true
 	}
-	var trainPairs, evalPairs []EdgeTarget
 	for i, e := range g.Edges {
 		if i%5 == 0 && len(evalPairs) < 30 {
 			evalPairs = append(evalPairs, EdgeTarget{Src: e.Src, Dst: e.Dst, Label: 1})
@@ -251,6 +251,13 @@ func linkTrainingFixture(t *testing.T, seed int64) (train, eval [][]byte, inDim 
 		}
 		evalPairs = append(evalPairs, EdgeTarget{Src: s, Dst: d, Label: 0})
 	}
+	return g, trainPairs, evalPairs
+}
+
+// linkTrainingFixture flattens linkFixtureGraph's train and eval pairs.
+func linkTrainingFixture(t *testing.T, seed int64) (train, eval [][]byte, inDim int) {
+	t.Helper()
+	g, trainPairs, evalPairs := linkFixtureGraph(t, seed)
 	tables := mapreduce.MemInput(TableRecords(g))
 	trRes, err := Flatten(FlatConfig{Hops: 2, TempDir: t.TempDir(), EdgeTargets: trainPairs}, tables, nil)
 	if err != nil {

@@ -8,14 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync"
-	"time"
 
 	"agl/internal/dfs"
 	"agl/internal/gnn"
 	"agl/internal/mapreduce"
-	"agl/internal/nn"
-	"agl/internal/ps"
 )
 
 // This file is GraphFlat's partitioned-output mode and the bounded-memory
@@ -228,157 +224,61 @@ func (p *PartitionSet) First() ([]byte, error) {
 	return nil, fmt.Errorf("core: partitioned dataset is empty")
 }
 
-// loadedPartition is one prefetched partition on its way to the consumer.
-type loadedPartition struct {
-	idx  int
-	recs [][]byte
-	err  error
-}
-
-// prefetchPartitions loads partitions in the given order on a side
-// goroutine, one ahead of the consumer: partition N+1's disk read and
-// record framing overlap partition N's compute. The consumer must drain
-// the channel (or the goroutine parks forever on a buffered send — drain
-// on error paths too).
-func prefetchPartitions(parts *PartitionSet, order []int) <-chan loadedPartition {
-	ch := make(chan loadedPartition, 1)
+// each streams the partitions through fn in the given order, skipping empty
+// ones. A side goroutine loads ahead of fn, so partition N+1's disk read and
+// record framing overlap partition N's compute. The first error, from a
+// load or from fn, ends the scan.
+func (p *PartitionSet) each(order []int, fn func(part int, recs [][]byte) error) error {
+	type loaded struct {
+		part int
+		recs [][]byte
+		err  error
+	}
+	feed := make(chan loaded, 1)
 	go func() {
-		defer close(ch)
+		defer close(feed)
 		for _, pi := range order {
-			recs, err := parts.Load(pi)
-			ch <- loadedPartition{idx: pi, recs: recs, err: err}
+			recs, err := p.Load(pi)
+			feed <- loaded{pi, recs, err}
 			if err != nil {
 				return
 			}
 		}
 	}()
-	return ch
+	for lp := range feed {
+		err := lp.err
+		if err == nil && len(lp.recs) > 0 {
+			err = fn(lp.part, lp.recs)
+		}
+		if err != nil {
+			// Drain the prefetcher so it never parks on its send.
+			go func() {
+				for range feed {
+				}
+			}()
+			return err
+		}
+	}
+	return nil
 }
 
-// TrainPartitions runs parameter-server training over a partitioned
-// GraphFlat output with bounded resident memory: each epoch streams the
-// partitions (in per-epoch shuffled order) through the PR-5 worker
-// pipeline, holding one partition's records at a time while the prefetch
-// goroutine decodes the next. The parameter-server cluster is shared
-// across partitions, so convergence matches Train over the concatenated
-// records up to batch ordering.
+// TrainPartitions is Train over a partitioned GraphFlat output with bounded
+// resident memory: each epoch streams the partitions, in an order shuffled
+// per epoch, through one pass each of the same workers and the same
+// parameter servers, holding one partition's records while the next loads.
+// Convergence matches Train over the concatenated records up to batch
+// ordering, and over a single partition the two return the same model.
 //
 // cfg.Eval is evaluated once on the final model, as in Train.
 func TrainPartitions(cfg TrainConfig, parts *PartitionSet) (*TrainResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	if parts.Records() == 0 {
-		return nil, fmt.Errorf("core: no training records")
-	}
-	link := cfg.Model.EdgeHead != ""
-	if link != parts.Link() {
+	if link := cfg.Model.EdgeHead != ""; link != parts.Link() {
 		return nil, fmt.Errorf("core: partitioned dataset link=%v does not match model edge head %q",
 			parts.Link(), cfg.Model.EdgeHead)
 	}
-	global, err := gnn.NewModel(cfg.Model)
-	if err != nil {
-		return nil, err
-	}
-	cluster := ps.NewCluster(cfg.PSShards, global.Params(),
-		func() nn.Optimizer { return nn.NewAdam(cfg.LR) }, cfg.Mode)
-	loop := trainWorkerLoop
-	if link {
-		loop = trainLinkWorkerLoop
-	}
-
-	start := time.Now()
-	accs := make([]epochAcc, cfg.Epochs)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for e := 0; e < cfg.Epochs; e++ {
-		order := rng.Perm(parts.NumPartitions())
-		feed := prefetchPartitions(parts, order)
-		for lp := range feed {
-			if lp.err != nil {
-				return nil, lp.err
-			}
-			if len(lp.recs) == 0 {
-				continue
-			}
-			workerParts := make([][][]byte, cfg.Workers)
-			for i, rec := range lp.recs {
-				workerParts[i%cfg.Workers] = append(workerParts[i%cfg.Workers], rec)
-			}
-			var acc epochAcc
-			var accMu sync.Mutex
-			var wg sync.WaitGroup
-			errCh := make(chan error, cfg.Workers)
-			for w := 0; w < cfg.Workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					sub := cfg
-					sub.Epochs = 1
-					// A distinct seed per (epoch, partition) keeps batch
-					// shuffling fresh across the outer loops.
-					sub.Seed = cfg.Seed + int64(e+1)*104729 + int64(lp.idx+1)*15485863
-					local := make([]epochAcc, 1)
-					if err := loop(sub, w, workerParts[w], cluster.Client(), local); err != nil {
-						errCh <- err
-						return
-					}
-					accMu.Lock()
-					acc.lossSum += local[0].lossSum
-					acc.batches += local[0].batches
-					acc.vec += local[0].vec
-					acc.compute += local[0].compute
-					accMu.Unlock()
-				}(w)
-			}
-			wg.Wait()
-			select {
-			case err := <-errCh:
-				// Drain the prefetcher so its buffered send never leaks.
-				go func() {
-					for range feed {
-					}
-				}()
-				return nil, err
-			default:
-			}
-			accs[e].lossSum += acc.lossSum
-			accs[e].batches += acc.batches
-			accs[e].vec += acc.vec
-			accs[e].compute += acc.compute
-		}
-	}
-
-	result := &TrainResult{Total: time.Since(start)}
-	final, err := gnn.NewModel(cfg.Model)
-	if err != nil {
-		return nil, err
-	}
-	cluster.Snapshot(final.Params())
-	result.Model = final
-	result.PSBytesOut, result.PSBytesIn = cluster.Traffic()
-	for e := range accs {
-		st := EpochStats{Epoch: e + 1}
-		if accs[e].batches > 0 {
-			st.Loss = accs[e].lossSum / float64(accs[e].batches)
-		}
-		st.VecBusy = time.Duration(accs[e].vec)
-		st.ComputeBusy = time.Duration(accs[e].compute)
-		result.History = append(result.History, st)
-	}
-	if cfg.Eval != nil {
-		metric, err := evalDispatch(cfg, final)
-		if err != nil {
-			return nil, err
-		}
-		last := &result.History[len(result.History)-1]
-		last.Metric = metric
-		last.HasMetric = true
-		if cfg.Logf != nil {
-			cfg.Logf("final %s = %.4f", cfg.EvalMetric, metric)
-		}
-	}
-	return result, nil
+	order := rand.New(rand.NewSource(cfg.Seed))
+	return train(cfg, false, parts.Records(), func(pass func([][]byte) error) error {
+		return parts.each(order.Perm(parts.NumPartitions()), func(_ int, recs [][]byte) error { return pass(recs) })
+	})
 }
 
 // ScorePartitions runs batched node inference over a partitioned GraphFlat
@@ -392,40 +292,19 @@ func ScorePartitions(model *gnn.Model, parts *PartitionSet, batchSize int, opt g
 	if parts.Link() {
 		return fmt.Errorf("core: ScorePartitions needs node partitions (this dataset holds LinkRecords)")
 	}
-	if batchSize <= 0 {
-		batchSize = 256
-	}
 	order := make([]int, parts.NumPartitions())
 	for i := range order {
 		order[i] = i
 	}
-	feed := prefetchPartitions(parts, order)
-	for lp := range feed {
-		if lp.err != nil {
-			return lp.err
-		}
-		if len(lp.recs) == 0 {
-			continue
-		}
-		ids, logits, _, _, err := Predict(model, lp.recs, batchSize, opt)
+	return parts.each(order, func(part int, recs [][]byte) error {
+		ids, logits, _, _, err := Predict(model, recs, batchSize, opt)
 		if err != nil {
-			go func() {
-				for range feed {
-				}
-			}()
 			return err
 		}
 		scores := make([][]float64, logits.Rows)
 		for i := range scores {
 			scores[i] = ScoresFromLogits(logits.Row(i))
 		}
-		if err := fn(lp.idx, ids, scores); err != nil {
-			go func() {
-				for range feed {
-				}
-			}()
-			return err
-		}
-	}
-	return nil
+		return fn(part, ids, scores)
+	})
 }

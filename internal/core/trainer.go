@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"agl/internal/gnn"
@@ -12,7 +11,6 @@ import (
 	"agl/internal/nn"
 	"agl/internal/ps"
 	"agl/internal/tensor"
-	"agl/internal/wire"
 )
 
 // LossKind selects the training objective.
@@ -70,10 +68,15 @@ type TrainConfig struct {
 	Pruning    bool // per-layer pruned adjacency
 	AggThreads int  // edge-partitioned aggregation threads (<=1 serial)
 
+	// Seed fixes every random choice the trainer makes beyond the model's
+	// own (Model.Seed: initialization and dropout): worker w shuffles its
+	// records with Seed + 7919w and samples link negatives with that + 1,
+	// and TrainPartitions orders partitions with Seed. Each stream is
+	// created once per run and carried across epochs and partitions.
 	Seed int64
 
 	// Eval, when non-nil, is scored with EvalMetric (the final model in
-	// Train; every EvalEvery epochs in TrainWithHistory).
+	// Train and TrainPartitions; every EvalEvery epochs in TrainWithHistory).
 	Eval       [][]byte
 	EvalEvery  int
 	EvalMetric MetricKind
@@ -118,8 +121,10 @@ func (c TrainConfig) withDefaults() TrainConfig {
 
 // EpochStats records one epoch's accounting.
 type EpochStats struct {
-	Epoch    int
-	Loss     float64
+	Epoch int
+	Loss  float64
+	// Duration is the epoch's wall time, evaluation excluded: workers are
+	// joined at the end of every pass, so an epoch has one.
 	Duration time.Duration
 	// VecBusy and ComputeBusy are summed across workers: time spent in
 	// subgraph vectorization vs model computation. With the pipeline
@@ -138,237 +143,366 @@ type TrainResult struct {
 	Total   time.Duration
 	// PSBytesOut/In are the parameter-server traffic totals.
 	PSBytesOut, PSBytesIn int64
-	// BestEpoch/BestMetric identify the best evaluated snapshot
-	// (TrainWithHistory only; zero when no evaluation ran).
+	// BestEpoch/BestMetric identify the best evaluated snapshot (zero when
+	// no evaluation ran).
 	BestEpoch  int
 	BestMetric float64
 	// Stopped reports whether early stopping fired before Epochs ran out.
 	Stopped bool
 }
 
-// epochAcc accumulates per-epoch loss and phase timings across workers.
+// epochAcc accumulates one epoch's loss and phase timings across workers
+// and passes.
 type epochAcc struct {
 	lossSum      float64
 	batches      int64
-	vec, compute int64 // nanoseconds
+	vec, compute time.Duration
+}
+
+func (a *epochAcc) add(b epochAcc) {
+	a.lossSum += b.lossSum
+	a.batches += b.batches
+	a.vec += b.vec
+	a.compute += b.compute
 }
 
 // Train runs distributed parameter-server training over encoded
-// GraphFeature records (GraphFlat's output).
+// GraphFeature records (GraphFlat's output; LinkRecords when
+// cfg.Model.EdgeHead is set). Every epoch is one pass over records, and
+// cfg.Eval is scored once, on the final model.
+//
+// Train, TrainWithHistory and TrainPartitions are one driver fed from
+// different record sources under different evaluation policies. With
+// Workers 1, the same Seed and the same records in the same order give the
+// same model byte for byte whichever of the three is called (early stopping
+// aside). With several workers the order gradients reach the servers
+// depends on scheduling, so Async runs are not bit-reproducible.
 func Train(cfg TrainConfig, records [][]byte) (*TrainResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	if len(records) == 0 {
-		return nil, fmt.Errorf("core: no training records")
-	}
-	global, err := gnn.NewModel(cfg.Model)
-	if err != nil {
-		return nil, err
-	}
-	cluster := ps.NewCluster(cfg.PSShards, global.Params(),
-		func() nn.Optimizer { return nn.NewAdam(cfg.LR) }, cfg.Mode)
-
-	parts := make([][][]byte, cfg.Workers)
-	for i, rec := range records {
-		parts[i%cfg.Workers] = append(parts[i%cfg.Workers], rec)
-	}
-
-	// Link models (Model.EdgeHead set) train on LinkRecords with a
-	// pairwise loop; node models on TrainRecords with the classic loop.
-	loop := trainWorkerLoop
-	if cfg.Model.EdgeHead != "" {
-		loop = trainLinkWorkerLoop
-	}
-
-	start := time.Now()
-	accs := make([]epochAcc, cfg.Epochs)
-	var accMu sync.Mutex
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.Workers)
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			local := make([]epochAcc, cfg.Epochs)
-			if err := loop(cfg, w, parts[w], cluster.Client(), local); err != nil {
-				errCh <- err
-				return
-			}
-			accMu.Lock()
-			for e := range accs {
-				accs[e].lossSum += local[e].lossSum
-				accs[e].batches += local[e].batches
-				accs[e].vec += local[e].vec
-				accs[e].compute += local[e].compute
-			}
-			accMu.Unlock()
-		}(w)
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return nil, err
-	default:
-	}
-
-	result := &TrainResult{Total: time.Since(start)}
-	final, err := gnn.NewModel(cfg.Model)
-	if err != nil {
-		return nil, err
-	}
-	cluster.Snapshot(final.Params())
-	result.Model = final
-	result.PSBytesOut, result.PSBytesIn = cluster.Traffic()
-	for e := range accs {
-		st := EpochStats{Epoch: e + 1}
-		if accs[e].batches > 0 {
-			st.Loss = accs[e].lossSum / float64(accs[e].batches)
-		}
-		st.VecBusy = time.Duration(accs[e].vec)
-		st.ComputeBusy = time.Duration(accs[e].compute)
-		result.History = append(result.History, st)
-	}
-	if cfg.Eval != nil {
-		metric, err := evalDispatch(cfg, final)
-		if err != nil {
-			return nil, err
-		}
-		last := &result.History[len(result.History)-1]
-		last.Metric = metric
-		last.HasMetric = true
-		if cfg.Logf != nil {
-			cfg.Logf("final %s = %.4f", cfg.EvalMetric, metric)
-		}
-	}
-	return result, nil
+	return train(cfg, false, len(records), func(pass func([][]byte) error) error { return pass(records) })
 }
 
-// TrainWithHistory behaves like Train but evaluates a consistent global
-// snapshot after every EvalEvery epochs, producing the convergence curves
-// of the paper's Figure 7. Epochs are globally synchronized (workers are
-// re-joined per epoch), so it is slower than Train.
+// TrainWithHistory is Train scoring a consistent global snapshot after every
+// EvalEvery epochs, which produces the convergence curves of the paper's
+// Figure 7, and stopping early under cfg.Patience.
 func TrainWithHistory(cfg TrainConfig, records [][]byte) (*TrainResult, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.withDefaults()
-	if cfg.Eval == nil {
-		return Train(cfg, records)
-	}
-	if len(records) == 0 {
-		return nil, fmt.Errorf("core: no training records")
-	}
-	global, err := gnn.NewModel(cfg.Model)
+	return train(cfg, true, len(records), func(pass func([][]byte) error) error { return pass(records) })
+}
+
+// train is GraphTrainer's one driver. It runs cfg.Epochs epochs; epoch feeds
+// one epoch's share of the n records to pass, one call per slice it holds
+// resident. After each epoch the evaluation policy decides whether to score
+// a snapshot and whether to stop: cfg.EvalEvery and cfg.Patience with curve
+// set, the final model only without.
+func train(cfg TrainConfig, curve bool, n int, epoch func(pass func([][]byte) error) error) (*TrainResult, error) {
+	t, err := newTrainer(cfg)
 	if err != nil {
 		return nil, err
 	}
-	cluster := ps.NewCluster(cfg.PSShards, global.Params(),
-		func() nn.Optimizer { return nn.NewAdam(cfg.LR) }, cfg.Mode)
-	parts := make([][][]byte, cfg.Workers)
-	for i, rec := range records {
-		parts[i%cfg.Workers] = append(parts[i%cfg.Workers], rec)
+	if n == 0 {
+		return nil, fmt.Errorf("core: no training records")
 	}
-	loop := trainWorkerLoop
-	if cfg.Model.EdgeHead != "" {
-		loop = trainLinkWorkerLoop
+	cfg = t.cfg
+	if !curve {
+		cfg.EvalEvery, cfg.Patience = cfg.Epochs, 0 // score the last epoch only, never stop early
 	}
-
-	start := time.Now()
-	var history []EpochStats
+	res := &TrainResult{}
 	var best *gnn.Model
-	bestMetric, bestEpoch := -1.0, 0
-	sinceBest := 0
-	stopped := false
-	for e := 0; e < cfg.Epochs; e++ {
-		epochStart := time.Now()
-		var acc epochAcc
-		var accMu sync.Mutex
-		var wg sync.WaitGroup
-		errCh := make(chan error, cfg.Workers)
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				sub := cfg
-				sub.Epochs = 1
-				sub.Seed = cfg.Seed + int64(e+1)*104729
-				local := make([]epochAcc, 1)
-				if err := loop(sub, w, parts[w], cluster.Client(), local); err != nil {
-					errCh <- err
-					return
-				}
-				accMu.Lock()
-				acc.lossSum += local[0].lossSum
-				acc.batches += local[0].batches
-				acc.vec += local[0].vec
-				acc.compute += local[0].compute
-				accMu.Unlock()
-			}(w)
-		}
-		wg.Wait()
-		select {
-		case err := <-errCh:
+	bestMetric, sinceBest := -1.0, 0
+	start := time.Now()
+	for e := 1; e <= cfg.Epochs && !res.Stopped; e++ {
+		t0 := time.Now()
+		t.acc = epochAcc{}
+		if err := epoch(t.pass); err != nil {
 			return nil, err
-		default:
 		}
-		st := EpochStats{Epoch: e + 1, Duration: time.Since(epochStart)}
-		if acc.batches > 0 {
-			st.Loss = acc.lossSum / float64(acc.batches)
+		st := EpochStats{Epoch: e, Duration: time.Since(t0), VecBusy: t.acc.vec, ComputeBusy: t.acc.compute}
+		if t.acc.batches > 0 {
+			st.Loss = t.acc.lossSum / float64(t.acc.batches)
 		}
-		st.VecBusy = time.Duration(acc.vec)
-		st.ComputeBusy = time.Duration(acc.compute)
-		if (e+1)%cfg.EvalEvery == 0 || e == cfg.Epochs-1 {
-			snap, err := gnn.NewModel(cfg.Model)
+		if cfg.Eval != nil && (e%cfg.EvalEvery == 0 || e == cfg.Epochs) {
+			snap, err := t.snapshot()
 			if err != nil {
 				return nil, err
 			}
-			cluster.Snapshot(snap.Params())
-			metric, err := evalDispatch(cfg, snap)
-			if err != nil {
+			if st.Metric, err = evalDispatch(cfg, snap); err != nil {
 				return nil, err
 			}
-			st.Metric = metric
 			st.HasMetric = true
-			if cfg.Logf != nil {
-				cfg.Logf("workers=%d epoch=%d loss=%.4f %s=%.4f",
-					cfg.Workers, e+1, st.Loss, cfg.EvalMetric, metric)
-			}
-			if metric > bestMetric {
-				bestMetric, bestEpoch, sinceBest = metric, e+1, 0
-				best = snap
+			if st.Metric > bestMetric {
+				best, bestMetric, sinceBest = snap, st.Metric, 0
+				res.BestEpoch, res.BestMetric = e, st.Metric
 			} else {
 				sinceBest++
 			}
-		}
-		history = append(history, st)
-		if cfg.Patience > 0 && sinceBest >= cfg.Patience {
-			stopped = true
+			res.Stopped = cfg.Patience > 0 && sinceBest >= cfg.Patience
 			if cfg.Logf != nil {
-				cfg.Logf("early stop at epoch %d (best %s %.4f at epoch %d)",
-					e+1, cfg.EvalMetric, bestMetric, bestEpoch)
+				cfg.Logf("workers=%d epoch=%d loss=%.4f %s=%.4f", cfg.Workers, e, st.Loss, cfg.EvalMetric, st.Metric)
+				if res.Stopped {
+					cfg.Logf("early stop at epoch %d (best %s %.4f at epoch %d)", e, cfg.EvalMetric, bestMetric, res.BestEpoch)
+				}
 			}
-			break
 		}
+		res.History = append(res.History, st)
 	}
-	final, err := gnn.NewModel(cfg.Model)
+	res.Total = time.Since(start)
+	if res.Model, err = t.snapshot(); err != nil {
+		return nil, err
+	}
+	if cfg.Patience > 0 && best != nil {
+		res.Model = best // restore the early-stopping optimum
+	}
+	res.PSBytesOut, res.PSBytesIn = t.cluster.Traffic()
+	return res, nil
+}
+
+// trainer is what one training run builds once and keeps across passes: the
+// parameter-server cluster, the W workers, and the accounting of the epoch
+// in flight.
+type trainer struct {
+	cfg     TrainConfig
+	task    task
+	cluster *ps.Cluster
+	workers []*worker
+	acc     epochAcc
+}
+
+// worker is one persistent training worker (paper Figure 4). Its model
+// replica's dropout stream, its shuffle stream and its negative-sampling
+// stream run on from pass to pass, so an epoch never replays an earlier
+// epoch's masks, order or negatives.
+type worker struct {
+	local   *gnn.Model
+	client  ps.Client
+	shuffle *rand.Rand
+	// neg samples link negatives. Only the prepare stage draws from it,
+	// which keeps it off the stream the runner shuffles with.
+	neg *rand.Rand
+	// free holds the worker's two workspaces between uses: batch N+1 is
+	// vectorized into one arena while batch N's step runs against the other
+	// (the paper's training pipeline, §3.3.2). A workspace comes back only
+	// after its batch's step has finished, so the prepare stage can never
+	// overwrite live activations.
+	free chan *tensor.Workspace
+}
+
+func newTrainer(cfg TrainConfig) (*trainer, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
+	t := &trainer{cfg: cfg, task: nodeTask(cfg)}
+	if cfg.Model.EdgeHead != "" {
+		t.task = linkTask(cfg)
+	}
+	for id := 0; id < cfg.Workers; id++ {
+		local, err := gnn.NewModel(cfg.Model)
+		if err != nil {
+			return nil, err
+		}
+		seed := cfg.Seed + int64(id)*7919
+		w := &worker{
+			local:   local,
+			shuffle: rand.New(rand.NewSource(seed)),
+			neg:     rand.New(rand.NewSource(seed + 1)),
+			free:    make(chan *tensor.Workspace, 2),
+		}
+		w.free <- tensor.NewWorkspace()
+		w.free <- tensor.NewWorkspace()
+		t.workers = append(t.workers, w)
+	}
+	// Every replica starts from the same Model.Seed, so any of them seeds
+	// the servers (which copy the weights).
+	t.cluster = ps.NewCluster(cfg.PSShards, t.workers[0].local.Params(),
+		func() nn.Optimizer { return nn.NewAdam(cfg.LR) }, cfg.Mode)
+	for _, w := range t.workers {
+		w.client = t.cluster.Client()
+	}
+	return t, nil
+}
+
+// snapshot reads the servers' current weights back into a fresh model.
+func (t *trainer) snapshot() (*gnn.Model, error) {
+	m, err := gnn.NewModel(t.cfg.Model)
 	if err != nil {
 		return nil, err
 	}
-	cluster.Snapshot(final.Params())
-	if cfg.Patience > 0 && best != nil {
-		final = best // restore the early-stopping optimum
+	t.cluster.Snapshot(m.Params())
+	return m, nil
+}
+
+// pass trains once over records: they are dealt round-robin to the workers,
+// every worker runs its share, and the pass ends when all have finished, so
+// a pass is a barrier. All W workers join the synchronization group before
+// any of them starts: in Sync mode a server averages over the workers
+// registered when a push arrives, and a worker that pushed before its peers
+// had joined would have its gradient applied alone. A worker leaves the
+// group as soon as its share is done, which releases peers with more
+// batches.
+func (t *trainer) pass(records [][]byte) error {
+	shares := make([][][]byte, len(t.workers))
+	for i, rec := range records {
+		shares[i%len(shares)] = append(shares[i%len(shares)], rec)
 	}
-	if bestEpoch == 0 {
-		bestMetric = 0
+	for _, w := range t.workers {
+		w.client.Register()
 	}
-	out, in := cluster.Traffic()
-	return &TrainResult{
-		Model: final, History: history, Total: time.Since(start),
-		PSBytesOut: out, PSBytesIn: in,
-		BestEpoch: bestEpoch, BestMetric: bestMetric, Stopped: stopped,
-	}, nil
+	accs := make([]epochAcc, len(t.workers))
+	errs := make([]error, len(t.workers))
+	var wg sync.WaitGroup
+	for i, w := range t.workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer w.client.Deregister()
+			accs[i], errs[i] = w.run(t.cfg, t.task, shares[i])
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return err
+		}
+		t.acc.add(accs[i])
+	}
+	return nil
+}
+
+// vectorized is one batch on its way from a worker's prepare stage to its
+// step: the three matrices of paper §3.3.1, the per-layer aggregators, the
+// supervision, and the workspace all of it lives in.
+type vectorized struct {
+	graph *gnn.BatchGraph
+	prep  *gnn.Prepared
+	// labels (class ids, LossCE) or targets (0/1 rows, BCE) supervise the
+	// batch; a link batch also names each pair's endpoint rows.
+	labels   []int
+	targets  *tensor.Matrix
+	src, dst []int
+
+	ws  *tensor.Workspace
+	vec time.Duration // time spent vectorizing
+}
+
+// task is what differs between node and link training on the one worker
+// loop.
+type task struct {
+	// assemble decodes one batch of encoded records and vectorizes it, with
+	// the feature matrix drawn from ws. neg is the worker's negative-sampling
+	// stream.
+	assemble func(ws *tensor.Workspace, encoded [][]byte, neg *rand.Rand) (*vectorized, error)
+	// step runs forward, loss and backward on the replica m, leaving the
+	// gradients in its parameters, and returns the batch loss.
+	step func(m *gnn.Model, v *vectorized, opt gnn.RunOptions) (float64, error)
+}
+
+// nodeTask trains on TrainRecords with cfg.Loss over the target rows.
+func nodeTask(cfg TrainConfig) task {
+	return task{
+		assemble: func(ws *tensor.Workspace, encoded [][]byte, _ *rand.Rand) (*vectorized, error) {
+			recs, err := DecodeRecords(encoded)
+			if err != nil {
+				return nil, err
+			}
+			b, err := AssembleBatchWS(ws, recs, cfg.Model.Classes, cfg.Loss == LossBCE)
+			if err != nil {
+				return nil, err
+			}
+			return &vectorized{graph: b.Graph, labels: b.Labels, targets: b.LabelVecs}, nil
+		},
+		step: func(m *gnn.Model, v *vectorized, opt gnn.RunOptions) (float64, error) {
+			st := m.Forward(v.graph, v.prep, opt)
+			var loss float64
+			var dLogits *tensor.Matrix
+			switch cfg.Loss {
+			case LossCE:
+				loss, dLogits = nn.SoftmaxCrossEntropyWS(opt.Workspace, st.Logits, v.labels)
+			case LossBCE:
+				loss, dLogits = nn.SigmoidBCEWS(opt.Workspace, st.Logits, v.targets)
+			default:
+				return 0, fmt.Errorf("core: unknown loss %d", cfg.Loss)
+			}
+			m.Backward(st, dLogits)
+			return loss, nil
+		},
+	}
+}
+
+// run trains the worker over its share of one pass: shuffle, slice into
+// batches, and for each batch vectorize (decode, merge, normalize the
+// adjacency), pull the latest weights, run the task's step and push the
+// gradients. Vectorization runs in its own goroutine, up to two batches
+// ahead of model compute when cfg.Pipeline is set and in lock-step
+// otherwise.
+func (w *worker) run(cfg TrainConfig, tk task, recs [][]byte) (epochAcc, error) {
+	opt := gnn.RunOptions{Pruning: cfg.Pruning, Threads: cfg.AggThreads, Train: true}
+	order := w.shuffle.Perm(len(recs))
+	depth := 0
+	if cfg.Pipeline {
+		depth = 2 // the prepare stage runs ahead of model computation
+	}
+	feed := make(chan *vectorized, depth)
+	var prepErr error // written before feed is closed, read after it drains
+	go func() {
+		defer close(feed)
+		for lo := 0; lo < len(order); lo += cfg.BatchSize {
+			ws := <-w.free
+			t0 := time.Now()
+			idx := order[lo:min(lo+cfg.BatchSize, len(order))]
+			batch := make([][]byte, len(idx))
+			for k, i := range idx {
+				batch[k] = recs[i]
+			}
+			v, err := tk.assemble(ws, batch, w.neg)
+			if err != nil {
+				w.free <- ws
+				prepErr = err
+				return
+			}
+			o := opt
+			o.Workspace = ws
+			v.prep = w.local.Prepare(v.graph, o)
+			v.ws, v.vec = ws, time.Since(t0)
+			feed <- v
+		}
+	}()
+	var acc epochAcc
+	for v := range feed {
+		t0 := time.Now()
+		o := opt
+		o.Workspace = v.ws
+		loss, err := w.step(tk, v, o)
+		if err != nil {
+			// The prepare goroutine may be parked on a send or on a
+			// workspace receive: hand every workspace back until it has
+			// finished. free holds at most the worker's two workspaces, so
+			// these sends never block.
+			go func() {
+				w.free <- v.ws
+				for g := range feed {
+					w.free <- g.ws
+				}
+			}()
+			return acc, err
+		}
+		v.ws.Reset()
+		w.free <- v.ws
+		acc.add(epochAcc{lossSum: loss, batches: 1, vec: v.vec, compute: time.Since(t0)})
+	}
+	return acc, prepErr
+}
+
+// step is one parameter-server round trip around the task's step.
+func (w *worker) step(tk task, v *vectorized, opt gnn.RunOptions) (float64, error) {
+	params := w.local.Params()
+	if err := w.client.PullInto(params); err != nil {
+		return 0, err
+	}
+	params.ZeroGrads()
+	loss, err := tk.step(w.local, v, opt)
+	if err != nil {
+		return 0, err
+	}
+	return loss, w.client.PushGrads(params)
 }
 
 // evalDispatch scores cfg.Eval with the task-appropriate protocol: ROC-AUC
@@ -384,221 +518,6 @@ func evalDispatch(cfg TrainConfig, model *gnn.Model) (float64, error) {
 	return Evaluate(model, cfg.Eval, ec)
 }
 
-// preparedBatch is a vectorized batch ready for model computation.
-type preparedBatch struct {
-	batch *Batch
-	prep  *gnn.Prepared
-}
-
-// trainWorkerLoop is the per-worker training loop: for each batch, pull the
-// latest weights, vectorize (possibly pipelined), run forward/backward, and
-// push gradients.
-func trainWorkerLoop(cfg TrainConfig, workerID int, part [][]byte, client ps.Client, accs []epochAcc) error {
-	if len(part) == 0 {
-		return nil
-	}
-	local, err := gnn.NewModel(cfg.Model)
-	if err != nil {
-		return err
-	}
-	client.Register()
-	defer client.Deregister()
-
-	opt := gnn.RunOptions{Pruning: cfg.Pruning, Threads: cfg.AggThreads, Train: true}
-	prepare := func(ws *tensor.Workspace, idx []int) (*preparedBatch, int64, error) {
-		t0 := time.Now()
-		recs := make([]*wire.TrainRecord, 0, len(idx))
-		for _, i := range idx {
-			rec, err := wire.DecodeTrainRecord(part[i])
-			if err != nil {
-				return nil, 0, err
-			}
-			recs = append(recs, rec)
-		}
-		b, err := AssembleBatchWS(ws, recs, cfg.Model.Classes, cfg.Loss == LossBCE)
-		if err != nil {
-			return nil, 0, err
-		}
-		po := opt
-		po.Workspace = ws
-		prep := local.Prepare(b.Graph, po)
-		return &preparedBatch{batch: b, prep: prep}, int64(time.Since(t0)), nil
-	}
-	step := func(pb *preparedBatch, ws *tensor.Workspace) (float64, error) {
-		if err := client.PullInto(local.Params()); err != nil {
-			return 0, err
-		}
-		so := opt
-		so.Workspace = ws
-		st := local.Forward(pb.batch.Graph, pb.prep, so)
-		var loss float64
-		var dLogits *tensor.Matrix
-		switch cfg.Loss {
-		case LossCE:
-			loss, dLogits = nn.SoftmaxCrossEntropyWS(ws, st.Logits, pb.batch.Labels)
-		case LossBCE:
-			loss, dLogits = nn.SigmoidBCEWS(ws, st.Logits, pb.batch.LabelVecs)
-		default:
-			return 0, fmt.Errorf("core: unknown loss %d", cfg.Loss)
-		}
-		local.Params().ZeroGrads()
-		local.Backward(st, dLogits)
-		if err := client.PushGrads(local.Params()); err != nil {
-			return 0, err
-		}
-		return loss, nil
-	}
-	return runWorkerEpochs(cfg, workerID, len(part), prepare, step, accs)
-}
-
-// runWorkerEpochs drives the scaffolding the node and link training loops
-// share: per-epoch example shuffling and batch slicing, the prepare stage
-// running in its own goroutine (pipelined ahead of model compute when
-// cfg.Pipeline, lock-step otherwise), and per-epoch loss/time accounting.
-// prepare vectorizes one batch of partition indices into the given
-// workspace and reports its vectorization time; step pulls weights, runs
-// forward/backward and pushes gradients against the same workspace,
-// returning the batch loss.
-//
-// The worker owns two workspaces cycled through a channel: batch N+1's
-// decode + assembly + adjacency normalization fills one arena while batch
-// N's model step runs against the other (the paper's training pipeline,
-// §3.3.2). A workspace is reset and recycled only after its batch's step
-// completes, so the prepare stage can never overwrite live activations.
-func runWorkerEpochs[B any](cfg TrainConfig, workerID, n int,
-	prepare func(ws *tensor.Workspace, idx []int) (B, int64, error),
-	step func(b B, ws *tensor.Workspace) (float64, error),
-	accs []epochAcc) error {
-	type fed struct {
-		b     B
-		vecNS int64
-		ws    *tensor.Workspace
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed + int64(workerID)*7919))
-	wsCh := make(chan *tensor.Workspace, 2)
-	wsCh <- tensor.NewWorkspace()
-	wsCh <- tensor.NewWorkspace()
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		order := rng.Perm(n)
-		batches := make([][]int, 0, n/cfg.BatchSize+1)
-		for lo := 0; lo < len(order); lo += cfg.BatchSize {
-			hi := lo + cfg.BatchSize
-			if hi > len(order) {
-				hi = len(order)
-			}
-			batches = append(batches, order[lo:hi])
-		}
-
-		acc := &accs[epoch]
-		var prepErr atomic.Value
-		depth := 0
-		if cfg.Pipeline {
-			depth = 2 // preprocessing stage runs ahead of model computation
-		}
-		feed := make(chan fed, depth)
-		go func() {
-			defer close(feed)
-			for _, idx := range batches {
-				ws := <-wsCh
-				b, vecNS, err := prepare(ws, idx)
-				if err != nil {
-					prepErr.Store(err)
-					return
-				}
-				feed <- fed{b: b, vecNS: vecNS, ws: ws}
-			}
-		}()
-		for f := range feed {
-			t0 := time.Now()
-			loss, err := step(f.b, f.ws)
-			if err != nil {
-				// Unblock the prepare goroutine (it may be parked on a
-				// send or a workspace receive) before abandoning the
-				// epoch, recycling the drained workspaces so it can
-				// finish. wsCh holds at most the two worker-owned
-				// workspaces, so the sends never block.
-				go func() {
-					wsCh <- f.ws
-					for g := range feed {
-						wsCh <- g.ws
-					}
-				}()
-				return err
-			}
-			f.ws.Reset()
-			wsCh <- f.ws
-			acc.lossSum += loss
-			acc.batches++
-			acc.vec += f.vecNS
-			acc.compute += int64(time.Since(t0))
-		}
-		if err, ok := prepErr.Load().(error); ok && err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// trainLinkWorkerLoop is the pairwise counterpart of trainWorkerLoop: the
-// worker's partition holds encoded LinkRecords; each batch assembles the
-// merged pair subgraphs, samples NegativeRatio uniform negatives per
-// positive, and trains the GNN stack plus the edge head with sigmoid BCE.
-func trainLinkWorkerLoop(cfg TrainConfig, workerID int, part [][]byte, client ps.Client, accs []epochAcc) error {
-	if len(part) == 0 {
-		return nil
-	}
-	local, err := gnn.NewModel(cfg.Model)
-	if err != nil {
-		return err
-	}
-	client.Register()
-	defer client.Deregister()
-
-	negPerPos := cfg.NegativeRatio
-	if negPerPos <= 0 {
-		negPerPos = 1
-	}
-	// The prepare stage runs in its own goroutine; its negative sampling
-	// gets a dedicated RNG so it never races the runner's shuffling RNG.
-	negRNG := rand.New(rand.NewSource(cfg.Seed + int64(workerID)*7919 + 1))
-	opt := gnn.RunOptions{Pruning: cfg.Pruning, Threads: cfg.AggThreads, Train: true}
-	prepare := func(ws *tensor.Workspace, idx []int) (*preparedLinkBatch, int64, error) {
-		t0 := time.Now()
-		recs := make([]*wire.LinkRecord, 0, len(idx))
-		for _, i := range idx {
-			rec, err := wire.DecodeLinkRecord(part[i])
-			if err != nil {
-				return nil, 0, err
-			}
-			recs = append(recs, rec)
-		}
-		b, err := AssembleLinkBatchWS(ws, recs, negPerPos, negRNG)
-		if err != nil {
-			return nil, 0, err
-		}
-		po := opt
-		po.Workspace = ws
-		prep := local.Prepare(b.Graph, po)
-		return &preparedLinkBatch{batch: b, prep: prep}, int64(time.Since(t0)), nil
-	}
-	step := func(pb *preparedLinkBatch, ws *tensor.Workspace) (float64, error) {
-		if err := client.PullInto(local.Params()); err != nil {
-			return 0, err
-		}
-		so := opt
-		so.Workspace = ws
-		st := local.ForwardEdges(pb.batch.Graph, pb.prep, pb.batch.SrcRows, pb.batch.DstRows, so)
-		loss, dLogits := nn.SigmoidBCEWS(ws, st.Logits, pb.batch.Labels)
-		local.Params().ZeroGrads()
-		local.BackwardEdges(st, dLogits)
-		if err := client.PushGrads(local.Params()); err != nil {
-			return 0, err
-		}
-		return loss, nil
-	}
-	return runWorkerEpochs(cfg, workerID, len(part), prepare, step, accs)
-}
-
 // EvalConfig parameterizes Evaluate.
 type EvalConfig struct {
 	BatchSize  int
@@ -610,9 +529,6 @@ type EvalConfig struct {
 
 // Evaluate scores a model over encoded GraphFeature records.
 func Evaluate(model *gnn.Model, records [][]byte, cfg EvalConfig) (float64, error) {
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 256
-	}
 	_, logits, labels, labelVecs, err := Predict(model, records, cfg.BatchSize, gnn.RunOptions{
 		Pruning: cfg.Pruning, Threads: cfg.AggThreads,
 	})
@@ -642,38 +558,48 @@ func Evaluate(model *gnn.Model, records [][]byte, cfg EvalConfig) (float64, erro
 func Predict(model *gnn.Model, records [][]byte, batchSize int, opt gnn.RunOptions) ([]int64, *tensor.Matrix, []int, *tensor.Matrix, error) {
 	var ids []int64
 	var labels []int
-	var logitParts []*tensor.Matrix
-	var vecParts []*tensor.Matrix
-	// One workspace serves every batch: assembly and the forward pass fill
-	// it, the (small) logit block is cloned out, and a reset recycles the
-	// arena for the next batch.
-	ws := tensor.NewWorkspace()
-	opt.Workspace = ws
-	for lo := 0; lo < len(records); lo += batchSize {
-		hi := lo + batchSize
-		if hi > len(records) {
-			hi = len(records)
-		}
-		recs, err := DecodeRecords(records[lo:hi])
+	var logitParts, vecParts []*tensor.Matrix
+	err := inferBatches(records, batchSize, opt, func(encoded [][]byte, opt gnn.RunOptions) error {
+		recs, err := DecodeRecords(encoded)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return err
 		}
-		b, err := AssembleBatchWS(ws, recs, model.Cfg.Classes, false)
+		b, err := AssembleBatchWS(opt.Workspace, recs, model.Cfg.Classes, false)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return err
 		}
-		logits := model.Infer(b.Graph, opt).Clone()
-		ws.Reset()
-		logitParts = append(logitParts, logits)
+		// The (small) logit block is cloned out of the workspace.
+		logitParts = append(logitParts, model.Infer(b.Graph, opt).Clone())
 		ids = append(ids, b.TargetIDs...)
 		labels = append(labels, b.Labels...)
 		if b.LabelVecs != nil {
 			vecParts = append(vecParts, b.LabelVecs)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	var vecs *tensor.Matrix
 	if len(vecParts) > 0 {
 		vecs = tensor.Concat(vecParts...)
 	}
 	return ids, tensor.Concat(logitParts...), labels, vecs, nil
+}
+
+// inferBatches is the one batched-inference loop: it cuts records into
+// batches and hands each to batch with opt carrying a workspace that serves
+// every batch, reset after each, so nothing batch keeps may live in it.
+func inferBatches(records [][]byte, batchSize int, opt gnn.RunOptions, batch func(encoded [][]byte, opt gnn.RunOptions) error) error {
+	if batchSize <= 0 {
+		batchSize = 256
+	}
+	opt.Workspace = tensor.NewWorkspace()
+	for lo := 0; lo < len(records); lo += batchSize {
+		if err := batch(records[lo:min(lo+batchSize, len(records))], opt); err != nil {
+			return err
+		}
+		opt.Workspace.Reset()
+	}
+	return nil
 }

@@ -1,8 +1,15 @@
-// Package cluster models the production CPU cluster the paper deploys on
-// (1000+ machines, 32-core/64GB workers): it converts measured in-process
-// task accounting into the cluster-level cost units of Table 5 (CPU
-// core·min, memory GB·min) and extrapolates multi-worker training speedup
-// beyond the host's core count for Figure 8.
+package experiments
+
+import (
+	"math/rand"
+	"time"
+)
+
+// This file is the paper's cost model of the production CPU cluster it
+// deploys on (1000+ machines, 32-core/64GB workers): it converts measured
+// in-process task accounting into the cluster-level cost units of Table 5
+// (CPU core·min, memory GB·min) and extrapolates multi-worker training
+// speedup beyond the host's core count for Figure 8.
 //
 // The speedup model encodes the paper's own explanation of its ~0.8 slope:
 // every mini-batch pays a fixed parameter-server pull+push overhead on top
@@ -10,12 +17,6 @@
 // compute/(compute+comm), with a mild additional contention term that
 // grows with the worker count and perturbs the slope (the "different tasks
 // on the same physical machine" noise the paper reports).
-package cluster
-
-import (
-	"math/rand"
-	"time"
-)
 
 // Costs are Table-5 style resource totals.
 type Costs struct {

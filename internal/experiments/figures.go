@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"agl/internal/cluster"
 	"agl/internal/core"
 	"agl/internal/datagen"
 	"agl/internal/gnn"
@@ -159,14 +158,14 @@ func Fig8(opt Options) (*Fig8Result, error) {
 		return nil, err
 	}
 	paramBytes = int64(model.Params().NumValues() * 8)
-	pullPush := cluster.DerivePullPush(paramBytes, 100e6, 200*time.Microsecond)
+	pullPush := DerivePullPush(paramBytes, 100e6, 200*time.Microsecond)
 	if limit := perBatch / 4; pullPush < limit {
 		// Small synthetic models underutilize the wire; clamp to the
 		// paper-calibrated 25% per-batch overhead so the extrapolated curve
 		// reflects production model sizes (656-dim features).
 		pullPush = limit
 	}
-	sm := cluster.SpeedupModel{
+	sm := SpeedupModel{
 		BatchCompute:        perBatch,
 		PullPush:            pullPush,
 		ContentionPerWorker: perBatch / 2000,

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"agl/internal/cluster"
 	"agl/internal/core"
 	"agl/internal/datagen"
 	"agl/internal/gnn"
@@ -16,10 +15,10 @@ import (
 // Table5Result compares GraphInfer with the original GraphFeature-based
 // inference over the whole UUG-like graph.
 type Table5Result struct {
-	OriginalFlat    cluster.Costs
-	OriginalForward cluster.Costs
-	OriginalTotal   cluster.Costs
-	GraphInfer      cluster.Costs
+	OriginalFlat    Costs
+	OriginalForward Costs
+	OriginalTotal   Costs
+	GraphInfer      Costs
 	SpeedupTime     float64
 	SpeedupCPU      float64
 	Text            string
@@ -88,19 +87,19 @@ func Table5(opt Options) (*Table5Result, error) {
 	var flatBytes int64
 	for _, s := range orig.FlatStats {
 		flatBusy += s.MapBusy + s.ReduceBusy
-		flatMem += cluster.MemGBMin(s.BytesShuffled, s.Wall)
+		flatMem += MemGBMin(s.BytesShuffled, s.Wall)
 		flatBytes += s.BytesShuffled
 	}
-	res.OriginalFlat = cluster.Costs{Wall: orig.FlatWall, CPUCoreMin: cluster.CPUCoreMin(flatBusy), MemGBMin: flatMem}
+	res.OriginalFlat = Costs{Wall: orig.FlatWall, CPUCoreMin: CPUCoreMin(flatBusy), MemGBMin: flatMem}
 	// The forward phase holds every GraphFeature resident; the final
 	// round's shuffle volume bounds the record store size.
 	featureBytes := flatBytes
-	res.OriginalForward = cluster.Costs{
+	res.OriginalForward = Costs{
 		Wall:       orig.ForwardWall,
-		CPUCoreMin: cluster.CPUCoreMin(orig.ForwardBusy),
-		MemGBMin:   cluster.MemGBMin(featureBytes, orig.ForwardWall),
+		CPUCoreMin: CPUCoreMin(orig.ForwardBusy),
+		MemGBMin:   MemGBMin(featureBytes, orig.ForwardWall),
 	}
-	res.OriginalTotal = cluster.Costs{
+	res.OriginalTotal = Costs{
 		Wall:       res.OriginalFlat.Wall + res.OriginalForward.Wall,
 		CPUCoreMin: res.OriginalFlat.CPUCoreMin + res.OriginalForward.CPUCoreMin,
 		MemGBMin:   res.OriginalFlat.MemGBMin + res.OriginalForward.MemGBMin,
@@ -109,9 +108,9 @@ func Table5(opt Options) (*Table5Result, error) {
 	var fastMem float64
 	for _, s := range fast.RoundStats {
 		fastBusy += s.MapBusy + s.ReduceBusy
-		fastMem += cluster.MemGBMin(s.BytesShuffled, s.Wall)
+		fastMem += MemGBMin(s.BytesShuffled, s.Wall)
 	}
-	res.GraphInfer = cluster.Costs{Wall: fast.Wall, CPUCoreMin: cluster.CPUCoreMin(fastBusy), MemGBMin: fastMem}
+	res.GraphInfer = Costs{Wall: fast.Wall, CPUCoreMin: CPUCoreMin(fastBusy), MemGBMin: fastMem}
 	if res.GraphInfer.Wall > 0 {
 		res.SpeedupTime = float64(res.OriginalTotal.Wall) / float64(res.GraphInfer.Wall)
 	}
@@ -119,7 +118,7 @@ func Table5(opt Options) (*Table5Result, error) {
 		res.SpeedupCPU = res.OriginalTotal.CPUCoreMin / res.GraphInfer.CPUCoreMin
 	}
 
-	fmtRow := func(name string, c cluster.Costs) []string {
+	fmtRow := func(name string, c Costs) []string {
 		return []string{name, fmt.Sprintf("%.2fs", c.Wall.Seconds()),
 			fmt.Sprintf("%.4f", c.CPUCoreMin), fmt.Sprintf("%.6f", c.MemGBMin)}
 	}

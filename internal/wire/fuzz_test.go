@@ -1,0 +1,121 @@
+package wire
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+)
+
+// overflowCounts are length prefixes whose byte size wraps when computed
+// with a multiply or an int conversion: 1<<61 float64s is 1<<64 bytes, and
+// 1<<63 is a negative int.
+var overflowCounts = []uint64{1 << 61, 1<<61 + 1, 1 << 63, 1<<64 - 1}
+
+// TestOverflowingCountsAreTruncation: a count no buffer could hold must be
+// ErrTruncated from every length-prefixed reader and from the record
+// decoders built on them, not a wrapped bounds check followed by a make.
+func TestOverflowingCountsAreTruncation(t *testing.T) {
+	for _, n := range overflowCounts {
+		prefix := AppendUvarint(nil, n)
+		if r := NewReader(prefix); r.Float64s() != nil || r.Err() != ErrTruncated {
+			t.Fatalf("Float64s accepted count %d: %v", n, r.Err())
+		}
+		if r := NewReader(prefix); r.Bytes() != nil || r.Err() != ErrTruncated {
+			t.Fatalf("Bytes accepted count %d: %v", n, r.Err())
+		}
+		// TargetID, Label, then the count as the LabelVec length.
+		if _, err := DecodeTrainRecord(append([]byte{2, 0}, prefix...)); err == nil {
+			t.Fatalf("DecodeTrainRecord accepted LabelVec length %d", n)
+		}
+		// Src, Dst, Label, subgraph target, one node: id, degree, then the
+		// count as the feature length.
+		link := append([]byte{2, 4, 2, 2, 1, 2}, AppendFloat64(nil, 1)...)
+		if _, err := DecodeLinkRecord(append(link, prefix...)); err == nil {
+			t.Fatalf("DecodeLinkRecord accepted feature length %d", n)
+		}
+	}
+}
+
+// describable is the fewest bytes any encoding of sg occupies: a node is at
+// least an id, a degree and a feature count, an edge two ids, a weight and a
+// feature count, and every float is eight bytes. Decoding must never build
+// more than its input could describe.
+func describable(sg *Subgraph) int {
+	size := 10*len(sg.Nodes) + 11*len(sg.Edges)
+	for _, n := range sg.Nodes {
+		size += 8 * len(n.Feat)
+	}
+	for _, e := range sg.Edges {
+		size += 8 * len(e.Feat)
+	}
+	return size
+}
+
+func fuzzSeeds(f *testing.F, encode func(sg *Subgraph) []byte) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 8; i++ {
+		enc := encode(randomSubgraph(rng))
+		f.Add(enc)
+		f.Add(enc[:len(enc)/2])
+	}
+	for _, n := range overflowCounts {
+		f.Add(append([]byte{2, 0}, AppendUvarint(nil, n)...))
+		f.Add(append([]byte{2, 4, 2, 2}, AppendUvarint(nil, n)...))
+	}
+}
+
+// FuzzDecodeTrainRecord: the decoder never panics, never builds more than
+// the input could describe, and whatever it accepts re-encodes to a
+// canonical form that decodes back to itself.
+func FuzzDecodeTrainRecord(f *testing.F) {
+	fuzzSeeds(f, func(sg *Subgraph) []byte {
+		return EncodeTrainRecord(&TrainRecord{TargetID: sg.Target, Label: 1, LabelVec: []float64{0, 1}, SG: sg})
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := DecodeTrainRecord(data)
+		if err != nil {
+			return
+		}
+		if got := 8*len(rec.LabelVec) + describable(rec.SG); got > len(data) {
+			t.Fatalf("decoded %d bytes' worth from %d input bytes", got, len(data))
+		}
+		enc := EncodeTrainRecord(rec)
+		if len(enc) > len(data) {
+			t.Fatalf("canonical form is %d bytes, input only %d", len(enc), len(data))
+		}
+		again, err := DecodeTrainRecord(enc)
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if !bytes.Equal(EncodeTrainRecord(again), enc) {
+			t.Fatal("re-encode does not round-trip")
+		}
+	})
+}
+
+// FuzzDecodeLinkRecord holds DecodeLinkRecord to the same three invariants.
+func FuzzDecodeLinkRecord(f *testing.F) {
+	fuzzSeeds(f, func(sg *Subgraph) []byte {
+		return EncodeLinkRecord(&LinkRecord{Src: sg.Target, Dst: sg.Target + 7, Label: 1, SG: sg})
+	})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rec, err := DecodeLinkRecord(data)
+		if err != nil {
+			return
+		}
+		if got := describable(rec.SG); got > len(data) {
+			t.Fatalf("decoded %d bytes' worth from %d input bytes", got, len(data))
+		}
+		enc := EncodeLinkRecord(rec)
+		if len(enc) > len(data) {
+			t.Fatalf("canonical form is %d bytes, input only %d", len(enc), len(data))
+		}
+		again, err := DecodeLinkRecord(enc)
+		if err != nil {
+			t.Fatalf("re-encoded record does not decode: %v", err)
+		}
+		if !bytes.Equal(EncodeLinkRecord(again), enc) {
+			t.Fatal("re-encode does not round-trip")
+		}
+	})
+}

@@ -108,7 +108,8 @@ func (r *Reader) Float64s() []float64 {
 	if r.err != nil {
 		return nil
 	}
-	if int(n)*8 > r.Remaining() {
+	// Divide, never multiply: n*8 wraps for counts near 1<<61.
+	if n > uint64(r.Remaining()/8) {
 		r.err = ErrTruncated
 		return nil
 	}
@@ -126,7 +127,7 @@ func (r *Reader) Bytes() []byte {
 	if r.err != nil {
 		return nil
 	}
-	if int(n) > r.Remaining() {
+	if n > uint64(r.Remaining()) {
 		r.err = ErrTruncated
 		return nil
 	}
