@@ -1,15 +1,13 @@
 #!/usr/bin/env python3
 """Diff-check served /link AUC between two aglserve backends.
 
-    quant_auc.py <nodes.tsv> <edges.tsv> <float_url> <quant_url> <baseline.json>
+    quant_auc.py <nodes.tsv> <edges.tsv> <float_url> <quant_url> <budget_pct>
 
 Builds a balanced pair set (positives sampled from the edge table,
 negatives from non-edges), scores every pair through GET /link on both
 servers, computes the rank-sum ROC-AUC of each, and fails when the
-quantized backend's AUC regret relative to the float backend exceeds the
-budget: the committed quant.auc_regret_pct baseline, or — when that sits
-at 0, the zero-baseline convention of bench-baseline.json — the per-PR
-bench tolerance of 10 (percent).
+quantized backend's AUC regret relative to the float backend exceeds
+budget_pct percent.
 """
 import json
 import random
@@ -41,7 +39,8 @@ def auc(labeled):
 
 
 def main() -> int:
-    nodes_path, edges_path, float_url, quant_url, baseline_path = sys.argv[1:6]
+    nodes_path, edges_path, float_url, quant_url = sys.argv[1:5]
+    budget = float(sys.argv[5])
     ids = [int(line.split("\t")[0]) for line in open(nodes_path) if line.strip()]
     edges = set()
     for line in open(edges_path):
@@ -63,7 +62,6 @@ def main() -> int:
         labeled = [(label, served_score(url, s, d)) for label, s, d in pairs]
         auc_by_url[url] = auc(labeled)
 
-    budget = json.load(open(baseline_path)).get("quant.auc_regret_pct", 0) or 10.0
     a_f, a_q = auc_by_url[float_url], auc_by_url[quant_url]
     regret = max(0.0, (a_f - a_q) / a_f * 100) if a_f > 0 else 0.0
     print(f"served /link AUC: float {a_f:.4f}, quant {a_q:.4f}, "

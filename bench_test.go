@@ -86,16 +86,3 @@ func BenchmarkFig8Speedup(b *testing.B) {
 		b.ReportMetric(res.Slope, "slope-at-100")
 	}
 }
-
-// BenchmarkServeLoad runs the online-serving load test: cold forward
-// passes, warm store lookups and hot cache hits under concurrent clients.
-func BenchmarkServeLoad(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.Serve(benchOpts(b))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.HitColdSpeedup, "hit-vs-cold-x")
-		b.ReportMetric(res.Phases[2].Throughput, "hot-req/s")
-	}
-}

@@ -1,20 +1,15 @@
-// Command aglbench regenerates the paper's evaluation tables and figures
-// plus the engine's perf baselines, and doubles as the CI bench-regression
-// guard and dataset generator.
+// Command aglbench regenerates the paper's evaluation tables and figures,
+// and doubles as the dataset generator for the CLI pipeline.
 //
-//	aglbench -exp all                     # every experiment, moderate scale
+//	aglbench -exp all                     # every table and figure, moderate scale
 //	aglbench -exp table4 -quick           # one experiment, CI scale
-//	aglbench -exp shuffle,serve,update -quick -json results.json
-//	aglbench -check results.json -baseline bench-baseline.json -tolerance 10
 //	aglbench -gen data -gen-nodes 400     # write nodes/edges/targets TSVs
-//	aglbench -exp train -cpuprofile cpu.out -memprofile mem.out
-//	                                      # profile the compute engine with pprof
 //
-// Output juxtaposes measured values with the paper's reported numbers;
-// EXPERIMENTS.md records a reference run. -json writes the experiments'
-// machine-readable metrics (flat {"exp.metric": value}, all
-// lower-is-better); -check compares such a results file against a
-// committed baseline and exits non-zero past the tolerance multiplier.
+// Output juxtaposes measured values with the paper's reported numbers. How
+// fast the system runs is not measured here: that is bench/ (bash
+// bench/run.sh). To profile an experiment, run its benchmark under go test:
+//
+//	go test -run '^$' -bench Table4 -cpuprofile cpu.out .
 package main
 
 import (
@@ -23,8 +18,6 @@ import (
 	"log"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"agl/internal/datagen"
@@ -36,114 +29,35 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("aglbench: ")
 
-	exp := flag.String("exp", "all", "comma-separated experiments: table1|table2|table3|table4|table5|fig7|fig8|shuffle|serve|update|link|train|oocore|overload|cluster|quant|chaos|all")
+	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments.AllExperiments, "|")+"|all")
 	quick := flag.Bool("quick", false, "CI-scale datasets and epochs")
 	seed := flag.Int64("seed", 1, "global seed")
 	verbose := flag.Bool("v", false, "progress logging")
-	jsonOut := flag.String("json", "", "write machine-readable metrics of the run experiments to this file")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the experiment run to this file")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
-
-	check := flag.String("check", "", "compare this metrics file against -baseline and exit (no experiments run)")
-	baseline := flag.String("baseline", "bench-baseline.json", "baseline metrics file for -check")
-	tolerance := flag.Float64("tolerance", 10, "allowed multiplier over baseline for -check (lower-is-better metrics)")
 
 	gen := flag.String("gen", "", "write a generated UUG dataset (nodes.tsv/edges.tsv/targets.tsv) to this directory and exit")
 	genNodes := flag.Int("gen-nodes", 400, "node count for -gen")
 	genDim := flag.Int("gen-dim", 8, "feature dimension for -gen")
 	flag.Parse()
 
-	switch {
-	case *check != "":
-		if err := runCheck(*check, *baseline, *tolerance); err != nil {
-			log.Fatal(err)
-		}
-		return
-	case *gen != "":
+	if *gen != "" {
 		if err := runGen(*gen, *genNodes, *genDim, *seed); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
-	// pprof hooks: kernel and trainer work is measurable on any experiment
-	// run without a test harness (aglbench -exp train -cpuprofile cpu.out).
-	// Teardown is explicit (not deferred) so fatal exits — including a
-	// failing experiment, the very run one wants to profile — still leave
-	// valid profiles behind.
-	var cpuFile *os.File
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatalf("-cpuprofile: %v", err)
-		}
-		cpuFile = f
-	}
-	profilesDone := false
-	finishProfiles := func() {
-		if profilesDone {
-			return
-		}
-		profilesDone = true
-		if cpuFile != nil {
-			pprof.StopCPUProfile()
-			if err := cpuFile.Close(); err != nil {
-				log.Printf("-cpuprofile: %v", err)
-			} else {
-				log.Printf("wrote CPU profile to %s", *cpuProfile)
-			}
-		}
-		if *memProfile != "" {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				log.Printf("-memprofile: %v", err)
-				return
-			}
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				log.Printf("-memprofile: %v", err)
-			} else {
-				log.Printf("wrote heap profile to %s", *memProfile)
-			}
-			if err := f.Close(); err != nil {
-				log.Printf("-memprofile: %v", err)
-			}
-		}
-	}
-	defer finishProfiles()
-	fatalf := func(format string, args ...any) {
-		finishProfiles()
-		log.Fatalf(format, args...)
-	}
-
 	opt := experiments.Options{Quick: *quick, Seed: *seed}
 	if *verbose {
 		opt.Logf = log.Printf
 	}
-
-	metrics := map[string]float64{}
-	collect := func(name string, res any) {
-		if p, ok := res.(experiments.MetricsProvider); ok {
-			for k, v := range p.Metrics() {
-				metrics[name+"."+k] = v
-			}
-		}
-	}
-
 	run := func(name string, f func() (fmt.Stringer, error)) {
 		res, err := f()
 		if err != nil {
-			fatalf("%s: %v", name, err)
+			log.Fatalf("%s: %v", name, err)
 		}
 		fmt.Println(res)
-		collect(name, res)
 	}
 
-	// Expand "all" so every experiment flows through the metric-collecting
-	// dispatcher (-exp all -json regenerates the full baseline).
 	var names []string
 	for _, name := range strings.Split(*exp, ",") {
 		if name = strings.TrimSpace(name); name == "all" {
@@ -168,61 +82,10 @@ func main() {
 			run("fig7", func() (fmt.Stringer, error) { return experiments.Fig7(opt) })
 		case "fig8":
 			run("fig8", func() (fmt.Stringer, error) { return experiments.Fig8(opt) })
-		case "shuffle":
-			run("shuffle", func() (fmt.Stringer, error) { return experiments.Shuffle(opt) })
-		case "serve":
-			run("serve", func() (fmt.Stringer, error) { return experiments.Serve(opt) })
-		case "update":
-			run("update", func() (fmt.Stringer, error) { return experiments.Update(opt) })
-		case "link":
-			run("link", func() (fmt.Stringer, error) { return experiments.Link(opt) })
-		case "train":
-			run("train", func() (fmt.Stringer, error) { return experiments.TrainPerf(opt) })
-		case "oocore":
-			run("oocore", func() (fmt.Stringer, error) { return experiments.OOCore(opt) })
-		case "overload":
-			run("overload", func() (fmt.Stringer, error) { return experiments.Overload(opt) })
-		case "cluster":
-			run("cluster", func() (fmt.Stringer, error) { return experiments.Cluster(opt) })
-		case "quant":
-			run("quant", func() (fmt.Stringer, error) { return experiments.Quant(opt) })
-		case "chaos":
-			run("chaos", func() (fmt.Stringer, error) { return experiments.Chaos(opt) })
 		default:
-			fatalf("unknown experiment %q", name)
+			log.Fatalf("unknown experiment %q", name)
 		}
 	}
-
-	if *jsonOut != "" {
-		if len(metrics) == 0 {
-			fatalf("-json: no metrics collected (experiments %q export none; try shuffle,serve,update)", *exp)
-		}
-		if err := experiments.WriteMetricsFile(*jsonOut, metrics); err != nil {
-			fatalf("%v", err)
-		}
-		log.Printf("wrote %d metrics to %s", len(metrics), *jsonOut)
-	}
-}
-
-// runCheck is the bench-regression guard: measured vs committed baseline.
-func runCheck(resultsPath, baselinePath string, tolerance float64) error {
-	base, err := experiments.ReadMetricsFile(baselinePath)
-	if err != nil {
-		return err
-	}
-	got, err := experiments.ReadMetricsFile(resultsPath)
-	if err != nil {
-		return err
-	}
-	fmt.Print(experiments.FormatMetricsComparison(base, got, tolerance))
-	if violations := experiments.CompareMetrics(base, got, tolerance); len(violations) > 0 {
-		for _, v := range violations {
-			fmt.Fprintln(os.Stderr, "REGRESSION:", v)
-		}
-		return fmt.Errorf("%d metric(s) regressed past %gx of baseline", len(violations), tolerance)
-	}
-	fmt.Printf("all %d baseline metrics within %gx\n", len(base), tolerance)
-	return nil
 }
 
 // runGen materializes a small UUG dataset as the TSV tables the CLI

@@ -26,13 +26,31 @@ import (
 // is a placement table whose writes are operator-rare (migrations,
 // failovers), so the file stays tiny for the lifetime of a deployment.
 type wal struct {
-	f *os.File
+	f walFile
+	// end is the offset one past the last intact record, where the next
+	// one is written.
+	end int64
+	// err latches a failed record that could not be cut off again: every
+	// later append and sync returns it.
+	err error
+}
+
+// walFile is what the WAL needs of its file: an *os.File, or a test's
+// fault-injecting wrapper around one.
+type walFile interface {
+	io.WriterAt
+	Truncate(size int64) error
+	Sync() error
+	Close() error
 }
 
 const (
 	walKindMeta  = 1
 	walKindEntry = 2
 	walKindTrunc = 3
+
+	walHdrSize   = 8
+	maxWALRecord = 1 << 26
 )
 
 // walState is what replay recovers.
@@ -48,7 +66,12 @@ func openWAL(path string) (*wal, walState, error) {
 	if err != nil {
 		return nil, walState{}, fmt.Errorf("consensus: open wal: %w", err)
 	}
-	st, goodEnd, err := replayWAL(f)
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, walState{}, fmt.Errorf("consensus: stat wal: %w", err)
+	}
+	st, goodEnd, err := replayWAL(f, fi.Size())
 	if err != nil {
 		f.Close()
 		return nil, walState{}, err
@@ -58,33 +81,28 @@ func openWAL(path string) (*wal, walState, error) {
 		f.Close()
 		return nil, walState{}, fmt.Errorf("consensus: trim wal tail: %w", err)
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, walState{}, err
-	}
-	return &wal{f: f}, st, nil
+	return &wal{f: f, end: goodEnd}, st, nil
 }
 
-// replayWAL scans records from the start, returning the recovered state
-// and the offset of the last intact record boundary.
-func replayWAL(f *os.File) (walState, int64, error) {
+// replayWAL scans the records of a size-byte WAL from its start, returning
+// the recovered state and the offset of the last intact record boundary.
+func replayWAL(r io.Reader, size int64) (walState, int64, error) {
 	var st walState
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return st, 0, err
-	}
 	var off int64
-	hdr := make([]byte, 8)
+	hdr := make([]byte, walHdrSize)
 	for {
-		if _, err := io.ReadFull(f, hdr); err != nil {
+		if _, err := io.ReadFull(r, hdr); err != nil {
 			return st, off, nil // clean EOF or torn header: stop here
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > 1<<26 {
-			return st, off, nil // corrupt length: treat as torn tail
+		// A length the file cannot hold is a torn or corrupt tail, and is
+		// never allocated.
+		if n == 0 || n > maxWALRecord || int64(n) > size-off-walHdrSize {
+			return st, off, nil
 		}
 		payload := make([]byte, n)
-		if _, err := io.ReadFull(f, payload); err != nil {
+		if _, err := io.ReadFull(r, payload); err != nil {
 			return st, off, nil
 		}
 		if crc32.ChecksumIEEE(payload) != crc {
@@ -93,7 +111,7 @@ func replayWAL(f *os.File) (walState, int64, error) {
 		if err := applyWALRecord(&st, payload); err != nil {
 			return st, off, err
 		}
-		off += int64(8 + n)
+		off += walHdrSize + int64(n)
 	}
 }
 
@@ -150,19 +168,30 @@ func applyWALRecord(st *walState, p []byte) error {
 }
 
 // writeRecord appends one framed record (no fsync; callers batch then
-// sync once).
+// sync once). Header and payload go out in one write. A write that fails
+// part-way (disk full) leaves a torn record, and replay stops at the first
+// one it meets, so a record written behind it would be lost: the tear is
+// cut off before the error is returned, and the next record lands where
+// this one would have.
 func (w *wal) writeRecord(payload []byte) error {
 	if w == nil {
 		return nil
 	}
-	hdr := make([]byte, 8)
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
-	if _, err := w.f.Write(hdr); err != nil {
+	if w.err != nil {
+		return w.err
+	}
+	rec := make([]byte, walHdrSize+len(payload))
+	binary.LittleEndian.PutUint32(rec[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(rec[4:8], crc32.ChecksumIEEE(payload))
+	copy(rec[walHdrSize:], payload)
+	if _, err := w.f.WriteAt(rec, w.end); err != nil {
+		if terr := w.f.Truncate(w.end); terr != nil {
+			w.err = fmt.Errorf("consensus: wal failed: write: %v; cutting off the torn record: %w", err, terr)
+		}
 		return err
 	}
-	_, err := w.f.Write(payload)
-	return err
+	w.end += int64(len(rec))
+	return nil
 }
 
 // saveMeta records the current term and vote.
@@ -199,6 +228,9 @@ func (w *wal) truncateFrom(from uint64) error {
 func (w *wal) sync() error {
 	if w == nil {
 		return nil
+	}
+	if w.err != nil {
+		return w.err
 	}
 	return w.f.Sync()
 }

@@ -112,3 +112,37 @@ func TestTrainWorkspaceMatchesAllocating(t *testing.T) {
 		t.Fatalf("workspace hit rate too low: %d misses of %d gets", misses, gets)
 	}
 }
+
+// TestWarmTrainPassAllocsPerExample holds the training loop to its
+// allocation ceiling. Once a trainer's workers have run one pass their
+// workspaces are sized, and a further pass — decode, vectorize, pull,
+// forward, backward, push for every batch — costs about 70 heap objects per
+// example here: roughly 1.5 per subgraph node for decoding the record, plus
+// each batch's bookkeeping. The ceiling is 200. Anything that
+// allocates per feature value, per edge or per matrix row (a decoder that
+// lost its pre-sizing, a kernel that stopped drawing rows from the
+// workspace) costs several times that.
+func TestWarmTrainPassAllocsPerExample(t *testing.T) {
+	train, _, _ := miniCora(t, 2)
+	tr, err := newTrainer(TrainConfig{
+		Model: gnn.Config{
+			Kind: gnn.KindGCN, InDim: 48, Hidden: 32, Classes: 4, Layers: 2,
+			Act: nn.ActReLU, Dropout: 0.1, Seed: 1,
+		},
+		Loss: LossCE, BatchSize: 8, LR: 0.02,
+		Pipeline: true, AggThreads: 4, Seed: 2,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPass := testing.AllocsPerRun(3, func() { // one warm-up pass, then three measured
+		if err := tr.pass(train); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perExample := perPass / float64(len(train))
+	t.Logf("%.0f allocs per warm pass over %d examples: %.1f per example", perPass, len(train), perExample)
+	if perExample > 200 {
+		t.Fatalf("%.1f allocs per example in a warm pass, ceiling 200", perExample)
+	}
+}

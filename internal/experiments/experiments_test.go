@@ -136,111 +136,11 @@ func TestFig8Quick(t *testing.T) {
 	}
 }
 
-func TestTrainPerfQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long experiment")
-	}
-	res, err := TrainPerf(quickOpts(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Examples <= 0 || res.NsPerExample <= 0 || res.Throughput <= 0 {
-		t.Fatalf("malformed result %+v", res)
-	}
-	m := res.Metrics()
-	if m["train_throughput_ns_per_example"] != res.NsPerExample {
-		t.Fatal("metrics do not carry the guarded inverse throughput")
-	}
-	// The engine bar: the workspace-backed step must not allocate per
-	// matrix anymore — a few hundred heap objects per example would mean
-	// the arena stopped hitting.
-	if res.StepAllocs > 2000 {
-		t.Fatalf("allocs/example %v: workspace reuse regressed", res.StepAllocs)
-	}
-}
-
-func TestClusterQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long experiment")
-	}
-	res, err := Cluster(quickOpts(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The experiment hard-fails on any divergence from the unsharded
-	// reference (warm/link/migration bit-exact, cold within the 1e-9
-	// consistency contract); reaching here means every check held.
-	if res.MigrationWrongAnswers != 0 || res.MigrationProbes == 0 {
-		t.Fatalf("migration window: %d probes, %d wrong answers", res.MigrationProbes, res.MigrationWrongAnswers)
-	}
-	if res.MigrationRowsMoved <= 0 {
-		t.Fatalf("migration moved %d rows, want > 0", res.MigrationRowsMoved)
-	}
-	m := res.Metrics()
-	for _, k := range []string{"warm_p50_ns", "cold_p50_ns", "link_p99_ns",
-		"migration_pause_ms", "migration_wrong_answers", "scaling_shortfall_pct"} {
-		if _, ok := m[k]; !ok {
-			t.Fatalf("metric %q missing from the bench-regression set", k)
-		}
-	}
-	if m["warm_p50_ns"] <= 0 || m["link_p99_ns"] <= 0 {
-		t.Fatalf("malformed latency metrics %+v", m)
-	}
-}
-
-func TestChaosQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long experiment")
-	}
-	res, err := Chaos(quickOpts(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The experiment hard-fails on wrong answers, a vacuous fault
-	// schedule, or an unrecovered failover; reaching here means the
-	// cluster survived injected faults AND a replica kill correctly.
-	if res.WrongAnswers != 0 {
-		t.Fatalf("%d wrong answers", res.WrongAnswers)
-	}
-	if res.ChaosInjected == 0 || res.ChaosRetries == 0 {
-		t.Fatalf("fault schedule vacuous: %d injected, %d retries", res.ChaosInjected, res.ChaosRetries)
-	}
-	if res.Failover <= 0 || res.Failover > failoverCeiling {
-		t.Fatalf("failover took %v", res.Failover)
-	}
-	if res.VictimSlots == 0 || res.PostProbes == 0 {
-		t.Fatalf("kill phase vacuous: %d victim slots, %d post probes", res.VictimSlots, res.PostProbes)
-	}
-	m := res.Metrics()
-	for _, k := range []string{"failover_ms", "wrong_answers", "read_failures", "read_p99_ns"} {
-		if _, ok := m[k]; !ok {
-			t.Fatalf("metric %q missing from the bench-regression set", k)
-		}
-	}
-}
-
-func TestServeQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("long experiment")
-	}
-	res, err := Serve(quickOpts(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Phases) != 3 {
-		t.Fatalf("phases=%d want 3", len(res.Phases))
-	}
-	// The acceptance bar for the serving tier: answering from the score
-	// cache must beat the request-time forward pass by at least 10x.
-	if res.HitColdSpeedup < 10 {
-		t.Fatalf("cache hit only %.1fx faster than cold path", res.HitColdSpeedup)
-	}
-	if res.HubForwardPasses != 1 {
-		t.Fatalf("hub burst ran %d forward passes, want 1", res.HubForwardPasses)
-	}
-	for _, p := range res.Phases {
-		if p.Throughput <= 0 || p.P99 < p.P50 {
-			t.Fatalf("malformed phase %+v", p)
-		}
+// TestAllExperimentsIsThePaper pins what "-exp all" runs: the paper's five
+// tables and two figures.
+func TestAllExperimentsIsThePaper(t *testing.T) {
+	want := "table1 table2 table3 table4 table5 fig7 fig8"
+	if got := strings.Join(AllExperiments, " "); got != want {
+		t.Fatalf("AllExperiments = %q, want %q", got, want)
 	}
 }

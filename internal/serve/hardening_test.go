@@ -192,7 +192,7 @@ func TestNoResultServedPastDeadline(t *testing.T) {
 }
 
 // TestWarmStaysInlineUnderColdSaturation pins the architectural guarantee
-// behind the overload experiment: a warm request completes without ever
+// behind graceful overload: a warm request completes without ever
 // entering the cold queue, so it cannot be stuck behind a saturated
 // batcher. We saturate admission completely (threshold 1, slow cold work
 // outstanding) and require warm scoring to still finish quickly.
@@ -232,15 +232,29 @@ func TestWarmStaysInlineUnderColdSaturation(t *testing.T) {
 	}
 }
 
-// TestFlightRecorderCoversTraffic runs mixed traffic with a fast recorder
-// and asserts the dump parses, spans the run, and its counter totals agree
-// with the server's own accounting.
+// TestFlightRecorderCoversTraffic runs mixed traffic, some of it shed, with
+// a fast recorder and asserts the dump parses, spans the run, and its
+// counter totals agree with the server's own accounting.
 func TestFlightRecorderCoversTraffic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.aglfr")
 	srv, warmIDs, coldIDs := hardenedServer(t, Config{
-		Seed: 1, FlightPath: path, FlightInterval: 5 * time.Millisecond, FlightSlots: 4096,
+		Seed: 1, ShedThreshold: 2,
+		FlightPath: path, FlightInterval: 5 * time.Millisecond, FlightSlots: 4096,
 	})
 	start := time.Now()
+	// Hold both admission slots: these cold requests are shed.
+	for i := 0; i < 2; i++ {
+		if err := srv.adm.admit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range coldIDs[10:15] {
+		if _, err := srv.Score(context.Background(), id); !errors.Is(err, ErrOverloaded) {
+			t.Fatalf("cold node %d with admission full: err = %v, want ErrOverloaded", id, err)
+		}
+	}
+	srv.adm.release()
+	srv.adm.release()
 	for i := 0; i < 3; i++ {
 		for _, id := range warmIDs[:30] {
 			if _, err := srv.Score(context.Background(), id); err != nil {
@@ -269,11 +283,15 @@ func TestFlightRecorderCoversTraffic(t *testing.T) {
 	if span <= 0 {
 		t.Fatalf("samples do not advance in time: span %s", span)
 	}
-	var reqs, warm, cold int64
+	var reqs, warm, cold, shed int64
 	for _, s := range samples {
 		reqs += int64(s.Requests)
 		warm += int64(s.Warm)
 		cold += int64(s.Cold)
+		shed += int64(s.Shed)
+	}
+	if shed != 5 || shed != st.Shed {
+		t.Fatalf("flight sheds total %d, server counted %d, callers saw 5", shed, st.Shed)
 	}
 	if reqs != st.Requests+st.LinkRequests {
 		t.Fatalf("flight requests total %d != served %d", reqs, st.Requests+st.LinkRequests)

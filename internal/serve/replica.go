@@ -643,7 +643,8 @@ func (r *Replica) callIdempotent(ctx context.Context, peer int, method string, a
 }
 
 // SetChaos installs a fault-injection table on every peer client (nil
-// removes it) — the aglbench chaos experiment's hook.
+// removes it): routed reads then see the table's drops, delays and
+// duplicates as a flaky network (TestRoutedReadsBitExactUnderChaos).
 func (r *Replica) SetChaos(ch *rpcx.Chaos) {
 	r.tmu.RLock()
 	defer r.tmu.RUnlock()

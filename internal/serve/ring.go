@@ -223,8 +223,19 @@ func ReadFlightFile(path string) ([]FlightSample, error) {
 		return nil, err
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	return readFlight(f, fi.Size(), path)
+}
+
+// readFlight decodes a size-byte flight file from its start. The slot count
+// in the header is bounded by what size can hold before anything is
+// allocated for it.
+func readFlight(r io.Reader, size int64, path string) ([]FlightSample, error) {
 	hdr := make([]byte, flightHdrSize)
-	if _, err := io.ReadFull(f, hdr); err != nil {
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, fmt.Errorf("serve: flight header: %w", err)
 	}
 	if err := retiredFormat("flight file "+path, hdr); err != nil {
@@ -239,12 +250,12 @@ func ReadFlightFile(path string) ([]FlightSample, error) {
 	if slotSize != flightSlotSize {
 		return nil, fmt.Errorf("serve: flight slot size %d unsupported (want %d)", slotSize, flightSlotSize)
 	}
-	if count == 0 || count > 1<<24 {
-		return nil, fmt.Errorf("serve: flight slot count %d out of range", count)
+	if count == 0 || int64(count) > (size-flightHdrSize)/flightSlotSize {
+		return nil, fmt.Errorf("serve: flight slot count %d out of range for a %d-byte file", count, size)
 	}
 	ss := int(slotSize)
 	raw := make([]byte, int(count)*ss)
-	if _, err := io.ReadFull(f, raw); err != nil {
+	if _, err := io.ReadFull(r, raw); err != nil {
 		return nil, fmt.Errorf("serve: flight slots: %w", err)
 	}
 	n := uint64(count)

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -142,4 +145,85 @@ func TestLatHistPercentiles(t *testing.T) {
 	if got := h.percentile(0.99); got != 0 {
 		t.Fatalf("percentile after reset = %d, want 0", got)
 	}
+}
+
+// flightImage returns the bytes of a flight file written by a ring of the
+// given capacity after n appends.
+func flightImage(t testing.TB, capacity, n int) ([]byte, []FlightSample) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "flight.aglfr")
+	ring, err := NewFlightRing(capacity, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < n; i++ {
+		if err := ring.Append(randSample(rng, i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := ring.Samples()
+	if err := ring.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, want
+}
+
+// oversizedFlight is a bare 32-byte header that claims count slots.
+func oversizedFlight(count uint32) []byte {
+	hdr := make([]byte, flightHdrSize)
+	copy(hdr, flightMagic)
+	binary.LittleEndian.PutUint32(hdr[8:], flightSlotSize)
+	binary.LittleEndian.PutUint32(hdr[12:], count)
+	binary.LittleEndian.PutUint64(hdr[flightSeqOff:], uint64(count))
+	return hdr
+}
+
+// TestReadFlightFileBoundsCountByFileSize: a 32-byte file whose header
+// claims 1<<24 slots must be refused before ~1.4 GiB is allocated for them.
+func TestReadFlightFileBoundsCountByFileSize(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "huge.aglfr")
+	if err := os.WriteFile(path, oversizedFlight(1<<24), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFlightFile(path)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a header-only file claiming 1<<24 slots decoded")
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 1<<16 {
+		t.Fatalf("refusing a %d-byte file allocated %d bytes", flightHdrSize, got)
+	}
+}
+
+// FuzzReadFlightFile: the decoder never panics on arbitrary bytes and never
+// returns more samples than the input has room for; the seeds, files the
+// ring wrote before and after wrapping, decode to the ring's samples.
+func FuzzReadFlightFile(f *testing.F) {
+	for _, n := range []int{0, 3, 5, 8} {
+		data, want := flightImage(f, 5, n)
+		got, err := readFlight(bytes.NewReader(data), int64(len(data)), "ring image")
+		if err != nil || len(got) != len(want) || n > 0 && !reflect.DeepEqual(got, want) {
+			f.Fatalf("ring of 5 after %d appends decoded to %d samples (%v), want %d", n, len(got), err, len(want))
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+	}
+	f.Add(oversizedFlight(1 << 24))
+	f.Add(oversizedFlight(1<<32 - 1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		samples, err := readFlight(bytes.NewReader(data), int64(len(data)), "fuzz image")
+		if err != nil {
+			return
+		}
+		if len(samples)*flightSlotSize > len(data) {
+			t.Fatalf("%d samples decoded from %d bytes", len(samples), len(data))
+		}
+	})
 }

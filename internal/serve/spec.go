@@ -13,8 +13,8 @@ const (
 
 // StoreSpec is the declarative description of an embedding store: which
 // backend, where its file lives (or should be written), and whether to run
-// the full checksum pass after opening. cmd/aglserve's flags, the
-// experiments and embedding API users all select a store through it.
+// the full checksum pass after opening. cmd/aglserve's flags and embedding
+// API users select a store through it.
 type StoreSpec struct {
 	// Backend selects BackendMem (default when empty), BackendMmap, or
 	// BackendQuant.

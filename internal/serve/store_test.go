@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"hash/crc64"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -832,4 +833,37 @@ func TestQuantWarmPathRaceStress(t *testing.T) {
 		}
 	}()
 	wg.Wait()
+}
+
+// TestQuantFileFourTimesDenser: for the same rows, the q8 AGLSTOR1 file is
+// at least 4x smaller than the f64 file once rows are 16 wide (a q8 row is
+// its id, dim int8s and a float32 scale and zero point, against the id and
+// dim float64s), and WriteTo reports exactly the file's size.
+func TestQuantFileFourTimesDenser(t *testing.T) {
+	for _, dim := range []int{16, 32, 64} {
+		mem, err := NewStore(0, finiteEmbeddings(9, 1500, dim))
+		if err != nil {
+			t.Fatal(err)
+		}
+		quant, err := Quantize(mem)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size := func(s *RowStore) int64 {
+			fi, err := os.Stat(saveStore(t, s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n, err := s.WriteTo(io.Discard); err != nil || n != fi.Size() {
+				t.Fatalf("WriteTo reports %d bytes (%v), the file holds %d", n, err, fi.Size())
+			}
+			return fi.Size()
+		}
+		f64, q8 := size(mem), size(quant)
+		if density := float64(f64) / float64(q8); density < 4 {
+			t.Fatalf("dim %d: f64 file %d bytes, q8 file %d bytes: %.2fx denser, want >= 4x", dim, f64, q8, density)
+		} else {
+			t.Logf("dim %d: %d -> %d bytes, %.2fx", dim, f64, q8, density)
+		}
+	}
 }
