@@ -9,6 +9,9 @@ the CI job can reason about slot ownership without an extra Go binary:
            cross-shard /link assert)
     cluster_pick.py slot <nodes.tsv> <slots> <slot>
         -> one node id hashing into the given slot (the migration probe)
+    cluster_pick.py spread <nodes.tsv> <slots> <replicas> <n>
+        -> "ID,ID,...", n node ids dealt evenly over the owning replicas
+           (the routed POST /scores assert)
 """
 import sys
 
@@ -29,6 +32,10 @@ def main() -> int:
         a = ids[0]
         b = next(i for i in ids[1:] if owner(i) != owner(a))
         print(a, b)
+    elif mode == "spread":
+        replicas, n = int(sys.argv[4]), int(sys.argv[5])
+        by_owner = [[i for i in ids if slot_of(i, slots) % replicas == r] for r in range(replicas)]
+        print(",".join(str(by_owner[k % replicas][k // replicas]) for k in range(n)))
     elif mode == "slot":
         want = int(sys.argv[4])
         print(next(i for i in ids if slot_of(i, slots) == want))

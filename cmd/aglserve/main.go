@@ -20,9 +20,10 @@
 // Cluster mode (see "Running a cluster" in README.md): -peers lists every
 // replica's internal RPC address and -replica-id says which one this
 // process is. The warm embedding tier is partitioned across replicas by
-// node-id hash slot (-slots, default 256); requests for nodes this replica
-// does not own are proxied to the owner, link scores scatter-gather the
-// two endpoint embeddings, and /update mutations route to the owning
+// node-id hash slot (-slots, default 256); the ids of a request that this
+// replica does not own are proxied to their owners, one call per owning
+// peer however many ids it names, link scores gather the two endpoint
+// embeddings the same way, and /update mutations route to the owning
 // replica and fan out invalidations cluster-wide. Three extra endpoints
 // exist only in cluster mode:
 //
@@ -352,7 +353,12 @@ func main() {
 		var req struct {
 			Nodes []int64 `json:"nodes"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&req); err != nil {
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				writeError(w, http.StatusRequestEntityTooLarge, "too_large", err)
+				return
+			}
 			writeError(w, http.StatusBadRequest, "bad_request", fmt.Errorf("bad request body: %w", err))
 			return
 		}
@@ -570,13 +576,16 @@ func main() {
 	srv.Close()
 }
 
+// maxBodyBytes caps a POST body (/scores and /update).
+const maxBodyBytes = 64 << 20
+
 // decodeMutations parses a /update body: either one mutation object or
 // {"mutations":[...]}. Batch elements decode individually so one
 // malformed mutation cannot reject its valid siblings — an unparseable
 // element becomes a zero Mutation (which Apply rejects positionally) with
 // its parse error recorded at the same index in decodeErrs.
 func decodeMutations(r *http.Request) ([]graph.Mutation, []error, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, 64<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(nil, r.Body, maxBodyBytes))
 	if err != nil {
 		return nil, nil, fmt.Errorf("read request body: %w", err)
 	}

@@ -250,6 +250,43 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("unknown node returned %d", r.StatusCode)
 	}
 
+	// POST /scores edge inputs: an empty list is an empty answer, a repeated
+	// id is answered once under its key, and a body over the 64 MiB cap
+	// (/update's cap) is refused with the 413 envelope.
+	for _, tc := range []struct {
+		body       string
+		wantStatus int
+		wantBody   string
+		wantKeys   int
+	}{
+		{`{"nodes":[]}`, http.StatusOK, `{"scores":{}}`, 0},
+		{fmt.Sprintf(`{"nodes":[%d,%[1]d]}`, ids[0]), http.StatusOK, "", 1},
+		{`{"nodes":[1` + strings.Repeat(" ", 64<<20) + `]}`, http.StatusRequestEntityTooLarge, "", 0},
+	} {
+		resp, err := http.Post("http://"+addr+"/scores", "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := bodyText(resp)
+		if resp.StatusCode != tc.wantStatus || tc.wantBody != "" && strings.TrimSpace(got) != tc.wantBody {
+			t.Fatalf("POST /scores %.40s: status %d, body %.200s", tc.body, resp.StatusCode, got)
+		}
+		switch tc.wantStatus {
+		case http.StatusOK:
+			var dup struct {
+				Scores map[string][]float64 `json:"scores"`
+			}
+			if err := json.Unmarshal([]byte(got), &dup); err != nil || len(dup.Scores) != tc.wantKeys {
+				t.Fatalf("POST /scores %s: %v, body %s", tc.body, err, got)
+			}
+		default:
+			var env errEnvelope
+			if err := json.Unmarshal([]byte(got), &env); err != nil || env.Error.Code != "too_large" {
+				t.Fatalf("oversized POST /scores: %v, body %.200s", err, got)
+			}
+		}
+	}
+
 	// Step 5: POST /update — stream mutations into the serving graph.
 	// Single-mutation form: a feature update must invalidate the node.
 	target := ds.G.Nodes[0].ID

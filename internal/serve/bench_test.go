@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"testing"
 
 	"agl/internal/core"
@@ -172,4 +173,42 @@ func BenchmarkScoreParallelHot(b *testing.B) {
 			i++
 		}
 	})
+}
+
+// BenchmarkServerScoreManyWarm measures a bulk of 32 cached ids: the part
+// of POST /scores behind the HTTP edge when nothing is cold.
+func BenchmarkServerScoreManyWarm(b *testing.B) {
+	srv, g := benchServer(b, true, 4096)
+	ctx := context.Background()
+	ids := make([]int64, 32)
+	for i := range ids {
+		ids[i] = g.Nodes[i].ID
+	}
+	if _, errs := srv.ScoreMany(ctx, ids); errors.Join(errs...) != nil {
+		b.Fatal(errors.Join(errs...))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, errs := srv.ScoreMany(ctx, ids); errs[31] != nil {
+			b.Fatal(errs[31])
+		}
+	}
+}
+
+// BenchmarkReplicaScoreManyRouted measures a bulk of 32 ids that the
+// entry replica's peer owns, two in-process replicas over loopback: one
+// rpcx round trip carrying the whole group.
+func BenchmarkReplicaScoreManyRouted(b *testing.B) {
+	cl := buildCluster(b, 2)
+	ctx := context.Background()
+	entry := cl.reps[0]
+	ids := idsOwnedBy(cl, entry.Table(), 1, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, errs := entry.ScoreMany(ctx, ids); errs[31] != nil {
+			b.Fatal(errs[31])
+		}
+	}
 }

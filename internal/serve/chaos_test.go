@@ -9,8 +9,8 @@ import (
 	"agl/internal/rpcx"
 )
 
-// TestRoutedReadsBitExactUnderChaos routes every node's score and a run of
-// pair scores through replica 0 while a seeded schedule drops 8% of its
+// TestRoutedReadsBitExactUnderChaos routes every node's score, singly and in
+// bulks of 16, and a run of pair scores through replica 0 while a seeded schedule drops 8% of its
 // peer calls, delays all of them and duplicates 5%. Dropped calls surface as
 // transport errors, so they exercise the idempotent retry and the breaker
 // exactly as a flaky network would. Every answer must be bit-equal to the
@@ -65,6 +65,25 @@ func TestRoutedReadsBitExactUnderChaos(t *testing.T) {
 		read("score", func() (err error) { got, err = entry.Score(ctx, n.ID); return })
 		if !scoresEqual(got, want) {
 			t.Fatalf("score(%d) under chaos = %v, reference %v", n.ID, got, want)
+		}
+	}
+	for lo := 0; lo+16 <= len(cl.g.Nodes); lo += 16 {
+		ids := make([]int64, 16)
+		for k := range ids {
+			ids[k] = cl.g.Nodes[lo+k].ID
+		}
+		want, _ := cl.ref.ScoreMany(ctx, ids)
+		var got [][]float64
+		// A peer's group fails as a whole; the client sends the bulk again.
+		read("bulk", func() error {
+			var errs []error
+			got, errs = entry.ScoreMany(ctx, ids)
+			return errors.Join(errs...)
+		})
+		for k := range ids {
+			if !scoresEqual(got[k], want[k]) {
+				t.Fatalf("bulk score(%d) under chaos = %v, reference %v", ids[k], got[k], want[k])
+			}
 		}
 	}
 	for i := 0; i+1 < len(cl.g.Nodes) && i < 120; i++ {

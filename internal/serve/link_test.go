@@ -89,7 +89,7 @@ func TestScoreLinkWarmMatchesCold(t *testing.T) {
 	}
 }
 
-func mustMarshal(t *testing.T, m *gnn.Model) []byte {
+func mustMarshal(t testing.TB, m *gnn.Model) []byte {
 	t.Helper()
 	b, err := gnn.MarshalModel(m)
 	if err != nil {

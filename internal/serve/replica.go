@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -29,13 +28,15 @@ import (
 // replicas hold N-th of the warm tier each and run N independent batcher
 // goroutines (the cold-path throughput multiplier).
 //
-// Request routing. Score/Apply for a non-owned id forward over rpcx to the
-// owner, stamped with the router's placement epoch; the owner fences on
-// epoch equality and rejects mismatches with placement.EpochError, which
-// the router resolves by exchanging tables and retrying (bounded). Warm
-// cross-shard link scoring is a two-replica scatter-gather: one Embed RPC
-// per endpoint owner in parallel, then the pairwise head runs locally
-// (models are replicated, ScoreVec is stateless).
+// Request routing. A read is one unit of work per owner (gather): the ids
+// of a Score, ScoreMany or ScoreLink are grouped by owner and every remote
+// owner gets ONE rpcx call carrying its whole group, stamped with the
+// router's placement epoch; Apply forwards its batch likewise. The owner
+// fences on epoch equality and rejects mismatches with
+// placement.EpochError, which the router resolves by exchanging tables and
+// retrying (bounded). Link scoring gathers the endpoint rows this way and
+// runs the pairwise head locally (models are replicated). All replicas of
+// a fleet must run one build: the gob structs below are not versioned.
 //
 // Mutation flow. A batch routes to the owner of its first mutation's
 // primary node. The owner applies locally, appends the applied batch to
@@ -90,21 +91,19 @@ const DefaultFreezeTTL = 10 * time.Second
 // ---------------------------------------------------------------------------
 // Wire types (gob over rpcx).
 
-// ScoreArgs routes one Score to the owning replica.
+// ScoreArgs carries one owner's share of a routed read, for Replica.Score
+// and Replica.Embed alike: the ids of a bulk that this owner serves (one
+// id for a single Score or EmbedRow). Epoch fence and deadline are per call.
 type ScoreArgs struct {
 	Epoch             uint64
-	Node              int64
+	Nodes             []int64
 	DeadlineUnixNanos int64 // 0 = none
 }
 
-// ScoreReply carries the score vector back.
-type ScoreReply struct{ Scores []float64 }
-
-// EmbedArgs requests one layer-K embedding (link-scoring scatter).
-type EmbedArgs struct {
-	Epoch             uint64
-	Node              int64
-	DeadlineUnixNanos int64
+// ScoreReply answers ScoreArgs.Nodes by position; Errs as errsToWire.
+type ScoreReply struct {
+	Scores [][]float64
+	Errs   []string
 }
 
 // WireRow is the gob form of a Row: rows cross the cluster in their
@@ -153,8 +152,12 @@ func rowsFromWire(rows map[int64]WireRow) map[int64]Row {
 	return out
 }
 
-// EmbedReply carries the embedding back in its native codec.
-type EmbedReply struct{ Row WireRow }
+// EmbedReply answers ScoreArgs.Nodes by position with layer-K rows in
+// their native codecs; Errs as errsToWire.
+type EmbedReply struct {
+	Rows []WireRow
+	Errs []string
+}
 
 // ApplyArgs forwards a whole mutation batch to its owning replica.
 type ApplyArgs struct {
@@ -220,75 +223,89 @@ type NoArgs struct{}
 // net/rpc boundary and re-typed on the caller, so HTTP status mapping
 // (404/429/408/...) survives cross-replica forwarding.
 
-const (
-	wireUnknownNode = "serve/unknown-node:"
-	wireNoEdgeHead  = "serve/no-edge-head:"
-	wireClosed      = "serve/closed:"
-	wireExpired     = "serve/expired:"
-	wireShed        = "serve/shed:" // shed:<retryAfterNs>:<pending>:<limit>:
-	wireDeadline    = "serve/deadline:"
-	wireCanceled    = "serve/canceled:"
-)
+// wireShed tags a ShedError, whose fields travel with it:
+// serve/shed:<retryAfterNs>:<pending>:<limit>:
+const wireShed = "serve/shed:"
+
+// wireTags pairs every other typed error with its tag, in matching order
+// (ErrExpired is also a DeadlineExceeded, so it comes first).
+var wireTags = []struct {
+	tag string
+	err error
+}{
+	{"serve/unknown-node:", ErrUnknownNode},
+	{"serve/no-edge-head:", ErrNoEdgeHead},
+	{"serve/expired:", ErrExpired},
+	{"serve/closed:", ErrClosed},
+	{"serve/deadline:", context.DeadlineExceeded},
+	{"serve/canceled:", context.Canceled},
+}
 
 func errToWire(err error) error {
 	if err == nil {
 		return nil
 	}
 	var shed *ShedError
-	switch {
-	case errors.As(err, &shed):
+	if errors.As(err, &shed) {
 		return fmt.Errorf("%s%d:%d:%d: %s", wireShed,
 			shed.RetryAfter.Nanoseconds(), shed.Pending, shed.Limit, err)
-	case errors.Is(err, ErrUnknownNode):
-		return fmt.Errorf("%s %w", wireUnknownNode, err)
-	case errors.Is(err, ErrNoEdgeHead):
-		return fmt.Errorf("%s %w", wireNoEdgeHead, err)
-	case errors.Is(err, ErrExpired):
-		return fmt.Errorf("%s %w", wireExpired, err)
-	case errors.Is(err, ErrClosed):
-		return fmt.Errorf("%s %w", wireClosed, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		return fmt.Errorf("%s %w", wireDeadline, err)
-	case errors.Is(err, context.Canceled):
-		return fmt.Errorf("%s %w", wireCanceled, err)
+	}
+	for _, m := range wireTags {
+		if errors.Is(err, m.err) {
+			return fmt.Errorf("%s %w", m.tag, err)
+		}
 	}
 	return placement.EncodeError(err)
 }
 
+// errFromWire re-types what errToWire flattened. A tag counts only at the
+// start of the text, where errToWire puts it: text quoted further in can
+// never pass for one.
 func errFromWire(err error) error {
 	if err == nil {
 		return nil
 	}
 	s := err.Error()
-	if i := strings.Index(s, wireShed); i >= 0 {
-		rest := s[i+len(wireShed):]
-		parts := strings.SplitN(rest, ":", 4)
-		if len(parts) == 4 {
-			ra, e1 := strconv.ParseInt(parts[0], 10, 64)
-			pend, e2 := strconv.Atoi(parts[1])
-			lim, e3 := strconv.Atoi(parts[2])
-			if e1 == nil && e2 == nil && e3 == nil {
-				return &ShedError{RetryAfter: time.Duration(ra), Pending: pend, Limit: lim}
-			}
+	if rest, ok := strings.CutPrefix(s, wireShed); ok {
+		var ra int64
+		var pend, lim int
+		if _, serr := fmt.Sscanf(rest, "%d:%d:%d:", &ra, &pend, &lim); serr != nil {
+			return err
 		}
-		return err
+		return &ShedError{RetryAfter: time.Duration(ra), Pending: pend, Limit: lim}
 	}
-	for _, m := range []struct {
-		tag string
-		err error
-	}{
-		{wireUnknownNode, ErrUnknownNode},
-		{wireNoEdgeHead, ErrNoEdgeHead},
-		{wireExpired, ErrExpired},
-		{wireClosed, ErrClosed},
-		{wireDeadline, context.DeadlineExceeded},
-		{wireCanceled, context.Canceled},
-	} {
-		if strings.Contains(s, m.tag) {
+	for _, m := range wireTags {
+		if strings.HasPrefix(s, m.tag) {
 			return fmt.Errorf("replica: %w", m.err)
 		}
 	}
 	return placement.DecodeError(err)
+}
+
+// errsToWire and errsFromWire carry a bulk reply's positional errors (nil
+// = none failed, "" = this one did not), each in errToWire's tagged text so
+// it stays typed; n is the reply's length, for the nil case.
+func errsToWire(errs []error) []string {
+	var out []string
+	for i, err := range errs {
+		if err != nil {
+			if out == nil {
+				out = make([]string, len(errs))
+			}
+			out[i] = errToWire(err).Error()
+		}
+	}
+	return out
+}
+
+func errsFromWire(texts []string, n int) []error {
+	out := make([]error, max(n, len(texts)))
+	for i, text := range texts {
+		if text != "" {
+			out[i] = errFromWire(errors.New(text))
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------------
@@ -385,7 +402,7 @@ type ClusterStats struct {
 	Epoch        uint64 // current placement epoch
 	OwnedSlots   int    // slots owned under the current table
 	AuthSeq      uint64 // authority-log high-water mark
-	Forwards     int64  // requests forwarded to a peer (score/embed/apply)
+	Forwards     int64  // calls sent to a peer: one per remote owner of a read, one per routed apply
 	EpochRejects int64  // epoch-fence bounces seen as a caller
 	FanoutErrors int64  // follower syncs that failed or partially acked
 	PausedMs     int64  // cumulative write-freeze time on this replica
@@ -605,20 +622,13 @@ func (r *Replica) ClusterStats() ClusterStats {
 		cs.Epoch = t.Epoch
 		cs.OwnedSlots = len(t.SlotsOf(r.id))
 	}
-	r.tmu.RLock()
-	for _, p := range r.peers {
-		if p != nil {
-			cs.ProxiedRetries += p.Retries()
-			cs.BreakerOpens += p.BreakerOpens()
-		}
-	}
-	r.tmu.RUnlock()
+	h := r.clusterHealth()
+	cs.ProxiedRetries, cs.BreakerOpens = h.ProxiedRetries, h.BreakerOpens
+	cs.HeartbeatsMissed, cs.Failovers = h.HeartbeatsMissed, h.Failovers
 	if c := r.cns.Load(); c != nil {
 		cs.ConsensusOn = true
 		cs.RaftLeader, cs.RaftIsLeader = c.node.Leader()
 		cs.RaftTerm = c.node.Term()
-		cs.HeartbeatsMissed = c.heartbeatsMissed.Load()
-		cs.Failovers = c.failovers.Load()
 	}
 	return cs
 }
@@ -631,17 +641,6 @@ func (r *Replica) call(ctx context.Context, peer int, method string, args, reply
 	return errFromWire(c.Call(ctx, method, args, reply))
 }
 
-// callIdempotent is call with jittered-backoff retries for transport
-// failures — routed reads only (the method must be safe to re-send).
-// Exhausted retries surface as *rpcx.PeerDownError.
-func (r *Replica) callIdempotent(ctx context.Context, peer int, method string, args, reply any) error {
-	c := r.peerClient(peer)
-	if c == nil {
-		return fmt.Errorf("serve: replica %d has no route to peer %d (Join not called?)", r.id, peer)
-	}
-	return errFromWire(c.CallIdempotent(ctx, method, args, reply))
-}
-
 // SetChaos installs a fault-injection table on every peer client (nil
 // removes it): routed reads then see the table's drops, delays and
 // duplicates as a flaky network (TestRoutedReadsBitExactUnderChaos).
@@ -651,31 +650,6 @@ func (r *Replica) SetChaos(ch *rpcx.Chaos) {
 	for _, p := range r.peers {
 		if p != nil {
 			p.SetChaos(ch)
-		}
-	}
-}
-
-// peerDownRetry reports whether a routed request that failed with
-// ErrPeerDown should re-route: it waits briefly for a failover to
-// reassign node away from the dead owner (the consensus FSM installs
-// the new table asynchronously). Callers re-check ownership on retry.
-func (r *Replica) peerDownRetry(ctx context.Context, node int64, owner, attempt int) bool {
-	if attempt >= routeRetries {
-		return false
-	}
-	const window, poll = 250 * time.Millisecond, 25 * time.Millisecond
-	for waited := time.Duration(0); ; waited += poll {
-		t := r.Table()
-		if t != nil && t.OwnerOf(node) != owner {
-			return true
-		}
-		if waited >= window {
-			return false
-		}
-		select {
-		case <-time.After(poll):
-		case <-ctx.Done():
-			return false
 		}
 	}
 }
@@ -692,33 +666,52 @@ func (r *Replica) fence(epoch uint64) error {
 	return nil
 }
 
-// shouldRetryRoute handles an epoch-fence bounce: exchange tables with the
-// rejecting peer (adopt theirs if newer, push ours if theirs is older) and
-// signal one more routing attempt.
-func (r *Replica) shouldRetryRoute(ctx context.Context, peer, attempt int, err error) bool {
+// retryRoute reports whether a routed call to owner that failed with err
+// is worth routing again (at most routeRetries times): after ErrPeerDown
+// once a failover has moved node away from the dead owner (the consensus
+// FSM installs that table asynchronously, so this waits briefly for it),
+// after an epoch-fence bounce once tables are exchanged with the rejecting
+// peer (adopt theirs if newer, push ours if theirs is older).
+func (r *Replica) retryRoute(ctx context.Context, node int64, owner, attempt int, err error) bool {
+	if attempt >= routeRetries {
+		return false
+	}
+	if errors.Is(err, rpcx.ErrPeerDown) {
+		const window, poll = 250 * time.Millisecond, 25 * time.Millisecond
+		for waited := time.Duration(0); ; waited += poll {
+			if t := r.Table(); t != nil && t.OwnerOf(node) != owner {
+				return true
+			}
+			if waited >= window {
+				return false
+			}
+			select {
+			case <-time.After(poll):
+			case <-ctx.Done():
+				return false
+			}
+		}
+	}
 	var ee *placement.EpochError
-	if !errors.As(err, &ee) || attempt >= routeRetries {
+	if !errors.As(err, &ee) {
 		return false
 	}
 	r.epochRejects.Add(1)
+	var reply TableReply
 	if ee.Have > ee.Got {
-		// Peer is ahead: fetch its table.
-		var reply TableReply
-		if ferr := r.call(ctx, peer, "Replica.FetchTable", &NoArgs{}, &reply); ferr == nil && reply.Table != nil {
+		if ferr := r.call(ctx, owner, "Replica.FetchTable", &NoArgs{}, &reply); ferr == nil && reply.Table != nil {
 			r.adoptTable(reply.Table)
 		}
 	} else {
-		// Peer is behind: push ours.
-		var reply TableReply
-		_ = r.call(ctx, peer, "Replica.PushTable", &TableArgs{Table: r.Table()}, &reply)
+		_ = r.call(ctx, owner, "Replica.PushTable", &TableArgs{Table: r.Table()}, &reply)
 	}
 	// Brief backoff so a mid-push window settles before the next attempt.
 	select {
 	case <-time.After(time.Duration(attempt+1) * 2 * time.Millisecond):
+		return true
 	case <-ctx.Done():
 		return false
 	}
-	return true
 }
 
 // adoptTable installs t iff it is strictly newer than the current table.
@@ -751,126 +744,143 @@ func ctxFor(deadlineNanos int64) (context.Context, context.CancelFunc) {
 // ---------------------------------------------------------------------------
 // Routed request paths.
 
-// Score routes one node score to its owning replica (or serves it locally
-// when this replica owns the id), retrying through epoch-fence bounces.
-func (r *Replica) Score(ctx context.Context, node int64) ([]float64, error) {
-	for attempt := 0; ; attempt++ {
+// gather is the one routed read. It answers nodes by position, one owner
+// at a time: ids that all belong to this replica are answered by local;
+// ids that all belong to one peer go to it in ONE method call stamped with
+// the table's epoch (transport failures retried with jittered backoff —
+// reads are safe to re-send), its reply R unpacked into positional values
+// and errors; and ids of several owners are split by owner, each group
+// gathered on its own, concurrently, and merged by position. So a read
+// costs one hop per owning peer however many ids it names, and an epoch
+// bounce or ErrPeerDown re-routes only the group that met it (retryRoute,
+// which refreshes the table); any other whole-call error fails the group.
+func gather[T, R any](ctx context.Context, r *Replica, nodes []int64, method string,
+	local func(context.Context, []int64) ([]T, []error), unpack func(*R) ([]T, []error),
+) ([]T, []error) {
+	var err error
+	for attempt := 0; len(nodes) > 0; attempt++ {
 		t := r.Table()
 		if t == nil {
-			return nil, errors.New("serve: replica has no placement table")
+			err = errors.New("serve: replica has no placement table")
+			break
 		}
-		owner := t.OwnerOf(node)
+		owner, single := t.OwnerOf(nodes[0]), true
+		for _, id := range nodes[1:] {
+			single = single && t.OwnerOf(id) == owner
+		}
+		if !single {
+			groups := make([][]int, len(t.Replicas))
+			for i, id := range nodes {
+				groups[t.OwnerOf(id)] = append(groups[t.OwnerOf(id)], i)
+			}
+			out, errs := make([]T, len(nodes)), make([]error, len(nodes))
+			var wg sync.WaitGroup
+			for _, pos := range groups {
+				if len(pos) == 0 {
+					continue
+				}
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					ids := make([]int64, len(pos))
+					for k, i := range pos {
+						ids[k] = nodes[i]
+					}
+					vals, perr := gather(ctx, r, ids, method, local, unpack)
+					for k, i := range pos {
+						out[i], errs[i] = vals[k], perr[k]
+					}
+				}()
+			}
+			wg.Wait()
+			return out, errs
+		}
 		if owner == r.id {
-			return r.srv.Score(ctx, node)
+			return local(ctx, nodes)
+		}
+		c := r.peerClient(owner)
+		if c == nil {
+			err = fmt.Errorf("serve: replica %d has no route to peer %d (Join not called?)", r.id, owner)
+			break
 		}
 		r.forwards.Add(1)
-		var reply ScoreReply
-		err := r.callIdempotent(ctx, owner, "Replica.Score",
-			&ScoreArgs{Epoch: t.Epoch, Node: node, DeadlineUnixNanos: deadlineArg(ctx)}, &reply)
+		var reply R
+		err = errFromWire(c.CallIdempotent(ctx, method,
+			&ScoreArgs{Epoch: t.Epoch, Nodes: nodes, DeadlineUnixNanos: deadlineArg(ctx)}, &reply))
 		if err == nil {
-			return reply.Scores, nil
-		}
-		if errors.Is(err, rpcx.ErrPeerDown) {
-			if r.peerDownRetry(ctx, node, owner, attempt) {
-				continue // failover moved the slot; re-route
+			vals, perr := unpack(&reply)
+			if len(vals) == len(nodes) && len(perr) == len(nodes) {
+				return vals, perr
 			}
-			return nil, err
+			err = fmt.Errorf("serve: replica %d answered %d of %d ids", owner, len(vals), len(nodes))
+			break
 		}
-		if !r.shouldRetryRoute(ctx, owner, attempt, err) {
-			return nil, err
+		if !r.retryRoute(ctx, nodes[0], owner, attempt, err) {
+			break
 		}
 	}
-}
-
-// ScoreMany routes a bulk request node by node (each to its owner), with
-// the same positional partial-failure contract as Server.ScoreMany.
-func (r *Replica) ScoreMany(ctx context.Context, nodes []int64) ([][]float64, []error) {
-	out := make([][]float64, len(nodes))
 	errs := make([]error, len(nodes))
-	sem := make(chan struct{}, 4*r.srv.cfg.MaxBatch)
-	var wg sync.WaitGroup
-	for i, id := range nodes {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, id int64) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i], errs[i] = r.Score(ctx, id)
-		}(i, id)
+	for i := range errs {
+		errs[i] = err
 	}
-	wg.Wait()
-	return out, errs
+	return make([]T, len(nodes)), errs
 }
 
-// EmbedRow resolves one endpoint row from its owner (local or remote) in
-// the owner's stored codec.
-func (r *Replica) EmbedRow(ctx context.Context, node int64) (Row, error) {
-	for attempt := 0; ; attempt++ {
-		t := r.Table()
-		if t == nil {
-			return Row{}, errors.New("serve: replica has no placement table")
-		}
-		owner := t.OwnerOf(node)
-		if owner == r.id {
-			return r.srv.EmbedRow(ctx, node)
-		}
-		r.forwards.Add(1)
-		var reply EmbedReply
-		err := r.callIdempotent(ctx, owner, "Replica.Embed",
-			&EmbedArgs{Epoch: t.Epoch, Node: node, DeadlineUnixNanos: deadlineArg(ctx)}, &reply)
-		if err == nil {
-			return reply.Row.row(), nil
-		}
-		if errors.Is(err, rpcx.ErrPeerDown) {
-			if r.peerDownRetry(ctx, node, owner, attempt) {
-				continue
+// Score is the one-id case of ScoreMany: the node's owner answers, this
+// replica or a peer one hop away, retrying through epoch-fence bounces.
+func (r *Replica) Score(ctx context.Context, node int64) ([]float64, error) {
+	out, errs := r.ScoreMany(ctx, []int64{node})
+	return out[0], errs[0]
+}
+
+// ScoreMany routes a bulk request as owner-grouped calls (gather): the ids
+// this replica owns go through Server.ScoreMany, every other owner gets one
+// Replica.Score call carrying all of its ids. Same positional contract as
+// Server.ScoreMany, each error typed as its owner returned it.
+func (r *Replica) ScoreMany(ctx context.Context, nodes []int64) ([][]float64, []error) {
+	return gather(ctx, r, nodes, "Replica.Score", r.srv.ScoreMany,
+		func(reply *ScoreReply) ([][]float64, []error) {
+			return reply.Scores, errsFromWire(reply.Errs, len(reply.Scores))
+		})
+}
+
+// embedRows gathers endpoint rows from their owners (local or remote) in
+// the owners' stored codecs: one Replica.Embed call per remote owner.
+func (r *Replica) embedRows(ctx context.Context, nodes []int64) ([]Row, []error) {
+	return gather(ctx, r, nodes, "Replica.Embed", r.srv.embedRows,
+		func(reply *EmbedReply) ([]Row, []error) {
+			rows := make([]Row, len(reply.Rows))
+			for i, w := range reply.Rows {
+				rows[i] = w.row()
 			}
-			return Row{}, err
-		}
-		if !r.shouldRetryRoute(ctx, owner, attempt, err) {
-			return Row{}, err
-		}
-	}
+			return rows, errsFromWire(reply.Errs, len(rows))
+		})
 }
 
-// Embed resolves one endpoint embedding from its owner, decoded to
-// float64s the caller owns.
-func (r *Replica) Embed(ctx context.Context, node int64) ([]float64, error) {
-	row, err := r.EmbedRow(ctx, node)
-	if err != nil {
-		return nil, err
-	}
-	return row.Floats(nil), nil
+// EmbedRow is the one-row case of embedRows.
+func (r *Replica) EmbedRow(ctx context.Context, node int64) (Row, error) {
+	rows, errs := r.embedRows(ctx, []int64{node})
+	return rows[0], errs[0]
 }
 
 // ScoreLink scores the (src, dst) pair cluster-wide: both endpoints on
 // this replica short-circuits to the local fast path; otherwise the two
-// endpoint embeddings are gathered from their owners in parallel (the
-// scatter) and the replicated pairwise head scores them locally (the
-// gather). Consistency matches the single-process contract: each endpoint
+// endpoint embeddings are gathered from their owners (the scatter: one
+// call per remote owner, so both endpoints on one peer cost one hop) and
+// the replicated pairwise head scores them locally (the gather).
+// Consistency matches the single-process contract: each endpoint
 // embedding is individually consistent with a committed graph version.
 func (r *Replica) ScoreLink(ctx context.Context, src, dst int64) (float64, error) {
-	t := r.Table()
-	if t == nil {
-		return 0, errors.New("serve: replica has no placement table")
-	}
-	if t.OwnerOf(src) == r.id && t.OwnerOf(dst) == r.id {
+	if t := r.Table(); t != nil && t.OwnerOf(src) == r.id && t.OwnerOf(dst) == r.id {
 		return r.srv.ScoreLink(ctx, src, dst)
 	}
-	var hs, hd Row
-	var es, ed error
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); hs, es = r.EmbedRow(ctx, src) }()
-	go func() { defer wg.Done(); hd, ed = r.EmbedRow(ctx, dst) }()
-	wg.Wait()
-	if es != nil {
-		return 0, es
+	rows, errs := r.embedRows(ctx, []int64{src, dst})
+	for _, err := range errs {
+		if err != nil {
+			return 0, err
+		}
 	}
-	if ed != nil {
-		return 0, ed
-	}
-	return r.srv.ScoreVecLink(ctx, hs, hd)
+	return r.srv.ScoreVecLink(ctx, rows[0], rows[1])
 }
 
 // primaryNode is the id a mutation batch routes by: the mutated node for
@@ -907,17 +917,10 @@ func (r *Replica) Apply(ctx context.Context, muts []graph.Mutation) (*ApplyResul
 		if err == nil {
 			return reply.toResult(), nil
 		}
-		// A breaker-open fail-fast means nothing was sent, so re-routing
-		// a write after failover is safe (an ambiguous mid-call transport
-		// error is NOT retried — Apply is not idempotent).
-		var pd *rpcx.PeerDownError
-		if errors.As(err, &pd) {
-			if r.peerDownRetry(ctx, primaryNode(muts[0]), owner, attempt) {
-				continue
-			}
-			return nil, err
-		}
-		if !r.shouldRetryRoute(ctx, owner, attempt, err) {
+		// ErrPeerDown here is a breaker-open fail-fast: nothing was sent, so
+		// re-routing a write after failover is safe (an ambiguous mid-call
+		// transport error is NOT retried — Apply is not idempotent).
+		if !r.retryRoute(ctx, primaryNode(muts[0]), owner, attempt, err) {
 			return nil, err
 		}
 	}
@@ -1191,26 +1194,24 @@ func (rs *replicaService) Score(args *ScoreArgs, reply *ScoreReply) error {
 	}
 	ctx, cancel := ctxFor(args.DeadlineUnixNanos)
 	defer cancel()
-	scores, err := r.srv.Score(ctx, args.Node)
-	if err != nil {
-		return errToWire(err)
-	}
-	reply.Scores = scores
+	scores, errs := r.srv.ScoreMany(ctx, args.Nodes)
+	reply.Scores, reply.Errs = scores, errsToWire(errs)
 	return nil
 }
 
-func (rs *replicaService) Embed(args *EmbedArgs, reply *EmbedReply) error {
+func (rs *replicaService) Embed(args *ScoreArgs, reply *EmbedReply) error {
 	r := rs.r
 	if err := r.fence(args.Epoch); err != nil {
 		return errToWire(err)
 	}
 	ctx, cancel := ctxFor(args.DeadlineUnixNanos)
 	defer cancel()
-	row, err := r.srv.EmbedRow(ctx, args.Node)
-	if err != nil {
-		return errToWire(err)
+	rows, errs := r.srv.embedRows(ctx, args.Nodes)
+	reply.Rows = make([]WireRow, len(rows))
+	for i, row := range rows {
+		reply.Rows[i] = rowToWire(row)
 	}
-	reply.Row = rowToWire(row)
+	reply.Errs = errsToWire(errs)
 	return nil
 }
 

@@ -30,7 +30,7 @@ type cluster struct {
 	g    *graph.Graph
 }
 
-func buildCluster(t *testing.T, n int) *cluster {
+func buildCluster(t testing.TB, n int) *cluster {
 	t.Helper()
 	ds, err := datagen.UUG(datagen.UUGConfig{Nodes: 250, FeatDim: 6, Seed: 7})
 	if err != nil {
@@ -441,7 +441,7 @@ func TestStaleEpochRejectedTyped(t *testing.T) {
 
 	var reply ScoreReply
 	err := c.Call(context.Background(), "Replica.Score",
-		&ScoreArgs{Epoch: 999, Node: cl.g.Nodes[0].ID}, &reply)
+		&ScoreArgs{Epoch: 999, Nodes: []int64{cl.g.Nodes[0].ID}}, &reply)
 	if err == nil {
 		t.Fatal("stale-epoch request accepted")
 	}

@@ -19,22 +19,34 @@ import (
 // micro-batched single-flight cold pipeline as Score (admission control
 // and deadlines included) and comes back full-precision.
 func (s *Server) EmbedRow(ctx context.Context, node int64) (Row, error) {
-	row, c, err := s.embedStart(ctx, node)
-	if err != nil {
-		return Row{}, err
+	rows, errs := s.embedRows(ctx, []int64{node})
+	return rows[0], errs[0]
+}
+
+// embedRows is EmbedRow for a group of nodes, positional like ScoreMany:
+// every missing row is queued before any is waited on, so the endpoints of
+// one link request share a micro-batch.
+func (s *Server) embedRows(ctx context.Context, nodes []int64) ([]Row, []error) {
+	rows := make([]Row, len(nodes))
+	errs := make([]error, len(nodes))
+	calls := make([]*call, len(nodes))
+	for i, id := range nodes {
+		rows[i], calls[i], errs[i] = s.embedStart(ctx, id)
 	}
-	if c != nil {
-		emb, err := s.waitEmb(ctx, c)
-		if err != nil {
-			return Row{}, err
+	for i, c := range calls {
+		if c == nil {
+			// embedStart's warm path returns a view into store memory; clone
+			// so the result survives the store (and any RPC serialization
+			// happening off this goroutine).
+			rows[i] = rows[i].Clone()
+			continue
 		}
-		// c.emb is shared with every other waiter on the call; copy.
-		return F64Row(append([]float64(nil), emb...)), nil
+		if _, errs[i] = s.wait(ctx, c); errs[i] == nil {
+			// c.emb is shared with every other waiter on the call; copy.
+			rows[i] = F64Row(append([]float64(nil), c.emb...))
+		}
 	}
-	// embedStart's warm path returns a view into store memory; clone so
-	// the result survives the store (and any RPC serialization happening
-	// off this goroutine).
-	return row.Clone(), nil
+	return rows, errs
 }
 
 // Embed returns node's layer-K embedding decoded to float64s the caller

@@ -380,24 +380,37 @@ func New(cfg Config, model *gnn.Model, g *graph.Graph, store Store) (*Server, er
 // work that cannot meet any deadline. Cache hits and warm requests
 // complete inline on the caller's goroutine and are never shed.
 func (s *Server) Score(ctx context.Context, node int64) ([]float64, error) {
+	scores, c, fresh, err := s.scoreStart(ctx, node)
+	s.send(c, fresh)
+	if c != nil {
+		return s.wait(ctx, c)
+	}
+	return scores, err
+}
+
+// scoreStart is the part of Score that never blocks on a forward pass: a
+// cache hit or a warm row resolves inline on the caller's goroutine;
+// anything else joins the node's in-flight computation or registers a new
+// one (register), and the returned call is collected with wait.
+func (s *Server) scoreStart(ctx context.Context, node int64) (_ []float64, _ *call, fresh bool, _ error) {
 	s.requests.Add(1)
 	start := time.Now()
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.errors.Add(1)
-		return nil, ErrClosed
+		return nil, nil, false, ErrClosed
 	}
 	if v, ok := s.cache.get(node); ok {
 		s.mu.Unlock()
 		s.hits.Add(1)
-		return v, nil
+		return v, nil, false, nil
 	}
 	if c, ok := s.inflight[node]; ok {
 		s.mu.Unlock()
 		c.extendDeadline(deadlineOf(ctx))
 		s.collapsed.Add(1)
-		return s.wait(ctx, c)
+		return nil, c, false, nil
 	}
 	if row, ok := s.lookupRowLocked(node); ok {
 		ver := s.version
@@ -418,36 +431,36 @@ func (s *Server) Score(ctx context.Context, node int64) ([]float64, error) {
 		s.mu.Unlock()
 		if err := ctx.Err(); err != nil {
 			s.errors.Add(1)
-			return nil, err
+			return nil, nil, false, err
 		}
-		return scores, nil
+		return scores, nil, false, nil
 	}
 	s.mu.Unlock()
+	c, fresh, err := s.register(ctx, node, start)
+	return nil, c, fresh, err
+}
 
-	// Cold path: everything below costs a k-hop extraction plus a shared
-	// forward pass, gated by admission control.
+// register is the cold path's front door for node and link scoring alike:
+// behind it is a k-hop extraction plus a shared forward pass, so admission
+// control gates it. It joins the computation already registered for node
+// (single-flight) or registers a new one and reports it fresh: the caller
+// then owes the batcher that call (send) before it blocks on anything, for
+// the batcher holds a batch open while a registered call is on its way.
+func (s *Server) register(ctx context.Context, node int64, enq time.Time) (_ *call, fresh bool, _ error) {
 	if err := ctx.Err(); err != nil {
 		s.errors.Add(1)
-		return nil, err
+		return nil, false, err
 	}
 	if err := s.adm.admit(); err != nil {
 		s.shed.Add(1)
-		return nil, err
+		return nil, false, err
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.adm.release()
 		s.errors.Add(1)
-		return nil, ErrClosed
-	}
-	if v, ok := s.cache.get(node); ok {
-		// The computation this request missed finished between the two
-		// lock holds: serve its result rather than compute it again.
-		s.mu.Unlock()
-		s.adm.release()
-		s.hits.Add(1)
-		return v, nil
+		return nil, false, ErrClosed
 	}
 	if c, ok := s.inflight[node]; ok {
 		// Raced with another registration for the same node; join it.
@@ -455,47 +468,65 @@ func (s *Server) Score(ctx context.Context, node int64) ([]float64, error) {
 		s.adm.release()
 		c.extendDeadline(deadlineOf(ctx))
 		s.collapsed.Add(1)
-		return s.wait(ctx, c)
+		return c, false, nil
 	}
-	c := &call{id: node, done: make(chan struct{}), enq: start, admitted: true}
+	c := &call{id: node, done: make(chan struct{}), enq: enq, admitted: true}
 	c.deadline.Store(deadlineOf(ctx))
 	s.inflight[node] = c
 	s.queued.Add(1)
 	s.mu.Unlock()
-
-	// Plain blocking send, deliberately NOT select-ing on ctx: other
-	// requests may already have collapsed onto this call, and abandoning
-	// it here would fail them all with this caller's cancellation. The
-	// send cannot wedge — a call registered before close is always
-	// consumed by the batcher (or by its shutdown drain, which keeps
-	// receiving until the queued counter empties), and admission bounds
-	// in-flight sends to the channel capacity — and this caller's own ctx
-	// is still honored below in wait.
-	s.reqs <- c
-	return s.wait(ctx, c)
+	return c, true, nil
 }
 
-// ScoreMany scores a set of nodes, coalescing them through the same
-// micro-batching queue (at most 4*MaxBatch concurrently, so an
-// arbitrarily large bulk request cannot spawn unbounded goroutines).
-// Scores and errors are positional: one failed node does not discard the
-// others' results. Returned score slices are shared, same contract as
+// send hands a call to the batcher if this caller registered it (fresh).
+// A plain blocking send, deliberately NOT select-ing on ctx: other
+// requests may already have collapsed onto this call, and abandoning it
+// here would fail them all with this caller's cancellation. The send
+// cannot wedge — a call registered before close is always consumed by the
+// batcher (or by its shutdown drain, which keeps receiving until the
+// queued counter empties), and admission bounds in-flight sends to the
+// channel capacity — and the caller's own ctx is still honored when it
+// waits.
+func (s *Server) send(c *call, fresh bool) {
+	if fresh {
+		s.reqs <- c
+	}
+}
+
+// ScoreMany scores a set of nodes as one unit of work on the caller's
+// goroutine: cache hits and warm rows resolve inline, and the cold ids of
+// each window of 4*MaxBatch are all registered, then all sent, then waited
+// on, so the batcher folds them into one micro-batch (up to MaxBatch) and
+// no bulk holds more than a window of calls. A repeated id is computed
+// once. Scores and errors are positional: one failed node does not discard
+// the others' results. Returned score slices are shared, same contract as
 // Score. errors.Join the second return value for a single verdict.
 func (s *Server) ScoreMany(ctx context.Context, nodes []int64) ([][]float64, []error) {
 	out := make([][]float64, len(nodes))
 	errs := make([]error, len(nodes))
-	sem := make(chan struct{}, 4*s.cfg.MaxBatch)
-	var wg sync.WaitGroup
-	for i, id := range nodes {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, id int64) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			out[i], errs[i] = s.Score(ctx, id)
-		}(i, id)
+	type waiter struct {
+		pos   int
+		c     *call
+		fresh bool
 	}
-	wg.Wait()
+	var waits []waiter
+	window := 4 * s.cfg.MaxBatch
+	for lo := 0; lo < len(nodes); lo += window {
+		for i := lo; i < min(lo+window, len(nodes)); i++ {
+			var w waiter
+			if out[i], w.c, w.fresh, errs[i] = s.scoreStart(ctx, nodes[i]); w.c != nil {
+				w.pos = i
+				waits = append(waits, w)
+			}
+		}
+		for _, w := range waits {
+			s.send(w.c, w.fresh)
+		}
+		for _, w := range waits {
+			out[w.pos], errs[w.pos] = s.wait(ctx, w.c)
+		}
+		waits = waits[:0]
+	}
 	return out, errs
 }
 
@@ -546,18 +577,16 @@ func (s *Server) ScoreLink(ctx context.Context, src, dst int64) (float64, error)
 		}
 	}
 	if cs != nil {
-		var emb []float64
-		if emb, err = s.waitEmb(ctx, cs); err != nil {
+		if _, err = s.wait(ctx, cs); err != nil {
 			return 0, err
 		}
-		hs = F64Row(emb)
+		hs = F64Row(cs.emb)
 	}
 	if cd != nil {
-		var emb []float64
-		if emb, err = s.waitEmb(ctx, cd); err != nil {
+		if _, err = s.wait(ctx, cd); err != nil {
 			return 0, err
 		}
-		hd = F64Row(emb)
+		hd = F64Row(cd.emb)
 	}
 	s.linkCold.Add(1)
 	return s.scoreRows(hs, hd), nil
@@ -579,7 +608,8 @@ func (s *Server) scoreRows(u, v Row) float64 {
 // computation: warm hits return the stored row (native codec) immediately; otherwise the
 // returned call is registered with the batcher (sharing any in-flight
 // Score/ScoreLink computation for the same node, single-flight) and the
-// caller collects it with waitEmb. A dirty row recomputed this way
+// caller collects it with wait (a call that resolves without error carries
+// its embedding in emb). A dirty row recomputed this way
 // re-admits warm for everyone, same as node scoring. Queueing a fresh
 // computation passes admission control: a saturated cold path sheds the
 // link request with a *ShedError instead of registering.
@@ -601,58 +631,9 @@ func (s *Server) embedStart(ctx context.Context, node int64) (Row, *call, error)
 		return Row{}, c, nil
 	}
 	s.mu.Unlock()
-	if err := s.adm.admit(); err != nil {
-		s.shed.Add(1)
-		return Row{}, nil, err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.adm.release()
-		s.errors.Add(1)
-		return Row{}, nil, ErrClosed
-	}
-	if c, ok := s.inflight[node]; ok {
-		s.mu.Unlock()
-		s.adm.release()
-		c.extendDeadline(deadlineOf(ctx))
-		s.collapsed.Add(1)
-		return Row{}, c, nil
-	}
-	c := &call{id: node, done: make(chan struct{}), enq: time.Now(), admitted: true}
-	c.deadline.Store(deadlineOf(ctx))
-	s.inflight[node] = c
-	s.queued.Add(1)
-	s.mu.Unlock()
-	// Same deliberate plain send as Score: a registered call is always
-	// consumed by the batcher or its shutdown drain.
-	s.reqs <- c
-	return Row{}, c, nil
-}
-
-func (s *Server) waitEmb(ctx context.Context, c *call) ([]float64, error) {
-	select {
-	case <-c.done:
-		// Deadline first: a result that arrives past the caller's
-		// deadline is strictly never delivered, even when c.done and
-		// ctx.Done() race.
-		if err := ctx.Err(); err != nil {
-			s.errors.Add(1)
-			return nil, err
-		}
-		if c.err != nil {
-			s.errors.Add(1)
-			return nil, c.err
-		}
-		if c.emb == nil {
-			s.errors.Add(1)
-			return nil, fmt.Errorf("serve: no embedding computed for node %d", c.id)
-		}
-		return c.emb, nil
-	case <-ctx.Done():
-		s.errors.Add(1)
-		return nil, ctx.Err()
-	}
+	c, fresh, err := s.register(ctx, node, time.Now())
+	s.send(c, fresh)
+	return Row{}, c, err
 }
 
 // Stats snapshots the request and mutation counters.
@@ -708,7 +689,8 @@ func (s *Server) Close() error {
 func (s *Server) wait(ctx context.Context, c *call) ([]float64, error) {
 	select {
 	case <-c.done:
-		// Deadline first (see waitEmb): never deliver a success past it.
+		// Deadline first: a result that arrives past the caller's deadline
+		// is strictly never delivered, even when c.done and ctx.Done() race.
 		if err := ctx.Err(); err != nil {
 			s.errors.Add(1)
 			return nil, err
@@ -776,13 +758,17 @@ func (s *Server) batcher() {
 					}
 				}
 			}
+			// queued > 0 means a call sits in the queue or its registrant is
+			// about to send it (nothing can block it in between), so this
+			// receive never waits long, and a bulk's cold ids — all
+			// registered before the first is sent — share the batch.
 		greedy:
-			for len(batch) < s.cfg.MaxBatch {
+			for len(batch) < s.cfg.MaxBatch && s.queued.Load() > 0 {
 				select {
 				case c2 := <-s.reqs:
 					s.queued.Add(-1)
 					batch = append(batch, c2)
-				default:
+				case <-s.stop:
 					break greedy
 				}
 			}
