@@ -113,7 +113,7 @@ func runGen(dir string, nodes, dim int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	if err := graph.WriteEdgeTable(ef, ds.G.Edges); err != nil {
+	if err := graph.WriteEdgeTable(ef, ds.G.EdgeTable()); err != nil {
 		ef.Close()
 		return err
 	}
@@ -131,7 +131,7 @@ func runGen(dir string, nodes, dim int, seed int64) error {
 	// training pairs sampled from the edge table.
 	var pairs strings.Builder
 	nPairs := 0
-	for i, e := range ds.G.Edges {
+	for i, e := range ds.G.EdgeTable() {
 		if i%3 != 0 || nPairs >= 300 {
 			continue
 		}

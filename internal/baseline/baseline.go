@@ -111,7 +111,7 @@ func FullBatch(ds *datagen.Dataset, ids []int64, classes int) (*gnn.BatchGraph, 
 	}
 	bg := &gnn.BatchGraph{Adj: adj, X: x, Targets: targets, Dist: gnn.ComputeDistances(adj, targets)}
 	var edgeFeat map[[2]int][]float64
-	for _, e := range g.Edges {
+	for _, e := range g.EdgeTable() {
 		if len(e.Feat) == 0 {
 			continue
 		}

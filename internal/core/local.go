@@ -23,8 +23,8 @@ var ErrNodeNotFound = errors.New("node not in graph")
 // The extracted subgraph contains exactly the nodes and edges GraphFlat
 // materializes for the same target: every node on a directed path of length
 // ≤ Hops into the target, and every in-edge of nodes within Hops−1, in the
-// sampled graph. Each node's in-edges are sampled once, when its row is
-// indexed, by the same keepInEdges decision the offline pipelines make, so
+// sampled graph. Each node's in-edges are sampled once per graph version,
+// by the same keepInEdges decision the offline pipelines make, so
 // for equal MaxNeighbors, Strategy and Seed a cold extraction, the Flatten
 // record and the graph GraphInfer passes messages over coincide. The
 // guarantee holds for HubThreshold == 0: the flattener sees a node's whole
@@ -32,48 +32,36 @@ var ErrNodeNotFound = errors.New("node not in graph")
 type LocalFlattener struct {
 	cfg FlatConfig
 	g   *graph.Graph
-	// ins[i] lists node i's kept in-edges (by dense index, in canonical
-	// order); deg[i] is the node's normalization degree (weighted in-degree
-	// of the unsampled graph + 1), matching WeightedInDegrees.
-	ins [][]inRef
+	// ins[i] is the sampling decision over g.InRow(i): node i's kept
+	// in-edges, in canonical order. deg[i] is the node's normalization degree
+	// (weighted in-degree of the unsampled row + 1; an isolated node
+	// normalizes by 1), matching WeightedInDegrees.
+	ins [][]graph.InEdge
 	deg []float64
 }
 
-type inRef struct {
-	src   int
-	w     float64
-	efeat []float64
-}
-
-// NewLocalFlattener indexes g's in-edges for request-time extraction.
+// NewLocalFlattener draws every node's sampling decision from g's in-rows.
 func NewLocalFlattener(cfg FlatConfig, g *graph.Graph) *LocalFlattener {
 	n := g.NumNodes()
-	lf := &LocalFlattener{cfg: cfg.withDefaults(), g: g, ins: make([][]inRef, n), deg: make([]float64, n)}
-	lf.index(slices.Repeat([]bool{true}, n))
+	lf := &LocalFlattener{cfg: cfg.withDefaults(), g: g, ins: make([][]graph.InEdge, n), deg: make([]float64, n)}
+	for i := range n {
+		lf.sample(i)
+	}
 	return lf
 }
 
-// index (re)builds the rows of the stale nodes: in-edges from the graph's
-// edge table, the normalization degree (isolated nodes normalize by 1, as in
-// WeightedInDegrees), then the one sampling decision per node.
-func (lf *LocalFlattener) index(stale []bool) {
-	for i, s := range stale {
-		if s {
-			lf.ins[i], lf.deg[i] = nil, 1
-		}
+// sample (re)draws node i's row from the graph's in-row: the normalization
+// degree, then the one sampling decision per node.
+func (lf *LocalFlattener) sample(i int) {
+	// keepInEdges reorders in place and the graph's row is shared: copy.
+	row := slices.Clone(lf.g.InRow(i))
+	deg := 1.0
+	for _, in := range row {
+		deg += in.Weight
 	}
-	for _, e := range lf.g.Edges {
-		if di := lf.g.MustIndex(e.Dst); stale[di] {
-			lf.ins[di] = append(lf.ins[di], inRef{src: lf.g.MustIndex(e.Src), w: e.Weight, efeat: e.Feat})
-			lf.deg[di] += e.Weight
-		}
-	}
-	srcKey := func(in inRef) (int64, float64) { return lf.g.Nodes[in.src].ID, in.w }
-	for i, s := range stale {
-		if s {
-			lf.ins[i] = keepInEdges(lf.cfg.Strategy, lf.cfg.Seed, lf.g.Nodes[i].ID, 0, lf.cfg.MaxNeighbors, lf.ins[i], srcKey)
-		}
-	}
+	srcKey := func(in graph.InEdge) (int64, float64) { return lf.g.Nodes[in.Src].ID, in.Weight }
+	lf.ins[i] = keepInEdges(lf.cfg.Strategy, lf.cfg.Seed, lf.g.Nodes[i].ID, 0, lf.cfg.MaxNeighbors, row, srcKey)
+	lf.deg[i] = deg
 }
 
 // Graph returns the graph version this flattener extracts from.
@@ -83,36 +71,30 @@ func (lf *LocalFlattener) Graph() *graph.Graph { return lf.g }
 func (lf *LocalFlattener) Hops() int { return lf.cfg.Hops }
 
 // Rebind returns a flattener over next, the graph produced by applying
-// muts to lf's graph (see graph.Graph.Apply). Per-node in-edge rows are
-// copy-on-write: only nodes whose in-edge set the batch touched are
-// re-indexed and re-sampled, every other row is shared with lf. Rebound rows
-// are rebuilt from next's edge table exactly as NewLocalFlattener would, so
-// a rebound flattener's extractions are indistinguishable from a freshly
-// constructed flattener's.
+// muts to lf's graph (see graph.Graph.Apply). The sampled rows are
+// copy-on-write: a row is re-drawn, from next's in-row and exactly as
+// NewLocalFlattener would, only for a node the batch added or whose in-edge
+// set it touched; every other row is shared with lf. A batch costs one
+// memcpy of the N row headers and degrees plus the rows it touched, never a
+// pass over the edges, and a rebound flattener's extractions are
+// indistinguishable from a freshly constructed flattener's.
 //
 // lf itself is never modified: extractions in flight on the old version
 // keep their consistent view.
 func (lf *LocalFlattener) Rebind(next *graph.Graph, muts []graph.Mutation) *LocalFlattener {
 	n, old := next.NumNodes(), len(lf.deg)
-	out := &LocalFlattener{cfg: lf.cfg, g: next, ins: make([][]inRef, n), deg: make([]float64, n)}
+	out := &LocalFlattener{cfg: lf.cfg, g: next, ins: make([][]graph.InEdge, n), deg: make([]float64, n)}
 	copy(out.ins, lf.ins)
 	copy(out.deg, lf.deg)
-
-	// New nodes start isolated; rows whose in-edge set changed are rebuilt.
-	stale, dirty := make([]bool, n), n > old
 	for i := old; i < n; i++ {
-		stale[i] = true
+		out.sample(i)
 	}
 	for _, m := range muts {
-		switch m.Op {
-		case graph.OpAddEdge, graph.OpRemoveEdge:
+		if m.Op == graph.OpAddEdge || m.Op == graph.OpRemoveEdge {
 			if di, ok := next.Index(m.Dst); ok {
-				stale[di], dirty = true, true
+				out.sample(di)
 			}
 		}
-	}
-	if dirty {
-		out.index(stale)
 	}
 	return out
 }
@@ -134,15 +116,15 @@ func (lf *LocalFlattener) GraphFeature(id int64) (*wire.TrainRecord, error) {
 		for _, v := range frontier {
 			for _, in := range lf.ins[v] {
 				sg.Edges = append(sg.Edges, wire.SGEdge{
-					Src:    lf.g.Nodes[in.src].ID,
+					Src:    lf.g.Nodes[in.Src].ID,
 					Dst:    lf.g.Nodes[v].ID,
-					Weight: in.w,
-					Feat:   in.efeat,
+					Weight: in.Weight,
+					Feat:   in.Feat,
 				})
-				if !added[in.src] {
-					added[in.src] = true
-					sg.Nodes = append(sg.Nodes, lf.sgNode(in.src))
-					next = append(next, in.src)
+				if src := int(in.Src); !added[src] {
+					added[src] = true
+					sg.Nodes = append(sg.Nodes, lf.sgNode(src))
+					next = append(next, src)
 				}
 			}
 		}

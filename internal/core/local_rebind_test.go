@@ -58,7 +58,7 @@ func TestRebindMatchesFreshFlattener(t *testing.T) {
 					}
 				case 2:
 					if cur.NumEdges() > 0 {
-						e := cur.Edges[rng.Intn(cur.NumEdges())]
+						e := cur.EdgeTable()[rng.Intn(cur.NumEdges())]
 						muts = append(muts, graph.RemoveEdge(e.Src, e.Dst))
 					}
 				case 3:

@@ -119,7 +119,7 @@ func TableRecords(g *graph.Graph) [][]byte {
 	for _, n := range g.Nodes {
 		out = append(out, EncodeNodeRow(n))
 	}
-	for _, e := range g.Edges {
+	for _, e := range g.EdgeTable() {
 		out = append(out, EncodeEdgeRow(e))
 	}
 	return out

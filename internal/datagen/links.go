@@ -97,10 +97,11 @@ func Links(ds *Dataset, cfg LinkConfig) (*LinkDataset, error) {
 		}
 		return pairKey{a, b}
 	}
+	edges := ds.G.EdgeTable()
 	groups := make(map[pairKey][]int)
 	var order []pairKey
-	exists := make(map[[2]int64]bool, len(ds.G.Edges))
-	for i, e := range ds.G.Edges {
+	exists := make(map[[2]int64]bool, len(edges))
+	for i, e := range edges {
 		k := unordered(e.Src, e.Dst)
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
@@ -110,7 +111,7 @@ func Links(ds *Dataset, cfg LinkConfig) (*LinkDataset, error) {
 	}
 	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 
-	wantHeld := int(cfg.TestFrac * float64(len(ds.G.Edges)))
+	wantHeld := int(cfg.TestFrac * float64(len(edges)))
 	held := make(map[int]bool)
 	var testPos []wire.EdgeTarget
 	for _, k := range order {
@@ -123,17 +124,17 @@ func Links(ds *Dataset, cfg LinkConfig) (*LinkDataset, error) {
 		}
 		// One canonical direction per held-out pair becomes the test
 		// positive; scoring the reverse would double-count the same event.
-		e := ds.G.Edges[idxs[0]]
+		e := edges[idxs[0]]
 		testPos = append(testPos, wire.EdgeTarget{Src: e.Src, Dst: e.Dst, Label: 1})
 	}
 	if len(testPos) == 0 {
 		return nil, fmt.Errorf("datagen: link split held out no edges (graph has %d, TestFrac %v)",
-			len(ds.G.Edges), cfg.TestFrac)
+			len(edges), cfg.TestFrac)
 	}
 
 	var keep []graph.Edge
 	var train []wire.EdgeTarget
-	for i, e := range ds.G.Edges {
+	for i, e := range edges {
 		if held[i] {
 			continue
 		}

@@ -6,6 +6,7 @@ package graph
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"agl/internal/sparse"
 )
@@ -24,8 +25,18 @@ type Edge struct {
 	Feat     []float64
 }
 
-// Graph is an in-memory directed attributed graph. Node IDs are arbitrary
-// int64s; Index maps them to dense [0,n) indices used by CSR adjacency.
+// Graph is an immutable directed attributed graph. Node IDs are arbitrary
+// int64s; Index maps them to dense [0,n) indices, which never change: Apply
+// appends new nodes and there is no node removal.
+//
+// The edge set has two forms. Edges is the edge table as Build made it
+// (self loops dropped, duplicates merged), which the offline pipelines read.
+// The row-addressed adjacency — per dense node an in-row (src, weight, edge
+// features) and an out-row (dst) — is what the online tier reads and the
+// only form Apply maintains; it is built from Edges on first use, so a
+// graph that is only flattened offline never pays for it. On a snapshot
+// returned by Apply, Edges is nil: NumEdges, EdgeTable, InRow and OutRow are
+// correct on every snapshot, and code that may meet either kind uses them.
 //
 // Self loops are dropped on construction: the GNN layers (GAT in
 // particular) add their own self-attention term and must not double count.
@@ -34,6 +45,20 @@ type Graph struct {
 	Edges []Edge
 
 	index map[int64]int
+
+	// in[i] and out[i] are node i's rows. Rows are never written in place:
+	// Apply replaces the ones it touches, so snapshots share all the others.
+	rowsOnce sync.Once
+	in       [][]InEdge
+	out      [][]int32
+	numEdges int
+}
+
+// InEdge is one entry of a node's in-row: the edge from dense index Src.
+type InEdge struct {
+	Src    int32
+	Weight float64
+	Feat   []float64
 }
 
 // Build constructs a Graph from node and edge rows. Edges referring to
@@ -72,14 +97,62 @@ func Build(nodes []Node, edges []Edge) (*Graph, error) {
 		pos[k] = len(g.Edges)
 		g.Edges = append(g.Edges, e)
 	}
+	g.numEdges = len(g.Edges)
 	return g, nil
+}
+
+// rows returns the adjacency spines, building them from the edge table on
+// first use (safe under concurrent first use).
+func (g *Graph) rows() (in [][]InEdge, out [][]int32) {
+	g.rowsOnce.Do(func() {
+		if g.Edges == nil { // Apply set the spines
+			return
+		}
+		g.in, g.out = make([][]InEdge, len(g.Nodes)), make([][]int32, len(g.Nodes))
+		for _, e := range g.Edges {
+			si, di := g.index[e.Src], g.index[e.Dst]
+			g.in[di] = append(g.in[di], InEdge{Src: int32(si), Weight: e.Weight, Feat: e.Feat})
+			g.out[si] = append(g.out[si], int32(di))
+		}
+	})
+	return g.in, g.out
+}
+
+// InRow returns the in-edges of the node at dense index i, in edge-table
+// order (Apply appends). The row is shared between snapshots: read only.
+func (g *Graph) InRow(i int) []InEdge {
+	in, _ := g.rows()
+	return in[i]
+}
+
+// OutRow returns the dense indices the node at dense index i points at.
+// The row is shared between snapshots: read only.
+func (g *Graph) OutRow(i int) []int32 {
+	_, out := g.rows()
+	return out[i]
+}
+
+// EdgeTable returns the edge set as an edge table: Build's own table when
+// the graph came from Build, otherwise one materialized from the in-rows
+// (O(E) per call, grouped by destination). Read only.
+func (g *Graph) EdgeTable() []Edge {
+	if g.Edges != nil {
+		return g.Edges
+	}
+	edges := make([]Edge, 0, g.numEdges)
+	for di, row := range g.in {
+		for _, e := range row {
+			edges = append(edges, Edge{Src: g.Nodes[e.Src].ID, Dst: g.Nodes[di].ID, Weight: e.Weight, Feat: e.Feat})
+		}
+	}
+	return edges
 }
 
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
 
 // NumEdges returns the directed edge count.
-func (g *Graph) NumEdges() int { return len(g.Edges) }
+func (g *Graph) NumEdges() int { return g.numEdges }
 
 // FeatureDim returns the node feature dimensionality (0 for empty graphs).
 func (g *Graph) FeatureDim() int {
@@ -116,8 +189,8 @@ func (g *Graph) Node(id int64) (Node, bool) {
 // sources (A[v][u] = weight of edge u→v), the orientation used throughout
 // AGL: a row gathers a node's in-edges.
 func (g *Graph) CSR() *sparse.CSR {
-	es := make([]sparse.Coo, 0, len(g.Edges))
-	for _, e := range g.Edges {
+	es := make([]sparse.Coo, 0, g.numEdges)
+	for _, e := range g.EdgeTable() {
 		es = append(es, sparse.Coo{
 			Row: g.index[e.Dst],
 			Col: g.index[e.Src],
@@ -128,19 +201,15 @@ func (g *Graph) CSR() *sparse.CSR {
 }
 
 // InDegrees returns the (unweighted) in-degree of every node by dense index.
-func (g *Graph) InDegrees() []int {
-	deg := make([]int, len(g.Nodes))
-	for _, e := range g.Edges {
-		deg[g.index[e.Dst]]++
-	}
-	return deg
-}
+func (g *Graph) InDegrees() []int { return g.degrees(func(e Edge) int64 { return e.Dst }) }
 
 // OutDegrees returns the (unweighted) out-degree of every node by dense index.
-func (g *Graph) OutDegrees() []int {
+func (g *Graph) OutDegrees() []int { return g.degrees(func(e Edge) int64 { return e.Src }) }
+
+func (g *Graph) degrees(end func(Edge) int64) []int {
 	deg := make([]int, len(g.Nodes))
-	for _, e := range g.Edges {
-		deg[g.index[e.Src]]++
+	for _, e := range g.EdgeTable() {
+		deg[g.index[end(e)]]++
 	}
 	return deg
 }
@@ -150,12 +219,13 @@ func (g *Graph) OutDegrees() []int {
 // the same features). Existing reverse edges are merged by NewCSR later, so
 // duplicates are harmless but avoided here.
 func (g *Graph) AddReverseEdges() (*Graph, error) {
-	seen := make(map[[2]int64]bool, len(g.Edges)*2)
-	for _, e := range g.Edges {
+	table := g.EdgeTable()
+	seen := make(map[[2]int64]bool, len(table)*2)
+	for _, e := range table {
 		seen[[2]int64{e.Src, e.Dst}] = true
 	}
-	edges := append([]Edge(nil), g.Edges...)
-	for _, e := range g.Edges {
+	edges := append([]Edge(nil), table...)
+	for _, e := range table {
 		if !seen[[2]int64{e.Dst, e.Src}] {
 			edges = append(edges, Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight, Feat: e.Feat})
 			seen[[2]int64{e.Dst, e.Src}] = true

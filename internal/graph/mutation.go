@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 )
 
 // Sentinel errors for mutation application. Callers distinguish client
@@ -24,9 +26,9 @@ var (
 type MutOp uint8
 
 // Mutation operations. RemoveNode is deliberately absent: dense node
-// indices stay stable across every mutation, which is what lets derived
-// structures (LocalFlattener rows, dependency indexes) update
-// copy-on-write instead of rebuilding.
+// indices stay stable across every mutation, which is what lets the
+// adjacency rows and what is derived from them (LocalFlattener's sampled
+// rows) be addressed by index and replaced row by row.
 const (
 	OpAddNode MutOp = iota + 1
 	OpAddEdge
@@ -34,32 +36,26 @@ const (
 	OpUpdateNodeFeat
 )
 
+// opNames is the wire name of every operation, the one table String and
+// ParseMutOp both read.
+var opNames = map[MutOp]string{
+	OpAddNode: "add_node", OpAddEdge: "add_edge", OpRemoveEdge: "remove_edge", OpUpdateNodeFeat: "update_feat",
+}
+
 // String returns the wire name of the operation.
 func (op MutOp) String() string {
-	switch op {
-	case OpAddNode:
-		return "add_node"
-	case OpAddEdge:
-		return "add_edge"
-	case OpRemoveEdge:
-		return "remove_edge"
-	case OpUpdateNodeFeat:
-		return "update_feat"
+	if name, ok := opNames[op]; ok {
+		return name
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
 
 // ParseMutOp parses the wire name of a mutation operation.
 func ParseMutOp(s string) (MutOp, error) {
-	switch s {
-	case "add_node":
-		return OpAddNode, nil
-	case "add_edge":
-		return OpAddEdge, nil
-	case "remove_edge":
-		return OpRemoveEdge, nil
-	case "update_feat":
-		return OpUpdateNodeFeat, nil
+	for op, name := range opNames {
+		if name == s {
+			return op, nil
+		}
 	}
 	return 0, fmt.Errorf("%w: unknown op %q", ErrBadMutation, s)
 }
@@ -152,38 +148,36 @@ func (m *Mutation) UnmarshalJSON(b []byte) error {
 // later AddEdge in the same batch. When nothing applies, the receiver is
 // returned unchanged.
 //
-// Apply is copy-on-write: the receiver is never modified, and a snapshot
-// held by an in-flight reader (a LocalFlattener extraction, a CSR build)
-// stays internally consistent forever. Node and edge slices are copied
-// once per batch (O(N+E)); the id index is shared unless the batch adds
-// nodes. Dense node indices are stable: new nodes append, existing nodes
-// never move.
+// Apply is copy-on-write at row granularity: the receiver is never
+// modified, a snapshot held by an in-flight reader stays internally
+// consistent forever, and two successors of one parent are independent.
+// A batch pays one flat copy of the three spines (Nodes, in-rows, out-rows:
+// N headers each) plus, per mutation: an edge mutation scans its
+// destination's in-row for the (src, dst) pair and replaces that in-row and
+// the source's out-row with edited copies; UpdateNodeFeat replaces one node
+// entry; AddNode appends a node and two empty rows, and the first one of a
+// batch copies the id index (a map: O(N)). Nothing is O(E). Feature
+// payloads are copied, so the caller may reuse muts. Dense node indices are
+// stable: new nodes append, existing nodes never move. The successor's
+// Edges field is nil (see Graph).
 func (g *Graph) Apply(muts []Mutation) (*Graph, []error) {
 	errs := make([]error, len(muts))
 	if len(muts) == 0 {
 		return g, errs
 	}
 
-	nodes := append([]Node(nil), g.Nodes...)
-	index := g.index // shared until the first AddNode copies it
-	indexCopied := false
-	edges := append([]Edge(nil), g.Edges...)
-	// epos maps (src, dst) to its index in edges; removed marks tombstones
-	// compacted away at the end. Both are built lazily on the first edge op.
-	var epos map[[2]int64]int
-	var removed map[int]bool
-	edgeIndex := func() {
-		if epos != nil {
-			return
+	// The spines and the id index are the receiver's until the batch first
+	// writes: own copies the spines, the first AddNode copies the index.
+	nodes, index := g.Nodes, g.index
+	in, out := g.rows()
+	owned, ownIndex := false, false
+	own := func() {
+		if !owned {
+			nodes, in, out, owned = slices.Clone(nodes), slices.Clone(in), slices.Clone(out), true
 		}
-		epos = make(map[[2]int64]int, len(edges))
-		for i, e := range edges {
-			epos[[2]int64{e.Src, e.Dst}] = i
-		}
-		removed = make(map[int]bool)
 	}
 	featDim := g.FeatureDim()
-	applied := 0
+	numEdges := g.numEdges
 
 	for i, m := range muts {
 		switch m.Op {
@@ -197,18 +191,15 @@ func (g *Graph) Apply(muts []Mutation) (*Graph, []error) {
 					m.ID, len(m.Feat), featDim, ErrBadMutation)
 				continue
 			}
-			if !indexCopied {
-				// Copy the id index once, on the first AddNode of the batch;
-				// edge-only batches keep sharing the receiver's read-only map.
+			if !ownIndex {
 				cp := make(map[int64]int, len(index)+4)
-				for id, j := range index {
-					cp[id] = j
-				}
-				index = cp
-				indexCopied = true
+				maps.Copy(cp, index)
+				index, ownIndex = cp, true
 			}
+			own()
 			index[m.ID] = len(nodes)
-			nodes = append(nodes, Node{ID: m.ID, Feat: append([]float64(nil), m.Feat...)})
+			nodes = append(nodes, Node{ID: m.ID, Feat: slices.Clone(m.Feat)})
+			in, out = append(in, nil), append(out, nil)
 			if len(nodes) == 1 {
 				featDim = len(m.Feat)
 			}
@@ -223,67 +214,67 @@ func (g *Graph) Apply(muts []Mutation) (*Graph, []error) {
 					m.ID, len(m.Feat), featDim, ErrBadMutation)
 				continue
 			}
+			own()
 			// Replace the Feat pointer; the old snapshot keeps the old slice.
-			nodes[j].Feat = append([]float64(nil), m.Feat...)
+			nodes[j].Feat = slices.Clone(m.Feat)
 		case OpAddEdge:
 			if m.Src == m.Dst {
 				errs[i] = fmt.Errorf("add_edge %d->%d: self loop: %w", m.Src, m.Dst, ErrBadMutation)
 				continue
 			}
-			if _, ok := index[m.Src]; !ok {
+			si, ok := index[m.Src]
+			if !ok {
 				errs[i] = fmt.Errorf("add_edge %d->%d: source: %w", m.Src, m.Dst, ErrUnknownNode)
 				continue
 			}
-			if _, ok := index[m.Dst]; !ok {
+			di, ok := index[m.Dst]
+			if !ok {
 				errs[i] = fmt.Errorf("add_edge %d->%d: destination: %w", m.Src, m.Dst, ErrUnknownNode)
 				continue
 			}
-			edgeIndex()
 			w := m.Weight
 			if w == 0 {
 				w = 1
 			}
-			k := [2]int64{m.Src, m.Dst}
-			if j, ok := epos[k]; ok {
-				if removed[j] {
-					// Re-adding an edge removed earlier in the batch: fresh
-					// weight, not a merge with the dead entry.
-					removed[j] = false
-					edges[j] = Edge{Src: m.Src, Dst: m.Dst, Weight: w, Feat: m.Feat}
-				} else {
-					edges[j].Weight += w // duplicate (src, dst): merge, as Build does
-				}
+			own()
+			if at := inRowIndex(in[di], si); at >= 0 {
+				// Duplicate (src, dst): merge, as Build does.
+				in[di] = slices.Clone(in[di])
+				in[di][at].Weight += w
 			} else {
-				epos[k] = len(edges)
-				edges = append(edges, Edge{Src: m.Src, Dst: m.Dst, Weight: w, Feat: m.Feat})
+				in[di] = append(slices.Clip(in[di]), InEdge{Src: int32(si), Weight: w, Feat: slices.Clone(m.Feat)})
+				out[si] = append(slices.Clip(out[si]), int32(di))
+				numEdges++
 			}
 		case OpRemoveEdge:
-			edgeIndex()
-			k := [2]int64{m.Src, m.Dst}
-			j, ok := epos[k]
-			if !ok || removed[j] {
+			si, okSrc := index[m.Src]
+			di, okDst := index[m.Dst]
+			at := -1
+			if okSrc && okDst {
+				at = inRowIndex(in[di], si)
+			}
+			if at < 0 {
 				errs[i] = fmt.Errorf("remove_edge %d->%d: %w", m.Src, m.Dst, ErrUnknownEdge)
 				continue
 			}
-			removed[j] = true
+			own()
+			in[di] = slices.Delete(slices.Clone(in[di]), at, at+1)
+			o := slices.Index(out[si], int32(di))
+			out[si] = slices.Delete(slices.Clone(out[si]), o, o+1)
+			numEdges--
 		default:
 			errs[i] = fmt.Errorf("op %d: %w", m.Op, ErrBadMutation)
-			continue
 		}
-		applied++
 	}
 
-	if applied == 0 {
+	if !owned {
 		return g, errs
 	}
-	if len(removed) > 0 {
-		kept := edges[:0]
-		for j, e := range edges {
-			if !removed[j] {
-				kept = append(kept, e)
-			}
-		}
-		edges = kept
-	}
-	return &Graph{Nodes: nodes, Edges: edges, index: index}, errs
+	return &Graph{Nodes: nodes, index: index, in: in, out: out, numEdges: numEdges}, errs
+}
+
+// inRowIndex returns the position of the in-edge from dense index src in
+// row, or -1.
+func inRowIndex(row []InEdge, src int) int {
+	return slices.IndexFunc(row, func(e InEdge) bool { return int(e.Src) == src })
 }

@@ -16,8 +16,9 @@ import (
 
 // quantizeFeat encodes src as int8 against an affine (scale, zero):
 // a stored q decodes to (float64(q) - zero) * scale. ok is false when src
-// is empty or contains a non-finite value, in which case the caller must
-// fall back to the float form.
+// is empty, contains a non-finite value, or spans a range whose scale or
+// zero point a float32 cannot hold (it overflows, or the scale underflows
+// to 0), in which case the caller must fall back to the float form.
 func quantizeFeat(src []float64) (q []byte, scale, zero float32, ok bool) {
 	if len(src) == 0 {
 		return nil, 0, 0, false
@@ -47,6 +48,9 @@ func quantizeFeat(src []float64) (q []byte, scale, zero float32, ok bool) {
 	s64 = float64(scale) // quantize against the value decode will see
 	zero = float32(-128 - low/s64)
 	z64 := float64(zero)
+	if s64 == 0 || math.IsInf(s64, 0) || math.IsInf(z64, 0) {
+		return nil, 0, 0, false
+	}
 	q = make([]byte, len(src))
 	for i, v := range src {
 		r := math.Round(v/s64 + z64)

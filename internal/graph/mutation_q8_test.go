@@ -112,3 +112,27 @@ func TestQuantizedFeedEmptyAndNilFeat(t *testing.T) {
 		t.Fatalf("payload-free ops decoded with features: %+v", got[0].Muts)
 	}
 }
+
+// TestQuantizedFeedUnrepresentableRangeFallsBack: a finite payload whose
+// affine pair does not fit a float32 (found by FuzzMutationJSON: the scale
+// overflowed to +Inf and failed the whole feed response) travels in the
+// float form, exactly.
+func TestQuantizedFeedUnrepresentableRangeFallsBack(t *testing.T) {
+	for _, feat := range [][]float64{{1e300, -1e300}, {1e-50, 2e-50}} {
+		entries := []LogEntry{{Version: 1, Muts: []Mutation{UpdateNodeFeat(2, feat)}}}
+		blob, err := json.Marshal(QuantizeLog(entries))
+		if err != nil {
+			t.Fatalf("%v: %v", feat, err)
+		}
+		if strings.Contains(string(blob), "feat_q8") {
+			t.Fatalf("%v was quantized: %s", feat, blob)
+		}
+		var got []LogEntry
+		if err := json.Unmarshal(blob, &got); err != nil {
+			t.Fatal(err)
+		}
+		if g := got[0].Muts[0].Feat; len(g) != 2 || g[0] != feat[0] || g[1] != feat[1] {
+			t.Fatalf("%v came back as %v", feat, g)
+		}
+	}
+}

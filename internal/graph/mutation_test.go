@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -47,7 +48,7 @@ func TestApplyBasicOps(t *testing.T) {
 		t.Fatalf("node 3 feat not updated: %+v", n)
 	}
 	var w01 float64
-	for _, e := range next.Edges {
+	for _, e := range next.EdgeTable() {
 		if e.Src == 0 && e.Dst == 1 {
 			w01 = e.Weight
 		}
@@ -160,7 +161,7 @@ func TestApplyRemoveThenReAddSameBatch(t *testing.T) {
 			t.Fatalf("mutation %d: %v", i, err)
 		}
 	}
-	for _, e := range next.Edges {
+	for _, e := range next.EdgeTable() {
 		if e.Src == 0 && e.Dst == 1 && e.Weight != 5 {
 			t.Fatalf("re-added edge weight %v, want 5", e.Weight)
 		}
@@ -187,8 +188,8 @@ func TestApplyNothingAppliedReturnsReceiver(t *testing.T) {
 
 // edgeSet canonicalizes a graph's edges for equivalence comparison.
 func edgeSet(g *Graph) map[[2]int64]float64 {
-	out := make(map[[2]int64]float64, len(g.Edges))
-	for _, e := range g.Edges {
+	out := make(map[[2]int64]float64, g.NumEdges())
+	for _, e := range g.EdgeTable() {
 		out[[2]int64{e.Src, e.Dst}] = e.Weight
 	}
 	return out
@@ -241,7 +242,7 @@ func TestApplyEquivalentToRebuild(t *testing.T) {
 					muts = append(muts, AddEdge(s, d, 1+rng.Float64()))
 				case 2:
 					if cur.NumEdges() > 0 {
-						e := cur.Edges[rng.Intn(cur.NumEdges())]
+						e := cur.EdgeTable()[rng.Intn(cur.NumEdges())]
 						muts = append(muts, RemoveEdge(e.Src, e.Dst))
 					}
 				case 3:
@@ -371,15 +372,72 @@ func TestVersionedApplyAndLog(t *testing.T) {
 		t.Fatalf("Since(current) = %+v ok=%v", entries, ok)
 	}
 
+	// The window slides: over many more batches than the capacity (the
+	// log's array is re-allocated several times on the way) Since keeps
+	// answering with exactly the newest two and reports anything older
+	// trimmed.
+	for i := 0; i < 50; i++ {
+		m := []Mutation{AddEdge(0, 3, 1)}
+		if i%2 == 1 {
+			m = []Mutation{RemoveEdge(0, 3)}
+		}
+		_, ver, errs := v.Apply(m)
+		if want := uint64(4 + i); ver != want || errs[0] != nil {
+			t.Fatalf("apply %d: version %d errs %v, want version %d", i, ver, errs, want)
+		}
+		entries, ok := v.Since(ver - 2)
+		if !ok || len(entries) != 2 || entries[0].Version != ver-1 || entries[1].Version != ver ||
+			!reflect.DeepEqual(entries[1].Muts, m) {
+			t.Fatalf("after %d batches Since(%d) = %+v ok=%v", ver, ver-2, entries, ok)
+		}
+		if _, ok := v.Since(ver - 3); ok {
+			t.Fatalf("after %d batches Since(%d) should report the log trimmed", ver, ver-3)
+		}
+	}
+
 	cur, ver := v.Snapshot()
-	if ver != 3 {
-		t.Fatalf("version %d, want 3", ver)
+	if ver != 53 {
+		t.Fatalf("version %d, want 53", ver)
 	}
 	if _, found := findEdge(cur, 0, 2); found {
 		t.Fatal("removed edge visible in snapshot")
 	}
 	if _, found := findEdge(cur, 1, 3); !found {
 		t.Fatal("added edge missing from snapshot")
+	}
+}
+
+// TestApplyCopiesMutationPayloads: a caller that reuses its batch after
+// Apply returns must not rewrite the snapshot or the mutation log.
+func TestApplyCopiesMutationPayloads(t *testing.T) {
+	v := NewVersioned(lineGraph(t, 4))
+	batch := func() []Mutation {
+		return []Mutation{
+			{Op: OpAddEdge, Src: 0, Dst: 2, Weight: 1, Feat: []float64{7, 8}},
+			UpdateNodeFeat(1, []float64{3, 4}),
+			AddNode(9, []float64{5, 6}),
+		}
+	}
+	muts := batch()
+	next, _, errs := v.Apply(muts)
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("mutation %d: %v", i, err)
+		}
+	}
+	for i := range muts {
+		muts[i].Feat[0], muts[i].Feat[1] = -1, -1
+		muts[i].Src, muts[i].ID = 3, 3
+	}
+	if e, ok := findEdge(next, 0, 2); !ok || !reflect.DeepEqual(e.Feat, []float64{7, 8}) {
+		t.Fatalf("edge features follow the caller's slice: %+v", e)
+	}
+	if n, _ := next.Node(1); !reflect.DeepEqual(n.Feat, []float64{3, 4}) {
+		t.Fatalf("node features follow the caller's slice: %+v", n)
+	}
+	entries, ok := v.Since(0)
+	if !ok || len(entries) != 1 || !reflect.DeepEqual(entries[0].Muts, batch()) {
+		t.Fatalf("the log follows the caller's slice: %+v", entries)
 	}
 }
 
@@ -410,7 +468,7 @@ func TestVersionedConcurrentReadersSeeConsistentSnapshots(t *testing.T) {
 }
 
 func findEdge(g *Graph, src, dst int64) (Edge, bool) {
-	for _, e := range g.Edges {
+	for _, e := range g.EdgeTable() {
 		if e.Src == src && e.Dst == dst {
 			return e, true
 		}
@@ -438,36 +496,43 @@ func TestApplyFirstNodeSetsFeatureDim(t *testing.T) {
 	}
 }
 
-func BenchmarkApplyBatch(b *testing.B) {
-	nodes := make([]Node, 5000)
-	var edges []Edge
-	rng := rand.New(rand.NewSource(1))
-	for i := range nodes {
-		nodes[i] = Node{ID: int64(i), Feat: []float64{1, 2}}
-	}
-	for i := 0; i < 25000; i++ {
-		s, d := rng.Intn(5000), rng.Intn(5000)
-		if s != d {
-			edges = append(edges, Edge{Src: int64(s), Dst: int64(d), Weight: 1})
-		}
-	}
-	g, err := Build(nodes, edges)
-	if err != nil {
-		b.Fatal(err)
-	}
-	muts := make([]Mutation, 64)
-	for i := range muts {
-		s, d := rng.Intn(5000), rng.Intn(5000)
-		if s == d {
-			d = (d + 1) % 5000
-		}
-		muts[i] = AddEdge(int64(s), int64(d), 1)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if next, _ := g.Apply(muts); next == g {
-			b.Fatal("nothing applied")
-		}
+// BenchmarkGraphApply is the write path's first rung: one 4-mutation batch
+// (the benchmark's batch size) on graphs of mean in-degree 5. The cost must
+// follow N only through the spine copies, and E not at all.
+func BenchmarkGraphApply(b *testing.B) {
+	for _, n := range []int{20_000, 200_000} {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			nodes := make([]Node, n)
+			for i := range nodes {
+				nodes[i] = Node{ID: int64(i), Feat: make([]float64, 32)}
+			}
+			edges := make([]Edge, 5*n)
+			for i := range edges {
+				edges[i] = Edge{Src: int64(rng.Intn(n)), Dst: int64(rng.Intn(n)), Weight: 1}
+			}
+			g, err := Build(nodes, edges)
+			if err != nil {
+				b.Fatal(err)
+			}
+			batches := make([][]Mutation, 64)
+			for i := range batches {
+				e := g.Edges[rng.Intn(len(g.Edges))]
+				batches[i] = []Mutation{
+					AddEdge(int64(rng.Intn(n)), int64(n-1-rng.Intn(n/2)), 1),
+					AddEdge(e.Src, e.Dst, 2),
+					RemoveEdge(e.Src, e.Dst),
+					UpdateNodeFeat(int64(rng.Intn(n)), make([]float64, 32)),
+				}
+			}
+			g.InRow(0) // the one-time row build is set-up, not write path
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if next, _ := g.Apply(batches[i%len(batches)]); next == g {
+					b.Fatal("nothing applied")
+				}
+			}
+		})
 	}
 }

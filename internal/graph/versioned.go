@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -16,10 +17,10 @@ type LogEntry struct {
 // current *Graph swapped atomically on every Apply, a monotonically
 // increasing version, and a bounded log of recent mutation batches.
 // Readers take a snapshot and keep a fully consistent view no matter how
-// many mutations land afterwards (copy-on-write, see Graph.Apply);
-// consumers that maintain derived state (caches, dependency indexes)
-// catch up either by receiving Apply's return values or by replaying
-// Since(version).
+// many mutations land afterwards (row-level copy-on-write, see
+// Graph.Apply); consumers that maintain derived state (caches, sampled
+// rows) catch up either by receiving Apply's return values or by replaying
+// Since(version). A batch costs Graph.Apply plus one log entry.
 //
 // Snapshot and Version are safe for any number of concurrent readers;
 // Apply is safe for concurrent writers (serialized internally).
@@ -64,7 +65,8 @@ func (v *Versioned) Version() uint64 { return v.ver.Load() }
 // Apply commits a mutation batch: valid mutations apply in order on a
 // copy-on-write successor graph, invalid ones are reported positionally
 // (see Graph.Apply). It returns the new snapshot and its version; when no
-// mutation applied the graph and version are unchanged.
+// mutation applied the graph and version are unchanged. The log keeps its
+// own copy of the applied mutations, so the caller may reuse muts.
 func (v *Versioned) Apply(muts []Mutation) (*Graph, uint64, []error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -79,12 +81,16 @@ func (v *Versioned) Apply(muts []Mutation) (*Graph, uint64, []error) {
 		applied := make([]Mutation, 0, len(muts))
 		for i, m := range muts {
 			if errs[i] == nil {
+				m.Feat = slices.Clone(m.Feat)
 				applied = append(applied, m)
 			}
 		}
+		// A sliding window: re-slicing drops the oldest entry, and append
+		// copies the live ones only when the array runs out — O(1) amortized.
 		v.log = append(v.log, LogEntry{Version: ver, Muts: applied})
 		if len(v.log) > v.logCap {
-			v.log = append(v.log[:0:0], v.log[len(v.log)-v.logCap:]...)
+			v.log[0] = LogEntry{}
+			v.log = v.log[1:]
 		}
 	}
 	return next, ver, errs

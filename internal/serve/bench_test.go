@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"agl/internal/core"
@@ -210,5 +211,46 @@ func BenchmarkReplicaScoreManyRouted(b *testing.B) {
 		if _, errs := entry.ScoreMany(ctx, ids); errs[31] != nil {
 			b.Fatal(errs[31])
 		}
+	}
+}
+
+// BenchmarkServerApply is the write path end to end inside the process: one
+// 4-mutation batch through Graph.Apply, the flattener's Rebind, the k-hop
+// walk and the eviction of what it reached, on a store-backed server whose
+// graph has mean in-degree 5. The stream is applied round and round, so
+// after the first pass the removals fail; the three other mutations of a
+// batch still apply.
+func BenchmarkServerApply(b *testing.B) {
+	for _, n := range []int{20_000, 200_000} {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			g, stream := writeFixture(b, n, 32, 5, 512)
+			model, err := gnn.NewModel(gnn.Config{
+				Kind: gnn.KindGCN, InDim: 32, Hidden: 16, Classes: 1,
+				Layers: 2, Act: nn.ActTanh, Seed: 5,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			embs := make(map[int64][]float64, n)
+			for _, nd := range g.Nodes {
+				embs[nd.ID] = make([]float64, 16)
+			}
+			store, err := NewStore(16, embs)
+			if err != nil {
+				b.Fatal(err)
+			}
+			srv, err := New(Config{Seed: 4, MaxNeighbors: 10}, model, g, store)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer srv.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res, err := srv.Apply(context.Background(), stream[i%len(stream)]); err != nil || res.Applied < 3 {
+					b.Fatalf("apply: %+v %v", res, err)
+				}
+			}
+		})
 	}
 }

@@ -6,8 +6,8 @@ import (
 	"agl/internal/graph"
 )
 
-// This file is the serving tier's dynamic-graph machinery: the reverse
-// k-hop dependency index that turns a mutation batch into the exact set of
+// This file is the serving tier's dynamic-graph machinery: the k-hop
+// invalidation walk that turns a mutation batch into the exact set of
 // invalidated nodes, and Server.Apply, which commits a batch and evicts
 // precisely those entries from the score cache and the embedding store.
 //
@@ -15,8 +15,10 @@ import (
 // neighborhood (the GraphFeature extraction walks in-edges backwards from
 // the target). Mutating node v — its features, or an edge into it —
 // therefore affects exactly the targets reachable FROM v within K hops
-// along out-edges. The index maintains the dense out-adjacency and BFSes
-// it from the batch's seed nodes; everything reached is invalidated.
+// along out-edges. The walk is a BFS over the graph snapshots' own
+// out-rows from the batch's seed nodes; everything reached is invalidated.
+// The server keeps no adjacency of its own, so a batch costs the walk and
+// nothing proportional to the graph.
 //
 // The BFS deliberately follows the full fan-out rather than the sampled
 // fan-out used at extraction time: sampling (FlatConfig.MaxNeighbors +
@@ -26,98 +28,42 @@ import (
 // over-approximates — an invalidation is never missed, at worst a few
 // unaffected entries recompute once.
 
-// depIndex is the reverse k-hop dependency index: the graph's dense
-// out-adjacency, advanced incrementally as mutation batches commit. It is
-// owned by Server.Apply (serialized by applyMu) and never read
-// concurrently.
-type depIndex struct {
-	out [][]int32
-}
-
-// newDepIndex builds the out-adjacency for g.
-func newDepIndex(g *graph.Graph) *depIndex {
-	out := make([][]int32, g.NumNodes())
-	for _, e := range g.Edges {
-		si := g.MustIndex(e.Src)
-		out[si] = append(out[si], int32(g.MustIndex(e.Dst)))
-	}
-	return &depIndex{out: out}
-}
-
-// invalidate returns the ids of every node whose k-hop extraction may have
-// changed under the applied batch, and advances the index to next.
+// invalidated returns the ids of every node whose k-hop extraction may have
+// changed under muts, the applied batch that took old to next.
 //
-// The BFS runs over the union of pre- and post-batch out-edges: removed
-// edges are still present in the not-yet-advanced rows, added edges are
-// overlaid from the batch itself — so entries computed under either
-// version are covered, including cycles routed through a removed edge.
-func (d *depIndex) invalidate(next *graph.Graph, muts []graph.Mutation, hops int) []int64 {
-	for len(d.out) < next.NumNodes() {
-		d.out = append(d.out, nil)
-	}
-	added := map[int32][]int32{}
-	seeds := map[int32]bool{}
-	touchedSrc := map[int]bool{}
-	for _, m := range muts {
-		switch m.Op {
-		case graph.OpAddEdge:
-			si, ok1 := next.Index(m.Src)
-			di, ok2 := next.Index(m.Dst)
-			if ok1 && ok2 {
-				added[int32(si)] = append(added[int32(si)], int32(di))
-				seeds[int32(di)] = true
-				touchedSrc[si] = true
-			}
-		case graph.OpRemoveEdge:
-			si, ok1 := next.Index(m.Src)
-			di, ok2 := next.Index(m.Dst)
-			if ok1 && ok2 {
-				seeds[int32(di)] = true
-				touchedSrc[si] = true
-			}
-		case graph.OpAddNode, graph.OpUpdateNodeFeat:
-			if i, ok := next.Index(m.ID); ok {
-				seeds[int32(i)] = true
-			}
+// The BFS runs over the union of old's and next's out-rows: an edge the
+// batch removed is still in old's row, one it added is in next's — so
+// entries computed under either version are covered, including cycles
+// routed through a removed edge.
+func invalidated(old, next *graph.Graph, muts []graph.Mutation, hops int) []int64 {
+	affected := map[int32]bool{}
+	var frontier []int32
+	visit := func(v int32) {
+		if !affected[v] {
+			affected[v] = true
+			frontier = append(frontier, v)
 		}
 	}
-
-	affected := make(map[int32]bool, len(seeds))
-	frontier := make([]int32, 0, len(seeds))
-	for s := range seeds {
-		affected[s] = true
-		frontier = append(frontier, s)
+	for _, m := range muts {
+		id := m.ID
+		if m.Op == graph.OpAddEdge || m.Op == graph.OpRemoveEdge {
+			id = m.Dst
+		}
+		if i, ok := next.Index(id); ok {
+			visit(int32(i))
+		}
 	}
 	for depth := 0; depth < hops && len(frontier) > 0; depth++ {
-		var nextFrontier []int32
-		visit := func(v int32) {
-			if !affected[v] {
-				affected[v] = true
-				nextFrontier = append(nextFrontier, v)
-			}
-		}
-		for _, u := range frontier {
-			for _, v := range d.out[u] {
+		reached := frontier
+		frontier = nil
+		for _, u := range reached {
+			for _, v := range next.OutRow(int(u)) {
 				visit(v)
 			}
-			for _, v := range added[u] {
-				visit(v)
-			}
-		}
-		frontier = nextFrontier
-	}
-
-	// Advance the index: rows of sources the batch touched are rebuilt
-	// from next's edge table (canonical — repeated weight merges on one
-	// edge never duplicate an entry).
-	if len(touchedSrc) > 0 {
-		for si := range touchedSrc {
-			d.out[si] = nil
-		}
-		for _, e := range next.Edges {
-			si := next.MustIndex(e.Src)
-			if touchedSrc[si] {
-				d.out[si] = append(d.out[si], int32(next.MustIndex(e.Dst)))
+			if int(u) < old.NumNodes() {
+				for _, v := range old.OutRow(int(u)) {
+					visit(v)
+				}
 			}
 		}
 	}
@@ -146,8 +92,8 @@ type ApplyResult struct {
 }
 
 // Apply commits a mutation batch to the serving graph and incrementally
-// invalidates everything the batch can have affected: the k-hop dependency
-// BFS picks the affected node set, their score-cache entries are evicted,
+// invalidates everything the batch can have affected: the k-hop BFS picks
+// the affected node set, their score-cache entries are evicted,
 // and their embedding-store rows are marked dirty. Dirty rows serve
 // through the cold path (request-time extraction + forward pass on the new
 // graph version) and are re-admitted warm on their first recompute.
@@ -193,7 +139,7 @@ func (s *Server) Apply(ctx context.Context, muts []graph.Mutation) (*ApplyResult
 	s.mutations.Add(int64(len(applied)))
 
 	newFlat := oldFlat.Rebind(next, applied)
-	affected := s.dep.invalidate(next, applied, s.cfg.Hops)
+	affected := invalidated(oldFlat.Graph(), next, applied, s.cfg.Hops)
 
 	s.mu.Lock()
 	s.flat = newFlat

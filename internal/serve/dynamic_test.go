@@ -5,9 +5,11 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
+	"agl/internal/core"
 	"agl/internal/gnn"
 	"agl/internal/graph"
 )
@@ -70,7 +72,7 @@ func randomMutations(rng *rand.Rand, cur *graph.Graph, nextID *int64, n int) []g
 			}
 		case 3:
 			if cur.NumEdges() > 0 {
-				e := cur.Edges[rng.Intn(cur.NumEdges())]
+				e := cur.EdgeTable()[rng.Intn(cur.NumEdges())]
 				key := [2]int64{e.Src, e.Dst}
 				if !removed[key] {
 					removed[key] = true
@@ -534,39 +536,110 @@ func TestMutationsSince(t *testing.T) {
 	}
 }
 
-// TestDepIndexUnionCoversRemovedEdges: invalidation BFS must traverse
+// TestInvalidationUnionCoversRemovedEdges: invalidation BFS must traverse
 // edges that the same batch removes — targets downstream through a
 // removed edge were computed with it present.
-func TestDepIndexUnionCoversRemovedEdges(t *testing.T) {
+func TestInvalidationUnionCoversRemovedEdges(t *testing.T) {
 	// 0→1→2: removing 1→2 changes node 2's neighborhood; the affected set
-	// from seed 2 must be found even though the BFS advances past the
-	// removal. Also 0→1 removed in the same batch: seed 1 must still reach
-	// 2 through the old 1→2 row.
+	// from seed 2 must be found even though the edge is gone from the new
+	// snapshot. Also 0→1 removed in the same batch: seed 1 must still reach
+	// 2 through the old snapshot's 1→2 row.
 	nodes := []graph.Node{{ID: 0, Feat: []float64{1}}, {ID: 1, Feat: []float64{1}}, {ID: 2, Feat: []float64{1}}}
 	edges := []graph.Edge{{Src: 0, Dst: 1, Weight: 1}, {Src: 1, Dst: 2, Weight: 1}}
 	g, err := graph.Build(nodes, edges)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := newDepIndex(g)
-	next, errs := g.Apply([]graph.Mutation{graph.RemoveEdge(0, 1), graph.RemoveEdge(1, 2)})
+	muts := []graph.Mutation{graph.RemoveEdge(0, 1), graph.RemoveEdge(1, 2)}
+	next, errs := g.Apply(muts)
 	for _, e := range errs {
 		if e != nil {
 			t.Fatal(e)
 		}
 	}
-	got := d.invalidate(next, []graph.Mutation{graph.RemoveEdge(0, 1), graph.RemoveEdge(1, 2)}, 2)
+	got := invalidated(g, next, muts, 2)
 	sort.Slice(got, func(a, b int) bool { return got[a] < got[b] })
 	// Seeds are {1, 2}; 1 reaches 2 over the (removed) 1→2 edge.
 	want := []int64{1, 2}
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("affected %v, want %v", got, want)
 	}
-	// The index must have advanced: a follow-up feat change at 0 now
-	// reaches nobody downstream.
-	next2, _ := next.Apply([]graph.Mutation{graph.UpdateNodeFeat(0, []float64{2})})
-	got = d.invalidate(next2, []graph.Mutation{graph.UpdateNodeFeat(0, []float64{2})}, 2)
+	// One version on, the removed edges are in neither snapshot: a
+	// follow-up feat change at 0 reaches nobody downstream.
+	muts = []graph.Mutation{graph.UpdateNodeFeat(0, []float64{2})}
+	next2, _ := next.Apply(muts)
+	got = invalidated(next, next2, muts, 2)
 	if len(got) != 1 || got[0] != 0 {
 		t.Fatalf("affected after edge removals %v, want [0]", got)
+	}
+}
+
+// writeFixture is a graph of n nodes (dim features each) with edgesPerNode
+// random edges a node, and a stream of 4-mutation batches against it in the
+// benchmark's mix: two edge inserts, a removal of an original edge (each at
+// most once) and a feature update.
+func writeFixture(tb testing.TB, n, dim, edgesPerNode, batches int) (*graph.Graph, [][]graph.Mutation) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(int64(n + edgesPerNode)))
+	nodes := make([]graph.Node, n)
+	for i := range nodes {
+		nodes[i] = graph.Node{ID: int64(i), Feat: make([]float64, dim)}
+	}
+	edges := make([]graph.Edge, n*edgesPerNode)
+	for i := range edges {
+		edges[i] = graph.Edge{Src: int64(rng.Intn(n)), Dst: int64(rng.Intn(n)), Weight: 1}
+	}
+	g, err := graph.Build(nodes, edges)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	removable := rng.Perm(g.NumEdges())
+	stream := make([][]graph.Mutation, batches)
+	for i := range stream {
+		e := g.Edges[removable[i]]
+		a, b := rng.Intn(n), rng.Intn(n-1)
+		stream[i] = []graph.Mutation{
+			graph.AddEdge(int64(a), int64((a+1+b)%n), 2),
+			graph.AddEdge(int64(b), int64((b+1+a%(n-1))%n), 1),
+			graph.RemoveEdge(e.Src, e.Dst),
+			graph.UpdateNodeFeat(int64(rng.Intn(n)), make([]float64, dim)),
+		}
+	}
+	return g, stream
+}
+
+// TestWritePathAllocsIndependentOfEdgeCount is the write path's cost model
+// as an assertion that does not read the clock: what one 4-mutation batch
+// allocates through Graph.Apply, LocalFlattener.Rebind and the invalidation
+// walk follows the node count (the spine copies) and the neighbourhoods it
+// touches, not the edge count — ten times the edges on the same nodes stays
+// within 1.5x.
+func TestWritePathAllocsIndependentOfEdgeCount(t *testing.T) {
+	const n, hops = 20_000, 2
+	bytesPerBatch := func(edgesPerNode int) float64 {
+		g, stream := writeFixture(t, n, 4, edgesPerNode, 16)
+		lf := core.NewLocalFlattener(core.FlatConfig{Hops: hops, MaxNeighbors: 10, Seed: 1}, g)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, muts := range stream {
+			next, errs := g.Apply(muts)
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			lf.Rebind(next, muts)
+			if len(invalidated(g, next, muts, hops)) < len(muts) {
+				t.Fatal("the walk reached fewer nodes than the batch has seeds")
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(len(stream))
+	}
+	small, big := bytesPerBatch(3), bytesPerBatch(30)
+	t.Logf("bytes allocated per batch: %.0f at %d edges, %.0f at %d edges", small, 3*n, big, 30*n)
+	if big > 1.5*small {
+		t.Fatalf("a batch allocates %.0f bytes at %d edges and %.0f at %d: the write path still follows the edge count",
+			small, 3*n, big, 30*n)
 	}
 }

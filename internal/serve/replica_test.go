@@ -241,7 +241,7 @@ func TestClusterApplyForwardsAndInvalidatesEverywhere(t *testing.T) {
 }
 
 func edgeWeight(g *graph.Graph, src, dst int64) (float64, bool) {
-	for _, e := range g.Edges {
+	for _, e := range g.EdgeTable() {
 		if e.Src == src && e.Dst == dst {
 			return e.Weight, true
 		}

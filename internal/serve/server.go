@@ -185,7 +185,7 @@ type Stats struct {
 //
 // The graph is live: Apply commits mutation batches (edge inserts and
 // removals, feature updates, new nodes) onto copy-on-write graph versions,
-// and a reverse k-hop dependency index invalidates exactly the cache
+// and a k-hop walk from the mutated nodes invalidates exactly the cache
 // entries and store rows a batch can have affected — see dynamic.go for
 // the consistency model.
 //
@@ -199,8 +199,7 @@ type Server struct {
 	head  *gnn.Slice
 	store Store
 
-	vg  *graph.Versioned // graph versions; mutated only via Apply
-	dep *depIndex        // reverse k-hop dependency index (owned by Apply)
+	vg *graph.Versioned // graph versions; mutated only via Apply
 
 	applyMu sync.Mutex // serializes Apply end to end
 
@@ -334,7 +333,6 @@ func New(cfg Config, model *gnn.Model, g *graph.Graph, store Store) (*Server, er
 		head:  head,
 		store: store,
 		vg:    graph.NewVersioned(g),
-		dep:   newDepIndex(g),
 		flat: core.NewLocalFlattener(core.FlatConfig{
 			Hops:         cfg.Hops,
 			MaxNeighbors: cfg.MaxNeighbors,

@@ -6,8 +6,8 @@
 // this package answers per-node score requests at request latency.
 //
 // The serving graph is mutable: Server.Apply streams mutation batches onto
-// versioned copy-on-write snapshots, and a reverse k-hop dependency index
-// keeps the cache and store incrementally consistent (dynamic.go).
+// versioned copy-on-write snapshots, and a k-hop walk over the snapshots'
+// out-rows keeps the cache and store incrementally consistent (dynamic.go).
 //
 // The embedding store is one type, RowStore, over one file format. Its rows
 // are either full-precision float64s or int8-quantized (a per-row affine
