@@ -300,20 +300,6 @@ func (n *Node) IsLeader() bool {
 	return is
 }
 
-// CommitIndex returns the highest committed log index.
-func (n *Node) CommitIndex() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.commitIndex
-}
-
-// LastIndex returns the highest appended log index.
-func (n *Node) LastIndex() uint64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.lastIndexLocked()
-}
-
 // PeerContact returns the leader-side timestamp of the last successful
 // AppendEntries reply from peer — the raft heartbeat doubling as the
 // cluster failure detector. The zero time means no contact since this

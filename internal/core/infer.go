@@ -95,16 +95,6 @@ func (r *InferResult) TotalShuffledBytes() int64 {
 	return n
 }
 
-// TotalBusy sums map+reduce busy time over all rounds (the CPU-cost input
-// of Table 5).
-func (r *InferResult) TotalBusy() time.Duration {
-	var d time.Duration
-	for _, s := range r.RoundStats {
-		d += s.MapBusy + s.ReduceBusy
-	}
-	return d
-}
-
 // Infer runs the GraphInfer pipeline (paper §3.4) over node/edge tables:
 // the model is hierarchically segmented into K+1 slices; the engine's K
 // rounds, with a wire.Embedding as the state, merge each node's

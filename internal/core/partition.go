@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -183,21 +182,12 @@ func (p *PartitionSet) Load(i int) ([][]byte, error) {
 		return nil, fmt.Errorf("core: partition %d out of range [0,%d)", i, p.man.Partitions)
 	}
 	path := filepath.Join(p.dir.Path(), fmt.Sprintf("part-%05d", i))
-	r, err := dfs.OpenPart(path)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
 	out := make([][]byte, 0, p.man.Counts[i])
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: partition %d: %w", i, err)
-		}
+	if err := dfs.ScanParts([]string{path}, func(rec []byte) error {
 		out = append(out, rec)
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("core: partition %d: %w", i, err)
 	}
 	return out, nil
 }

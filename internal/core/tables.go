@@ -17,7 +17,6 @@ import (
 	"strconv"
 	"strings"
 
-	"agl/internal/dfs"
 	"agl/internal/graph"
 	"agl/internal/mapreduce"
 )
@@ -123,12 +122,6 @@ func TableRecords(g *graph.Graph) [][]byte {
 		out = append(out, EncodeEdgeRow(e))
 	}
 	return out
-}
-
-// WriteTables writes a graph's table records to a dfs dataset split into
-// nParts part files.
-func WriteTables(g *graph.Graph, dir *dfs.Dir, nParts int) error {
-	return dir.WriteAll(TableRecords(g), nParts)
 }
 
 // WeightedInDegrees runs a small MapReduce job counting each node's

@@ -8,6 +8,7 @@ package dfs
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -120,10 +121,16 @@ func (w *PartWriter) Abort() error {
 	return os.Remove(w.tmp)
 }
 
+// ErrCorruptPart marks a part file whose framing is damaged: a truncated
+// or overlong length prefix, or a record longer than the bytes left in the
+// file.
+var ErrCorruptPart = errors.New("dfs: corrupt part file")
+
 // PartReader iterates the records of one part file.
 type PartReader struct {
-	f  *os.File
-	br *bufio.Reader
+	f    *os.File
+	br   *bufio.Reader
+	left int64 // bytes of the file not yet consumed
 }
 
 // OpenPart opens a committed part file for reading.
@@ -132,22 +139,37 @@ func OpenPart(path string) (*PartReader, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dfs: open part: %w", err)
 	}
-	return &PartReader{f: f, br: bufio.NewReaderSize(f, 1<<16)}, nil
+	st, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, fmt.Errorf("dfs: open part: %w", err)
+	}
+	return &PartReader{f: f, br: bufio.NewReaderSize(f, 1<<16), left: st.Size()}, nil
 }
 
-// Next returns the next record, or io.EOF when exhausted.
+// Next returns the next record, or io.EOF when exhausted. A record is
+// never allocated beyond the bytes left in the file, so a damaged length
+// prefix fails with ErrCorruptPart instead of exhausting memory.
 func (r *PartReader) Next() ([]byte, error) {
 	n, err := binary.ReadUvarint(r.br)
+	if err == io.EOF {
+		return nil, io.EOF
+	}
 	if err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("dfs: read record length: %w", err)
+		return nil, fmt.Errorf("%w: record length: %w", ErrCorruptPart, err)
+	}
+	// PartWriter writes canonical prefixes; a longer one only loosens the
+	// bound, and its short body then fails below.
+	var pre [binary.MaxVarintLen64]byte
+	r.left -= int64(binary.PutUvarint(pre[:], n))
+	if r.left < 0 || n > uint64(r.left) {
+		return nil, fmt.Errorf("%w: record of %d bytes with %d left in the file", ErrCorruptPart, n, max(r.left, 0))
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r.br, buf); err != nil {
-		return nil, fmt.Errorf("dfs: read record body: %w", err)
+		return nil, fmt.Errorf("%w: record body: %w", ErrCorruptPart, err)
 	}
+	r.left -= int64(n)
 	return buf, nil
 }
 
@@ -187,36 +209,19 @@ func (d *Dir) ReadAll() ([][]byte, error) {
 		return nil, err
 	}
 	var out [][]byte
-	for _, p := range parts {
-		r, err := OpenPart(p)
-		if err != nil {
-			return nil, err
-		}
-		for {
-			rec, err := r.Next()
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				r.Close()
-				return nil, err
-			}
-			out = append(out, rec)
-		}
-		if err := r.Close(); err != nil {
-			return nil, err
-		}
+	if err := ScanParts(parts, func(rec []byte) error {
+		out = append(out, rec)
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// Scan streams every record to fn, stopping on the first error.
-func (d *Dir) Scan(fn func(rec []byte) error) error {
-	parts, err := d.Parts()
-	if err != nil {
-		return err
-	}
-	for _, p := range parts {
+// ScanParts streams every record of the part files at paths, in order, to
+// fn, stopping on the first error from a read or from fn.
+func ScanParts(paths []string, fn func(rec []byte) error) error {
+	for _, p := range paths {
 		r, err := OpenPart(p)
 		if err != nil {
 			return err
@@ -226,11 +231,10 @@ func (d *Dir) Scan(fn func(rec []byte) error) error {
 			if err == io.EOF {
 				break
 			}
-			if err != nil {
-				r.Close()
-				return err
+			if err == nil {
+				err = fn(rec)
 			}
-			if err := fn(rec); err != nil {
+			if err != nil {
 				r.Close()
 				return err
 			}

@@ -2,6 +2,8 @@ package dfs
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -127,9 +129,10 @@ func TestWriteAllRoundRobin(t *testing.T) {
 
 func TestScanStopsOnError(t *testing.T) {
 	d, _ := Create(filepath.Join(t.TempDir(), "ds"))
-	_ = d.WriteAll([][]byte{{1}, {2}, {3}}, 1)
+	_ = d.WriteAll([][]byte{{1}, {2}, {3}}, 3)
+	parts, _ := d.Parts()
 	count := 0
-	err := d.Scan(func(rec []byte) error {
+	err := ScanParts(parts, func(rec []byte) error {
 		count++
 		if rec[0] == 2 {
 			return io.ErrUnexpectedEOF
@@ -139,6 +142,86 @@ func TestScanStopsOnError(t *testing.T) {
 	if err != io.ErrUnexpectedEOF || count != 2 {
 		t.Fatalf("err=%v count=%d", err, count)
 	}
+}
+
+// encodeParts frames records the way PartWriter does.
+func encodeParts(recs ...[]byte) []byte {
+	var out []byte
+	for _, r := range recs {
+		out = binary.AppendUvarint(out, uint64(len(r)))
+		out = append(out, r...)
+	}
+	return out
+}
+
+// readPart decodes a raw part file: its records and the error that ended
+// the read (io.EOF for a clean end).
+func readPart(t testing.TB, raw []byte) ([][]byte, error) {
+	path := filepath.Join(t.TempDir(), "part-00000")
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenPart(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	var recs [][]byte
+	for {
+		rec, err := r.Next()
+		if err != nil {
+			return recs, err
+		}
+		recs = append(recs, rec)
+	}
+}
+
+// TestCorruptLengthIsBoundedByFile: a length prefix claiming more bytes
+// than the file holds fails typed, before anything that size is allocated.
+func TestCorruptLengthIsBoundedByFile(t *testing.T) {
+	for name, raw := range map[string][]byte{
+		"huge":      binary.AppendUvarint(nil, 1<<62),
+		"one over":  append(encodeParts([]byte("ok")), 4, 'a', 'b', 'c'),
+		"truncated": {0x80},
+		"overflow":  bytes.Repeat([]byte{0xff}, 11),
+	} {
+		recs, err := readPart(t, raw)
+		if !errors.Is(err, ErrCorruptPart) {
+			t.Fatalf("%s: err=%v, want ErrCorruptPart", name, err)
+		}
+		if name == "one over" && (len(recs) != 1 || string(recs[0]) != "ok") {
+			t.Fatalf("%s: records before the damage: %q", name, recs)
+		}
+	}
+}
+
+// FuzzPartReader: any byte string read as a part file ends in io.EOF or
+// ErrCorruptPart, never a panic, never more record bytes than the file
+// holds, and a cleanly read file re-encodes to itself when its prefixes
+// are canonical.
+func FuzzPartReader(f *testing.F) {
+	f.Add(encodeParts([]byte("alpha"), []byte(""), []byte("gamma")))
+	f.Add(encodeParts([]byte("part0"), []byte("part1"), []byte("part2")))
+	f.Add(encodeParts([]byte{1}, []byte{2}, []byte{3}))
+	f.Add(encodeParts(make([]byte, 300)))
+	f.Add(binary.AppendUvarint(nil, 1<<62))
+	f.Add([]byte{0x80, 0x00})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		recs, err := readPart(t, raw)
+		if err != io.EOF && !errors.Is(err, ErrCorruptPart) {
+			t.Fatalf("untyped error %v", err)
+		}
+		total := 0
+		for _, r := range recs {
+			total += len(r)
+		}
+		if total > len(raw) {
+			t.Fatalf("%d record bytes from a %d-byte file", total, len(raw))
+		}
+		if re := encodeParts(recs...); err == io.EOF && len(re) == len(raw) && !bytes.Equal(re, raw) {
+			t.Fatalf("re-encoding differs: %x vs %x", re, raw)
+		}
+	})
 }
 
 func TestOpenErrors(t *testing.T) {

@@ -80,33 +80,7 @@ func (d DFSInput) Splits(n int) ([]RecordIter, error) {
 	}
 	var out []RecordIter
 	for _, g := range groups {
-		g := g
-		out = append(out, func(yield func([]byte) error) error {
-			for _, path := range g {
-				r, err := dfs.OpenPart(path)
-				if err != nil {
-					return err
-				}
-				for {
-					rec, err := r.Next()
-					if err == io.EOF {
-						break
-					}
-					if err != nil {
-						r.Close()
-						return err
-					}
-					if err := yield(rec); err != nil {
-						r.Close()
-						return err
-					}
-				}
-				if err := r.Close(); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
+		out = append(out, func(yield func([]byte) error) error { return dfs.ScanParts(g, yield) })
 	}
 	return out, nil
 }

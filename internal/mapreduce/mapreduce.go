@@ -113,10 +113,6 @@ func CollectValues(values ValueIter) ([][]byte, error) {
 	return out, nil
 }
 
-// ValuesOf wraps an in-memory slice of values as a ValueIter; handy in
-// tests and for adapting collected data back onto the streaming contract.
-func ValuesOf(values [][]byte) ValueIter { return &sliceIter{values: values} }
-
 // sliceIter iterates an in-memory value slice. The engine uses it to feed
 // the combiner from the sorted map-output buffer.
 type sliceIter struct {

@@ -11,7 +11,6 @@ package nn
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"agl/internal/tensor"
 )
@@ -120,12 +119,4 @@ func (s *ParamSet) CopyWeightsFrom(src *ParamSet) error {
 		p.W.CopyFrom(q.W)
 	}
 	return nil
-}
-
-// SortedNames returns parameter names sorted lexicographically; handy for
-// deterministic serialization.
-func (s *ParamSet) SortedNames() []string {
-	out := s.Names()
-	sort.Strings(out)
-	return out
 }

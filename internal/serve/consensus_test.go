@@ -351,14 +351,13 @@ func TestFreezeTTLDeterministic(t *testing.T) {
 	}
 }
 
-// TestClusterHealthFlowsToFlightRecorder: breaker/retry/failover counters
-// registered by Join surface as AGLFR002 sample fields.
-func TestClusterHealthFlowsToFlightRecorder(t *testing.T) {
+// TestClusterStatsFlowToFlightRecorder: the retry counter of ClusterStats,
+// which Join registers with the wrapped server, reaches the AGLFR002
+// samples whole — the samples' deltas sum to the replica's total.
+func TestClusterStatsFlowToFlightRecorder(t *testing.T) {
 	cl := buildCluster(t, 2)
 
-	// The replica registered its health source with the wrapped server at
-	// Join; simulate retries by reading the source directly after forcing
-	// proxied traffic through a dead peer.
+	// Force proxied reads through a dead peer so retries are counted.
 	if err := cl.reps[1].Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -379,17 +378,18 @@ func TestClusterHealthFlowsToFlightRecorder(t *testing.T) {
 		t.Fatal("score against dead peer unexpectedly succeeded")
 	}
 
-	h := cl.reps[0].clusterHealth()
-	if h.ProxiedRetries == 0 {
-		t.Fatalf("no proxied retries recorded: %+v", h)
-	}
-
-	// The same totals reach a FlightSample through the server hook.
+	// Closing the server appends the final sample, covering the retries.
 	srv := cl.reps[0].Server()
-	prev := flightCounters{}
-	cur := srv.snapCounters()
-	if cur.health.ProxiedRetries != h.ProxiedRetries {
-		t.Fatalf("snapCounters health %+v, want retries %d", cur.health, h.ProxiedRetries)
+	srv.Close()
+	cs := cl.reps[0].ClusterStats()
+	if cs.ProxiedRetries == 0 {
+		t.Fatalf("no proxied retries recorded: %+v", cs)
 	}
-	_ = prev
+	var sum int64
+	for _, s := range srv.Flight() {
+		sum += int64(s.ProxiedRetries)
+	}
+	if sum != cs.ProxiedRetries {
+		t.Fatalf("flight samples sum %d proxied retries, ClusterStats counts %d", sum, cs.ProxiedRetries)
+	}
 }

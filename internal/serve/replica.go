@@ -436,9 +436,10 @@ type Replica struct {
 	// Authority log (this replica as owner). amu is held across fan-out
 	// RPCs to keep per-owner entries totally ordered; Sync handlers on the
 	// receiving side use fmu, never amu, so cross-replica apply cycles
-	// cannot deadlock.
+	// cannot deadlock. authSeq is written under amu but atomic, so
+	// ClusterStats reads it without waiting out a fan-out.
 	amu     sync.Mutex
-	authSeq uint64
+	authSeq atomic.Uint64
 	authLog []AuthEntry
 	cursors []uint64 // cursors[peer] = last seq acked by peer
 
@@ -539,29 +540,8 @@ func (r *Replica) Join(t *placement.Table) error {
 	r.fmu.Lock()
 	r.applied = make([]uint64, len(t.Replicas))
 	r.fmu.Unlock()
-	if r.srv != nil {
-		r.srv.SetClusterHealth(r.clusterHealth)
-	}
+	r.srv.setClusterStats(r.ClusterStats)
 	return nil
-}
-
-// clusterHealth feeds the wrapped Server's flight recorder (AGLFR002
-// cluster counters). Cumulative totals; the recorder computes deltas.
-func (r *Replica) clusterHealth() ClusterHealth {
-	var h ClusterHealth
-	r.tmu.RLock()
-	for _, p := range r.peers {
-		if p != nil {
-			h.ProxiedRetries += p.Retries()
-			h.BreakerOpens += p.BreakerOpens()
-		}
-	}
-	r.tmu.RUnlock()
-	if c := r.cns.Load(); c != nil {
-		h.HeartbeatsMissed = c.heartbeatsMissed.Load()
-		h.Failovers = c.failovers.Load()
-	}
-	return h
 }
 
 // Table returns the replica's current placement table (a shared snapshot;
@@ -604,31 +584,36 @@ func (r *Replica) Close() error {
 	return nil
 }
 
-// ClusterStats snapshots the cluster-layer counters.
+// ClusterStats snapshots the cluster-layer counters. It never waits on an
+// in-flight apply's fan-out, so /cluster and the flight recorder (which
+// diffs it every interval) stay live behind a slow peer.
 func (r *Replica) ClusterStats() ClusterStats {
-	t := r.Table()
-	r.amu.Lock()
-	seq := r.authSeq
-	r.amu.Unlock()
 	cs := ClusterStats{
 		ReplicaID:    r.id,
-		AuthSeq:      seq,
+		AuthSeq:      r.authSeq.Load(),
 		Forwards:     r.forwards.Load(),
 		EpochRejects: r.epochRejects.Load(),
 		FanoutErrors: r.fanoutErrs.Load(),
 		PausedMs:     r.frz.pausedNs.Load() / int64(time.Millisecond),
 	}
-	if t != nil {
+	r.tmu.RLock()
+	if t := r.table; t != nil {
 		cs.Epoch = t.Epoch
 		cs.OwnedSlots = len(t.SlotsOf(r.id))
 	}
-	h := r.clusterHealth()
-	cs.ProxiedRetries, cs.BreakerOpens = h.ProxiedRetries, h.BreakerOpens
-	cs.HeartbeatsMissed, cs.Failovers = h.HeartbeatsMissed, h.Failovers
+	for _, p := range r.peers {
+		if p != nil {
+			cs.ProxiedRetries += p.Retries()
+			cs.BreakerOpens += p.BreakerOpens()
+		}
+	}
+	r.tmu.RUnlock()
 	if c := r.cns.Load(); c != nil {
 		cs.ConsensusOn = true
 		cs.RaftLeader, cs.RaftIsLeader = c.node.Leader()
 		cs.RaftTerm = c.node.Term()
+		cs.HeartbeatsMissed = c.heartbeatsMissed.Load()
+		cs.Failovers = c.failovers.Load()
 	}
 	return cs
 }
@@ -947,8 +932,7 @@ func (r *Replica) applyAsOwner(ctx context.Context, muts []graph.Mutation) (*App
 	// behind on a batch that already committed locally.
 	r.amu.Lock()
 	defer r.amu.Unlock()
-	r.authSeq++
-	r.authLog = append(r.authLog, AuthEntry{Seq: r.authSeq, Muts: applied})
+	r.authLog = append(r.authLog, AuthEntry{Seq: r.authSeq.Add(1), Muts: applied})
 	r.trimAuthLogLocked()
 	fctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -959,7 +943,7 @@ func (r *Replica) applyAsOwner(ctx context.Context, muts []graph.Mutation) (*App
 // trimAuthLogLocked drops entries every peer has acked, hard-capped at
 // replicaLogCap (an unreachable peer then desyncs — counted, documented).
 func (r *Replica) trimAuthLogLocked() {
-	minAck := r.authSeq
+	minAck := r.authSeq.Load()
 	for p := range r.cursors {
 		if p == r.id {
 			continue

@@ -528,6 +528,56 @@ func TestFreezeBlocksWritesNotReads(t *testing.T) {
 	r.frz.unfreeze()
 }
 
+// TestClusterStatsLiveDuringFanout: an owner-side Apply holds the authority
+// lock for its whole fan-out, here to a peer 500 ms away; ClusterStats (so
+// GET /cluster and the flight recorder) must not wait behind it.
+func TestClusterStatsLiveDuringFanout(t *testing.T) {
+	cl := buildCluster(t, 2)
+	r := cl.reps[0]
+	table := r.Table()
+	ch := rpcx.NewChaos(1)
+	ch.Set(table.Replicas[1], rpcx.ChaosPolicy{Delay: 500 * time.Millisecond})
+	r.SetChaos(ch)
+	defer r.SetChaos(nil)
+
+	u, v := cl.g.Nodes[2].ID, int64(-1)
+	for _, n := range cl.g.Nodes {
+		if table.OwnerOf(n.ID) == 0 {
+			v = n.ID
+			break
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := r.Apply(context.Background(), []graph.Mutation{{Op: graph.OpAddEdge, Src: u, Dst: v, Weight: 1}})
+		done <- err
+	}()
+	// AuthSeq turns 1 under the authority lock, just before the fan-out.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		start := time.Now()
+		cs := r.ClusterStats()
+		if el := time.Since(start); el > 50*time.Millisecond {
+			t.Fatalf("ClusterStats took %v while an apply fanned out", el)
+		}
+		if cs.AuthSeq == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("apply never reached its fan-out")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("apply returned (err %v) before its slow fan-out could finish", err)
+	default:
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestReplicaMisc covers the small contract edges: Join validation, stats
 // fields, and double Close.
 func TestReplicaMisc(t *testing.T) {

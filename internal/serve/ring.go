@@ -38,10 +38,11 @@ const (
 )
 
 // FlightSample is one interval of serving-tier counters. Counter fields are
-// deltas over the interval; gauge fields (QueueDepth, DirtyRows) are
-// sampled at interval end. Latency percentiles are in microseconds, computed
-// from a per-interval histogram (power-of-two buckets, so values are upper
-// bounds accurate to 2x — good enough for flight-recorder triage).
+// deltas of the Server's Stats and the Replica's ClusterStats over the
+// interval; gauge fields (QueueDepth, DirtyRows) are sampled at interval
+// end. Latency percentiles are in microseconds, computed from a
+// per-interval histogram (power-of-two buckets, so values are upper bounds
+// accurate to 2x — good enough for flight-recorder triage).
 type FlightSample struct {
 	UnixNanos  int64  `json:"unix_nanos"`  // sample timestamp
 	QueueDepth uint32 `json:"queue_depth"` // cold requests admitted but not completed (gauge)
@@ -68,35 +69,30 @@ type FlightSample struct {
 	BreakerOpens     uint32 `json:"breaker_opens"`     // per-peer circuit-breaker open transitions
 }
 
-func (s *FlightSample) encode(buf []byte) {
-	le := binary.LittleEndian
-	le.PutUint64(buf[0:], uint64(s.UnixNanos))
-	for i, v := range s.fields() {
-		le.PutUint32(buf[8+4*i:], v)
-	}
-}
-
-func (s *FlightSample) decode(buf []byte) {
-	le := binary.LittleEndian
-	s.UnixNanos = int64(le.Uint64(buf[0:]))
-	for i, p := range []*uint32{
+// slots is the AGLFR002 slot layout after the timestamp: one uint32 per
+// field, in this order. encode and decode both walk it, and its length is
+// fixed by flightSlotSize.
+func (s *FlightSample) slots() [(flightSlotSize - 8) / 4]*uint32 {
+	return [...]*uint32{
 		&s.QueueDepth, &s.BatchMax, &s.Requests, &s.CacheHits,
 		&s.Warm, &s.Cold, &s.Batches, &s.Shed,
 		&s.Expired, &s.Errors, &s.WarmP50us, &s.WarmP99us,
 		&s.ColdP50us, &s.ColdP99us, &s.DirtyRows, &s.Applies,
 		&s.HeartbeatsMissed, &s.Failovers, &s.ProxiedRetries, &s.BreakerOpens,
-	} {
-		*p = le.Uint32(buf[8+4*i:])
 	}
 }
 
-func (s *FlightSample) fields() [20]uint32 {
-	return [20]uint32{
-		s.QueueDepth, s.BatchMax, s.Requests, s.CacheHits,
-		s.Warm, s.Cold, s.Batches, s.Shed,
-		s.Expired, s.Errors, s.WarmP50us, s.WarmP99us,
-		s.ColdP50us, s.ColdP99us, s.DirtyRows, s.Applies,
-		s.HeartbeatsMissed, s.Failovers, s.ProxiedRetries, s.BreakerOpens,
+func (s *FlightSample) encode(buf []byte) {
+	binary.LittleEndian.PutUint64(buf[0:], uint64(s.UnixNanos))
+	for i, p := range s.slots() {
+		binary.LittleEndian.PutUint32(buf[8+4*i:], *p)
+	}
+}
+
+func (s *FlightSample) decode(buf []byte) {
+	s.UnixNanos = int64(binary.LittleEndian.Uint64(buf[0:]))
+	for i, p := range s.slots() {
+		*p = binary.LittleEndian.Uint32(buf[8+4*i:])
 	}
 }
 

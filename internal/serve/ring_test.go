@@ -3,11 +3,15 @@ package serve
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -20,6 +24,74 @@ func randSample(rng *rand.Rand, i int) FlightSample {
 		Expired: u32(), Errors: u32(), WarmP50us: u32(), WarmP99us: u32(),
 		ColdP50us: u32(), ColdP99us: u32(), DirtyRows: u32(), Applies: u32(),
 		HeartbeatsMissed: u32(), Failovers: u32(), ProxiedRetries: u32(), BreakerOpens: u32(),
+	}
+}
+
+// TestFlightSlotGolden pins the AGLFR002 slot layout byte for byte. A
+// consistent reorder of the field table still round-trips, so only fixed
+// bytes at fixed offsets catch it.
+func TestFlightSlotGolden(t *testing.T) {
+	s := FlightSample{
+		UnixNanos:  0x1122334455667788,
+		QueueDepth: 1, BatchMax: 2, Requests: 3, CacheHits: 4,
+		Warm: 5, Cold: 6, Batches: 7, Shed: 8,
+		Expired: 9, Errors: 10, WarmP50us: 11, WarmP99us: 12,
+		ColdP50us: 13, ColdP99us: 14, DirtyRows: 15, Applies: 16,
+		HeartbeatsMissed: 17, Failovers: 18, ProxiedRetries: 19, BreakerOpens: 20,
+	}
+	want, err := hex.DecodeString("8877665544332211" + // offset 0: unix_nanos
+		"01000000" + "02000000" + "03000000" + "04000000" + // 8: queue_depth batch_max requests cache_hits
+		"05000000" + "06000000" + "07000000" + "08000000" + // 24: warm cold batches shed
+		"09000000" + "0a000000" + "0b000000" + "0c000000" + // 40: expired errors warm_p50_us warm_p99_us
+		"0d000000" + "0e000000" + "0f000000" + "10000000" + // 56: cold_p50_us cold_p99_us dirty_rows applies
+		"11000000" + "12000000" + "13000000" + "14000000") // 72: heartbeats_missed failovers proxied_retries breaker_opens
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf [flightSlotSize]byte
+	s.encode(buf[:])
+	if !bytes.Equal(buf[:], want) {
+		t.Fatalf("slot bytes\n got %x\nwant %x", buf, want)
+	}
+	var back FlightSample
+	back.decode(want)
+	if back != s {
+		t.Fatalf("golden slot decodes to %+v, want %+v", back, s)
+	}
+}
+
+// TestCounterJSONKeys pins the wire names of the three counter types:
+// bench/ decodes /stats and /cluster by them, CI greps them, and
+// internal/e2e and aglmetrics -json decode flight samples by them.
+func TestCounterJSONKeys(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		keys string
+	}{
+		{Stats{}, "Applies Batches CacheHits Cold ColdPending Collapsed DirtyRows Errors Expired " +
+			"Invalidated LinkCold LinkRequests LinkWarm Mutations Readmitted Requests Shed Version Warm"},
+		{ClusterStats{}, "AuthSeq BreakerOpens ConsensusOn Epoch EpochRejects Failovers FanoutErrors " +
+			"Forwards HeartbeatsMissed OwnedSlots PausedMs ProxiedRetries RaftIsLeader RaftLeader RaftTerm ReplicaID"},
+		{FlightSample{}, "applies batch_max batches breaker_opens cache_hits cold cold_p50_us cold_p99_us " +
+			"dirty_rows errors expired failovers heartbeats_missed proxied_retries queue_depth requests shed " +
+			"unix_nanos warm warm_p50_us warm_p99_us"},
+	} {
+		b, err := json.Marshal(tc.v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m map[string]any
+		if err := json.Unmarshal(b, &m); err != nil {
+			t.Fatal(err)
+		}
+		keys := make([]string, 0, len(m))
+		for k := range m {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		if got := strings.Join(keys, " "); got != tc.keys {
+			t.Fatalf("%T JSON keys\n got %s\nwant %s", tc.v, got, tc.keys)
+		}
 	}
 }
 

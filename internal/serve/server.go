@@ -249,10 +249,10 @@ type Server struct {
 
 	linkRequests, linkWarm, linkCold atomic.Int64
 
-	// health is an optional func() ClusterHealth registered by the
-	// cluster layer; the recorder samples it each interval for the
-	// AGLFR002 cluster counters.
-	health atomic.Value
+	// clusterStats is the cluster layer's counter source (Replica
+	// registers its ClusterStats on Join); the recorder diffs it each
+	// interval for the AGLFR002 cluster counters.
+	clusterStats atomic.Pointer[func() ClusterStats]
 }
 
 // call is one de-duplicated score computation; waiters block on done. Every
@@ -989,53 +989,10 @@ func (s *Server) recordBatch(n int) {
 	}
 }
 
-// ClusterHealth is a cumulative snapshot of cluster-health counters,
-// produced by the cluster layer (see Replica) and sampled into AGLFR002
-// flight samples. All fields are monotonic totals; the recorder turns
-// them into per-interval deltas.
-type ClusterHealth struct {
-	HeartbeatsMissed int64 `json:"heartbeats_missed"`
-	Failovers        int64 `json:"failovers"`
-	ProxiedRetries   int64 `json:"proxied_retries"`
-	BreakerOpens     int64 `json:"breaker_opens"`
-}
-
-// SetClusterHealth registers the cluster-health counter source sampled
+// setClusterStats registers the cluster layer's counter source, sampled
 // once per flight interval. Single-process servers never call this; the
 // AGLFR002 cluster fields then stay zero.
-func (s *Server) SetClusterHealth(fn func() ClusterHealth) {
-	s.health.Store(fn)
-}
-
-func (s *Server) clusterHealth() ClusterHealth {
-	if fn, ok := s.health.Load().(func() ClusterHealth); ok && fn != nil {
-		return fn()
-	}
-	return ClusterHealth{}
-}
-
-// flightCounters is the recorder's previous-tick snapshot; samples carry
-// per-interval deltas so a flat line really means "nothing happened".
-type flightCounters struct {
-	requests, hits, warm, cold, batches int64
-	shed, expired, errs, applies        int64
-	health                              ClusterHealth
-}
-
-func (s *Server) snapCounters() flightCounters {
-	return flightCounters{
-		requests: s.requests.Load() + s.linkRequests.Load(),
-		hits:     s.hits.Load(),
-		warm:     s.warm.Load() + s.linkWarm.Load(),
-		cold:     s.cold.Load() + s.linkCold.Load(),
-		batches:  s.batches.Load(),
-		shed:     s.shed.Load(),
-		expired:  s.expired.Load(),
-		errs:     s.errors.Load(),
-		applies:  s.applies.Load(),
-		health:   s.clusterHealth(),
-	}
-}
+func (s *Server) setClusterStats(fn func() ClusterStats) { s.clusterStats.Store(&fn) }
 
 // recorder is the flight-recorder goroutine: every cfg.FlightInterval it
 // appends one sample of counter deltas, gauges, and latency percentiles to
@@ -1049,20 +1006,27 @@ func (s *Server) recorder() {
 	// Baseline is server birth (all counters zero), not goroutine start:
 	// requests racing the recorder's spin-up must not vanish from the
 	// first interval's deltas — sum(samples) always equals the totals.
-	var prev flightCounters
+	var prev Stats
+	var prevC ClusterStats
 	for {
 		select {
 		case <-tick.C:
-			prev = s.sample(prev)
+			prev, prevC = s.sample(prev, prevC)
 		case <-s.flightStop:
-			s.sample(prev)
+			s.sample(prev, prevC)
 			return
 		}
 	}
 }
 
-func (s *Server) sample(prev flightCounters) flightCounters {
-	cur := s.snapCounters()
+// sample appends one FlightSample: the difference between the current and
+// the previous Stats and ClusterStats snapshots for counters, their current
+// value for gauges, plus the interval's latency histograms.
+func (s *Server) sample(prev Stats, prevC ClusterStats) (Stats, ClusterStats) {
+	cur, curC := s.Stats(), ClusterStats{}
+	if fn := s.clusterStats.Load(); fn != nil {
+		curC = (*fn)()
+	}
 	s.flightMu.Lock()
 	warm50 := s.warmHist.percentile(0.50)
 	warm99 := s.warmHist.percentile(0.99)
@@ -1071,35 +1035,32 @@ func (s *Server) sample(prev flightCounters) flightCounters {
 	s.warmHist.reset()
 	s.coldHist.reset()
 	s.flightMu.Unlock()
-	s.mu.Lock()
-	dirty := len(s.dirty)
-	s.mu.Unlock()
-	fs := FlightSample{
+	d := func(now, before int64) uint32 { return clampU32(now - before) }
+	s.flight.Append(FlightSample{ // best-effort: a failed file write keeps the in-memory ring going
 		UnixNanos:  time.Now().UnixNano(),
-		QueueDepth: clampU32(s.adm.pending.Load()),
+		QueueDepth: clampU32(cur.ColdPending),
 		BatchMax:   clampU32(s.batchMaxWin.Swap(0)),
-		Requests:   clampU32(cur.requests - prev.requests),
-		CacheHits:  clampU32(cur.hits - prev.hits),
-		Warm:       clampU32(cur.warm - prev.warm),
-		Cold:       clampU32(cur.cold - prev.cold),
-		Batches:    clampU32(cur.batches - prev.batches),
-		Shed:       clampU32(cur.shed - prev.shed),
-		Expired:    clampU32(cur.expired - prev.expired),
-		Errors:     clampU32(cur.errs - prev.errs),
+		Requests:   d(cur.Requests+cur.LinkRequests, prev.Requests+prev.LinkRequests),
+		CacheHits:  d(cur.CacheHits, prev.CacheHits),
+		Warm:       d(cur.Warm+cur.LinkWarm, prev.Warm+prev.LinkWarm),
+		Cold:       d(cur.Cold+cur.LinkCold, prev.Cold+prev.LinkCold),
+		Batches:    d(cur.Batches, prev.Batches),
+		Shed:       d(cur.Shed, prev.Shed),
+		Expired:    d(cur.Expired, prev.Expired),
+		Errors:     d(cur.Errors, prev.Errors),
 		WarmP50us:  warm50,
 		WarmP99us:  warm99,
 		ColdP50us:  cold50,
 		ColdP99us:  cold99,
-		DirtyRows:  clampU32(int64(dirty)),
-		Applies:    clampU32(cur.applies - prev.applies),
+		DirtyRows:  clampU32(cur.DirtyRows),
+		Applies:    d(cur.Applies, prev.Applies),
 
-		HeartbeatsMissed: clampU32(cur.health.HeartbeatsMissed - prev.health.HeartbeatsMissed),
-		Failovers:        clampU32(cur.health.Failovers - prev.health.Failovers),
-		ProxiedRetries:   clampU32(cur.health.ProxiedRetries - prev.health.ProxiedRetries),
-		BreakerOpens:     clampU32(cur.health.BreakerOpens - prev.health.BreakerOpens),
-	}
-	s.flight.Append(fs) // best-effort: a failed file write keeps the in-memory ring going
-	return cur
+		HeartbeatsMissed: d(curC.HeartbeatsMissed, prevC.HeartbeatsMissed),
+		Failovers:        d(curC.Failovers, prevC.Failovers),
+		ProxiedRetries:   d(curC.ProxiedRetries, prevC.ProxiedRetries),
+		BreakerOpens:     d(curC.BreakerOpens, prevC.BreakerOpens),
+	})
+	return cur, curC
 }
 
 func clampU32(v int64) uint32 {

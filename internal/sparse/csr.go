@@ -151,21 +151,11 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// TransposeWithMap returns mᵀ together with fwd, where fwd[i] is the index
+// transposeWithMapIntoWS fills t (a caller-owned struct, typically embedded
+// in an Aggregator) with mᵀ and returns the edge map: fwd[i] is the index
 // into m's edge arrays of the transpose's i-th edge. GAT's backward pass
 // uses the map to read forward-pass attention coefficients while iterating
 // source-partitioned (conflict-free) over the transpose.
-func (m *CSR) TransposeWithMap() (*CSR, []int) { return m.TransposeWithMapWS(nil) }
-
-// TransposeWithMapWS is TransposeWithMap with every array drawn from ws.
-func (m *CSR) TransposeWithMapWS(ws *tensor.Workspace) (*CSR, []int) {
-	t := &CSR{}
-	fwd := m.transposeWithMapIntoWS(ws, t)
-	return t, fwd
-}
-
-// transposeWithMapIntoWS fills t (a caller-owned struct, typically embedded
-// in an Aggregator) with mᵀ and returns the edge map.
 func (m *CSR) transposeWithMapIntoWS(ws *tensor.Workspace, t *CSR) []int {
 	nnz := m.NNZ()
 	*t = CSR{
