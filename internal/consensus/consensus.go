@@ -112,8 +112,23 @@ func (e *NotLeaderError) Is(target error) bool { return target == ErrNotLeader }
 // a competing leader before committing — safe to retry.
 var ErrLost = errors.New("consensus: proposal lost to a competing leader")
 
-// ErrClosed is returned after Close.
+// ErrClosed is returned after Close, and after a failed WAL write or sync
+// has stopped the node (the error then also carries the cause).
 var ErrClosed = errors.New("consensus: closed")
+
+// walFailedError is the error a node stopped by a failed WAL write or
+// sync returns: a vote or entry it cannot make durable must not be
+// granted or acknowledged, so the node takes no further part.
+type walFailedError struct{ cause error }
+
+func (e *walFailedError) Error() string {
+	return "consensus: stopped after a failed WAL write: " + e.cause.Error()
+}
+
+// Is matches the ErrClosed sentinel.
+func (e *walFailedError) Is(target error) bool { return target == ErrClosed }
+
+func (e *walFailedError) Unwrap() error { return e.cause }
 
 // Config configures a Node. ID must appear in Peers.
 type Config struct {
@@ -164,6 +179,7 @@ type Node struct {
 	rng         *rand.Rand
 	wal         *wal
 	closed      bool
+	failed      error // set once by failLocked; the node is stopped
 
 	kick   chan struct{} // wakes the replicator early (new proposal)
 	stopCh chan struct{}
@@ -322,6 +338,11 @@ func (n *Node) Propose(ctx context.Context, cmd []byte) error {
 		n.mu.Unlock()
 		return ErrClosed
 	}
+	if n.failed != nil {
+		err := n.failed
+		n.mu.Unlock()
+		return err
+	}
 	if n.role != leader {
 		hint := n.leaderID
 		n.mu.Unlock()
@@ -329,7 +350,10 @@ func (n *Node) Propose(ctx context.Context, cmd []byte) error {
 	}
 	e := Entry{Index: n.lastIndexLocked() + 1, Term: n.term, Cmd: cmd}
 	n.log = append(n.log, e)
-	n.persistEntriesLocked(e)
+	if err := n.persistEntriesLocked(e); err != nil {
+		n.mu.Unlock()
+		return err
+	}
 	ch := make(chan waitResult, 1)
 	n.waiters[e.Index] = append(n.waiters[e.Index], ch)
 	if len(n.peers) == 0 {
@@ -367,14 +391,16 @@ func (n *Node) HandleRequestVote(args *VoteArgs, reply *VoteReply) {
 		n.becomeFollowerLocked(args.Term, "")
 	}
 	reply.Term = n.term
-	if args.Term < n.term {
+	if args.Term < n.term || n.failed != nil {
 		return
 	}
 	upToDate := args.LastLogTerm > n.lastTermLocked() ||
 		(args.LastLogTerm == n.lastTermLocked() && args.LastLogIndex >= n.lastIndexLocked())
 	if (n.votedFor == "" || n.votedFor == args.Candidate) && upToDate {
 		n.votedFor = args.Candidate
-		n.persistMetaLocked()
+		if n.persistMetaLocked() != nil {
+			return
+		}
 		n.resetElectionTimerLocked()
 		reply.Granted = true
 	}
@@ -388,7 +414,7 @@ func (n *Node) HandleAppendEntries(args *AppendArgs, reply *AppendReply) {
 		n.becomeFollowerLocked(args.Term, args.Leader)
 	}
 	reply.Term = n.term
-	if args.Term < n.term {
+	if args.Term < n.term || n.failed != nil {
 		return
 	}
 	// Valid leader for this term: stay (or become) its follower.
@@ -424,7 +450,9 @@ func (n *Node) HandleAppendEntries(args *AppendArgs, reply *AppendReply) {
 			n.truncateFromLocked(e.Index)
 		}
 		n.log = append(n.log, args.Entries[i:]...)
-		n.persistEntriesLocked(args.Entries[i:]...)
+		if n.persistEntriesLocked(args.Entries[i:]...) != nil {
+			return
+		}
 		break
 	}
 	if args.LeaderCommit > n.commitIndex {
@@ -458,7 +486,7 @@ func (n *Node) electionLoop() {
 			n.mu.Unlock()
 			return
 		}
-		expired := n.role != leader && n.clk.Since(n.lastReset) >= n.timeoutCur
+		expired := n.role != leader && n.failed == nil && n.clk.Since(n.lastReset) >= n.timeoutCur
 		if !expired {
 			n.mu.Unlock()
 			continue
@@ -468,7 +496,10 @@ func (n *Node) electionLoop() {
 		n.term++
 		n.votedFor = n.cfg.ID
 		n.leaderID = ""
-		n.persistMetaLocked()
+		if n.persistMetaLocked() != nil {
+			n.mu.Unlock()
+			continue
+		}
 		n.resetElectionTimerLocked()
 		term := n.term
 		args := &VoteArgs{
@@ -537,7 +568,9 @@ func (n *Node) becomeLeaderLocked() {
 	}
 	noop := Entry{Index: n.lastIndexLocked() + 1, Term: n.term}
 	n.log = append(n.log, noop)
-	n.persistEntriesLocked(noop)
+	if n.persistEntriesLocked(noop) != nil {
+		return
+	}
 	n.cfg.Logf("consensus %s: leader for term %d (log %d)", n.cfg.ID, n.term, n.lastIndexLocked())
 	if len(n.peers) == 0 {
 		n.advanceCommitLocked()
@@ -555,7 +588,7 @@ func (n *Node) becomeFollowerLocked(newTerm uint64, leaderHint string) {
 	n.role = follower
 	n.votedFor = ""
 	n.leaderID = leaderHint
-	n.persistMetaLocked()
+	_ = n.persistMetaLocked() // a failure stops the node; callers check n.failed
 	n.resetElectionTimerLocked()
 }
 
@@ -728,39 +761,65 @@ func (n *Node) applyLoop() {
 
 // --- persistence + log helpers (callers hold n.mu) ---
 
-func (n *Node) persistMetaLocked() {
-	if n.wal == nil {
-		return
+// persistMetaLocked makes the current term and vote durable. A failure
+// stops the node (failLocked) and is returned.
+func (n *Node) persistMetaLocked() error {
+	if n.wal == nil || n.failed != nil {
+		return n.failed
 	}
 	if err := n.wal.saveMeta(n.term, n.votedFor); err != nil {
-		n.cfg.Logf("consensus %s: wal meta: %v", n.cfg.ID, err)
+		return n.failLocked(fmt.Errorf("wal meta: %w", err))
 	}
-	if err := n.wal.sync(); err != nil {
-		n.cfg.Logf("consensus %s: wal sync: %v", n.cfg.ID, err)
-	}
+	return n.syncLocked()
 }
 
-func (n *Node) persistEntriesLocked(es ...Entry) {
-	if n.wal == nil {
-		return
+// persistEntriesLocked makes es durable. A failure stops the node
+// (failLocked) and is returned.
+func (n *Node) persistEntriesLocked(es ...Entry) error {
+	if n.wal == nil || n.failed != nil {
+		return n.failed
 	}
 	for _, e := range es {
 		if err := n.wal.appendEntry(e); err != nil {
-			n.cfg.Logf("consensus %s: wal entry: %v", n.cfg.ID, err)
+			return n.failLocked(fmt.Errorf("wal entry %d: %w", e.Index, err))
 		}
 	}
+	return n.syncLocked()
+}
+
+func (n *Node) syncLocked() error {
 	if err := n.wal.sync(); err != nil {
-		n.cfg.Logf("consensus %s: wal sync: %v", n.cfg.ID, err)
+		return n.failLocked(fmt.Errorf("wal sync: %w", err))
 	}
+	return nil
+}
+
+// failLocked stops the node after a WAL write or sync failed: from here on
+// it grants no vote, acknowledges no append, does not campaign or lead, and
+// every pending and later proposal fails with the returned error.
+func (n *Node) failLocked(cause error) error {
+	if n.failed == nil {
+		n.failed = &walFailedError{cause: cause}
+		n.cfg.Logf("consensus %s: %v", n.cfg.ID, n.failed)
+		n.role = follower
+		n.leaderID = ""
+		for idx, chans := range n.waiters {
+			for _, ch := range chans {
+				ch <- waitResult{err: n.failed}
+			}
+			delete(n.waiters, idx)
+		}
+	}
+	return n.failed
 }
 
 // truncateFromLocked discards log entries with Index >= from, failing
 // any waiters parked on them (their slots were overwritten).
 func (n *Node) truncateFromLocked(from uint64) {
 	n.log = n.log[:from-1]
-	if n.wal != nil {
+	if n.wal != nil && n.failed == nil {
 		if err := n.wal.truncateFrom(from); err != nil {
-			n.cfg.Logf("consensus %s: wal truncate: %v", n.cfg.ID, err)
+			n.failLocked(fmt.Errorf("wal truncate: %w", err))
 		}
 	}
 	for idx, chans := range n.waiters {

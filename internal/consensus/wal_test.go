@@ -2,12 +2,14 @@ package consensus
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // flakyFile fails its failAt-th WriteAt the way a full disk does: half the
@@ -92,6 +94,43 @@ func TestWALShortWriteKeepsLaterRecords(t *testing.T) {
 				t.Fatalf("k=%d noTruncate=%v: replayed %+v, acknowledged %+v", k, noTruncate, got, want)
 			}
 		}
+	}
+}
+
+// TestWALFailureStopsNode: a node whose WAL write fails must not grant the
+// vote it could not persist, and afterwards acknowledges no append and
+// refuses proposals. failAt 1 fails the term change the request causes,
+// failAt 2 the vote itself; failAt 0 never fails and the vote is granted.
+func TestWALFailureStopsNode(t *testing.T) {
+	for _, failAt := range []int{0, 1, 2} {
+		n, err := New(Config{
+			ID: "a", Peers: []string{"a", "b"}, Transport: newMemTransport(),
+			WALPath: filepath.Join(t.TempDir(), "a.wal"), ElectionTimeoutMin: time.Hour,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.mu.Lock()
+		n.wal.f = &flakyFile{File: n.wal.f.(*os.File), failAt: failAt}
+		n.mu.Unlock()
+
+		var vote VoteReply
+		n.HandleRequestVote(&VoteArgs{Term: 1, Candidate: "b"}, &vote)
+		if vote.Granted != (failAt == 0) {
+			t.Fatalf("failAt %d: vote granted = %v", failAt, vote.Granted)
+		}
+		if failAt > 0 {
+			var app AppendReply
+			n.HandleAppendEntries(&AppendArgs{Term: 1, Leader: "b", Entries: []Entry{{Index: 1, Term: 1}}}, &app)
+			if app.Success {
+				t.Fatalf("failAt %d: a stopped node acknowledged an append", failAt)
+			}
+			err := n.Propose(context.Background(), []byte("x"))
+			if !errors.Is(err, ErrClosed) || !errors.Is(err, errDiskFull) {
+				t.Fatalf("failAt %d: Propose on a stopped node returned %v", failAt, err)
+			}
+		}
+		n.Close()
 	}
 }
 

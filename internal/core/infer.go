@@ -121,16 +121,8 @@ func Infer(cfg InferConfig, model *gnn.Model, tables mapreduce.Input) (*InferRes
 	if err != nil {
 		return nil, fmt.Errorf("core: GraphInfer segmentation: %w", err)
 	}
-	// Serialize each slice; every reduce round loads exactly its own slice,
-	// the way a real reduce task ships only the parameters it needs.
-	sliceBytes := make([][]byte, len(slices))
-	for i, s := range slices {
-		b, err := gnn.EncodeSlice(s)
-		if err != nil {
-			return nil, err
-		}
-		sliceBytes[i] = b
-	}
+	// Every reduce round uses exactly its own slice, the way a real reduce
+	// task ships only the parameters it needs.
 	k := len(slices) - 1 // number of GNN layers
 
 	e := cfg.engine()
@@ -139,26 +131,16 @@ func Infer(cfg InferConfig, model *gnn.Model, tables mapreduce.Input) (*InferRes
 		seed: func(id int64, feat []float64, deg float64) []byte {
 			return wire.EncodeEmbedding(nil, &wire.Embedding{ID: id, H: feat, Deg: deg})
 		},
-		merge: func(round int) (mergeFunc, error) {
-			slice, err := gnn.DecodeSlice(sliceBytes[round-1])
-			if err != nil {
-				return nil, err
-			}
-			return embeddingMerge(slice), nil
-		},
+		merge: func(round int) (mergeFunc, error) { return embeddingMerge(slices[round-1]), nil },
 	})
 	if err != nil {
 		return nil, err
 	}
 
 	// Round K+1: prediction slice.
-	predSlice, err := gnn.DecodeSlice(sliceBytes[k])
-	if err != nil {
-		return nil, err
-	}
 	res.RoundStats = p.stats
 	_, collect, stats, err := e.runRound("infer-predict",
-		mapreduce.IdentityMapper, predictReducer(predSlice, cfg.KeepEmbeddings), p.out)
+		mapreduce.IdentityMapper, predictReducer(slices[k], cfg.KeepEmbeddings), p.out)
 	if err != nil {
 		return nil, fmt.Errorf("core: GraphInfer predict: %w", err)
 	}

@@ -6,6 +6,7 @@ package e2e
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -413,6 +414,16 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	mustFail("format AGLMAP01 retired, regenerate with aglserve -store-save",
 		"-store-backend", "mmap", "-store-path", retired)
 	mustFail("holds f64 rows", "-store-backend", "quant", "-store-path", storePath)
+	// A model file in the retired gob format is refused, not misread.
+	var gobModel bytes.Buffer
+	if err := gob.NewEncoder(&gobModel).Encode(struct{ Cfg gnn.Config }{gnn.Config{Kind: gnn.KindGCN}}); err != nil {
+		t.Fatal(err)
+	}
+	gobPath := filepath.Join(dir, "gob-model.agl")
+	if err := os.WriteFile(gobPath, gobModel.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustFail("gob model files are retired", "-m", gobPath)
 }
 
 // postJSON posts a JSON body, asserts the status, and decodes the response.

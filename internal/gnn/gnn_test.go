@@ -242,61 +242,39 @@ func TestSlicedInferenceMatchesBatchForward(t *testing.T) {
 	}
 }
 
+// TestModelSaveLoadRoundTrip: every layer kind, with and without a learned
+// edge head, gives bit-equal node and link logits after Save→Load, and the
+// loaded model marshals back to the same bytes.
 func TestModelSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	b := testBatch(rng, 15, 5, 3, 0.2)
-	for _, kind := range []string{KindGCN, KindSAGE, KindGAT} {
-		m := newTestModel(t, kind, 2, 5, 4, 2, 2)
-		var buf bytes.Buffer
-		if err := m.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		m2, err := Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := m.Infer(b, RunOptions{})
-		c := m2.Infer(b, RunOptions{})
-		if !tensor.Equalish(a, c, 0) {
-			t.Fatalf("%s: loaded model produces different logits", kind)
-		}
-	}
-}
-
-func TestSliceEncodeDecodeRoundTrip(t *testing.T) {
-	m := newTestModel(t, KindGAT, 2, 5, 4, 2, 2)
-	slices, err := m.Segment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(slices) != 3 {
-		t.Fatalf("want K+1=3 slices, got %d", len(slices))
-	}
-	for _, s := range slices {
-		bts, err := EncodeSlice(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s2, err := DecodeSlice(bts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s2.Index != s.Index || s2.IsPrediction() != s.IsPrediction() {
-			t.Fatalf("slice metadata mismatch: %+v vs %+v", s2, s)
-		}
-		if !s.IsPrediction() {
-			msgs := []NeighborMsg{{H: []float64{1, 0, 0.5, -1, 2}, W: 1, Deg: 2}}
-			self := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-			if s.Index == 2 {
-				self = []float64{0.1, 0.2, 0.3, 0.4}
-				msgs[0].H = []float64{1, 0, 0.5, -1}
+	b := edgeBatch(rng, 15, 5, 3, 3, 0.2)
+	src, dst := []int{0, 4, 9}, []int{2, 4, 1}
+	for _, kind := range []string{KindGCN, KindSAGE, KindGAT, KindGIN} {
+		for _, head := range []string{"", EdgeHeadBilinear, EdgeHeadMLP} {
+			m, err := NewModel(Config{
+				Kind: kind, InDim: 5, Hidden: 4, Classes: 2, Layers: 2, Heads: 2,
+				EdgeDim: 3, EdgeHead: head, Act: nn.ActTanh, Seed: 42,
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			a := s.Layer.InferNode(self, 2, msgs)
-			c := s2.Layer.InferNode(self, 2, msgs)
-			for i := range a {
-				if a[i] != c[i] {
-					t.Fatalf("slice %d InferNode mismatch after round trip", s.Index)
-				}
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			saved := append([]byte(nil), buf.Bytes()...)
+			m2, err := Load(&buf)
+			if err != nil {
+				t.Fatalf("%s/%q: %v", kind, head, err)
+			}
+			if !sameBits(m.Infer(b, RunOptions{}), m2.Infer(b, RunOptions{})) {
+				t.Fatalf("%s/%q: loaded model produces different logits", kind, head)
+			}
+			if head != "" && !sameBits(m.InferEdges(b, src, dst, RunOptions{}), m2.InferEdges(b, src, dst, RunOptions{})) {
+				t.Fatalf("%s/%q: loaded model produces different link logits", kind, head)
+			}
+			if again := mustMarshalModel(t, m2); !bytes.Equal(again, saved) {
+				t.Fatalf("%s/%q: re-marshalled model differs from the file it was loaded from", kind, head)
 			}
 		}
 	}
@@ -317,11 +295,17 @@ func TestSegmentIsolatesWeights(t *testing.T) {
 }
 
 func TestModelConfigValidation(t *testing.T) {
-	if _, err := NewModel(Config{Kind: "bogus", InDim: 2, Hidden: 2, Classes: 2}); err == nil {
-		t.Fatal("expected error for unknown kind")
-	}
-	if _, err := NewModel(Config{Kind: KindGCN}); err == nil {
-		t.Fatal("expected error for zero dims")
+	for name, cfg := range map[string]Config{
+		"unknown kind":           {Kind: "bogus", InDim: 2, Hidden: 2, Classes: 2},
+		"zero dims":              {Kind: KindGCN},
+		"GAT heads not dividing": {Kind: KindGAT, InDim: 2, Hidden: 5, Classes: 2, Heads: 2},
+		"negative heads":         {Kind: KindGAT, InDim: 2, Hidden: 4, Classes: 2, Heads: -2},
+		"negative layers":        {Kind: KindGCN, InDim: 2, Hidden: 2, Classes: 2, Layers: -1},
+		"negative edge dim":      {Kind: KindGAT, InDim: 2, Hidden: 2, Classes: 2, EdgeDim: -3},
+	} {
+		if _, err := NewModel(cfg); err == nil {
+			t.Fatalf("%s: expected an error for %+v", name, cfg)
+		}
 	}
 }
 

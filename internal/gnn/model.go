@@ -72,8 +72,13 @@ type Model struct {
 // NewModel constructs a model from cfg with Glorot-initialized parameters.
 func NewModel(cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
-	if cfg.InDim <= 0 || cfg.Hidden <= 0 || cfg.Classes <= 0 {
+	switch {
+	case cfg.InDim <= 0 || cfg.Hidden <= 0 || cfg.Classes <= 0:
 		return nil, fmt.Errorf("gnn: bad dims %+v", cfg)
+	case cfg.Layers < 0 || cfg.Heads < 0 || cfg.EdgeDim < 0:
+		return nil, fmt.Errorf("gnn: negative Layers, Heads or EdgeDim %+v", cfg)
+	case cfg.Kind == KindGAT && cfg.Hidden%cfg.Heads != 0:
+		return nil, fmt.Errorf("gnn: GAT hidden dim %d not divisible by %d heads", cfg.Hidden, cfg.Heads)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	m := &Model{Cfg: cfg, rng: rng}

@@ -2,174 +2,169 @@ package gnn
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
-	"math/rand"
 
 	"agl/internal/nn"
+	"agl/internal/wire"
 )
 
-// paramSpec is the serialized form of one parameter.
-type paramSpec struct {
-	Name       string
-	Rows, Cols int
-	Data       []float64
-}
-
-// layerSpec is the serialized form of one GNN layer or the head.
-type layerSpec struct {
-	Kind    string // "gcn", "sage", "gat", "dense"
-	Name    string
-	In, Out int
-	Heads   int
-	EdgeDim int
-	Act     nn.ActKind
-	Params  []paramSpec
-}
-
-// modelSpec is the on-disk form of a model.
-type modelSpec struct {
-	Cfg    Config
-	Layers []layerSpec
-	Head   layerSpec
-	// Edge holds the pairwise link head's parameters (Cfg.EdgeHead != "");
-	// empty for node-task models and for the parameter-free dot head.
-	Edge []paramSpec
-}
-
-func paramsToSpecs(ps []*nn.Param) []paramSpec {
-	out := make([]paramSpec, 0, len(ps))
-	for _, p := range ps {
-		out = append(out, paramSpec{
-			Name: p.Name,
-			Rows: p.W.Rows,
-			Cols: p.W.Cols,
-			Data: append([]float64(nil), p.W.Data...),
-		})
-	}
-	return out
-}
-
-func loadSpecsInto(ps []*nn.Param, specs []paramSpec) error {
-	if len(ps) != len(specs) {
-		return fmt.Errorf("gnn: parameter count mismatch %d vs %d", len(ps), len(specs))
-	}
-	byName := make(map[string]paramSpec, len(specs))
-	for _, s := range specs {
-		byName[s.Name] = s
-	}
-	for _, p := range ps {
-		s, ok := byName[p.Name]
-		if !ok {
-			return fmt.Errorf("gnn: missing serialized parameter %q", p.Name)
-		}
-		if s.Rows != p.W.Rows || s.Cols != p.W.Cols {
-			return fmt.Errorf("gnn: parameter %q shape mismatch", p.Name)
-		}
-		copy(p.W.Data, s.Data)
-	}
-	return nil
-}
-
-func layerToSpec(name string, l Layer) layerSpec {
-	spec := layerSpec{Kind: l.Kind(), Name: name, In: l.InDim(), Out: l.OutDim(), Params: paramsToSpecs(l.Params())}
-	switch t := l.(type) {
-	case *GCNLayer:
-		spec.Act = t.Act
-	case *SAGELayer:
-		spec.Act = t.Act
-	case *GATLayer:
-		spec.Act = t.Act
-		spec.Heads = t.Heads
-		spec.EdgeDim = t.edgeDim
-	case *GINLayer:
-		spec.Act = t.Act
-	}
-	return spec
-}
-
-func layerFromSpec(s layerSpec) (Layer, error) {
-	rng := rand.New(rand.NewSource(0))
-	var l Layer
-	switch s.Kind {
-	case KindGCN:
-		l = NewGCN(s.Name, s.In, s.Out, s.Act, rng)
-	case KindSAGE:
-		l = NewSAGE(s.Name, s.In, s.Out, s.Act, rng)
-	case KindGAT:
-		l = NewGAT(s.Name, s.In, s.Out, s.Heads, s.EdgeDim, s.Act, rng)
-	case KindGIN:
-		l = NewGIN(s.Name, s.In, s.Out, s.Act, rng)
-	default:
-		return nil, fmt.Errorf("gnn: unknown layer kind %q", s.Kind)
-	}
-	if err := loadSpecsInto(l.Params(), s.Params); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
+// A model file, in the wire package's encoding, is
+//
+//	"AGLMDL01"
+//	Config: Kind, InDim, Hidden, Classes, Layers, Heads, Act, Dropout,
+//	        Seed, EdgeDim, EdgeHead (strings length-prefixed, ints as
+//	        zig-zag varints, Dropout as float64 bits)
+//	parameter count, then per parameter of Params().List():
+//	        name, rows, length-prefixed float64 weights
+//	CRC-32 (IEEE, little endian) of every byte before it
+//
+// The Config alone determines the layers; the weights follow in the order
+// NewModel creates them.
+const modelMagic = "AGLMDL01"
 
 // Save serializes the model (config + all weights) to w.
 func (m *Model) Save(w io.Writer) error {
-	spec := modelSpec{Cfg: m.Cfg}
-	for i, l := range m.Layers {
-		spec.Layers = append(spec.Layers, layerToSpec(fmt.Sprintf("l%d", i), l))
+	b, err := MarshalModel(m)
+	if err == nil {
+		_, err = w.Write(b)
 	}
-	spec.Head = layerSpec{
-		Kind:   "dense",
-		Name:   "head",
-		In:     m.Head.W.W.Rows,
-		Out:    m.Head.W.W.Cols,
-		Params: paramsToSpecs(m.Head.Params()),
-	}
-	if m.Edge != nil {
-		spec.Edge = paramsToSpecs(m.Edge.Params())
-	}
-	return gob.NewEncoder(w).Encode(&spec)
+	return err
 }
 
 // Load deserializes a model previously written by Save.
 func Load(r io.Reader) (*Model, error) {
-	var spec modelSpec
-	if err := gob.NewDecoder(r).Decode(&spec); err != nil {
-		return nil, fmt.Errorf("gnn: decode model: %w", err)
-	}
-	m, err := NewModel(spec.Cfg)
+	b, err := io.ReadAll(r)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("gnn: read model: %w", err)
 	}
-	if len(spec.Layers) != len(m.Layers) {
-		return nil, fmt.Errorf("gnn: layer count mismatch")
-	}
-	for i, ls := range spec.Layers {
-		if err := loadSpecsInto(m.Layers[i].Params(), ls.Params); err != nil {
-			return nil, err
-		}
-	}
-	if err := loadSpecsInto(m.Head.Params(), spec.Head.Params); err != nil {
-		return nil, err
-	}
-	if m.Edge != nil {
-		if err := loadSpecsInto(m.Edge.Params(), spec.Edge); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	return UnmarshalModel(b)
 }
 
 // MarshalModel serializes a model to bytes.
 func MarshalModel(m *Model) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
-		return nil, err
+	c := m.Cfg
+	b := wire.AppendString([]byte(modelMagic), c.Kind)
+	for _, v := range []int{c.InDim, c.Hidden, c.Classes, c.Layers, c.Heads} {
+		b = wire.AppendVarint(b, int64(v))
 	}
-	return buf.Bytes(), nil
+	b = wire.AppendVarint(b, int64(c.Act))
+	b = wire.AppendFloat64(b, c.Dropout)
+	b = wire.AppendVarint(b, c.Seed)
+	b = wire.AppendVarint(b, int64(c.EdgeDim))
+	b = wire.AppendString(b, c.EdgeHead)
+	ps := m.Params().List()
+	b = wire.AppendUvarint(b, uint64(len(ps)))
+	for _, p := range ps {
+		b = wire.AppendString(b, p.Name)
+		b = wire.AppendUvarint(b, uint64(p.W.Rows))
+		b = wire.AppendFloat64s(b, p.W.Data)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), nil
+}
+
+// fileParam is one parameter as a model file carries it.
+type fileParam struct {
+	name string
+	rows uint64
+	data []float64
 }
 
 // UnmarshalModel deserializes a model from bytes.
 func UnmarshalModel(b []byte) (*Model, error) {
-	return Load(bytes.NewReader(b))
+	if !bytes.HasPrefix(b, []byte(modelMagic)) {
+		return nil, errors.New("gnn: not an " + modelMagic +
+			" model file (gob model files are retired: retrain with graphtrainer)")
+	}
+	end := len(b) - 4
+	if end < len(modelMagic) {
+		return nil, fmt.Errorf("gnn: model file truncated at %d bytes", len(b))
+	}
+	if crc32.ChecksumIEEE(b[:end]) != binary.LittleEndian.Uint32(b[end:]) {
+		return nil, errors.New("gnn: model file checksum mismatch")
+	}
+	r := wire.NewReader(b[len(modelMagic):end])
+	var c Config
+	c.Kind = r.String()
+	for _, f := range []*int{&c.InDim, &c.Hidden, &c.Classes, &c.Layers, &c.Heads} {
+		*f = int(r.Varint())
+	}
+	c.Act = nn.ActKind(r.Varint())
+	c.Dropout = r.Float64()
+	c.Seed = r.Varint()
+	c.EdgeDim = int(r.Varint())
+	c.EdgeHead = r.String()
+	n := r.Uvarint()
+	if n > uint64(r.Remaining()) {
+		return nil, fmt.Errorf("gnn: model file claims %d parameters in %d bytes", n, r.Remaining())
+	}
+	var params []fileParam
+	values := 0
+	for i := uint64(0); i < n && r.Err() == nil; i++ {
+		p := fileParam{name: r.String(), rows: r.Uvarint(), data: r.Float64s()}
+		params = append(params, p)
+		values += len(p.data)
+	}
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("gnn: model file: %w", err)
+	}
+	if r.Remaining() != 0 {
+		return nil, fmt.Errorf("gnn: %d trailing bytes after the model", r.Remaining())
+	}
+	// Only a Config in the defaulted form NewModel stores re-marshals to
+	// the same bytes, and only one whose weights the file carries may
+	// allocate.
+	if c != c.withDefaults() {
+		return nil, fmt.Errorf("gnn: model file config %+v is not in NewModel's defaulted form", c)
+	}
+	if need := c.numValues(); need != float64(values) {
+		return nil, fmt.Errorf("gnn: model config %+v needs %g weights, the file carries %d", c, need, values)
+	}
+	m, err := NewModel(c)
+	if err != nil {
+		return nil, err
+	}
+	ps := m.Params().List()
+	if len(ps) != len(params) {
+		return nil, fmt.Errorf("gnn: parameter count mismatch %d vs %d", len(ps), len(params))
+	}
+	for i, p := range ps {
+		fp := params[i]
+		if fp.name != p.Name || fp.rows != uint64(p.W.Rows) || len(fp.data) != len(p.W.Data) {
+			return nil, fmt.Errorf("gnn: parameter %d does not match %q (%dx%d)", i, p.Name, p.W.Rows, p.W.Cols)
+		}
+		copy(p.W.Data, fp.data)
+	}
+	return m, nil
+}
+
+// numValues is how many weights NewModel(c) allocates, computed without
+// allocating. It is a float64 so that no dimensions a file claims can
+// overflow it; every count a file can carry is exact.
+func (c Config) numValues() float64 {
+	h, heads, ed := float64(c.Hidden), float64(c.Heads), float64(c.EdgeDim)
+	layer := func(in float64) float64 {
+		switch c.Kind {
+		case KindSAGE:
+			return 2*in*h + h
+		case KindGAT:
+			return in*h + 3*h + heads*ed
+		case KindGIN:
+			return in*h + h*h + 2*h + 1
+		}
+		return in*h + h
+	}
+	n := layer(float64(c.InDim)) + float64(c.Layers-1)*layer(h) + h*float64(c.Classes) + float64(c.Classes)
+	switch c.EdgeHead {
+	case EdgeHeadBilinear:
+		n += h * h
+	case EdgeHeadMLP:
+		n += 2*h*h + 2*h + 1
+	}
+	return n
 }
 
 // Slice is one segment of a hierarchically segmented model (paper §3.4):
@@ -185,77 +180,20 @@ type Slice struct {
 func (s *Slice) IsPrediction() bool { return s.Head != nil }
 
 // Segment splits the model into K+1 slices — the paper's hierarchical
-// model segmentation. Slices share no mutable state with the model (weights
-// are copied) so each GraphInfer reduce round can own its slice.
+// model segmentation. The slices point into a private copy of the model's
+// weights, so each GraphInfer reduce round owns its slice and later
+// changes to the model do not reach it.
 func (m *Model) Segment() ([]*Slice, error) {
-	var out []*Slice
-	for i, l := range m.Layers {
-		spec := layerToSpec(fmt.Sprintf("l%d", i), l)
-		cp, err := layerFromSpec(spec)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, &Slice{Index: i + 1, Layer: cp, Cfg: m.Cfg})
-	}
-	head := nn.NewDense("head", m.Head.W.W.Rows, m.Head.W.W.Cols, rand.New(rand.NewSource(0)))
-	head.W.W.CopyFrom(m.Head.W.W)
-	head.B.W.CopyFrom(m.Head.B.W)
-	out = append(out, &Slice{Index: len(m.Layers) + 1, Head: head, Cfg: m.Cfg})
-	return out, nil
-}
-
-// sliceSpec is the wire form of a Slice.
-type sliceSpec struct {
-	Index int
-	Cfg   Config
-	Layer *layerSpec
-	Head  *layerSpec
-}
-
-// EncodeSlice serializes a slice so a reduce task can load exactly the
-// parameters of its round.
-func EncodeSlice(s *Slice) ([]byte, error) {
-	spec := sliceSpec{Index: s.Index, Cfg: s.Cfg}
-	if s.Layer != nil {
-		ls := layerToSpec(fmt.Sprintf("l%d", s.Index-1), s.Layer)
-		spec.Layer = &ls
-	}
-	if s.Head != nil {
-		spec.Head = &layerSpec{
-			Kind:   "dense",
-			Name:   "head",
-			In:     s.Head.W.W.Rows,
-			Out:    s.Head.W.W.Cols,
-			Params: paramsToSpecs(s.Head.Params()),
-		}
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&spec); err != nil {
+	cp, err := NewModel(m.Cfg)
+	if err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
-}
-
-// DecodeSlice reverses EncodeSlice.
-func DecodeSlice(b []byte) (*Slice, error) {
-	var spec sliceSpec
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&spec); err != nil {
-		return nil, fmt.Errorf("gnn: decode slice: %w", err)
+	if err := cp.Params().CopyWeightsFrom(m.Params()); err != nil {
+		return nil, err
 	}
-	s := &Slice{Index: spec.Index, Cfg: spec.Cfg}
-	if spec.Layer != nil {
-		l, err := layerFromSpec(*spec.Layer)
-		if err != nil {
-			return nil, err
-		}
-		s.Layer = l
+	out := make([]*Slice, 0, len(cp.Layers)+1)
+	for i, l := range cp.Layers {
+		out = append(out, &Slice{Index: i + 1, Layer: l, Cfg: m.Cfg})
 	}
-	if spec.Head != nil {
-		head := nn.NewDense("head", spec.Head.In, spec.Head.Out, rand.New(rand.NewSource(0)))
-		if err := loadSpecsInto(head.Params(), spec.Head.Params); err != nil {
-			return nil, err
-		}
-		s.Head = head
-	}
-	return s, nil
+	return append(out, &Slice{Index: len(cp.Layers) + 1, Head: cp.Head, Cfg: m.Cfg}), nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
@@ -283,4 +284,52 @@ func TestSlotOfStability(t *testing.T) {
 			t.Fatalf("slot %d got %d of 4096 sequential ids — hash badly skewed", s, c)
 		}
 	}
+}
+
+// FuzzReadTable: the table reader never panics, accepts only tables that
+// pass Validate with every owner in range, and what it accepts survives
+// WriteTo→Read unchanged.
+func FuzzReadTable(f *testing.F) {
+	even, err := Even([]string{"a:1", "b:2", "c:3"}, 8)
+	if err != nil {
+		f.Fatal(err)
+	}
+	next, err := even.WithOwner(5, 0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, tab := range []*Table{
+		even, next,
+		{Epoch: 0, Replicas: []string{"a:1"}, Owners: []int32{0}},
+		{Epoch: 3, Replicas: []string{"a:1", "b:2"}, Owners: []int32{0, 2}},
+		{Epoch: 1, Replicas: []string{}, Owners: []int32{}},
+	} {
+		var buf bytes.Buffer
+		if _, err := tab.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tab, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := tab.Validate(); err != nil {
+			t.Fatalf("Read accepted an invalid table: %v", err)
+		}
+		for s := range tab.Owners {
+			if o := tab.Owner(s); o < 0 || o >= len(tab.Replicas) {
+				t.Fatalf("slot %d owned by replica %d of %d", s, o, len(tab.Replicas))
+			}
+		}
+		var buf bytes.Buffer
+		if _, err := tab.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		back, err := Read(&buf)
+		if err != nil || !reflect.DeepEqual(back, tab) {
+			t.Fatalf("WriteTo→Read gave (%+v, %v), want %+v", back, err, tab)
+		}
+	})
 }
