@@ -18,7 +18,7 @@
 //
 // Flatten and Infer are one message-passing engine with two payloads, and
 // the serving tier's cold path walks the same graph: for equal
-// MaxNeighbors, Strategy, Seed (and, offline, HubThreshold) every node has
+// MaxNeighbors, Strategy and Seed every node has
 // one sampled in-edge set, so a model is trained on, batch-scored on and
 // served from the same neighborhoods.
 //

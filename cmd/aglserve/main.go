@@ -136,7 +136,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
 	strategy := flag.String("s", "uniform", "sampling strategy (match training)")
 	maxNeighbors := flag.Int("max-neighbors", 0, "per-node in-edge cap (match training)")
-	hubThreshold := flag.Int("hub-threshold", 0, "re-indexing threshold for the precompute run (match training)")
 	seed := flag.Int64("seed", 1, "sampling seed (match training)")
 	precompute := flag.Bool("precompute", true, "run GraphInfer at startup to build the embedding store")
 	storeBackend := flag.String("store-backend", "", "embedding store backend: mem (heap, default), mmap (out-of-core), or quant (int8-quantized)")
@@ -225,8 +224,7 @@ func main() {
 		computed := 0
 		if spec.Path == "" {
 			res, err := core.Infer(core.InferConfig{
-				MaxNeighbors: *maxNeighbors, Strategy: strat, Seed: *seed,
-				HubThreshold: *hubThreshold, KeepEmbeddings: true,
+				MaxNeighbors: *maxNeighbors, Strategy: strat, Seed: *seed, KeepEmbeddings: true,
 			}, model, mapreduce.MemInput(core.TableRecords(g)))
 			if err != nil {
 				log.Fatal(err)

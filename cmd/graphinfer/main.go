@@ -36,7 +36,7 @@ func main() {
 	batch := flag.Int("batch", 256, "scoring batch size (-flat mode)")
 	strategy := flag.String("s", "uniform", "sampling strategy (match training)")
 	maxNeighbors := flag.Int("max-neighbors", 0, "per-node in-edge cap (match training)")
-	hubThreshold := flag.Int("hub-threshold", 0, "re-indexing threshold (match training)")
+	hubThreshold := flag.Int("hub-threshold", 0, "re-indexing threshold: shuffle layout only (0 = disabled)")
 	seed := flag.Int64("seed", 1, "sampling seed (match training)")
 	reducers := flag.Int("reducers", 8, "reduce partitions")
 	out := flag.String("o", "scores.tsv", "output scores TSV (id<TAB>score...)")

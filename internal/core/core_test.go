@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -270,11 +271,8 @@ func TestFlattenReindexingHandlesHubs(t *testing.T) {
 		t.Fatalf("hub count=%d", res.HubCount)
 	}
 	rec := recordByID(t, res, 500)
-	if len(rec.SG.Edges) > 8 {
-		t.Fatalf("re-indexed hub kept %d edges, cap 8", len(rec.SG.Edges))
-	}
-	if len(rec.SG.Edges) < 4 {
-		t.Fatalf("re-indexed hub kept only %d edges", len(rec.SG.Edges))
+	if len(rec.SG.Edges) != 8 {
+		t.Fatalf("re-indexed hub kept %d edges, want the cap 8", len(rec.SG.Edges))
 	}
 	// Extra reindex rounds must appear in accounting.
 	if len(res.RoundStats) != 3 { // degrees+join, reindex, merge -> join, reindex, merge
@@ -715,7 +713,9 @@ func TestGraphInferMatchesDirectInference(t *testing.T) {
 // TestOriginalInferMatchesGraphInfer: a forward pass over each node's own
 // GraphFeature and GraphInfer's message passing score every node the same,
 // unsampled and — because both keep one sampled in-edge set per node — under
-// every strategy, with and without hub re-indexing.
+// every strategy, with and without hub re-indexing. Re-indexing only lays
+// out the shuffle: GraphInfer's scores are bit-identical with it and
+// without it.
 func TestOriginalInferMatchesGraphInfer(t *testing.T) {
 	edgeDS, err := datagen.UUG(datagen.UUGConfig{Nodes: 70, FeatDim: 6, EdgeFeatDim: 4, Seed: 31})
 	if err != nil {
@@ -743,6 +743,7 @@ func TestOriginalInferMatchesGraphInfer(t *testing.T) {
 			t.Fatal(err)
 		}
 		tables := mapreduce.MemInput(TableRecords(m.g))
+		unsharded := map[sampling.Strategy]*InferResult{}
 		for _, sm := range samples {
 			name := fmt.Sprintf("%s cap %d hub %d", m.cfg.Kind, sm.maxNeighbors, sm.hubThreshold)
 			if sm.strategy != nil {
@@ -752,6 +753,18 @@ func TestOriginalInferMatchesGraphInfer(t *testing.T) {
 				HubThreshold: sm.hubThreshold, TempDir: t.TempDir()}, model, tables)
 			if err != nil {
 				t.Fatal(err)
+			}
+			if sm.hubThreshold == 0 {
+				unsharded[sm.strategy] = fast
+			} else {
+				if len(fast.RoundStats) == len(unsharded[sm.strategy].RoundStats) {
+					t.Fatalf("%s: no re-index round ran", name)
+				}
+				for id, want := range unsharded[sm.strategy].Scores {
+					if got := fast.Scores[id]; !slices.Equal(got, want) {
+						t.Fatalf("%s node %d: %v re-indexed, %v with hub 0", name, id, got, want)
+					}
+				}
 			}
 			slow, err := OriginalInfer(FlatConfig{Hops: 2, Seed: 4, MaxNeighbors: sm.maxNeighbors, Strategy: sm.strategy,
 				HubThreshold: sm.hubThreshold, TempDir: t.TempDir()}, model, tables, m.g.IDs())

@@ -34,11 +34,13 @@ type FlatConfig struct {
 	Strategy sampling.Strategy
 	// Seed drives the deterministic per-node sampling decision; GraphInfer
 	// and the serving tier keep the same in-edges when given the same
-	// MaxNeighbors, Strategy, Seed and HubThreshold.
+	// MaxNeighbors, Strategy and Seed.
 	Seed int64
-	// HubThreshold enables re-indexing: nodes whose in-degree exceeds the
-	// threshold have their shuffle keys split across suffixed sub-keys
-	// (0 = disabled).
+	// HubThreshold enables re-indexing when MaxNeighbors > 0: the in-edge
+	// traffic of a node whose in-degree exceeds the threshold is split
+	// across suffixed shuffle keys, each cut to MaxNeighbors before the
+	// merge (0 = disabled). It changes the shuffle's layout, never which
+	// in-edges are kept.
 	HubThreshold int
 
 	// EdgeTargets switches GraphFlat to edge-level mode (link prediction):
@@ -154,9 +156,10 @@ func (e engine) run(tables mapreduce.Input, rounds int, j job) (*passes, error) 
 	if err != nil {
 		return nil, fmt.Errorf("core: %s degrees: %w", e.what, err)
 	}
-	// Hub set for re-indexing: node id -> number of suffix shards.
+	// Hub set for re-indexing: node id -> number of suffix shards. Without
+	// sampling there is nothing to cut per shard, so nothing to re-index.
 	hubs := map[int64]int{}
-	if e.hubThreshold > 0 {
+	if e.hubThreshold > 0 && e.maxNeighbors > 0 {
 		for id, d := range p.inDeg {
 			if d > e.hubThreshold {
 				hubs[id] = (d + e.hubThreshold - 1) / e.hubThreshold
@@ -183,7 +186,7 @@ func (e engine) run(tables mapreduce.Input, rounds int, j job) (*passes, error) 
 	}
 	for round := 1; round <= rounds; round++ {
 		if len(hubs) > 0 {
-			if err := step(fmt.Sprintf("%s-reindex-%d", e.name, round), reindexMapper(hubs), e.reindexReducer(hubs)); err != nil {
+			if err := step(fmt.Sprintf("%s-reindex-%d", e.name, round), reindexMapper(hubs), e.reindexReducer()); err != nil {
 				return nil, err
 			}
 		}
@@ -477,13 +480,15 @@ func joinReducer(weightedDeg map[int64]float64, seed func(id int64, feat []float
 }
 
 // keepInEdges is the sampling decision, the only place in the package that
-// draws from a Strategy: it sorts a node's candidate in-edges into the
-// canonical (src, weight) order and keeps at most limit of them, with an RNG
-// keyed by (seed, node, stream) and nothing else. Stream 0 is the node's own
-// decision; 1+s pre-samples shard s of a re-indexed hub. No round and no
-// depth enters, so a node keeps the same in-edges in every round of
-// GraphFlat, in GraphInfer and in LocalFlattener. ins is reordered in place.
-func keepInEdges[E any](strategy sampling.Strategy, seed, node int64, stream, limit int, ins []E, key func(E) (src int64, w float64)) []E {
+// consults a Strategy: it sorts a node's candidate in-edges into the
+// canonical (src, weight) order and keeps the limit in-edges with the
+// highest priorities, each a function of (seed, node, src, weight) alone
+// (ties go to the earlier in-edge). No round, depth or shard enters, so a
+// node keeps the same in-edges in every round of GraphFlat, in GraphInfer
+// and in LocalFlattener, and deciding over a subset first (a re-indexed
+// hub's shard) keeps every in-edge the whole decision keeps. ins is
+// reordered in place.
+func keepInEdges[E any](strategy sampling.Strategy, seed, node int64, limit int, ins []E, key func(E) (src int64, w float64)) []E {
 	sort.SliceStable(ins, func(a, b int) bool {
 		sa, wa := key(ins[a])
 		sb, wb := key(ins[b])
@@ -495,12 +500,12 @@ func keepInEdges[E any](strategy sampling.Strategy, seed, node int64, stream, li
 	if limit <= 0 || len(ins) <= limit {
 		return ins
 	}
-	weights := make([]float64, len(ins))
-	for i := range ins {
-		_, weights[i] = key(ins[i])
+	prio := make([]float64, len(ins))
+	for i, in := range ins {
+		src, w := key(in)
+		prio[i] = strategy.Priority(sampling.EdgeU(seed, node, src), w)
 	}
-	idx := strategy.Sample(sampling.NodeRNG(seed, node, stream), len(ins), weights, limit)
-	sort.Ints(idx)
+	idx := sampling.Top(prio, limit)
 	out := make([]E, len(idx))
 	for i, at := range idx {
 		out[i] = ins[at]
@@ -525,7 +530,7 @@ func (e engine) mergeReducer(merge mergeFunc, final bool) mapreduce.Reducer {
 			// in the node table): nothing to merge into.
 			return nil
 		}
-		kept := keepInEdges(e.strategy, e.seed, id, 0, e.maxNeighbors, ins, msgKey)
+		kept := keepInEdges(e.strategy, e.seed, id, e.maxNeighbors, ins, msgKey)
 		state, err := merge(id, self.State, kept, final)
 		if err != nil || (final && state == nil) {
 			return err
@@ -538,8 +543,8 @@ func (e engine) mergeReducer(merge mergeFunc, final bool) mapreduce.Reducer {
 }
 
 // hubShard assigns an in-edge to one of its hub destination's shards: a pure
-// function of (src, shards), so every round and both pipelines split a hub's
-// in-edges the same way.
+// function of (src, shards), so all of a source's parallel edges share a
+// shard, and every round and both pipelines split a hub's in-edges alike.
 func hubShard(src int64, shards int) int {
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], uint64(src))
@@ -574,10 +579,13 @@ func reindexMapper(hubs map[int64]int) mapreduce.Mapper {
 	})
 }
 
-// reindexReducer pre-samples each suffixed shard of a hub's in-edges, then
-// inverts the key back to the original node id (paper §3.2.2, "sampling"
-// plus "inverted indexing"). Non-suffixed keys pass through untouched.
-func (e engine) reindexReducer(hubs map[int64]int) mapreduce.Reducer {
+// reindexReducer samples each suffixed shard of a hub's in-edges down to
+// MaxNeighbors, then inverts the key back to the original node id (paper
+// §3.2.2, "sampling" plus "inverted indexing"). The k best of a union are
+// the k best of its parts' k best, so the merge round's keepInEdges keeps
+// exactly what it would keep unsharded. Non-suffixed keys pass through
+// untouched.
+func (e engine) reindexReducer() mapreduce.Reducer {
 	return mapreduce.ReducerFunc(func(key string, values mapreduce.ValueIter, emit mapreduce.Emit) error {
 		hash := strings.IndexByte(key, '#')
 		if hash < 0 {
@@ -598,19 +606,6 @@ func (e engine) reindexReducer(hubs map[int64]int) mapreduce.Reducer {
 		if err != nil {
 			return err
 		}
-		shard, err := strconv.Atoi(key[hash+1:])
-		if err != nil {
-			return err
-		}
-		shards := hubs[id]
-		budget := e.maxNeighbors
-		if budget <= 0 {
-			budget = e.hubThreshold
-		}
-		perShard := (budget + shards - 1) / shards
-		if perShard < 1 {
-			perShard = 1
-		}
 		var ins []*flatMsg
 		for {
 			v, ok := values.Next()
@@ -626,8 +621,7 @@ func (e engine) reindexReducer(hubs map[int64]int) mapreduce.Reducer {
 		if err := values.Err(); err != nil {
 			return err
 		}
-		// A distinct RNG stream per shard keeps shards independent.
-		for _, m := range keepInEdges(e.strategy, e.seed, id, 1+shard, perShard, ins, msgKey) {
+		for _, m := range keepInEdges(e.strategy, e.seed, id, e.maxNeighbors, ins, msgKey) {
 			if err := emit(mapreduce.KeyValue{Key: orig, Value: m.encode()}); err != nil {
 				return err
 			}

@@ -17,10 +17,10 @@ import (
 // InferConfig parameterizes GraphInfer.
 type InferConfig struct {
 	// MaxNeighbors, Strategy, Seed and HubThreshold mean what they mean in
-	// FlatConfig. Given the training run's values, GraphInfer keeps exactly
-	// the in-edges GraphFlat kept for every node, so its scores are those of
-	// a forward pass over the training-time GraphFeatures (within 1e-9) and
-	// inference stays unbiased (paper §3.4).
+	// FlatConfig. Given the training run's MaxNeighbors, Strategy and Seed,
+	// GraphInfer keeps exactly the in-edges GraphFlat kept for every node,
+	// so its scores are those of a forward pass over the training-time
+	// GraphFeatures (within 1e-9) and inference stays unbiased (paper §3.4).
 	MaxNeighbors int
 	Strategy     sampling.Strategy
 	Seed         int64

@@ -9,6 +9,7 @@ import (
 	"agl/internal/graph"
 	"agl/internal/mapreduce"
 	"agl/internal/nn"
+	"agl/internal/ps"
 	"agl/internal/wire"
 )
 
@@ -271,7 +272,8 @@ func linkTrainingFixture(t *testing.T, seed int64) (train, eval [][]byte, inDim 
 }
 
 // TestLinkTrainingLearns trains a pairwise model end to end through the
-// dispatching Train and checks the held-out AUC clearly beats chance.
+// dispatching Train and checks the held-out AUC clearly beats chance. The
+// two workers train in Sync mode, so the run — and its AUC — repeats.
 func TestLinkTrainingLearns(t *testing.T) {
 	train, eval, inDim := linkTrainingFixture(t, 7)
 	res, err := Train(TrainConfig{
@@ -280,7 +282,7 @@ func TestLinkTrainingLearns(t *testing.T) {
 			Layers: 2, Act: nn.ActTanh, Seed: 5, EdgeHead: gnn.EdgeHeadBilinear,
 		},
 		Loss: LossBCE, Epochs: 20, BatchSize: 32, LR: 0.05,
-		Workers: 2, NegativeRatio: 2, Seed: 5,
+		Workers: 2, Mode: ps.Sync, NegativeRatio: 2, Seed: 5,
 		Eval: eval, EvalMetric: MetricAUC,
 		Pipeline: true, Pruning: true,
 	}, train)
@@ -296,7 +298,7 @@ func TestLinkTrainingLearns(t *testing.T) {
 	}
 	// Training must have reached a lower loss than it started with. The
 	// comparison is against the best epoch, not the last: per-epoch loss
-	// is noisy under async workers with freshly resampled negatives.
+	// is noisy with freshly resampled negatives.
 	best := res.History[0].Loss
 	for _, st := range res.History[1:] {
 		if st.Loss < best {

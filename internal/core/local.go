@@ -26,9 +26,8 @@ var ErrNodeNotFound = errors.New("node not in graph")
 // sampled graph. Each node's in-edges are sampled once per graph version,
 // by the same keepInEdges decision the offline pipelines make, so
 // for equal MaxNeighbors, Strategy and Seed a cold extraction, the Flatten
-// record and the graph GraphInfer passes messages over coincide. The
-// guarantee holds for HubThreshold == 0: the flattener sees a node's whole
-// in-edge list and does not reproduce re-indexing's per-shard pre-sample.
+// record and the graph GraphInfer passes messages over coincide, whatever
+// HubThreshold the offline runs used.
 type LocalFlattener struct {
 	cfg FlatConfig
 	g   *graph.Graph
@@ -60,7 +59,7 @@ func (lf *LocalFlattener) sample(i int) {
 		deg += in.Weight
 	}
 	srcKey := func(in graph.InEdge) (int64, float64) { return lf.g.Nodes[in.Src].ID, in.Weight }
-	lf.ins[i] = keepInEdges(lf.cfg.Strategy, lf.cfg.Seed, lf.g.Nodes[i].ID, 0, lf.cfg.MaxNeighbors, row, srcKey)
+	lf.ins[i] = keepInEdges(lf.cfg.Strategy, lf.cfg.Seed, lf.g.Nodes[i].ID, lf.cfg.MaxNeighbors, row, srcKey)
 	lf.deg[i] = deg
 }
 

@@ -34,13 +34,15 @@ func subgraphSets(sg *wire.Subgraph) ([]int64, [][2]int64) {
 // TestLocalFlattenerMatchesFlatten: the request-time BFS extraction must
 // produce exactly the GraphFeature the batch pipeline materializes — same
 // node set, edge set and degrees — unsampled over 10 targets, and sampled
-// (one kept in-edge set per node, shared by both) over every node.
+// (one kept in-edge set per node, shared by both) over every node, with and
+// without the batch pipeline re-indexing hubs.
 func TestLocalFlattenerMatchesFlatten(t *testing.T) {
 	g := buildInferGraph(t)
 	testLocalMatchesFlatten(t, g, FlatConfig{Hops: 2, Seed: 4}, g.IDs()[:10])
-	for _, s := range []sampling.Strategy{sampling.Uniform{}, sampling.Weighted{}} {
+	for _, s := range []sampling.Strategy{sampling.Uniform{}, sampling.Weighted{}, sampling.TopK{}} {
 		testLocalMatchesFlatten(t, g, FlatConfig{Hops: 2, MaxNeighbors: 3, Strategy: s, Seed: 4}, g.IDs())
 		testLocalMatchesFlatten(t, g, FlatConfig{Hops: 3, MaxNeighbors: 3, Strategy: s, Seed: 4}, g.IDs())
+		testLocalMatchesFlatten(t, g, FlatConfig{Hops: 2, MaxNeighbors: 3, Strategy: s, Seed: 4, HubThreshold: 4}, g.IDs())
 	}
 }
 
@@ -55,6 +57,9 @@ func testLocalMatchesFlatten(t *testing.T, g *graph.Graph, cfg FlatConfig, ids [
 	flat, err := Flatten(batch, mapreduce.MemInput(TableRecords(g)), targets)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cfg.HubThreshold > 0 && flat.HubCount == 0 {
+		t.Fatalf("%+v: no hub was re-indexed", cfg)
 	}
 	offline := map[int64]*wire.Subgraph{}
 	for _, rec := range flat.Records {

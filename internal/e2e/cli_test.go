@@ -394,9 +394,10 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("SIGTERM: exit %v, want 0 after a logged shutdown; log:\n%s", err, serveOut.String())
 	}
 
-	// Step 6: what PR 12 removed fails fast and says what to do. The saved
+	// Step 6: what was removed fails fast and says what to do. The saved
 	// store reopens through the flags that replaced the aliases; a removed
-	// alias is an unknown flag; a store file in a retired format is
+	// alias, and -hub-threshold (re-indexing only lays out the precompute's
+	// shuffle), is an unknown flag; a store file in a retired format is
 	// refused with the regenerate message.
 	mustFail := func(wantSub string, extra ...string) {
 		t.Helper()
@@ -407,6 +408,7 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	}
 	mustFail("flag provided but not defined: -store-mmap", "-store-mmap", storePath)
 	mustFail("flag provided but not defined: -store-quant", "-store-quant")
+	mustFail("flag provided but not defined: -hub-threshold", "-hub-threshold", "20")
 	retired := filepath.Join(dir, "old.aglmap")
 	if err := os.WriteFile(retired, append([]byte("AGLMAP01"), make([]byte, 56)...), 0o644); err != nil {
 		t.Fatal(err)

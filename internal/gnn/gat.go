@@ -37,13 +37,13 @@ type GATLayer struct {
 	Act        nn.ActKind
 	LeakySlope float64 // attention LeakyReLU slope (default 0.2)
 
-	in, out, headDim, edgeDim int
-	act                       nn.Activation
-	hIn                       *tensor.Matrix
-	z                         []*tensor.Matrix // per-head projections
-	raw                       [][]float64      // per-head pre-LeakyReLU edge logits
-	alpha                     [][]float64      // per-head attention coefficients
-	draw                      [][]float64      // per-head dL/d(raw), filled in Backward
+	in, out, headDim int
+	act              nn.Activation
+	hIn              *tensor.Matrix
+	z                []*tensor.Matrix // per-head projections
+	raw              [][]float64      // per-head pre-LeakyReLU edge logits
+	alpha            [][]float64      // per-head attention coefficients
+	draw             [][]float64      // per-head dL/d(raw), filled in Backward
 }
 
 // NewGAT builds a GAT layer with the given number of heads; out must be
@@ -61,7 +61,6 @@ func NewGAT(name string, in, out, heads, edgeDim int, act nn.ActKind, rng *rand.
 		in:         in,
 		out:        out,
 		headDim:    hd,
-		edgeDim:    edgeDim,
 	}
 	for h := 0; h < heads; h++ {
 		l.WH = append(l.WH, nn.GlorotParam(fmt.Sprintf("%s/W%d", name, h), in, hd, rng))
@@ -73,18 +72,6 @@ func NewGAT(name string, in, out, heads, edgeDim int, act nn.ActKind, rng *rand.
 	}
 	return l
 }
-
-// EdgeDim reports the edge-feature dimensionality (0 = edge features off).
-func (l *GATLayer) EdgeDim() int { return l.edgeDim }
-
-// Kind implements Layer.
-func (l *GATLayer) Kind() string { return "gat" }
-
-// InDim implements Layer.
-func (l *GATLayer) InDim() int { return l.in }
-
-// OutDim implements Layer.
-func (l *GATLayer) OutDim() int { return l.out }
 
 // Params implements Layer.
 func (l *GATLayer) Params() []*nn.Param {

@@ -37,15 +37,6 @@ func NewGCN(name string, in, out int, act nn.ActKind, rng *rand.Rand) *GCNLayer 
 	}
 }
 
-// Kind implements Layer.
-func (l *GCNLayer) Kind() string { return "gcn" }
-
-// InDim implements Layer.
-func (l *GCNLayer) InDim() int { return l.in }
-
-// OutDim implements Layer.
-func (l *GCNLayer) OutDim() int { return l.out }
-
 // Params implements Layer.
 func (l *GCNLayer) Params() []*nn.Param { return []*nn.Param{l.W, l.B} }
 

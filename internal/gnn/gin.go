@@ -25,8 +25,7 @@ type GINLayer struct {
 	Eps            *nn.Param
 	Act            nn.ActKind
 
-	in, out  int
-	hidden   int
+	in       int
 	h        *tensor.Matrix
 	agg      *tensor.Matrix
 	combined *tensor.Matrix
@@ -38,26 +37,15 @@ type GINLayer struct {
 // NewGIN builds a GIN layer with an MLP of width out.
 func NewGIN(name string, in, out int, act nn.ActKind, rng *rand.Rand) *GINLayer {
 	return &GINLayer{
-		W1:     nn.GlorotParam(name+"/W1", in, out, rng),
-		B1:     nn.NewParam(name+"/b1", 1, out),
-		W2:     nn.GlorotParam(name+"/W2", out, out, rng),
-		B2:     nn.NewParam(name+"/b2", 1, out),
-		Eps:    nn.NewParam(name+"/eps", 1, 1),
-		Act:    act,
-		in:     in,
-		out:    out,
-		hidden: out,
+		W1:  nn.GlorotParam(name+"/W1", in, out, rng),
+		B1:  nn.NewParam(name+"/b1", 1, out),
+		W2:  nn.GlorotParam(name+"/W2", out, out, rng),
+		B2:  nn.NewParam(name+"/b2", 1, out),
+		Eps: nn.NewParam(name+"/eps", 1, 1),
+		Act: act,
+		in:  in,
 	}
 }
-
-// Kind implements Layer.
-func (l *GINLayer) Kind() string { return "gin" }
-
-// InDim implements Layer.
-func (l *GINLayer) InDim() int { return l.in }
-
-// OutDim implements Layer.
-func (l *GINLayer) OutDim() int { return l.out }
 
 // Params implements Layer.
 func (l *GINLayer) Params() []*nn.Param {

@@ -42,11 +42,6 @@ type Layer interface {
 	InferNode(selfH []float64, selfDeg float64, msgs []NeighborMsg) []float64
 	// Params returns the layer's trainable parameters.
 	Params() []*nn.Param
-	// InDim and OutDim report the layer's embedding dimensions.
-	InDim() int
-	OutDim() int
-	// Kind names the layer type ("gcn", "sage", "gat").
-	Kind() string
 }
 
 // applyActVec applies an activation function to a vector in place using the

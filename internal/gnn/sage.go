@@ -38,15 +38,6 @@ func NewSAGE(name string, in, out int, act nn.ActKind, rng *rand.Rand) *SAGELaye
 	}
 }
 
-// Kind implements Layer.
-func (l *SAGELayer) Kind() string { return "sage" }
-
-// InDim implements Layer.
-func (l *SAGELayer) InDim() int { return l.in }
-
-// OutDim implements Layer.
-func (l *SAGELayer) OutDim() int { return l.out }
-
 // Params implements Layer.
 func (l *SAGELayer) Params() []*nn.Param { return []*nn.Param{l.WSelf, l.WNeigh, l.B} }
 

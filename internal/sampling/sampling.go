@@ -1,25 +1,30 @@
 // Package sampling is AGL's neighbor-sampling framework (paper §3.2.2): a
 // set of strategies that bound the in-degree of k-hop neighborhoods so hub
-// nodes neither skew reducer load nor blow up memory. The same strategy,
-// seeded deterministically per node, runs in GraphFlat, GraphInfer and the
-// online flattener, so every node has one sampled in-edge set and inference
-// stays consistent with the data the model was trained on.
+// nodes neither skew reducer load nor blow up memory.
+//
+// Every strategy is "keep the k highest priorities". A candidate in-edge
+// src→dst has priority Strategy.Priority(EdgeU(seed, dst, src), w), a
+// function of that one edge only, so GraphFlat, GraphInfer and the online
+// flattener keep the same in-edges for every node, and the k best of a union
+// are the k best of its parts' k best: hub re-indexing may cut each shard of
+// a hub's in-edges to k without changing the decision.
 package sampling
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
-// Strategy selects at most k of n candidate neighbors.
+// Strategy ranks candidate neighbors for Top.
 type Strategy interface {
 	// Name identifies the strategy in CLIs and serialized configs.
 	Name() string
-	// Sample returns the chosen candidate indices (any order, no
-	// duplicates). weights[i] is candidate i's edge weight; strategies that
-	// ignore weights accept nil.
-	Sample(rng *rand.Rand, n int, weights []float64, k int) []int
+	// Priority ranks a candidate with key u in (0,1) and edge weight w;
+	// higher priorities are kept first.
+	Priority(u, w float64) float64
 }
 
 // Uniform samples k candidates uniformly without replacement.
@@ -28,92 +33,85 @@ type Uniform struct{}
 // Name implements Strategy.
 func (Uniform) Name() string { return "uniform" }
 
-// Sample implements Strategy via a partial Fisher–Yates shuffle.
-func (Uniform) Sample(rng *rand.Rand, n int, _ []float64, k int) []int {
-	if k >= n {
-		return all(n)
-	}
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 0; i < k; i++ {
-		j := i + rng.Intn(n-i)
-		idx[i], idx[j] = idx[j], idx[i]
-	}
-	return idx[:k]
-}
+// Priority implements Strategy: the key itself.
+func (Uniform) Priority(u, _ float64) float64 { return u }
 
 // Weighted samples k candidates without replacement with probability
-// proportional to edge weight, using the exponential-clock method
-// (Efraimidis–Spirakis): key_i = weight_i / Exp(1); take the k largest.
+// proportional to edge weight (Efraimidis–Spirakis): the k largest u^(1/w),
+// ranked by their logarithm log(u)/w. Non-positive weights count as 1e-12.
 type Weighted struct{}
 
 // Name implements Strategy.
 func (Weighted) Name() string { return "weighted" }
 
-// Sample implements Strategy.
-func (Weighted) Sample(rng *rand.Rand, n int, weights []float64, k int) []int {
-	if k >= n {
-		return all(n)
+// Priority implements Strategy.
+func (Weighted) Priority(u, w float64) float64 {
+	if w <= 0 {
+		w = 1e-12
 	}
-	type kv struct {
-		key float64
-		idx int
-	}
-	keys := make([]kv, n)
-	for i := 0; i < n; i++ {
+	return math.Log(u) / w
+}
+
+// Sample returns the indices of k of n candidates (all n when k >= n),
+// drawing each key from rng instead of from the edge. weights[i] is
+// candidate i's weight; nil weighs every candidate 1.
+func (s Weighted) Sample(rng *rand.Rand, n int, weights []float64, k int) []int {
+	prio := make([]float64, n)
+	for i := range prio {
 		w := 1.0
 		if weights != nil {
 			w = weights[i]
-			if w <= 0 {
-				w = 1e-12
-			}
 		}
-		keys[i] = kv{key: w / rng.ExpFloat64(), idx: i}
+		prio[i] = s.Priority(1-rng.Float64(), w)
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i].key > keys[j].key })
-	out := make([]int, k)
-	for i := 0; i < k; i++ {
-		out[i] = keys[i].idx
-	}
-	return out
+	return Top(prio, k)
 }
 
-// TopK deterministically keeps the k heaviest edges (ties broken by index),
-// a common industrial strategy for weighted interaction graphs.
+// TopK deterministically keeps the k heaviest edges, a common industrial
+// strategy for weighted interaction graphs.
 type TopK struct{}
 
 // Name implements Strategy.
 func (TopK) Name() string { return "topk" }
 
-// Sample implements Strategy.
-func (TopK) Sample(_ *rand.Rand, n int, weights []float64, k int) []int {
-	if k >= n {
-		return all(n)
-	}
-	idx := make([]int, n)
+// Priority implements Strategy: the weight, whatever the key.
+func (TopK) Priority(_, w float64) float64 { return w }
+
+// Top returns the indices of the k highest priorities in ascending order
+// (all of them when k >= len(prio)); ties go to the lower index.
+func Top(prio []float64, k int) []int {
+	idx := make([]int, len(prio))
 	for i := range idx {
 		idx[i] = i
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		wa, wb := 1.0, 1.0
-		if weights != nil {
-			wa, wb = weights[idx[a]], weights[idx[b]]
+	if k >= len(idx) {
+		return idx
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		if c := cmp.Compare(prio[b], prio[a]); c != 0 {
+			return c
 		}
-		return wa > wb
+		return a - b
 	})
-	out := append([]int(nil), idx[:k]...)
-	sort.Ints(out)
-	return out
+	idx = idx[:k]
+	slices.Sort(idx)
+	return idx
 }
 
-func all(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
+// EdgeU is the key of candidate in-edge src→dst under seed: a splitmix hash
+// of (seed, dst, src) mapped into the open interval (0,1). No round, depth
+// or shard enters it, so every stage that meets the edge ranks it alike.
+func EdgeU(seed, dst, src int64) float64 {
+	h := mix(uint64(seed) ^ mix(uint64(dst)^mix(uint64(src))))
+	return (float64(h>>12) + 0.5) / (1 << 52)
+}
+
+// mix is the splitmix64 step.
+func mix(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ x>>30) * 0xBF58476D1CE4E5B9
+	x = (x ^ x>>27) * 0x94D049BB133111EB
+	return x ^ x>>31
 }
 
 // Parse returns the strategy named s.
@@ -128,46 +126,3 @@ func Parse(s string) (Strategy, error) {
 	}
 	return nil, fmt.Errorf("sampling: unknown strategy %q", s)
 }
-
-// NodeRNG derives a deterministic RNG for one node from a pipeline seed, so
-// GraphFlat, GraphInfer and the online flattener make identical sampling
-// decisions — the property the paper relies on for unbiased inference.
-// stream separates the independent draws a node needs: 0 is its sampling
-// decision, 1+s the pre-sample of shard s of a re-indexed hub. It must never
-// carry a round or a depth: a node keeps the same in-edges wherever it is
-// met.
-func NodeRNG(seed, nodeID int64, stream int) *rand.Rand {
-	h := uint64(seed) * 0x9E3779B97F4A7C15
-	h ^= uint64(nodeID) + 0x9E3779B97F4A7C15 + (h << 6) + (h >> 2)
-	h ^= uint64(stream+1)*0xBF58476D1CE4E5B9 + (h << 13)
-	h ^= h >> 31
-	return rand.New(rand.NewSource(int64(h)))
-}
-
-// Reservoir maintains a uniform sample of size k over a stream.
-type Reservoir struct {
-	K     int
-	Items [][]byte
-	seen  int
-	rng   *rand.Rand
-}
-
-// NewReservoir builds a reservoir sampler of capacity k.
-func NewReservoir(k int, rng *rand.Rand) *Reservoir {
-	return &Reservoir{K: k, rng: rng}
-}
-
-// Offer presents one stream item.
-func (r *Reservoir) Offer(item []byte) {
-	r.seen++
-	if len(r.Items) < r.K {
-		r.Items = append(r.Items, item)
-		return
-	}
-	if j := r.rng.Intn(r.seen); j < r.K {
-		r.Items[j] = item
-	}
-}
-
-// Seen reports how many items were offered.
-func (r *Reservoir) Seen() int { return r.seen }

@@ -1,8 +1,10 @@
 package sampling
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -20,6 +22,18 @@ func TestParse(t *testing.T) {
 	if _, err := Parse("bogus"); err == nil {
 		t.Fatal("expected error")
 	}
+}
+
+var strategies = []Strategy{Uniform{}, Weighted{}, TopK{}}
+
+// keep is the pipeline's decision for n candidate in-edges of dst, candidate
+// i coming from source i with weight w[i].
+func keep(s Strategy, seed, dst int64, w []float64, k int) []int {
+	prio := make([]float64, len(w))
+	for i := range w {
+		prio[i] = s.Priority(EdgeU(seed, dst, int64(i)), w[i])
+	}
+	return Top(prio, k)
 }
 
 func checkValid(t *testing.T, idx []int, n, k int) {
@@ -49,19 +63,22 @@ func TestStrategiesReturnValidSubsets(t *testing.T) {
 	for i := range weights {
 		weights[i] = rng.Float64() + 0.01
 	}
-	for _, s := range []Strategy{Uniform{}, Weighted{}, TopK{}} {
+	for _, s := range strategies {
 		for _, k := range []int{0, 1, 10, 50, 100} {
-			idx := s.Sample(rng, 50, weights, k)
-			checkValid(t, idx, 50, k)
+			checkValid(t, keep(s, 1, 7, weights, k), 50, k)
 		}
+	}
+	for _, k := range []int{0, 1, 10, 50, 100} {
+		checkValid(t, Weighted{}.Sample(rng, 50, weights, k), 50, k)
 	}
 }
 
+// TestUniformIsRoughlyUniform: over many destinations, every source is kept
+// about equally often — the edge keys are uniform.
 func TestUniformIsRoughlyUniform(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
 	counts := make([]int, 10)
-	for trial := 0; trial < 5000; trial++ {
-		for _, i := range (Uniform{}).Sample(rng, 10, nil, 3) {
+	for dst := int64(0); dst < 5000; dst++ {
+		for _, i := range keep(Uniform{}, 2, dst, make([]float64, 10), 3) {
 			counts[i]++
 		}
 	}
@@ -74,73 +91,51 @@ func TestUniformIsRoughlyUniform(t *testing.T) {
 }
 
 func TestWeightedPrefersHeavyEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
 	weights := []float64{100, 1, 1, 1, 1}
-	hits := 0
-	for trial := 0; trial < 1000; trial++ {
-		for _, i := range (Weighted{}).Sample(rng, 5, weights, 1) {
-			if i == 0 {
-				hits++
-			}
+	rng := rand.New(rand.NewSource(3))
+	keyed, drawn := 0, 0
+	for trial := int64(0); trial < 1000; trial++ {
+		if keep(Weighted{}, 3, trial, weights, 1)[0] == 0 {
+			keyed++
+		}
+		if (Weighted{}).Sample(rng, 5, weights, 1)[0] == 0 {
+			drawn++
 		}
 	}
-	if hits < 900 {
-		t.Fatalf("heavy edge chosen only %d/1000 times", hits)
+	if keyed < 900 || drawn < 900 {
+		t.Fatalf("heavy edge chosen only %d/1000 (edge keys) and %d/1000 (rng keys) times", keyed, drawn)
 	}
 }
 
 func TestTopKDeterministic(t *testing.T) {
 	weights := []float64{1, 9, 3, 7, 5}
-	a := (TopK{}).Sample(nil, 5, weights, 2)
-	b := (TopK{}).Sample(nil, 5, weights, 2)
-	if len(a) != 2 || a[0] != b[0] || a[1] != b[1] {
-		t.Fatalf("TopK nondeterministic: %v vs %v", a, b)
+	a := keep(TopK{}, 1, 1, weights, 2)
+	b := keep(TopK{}, 2, 9, weights, 2)
+	if fmt.Sprint(a) != "[1 3]" || fmt.Sprint(b) != "[1 3]" {
+		t.Fatalf("TopK picked %v and %v, want [1 3]", a, b)
 	}
-	want := map[int]bool{1: true, 3: true}
-	for _, i := range a {
-		if !want[i] {
-			t.Fatalf("TopK picked %v, want {1,3}", a)
-		}
+	// Ties go to the lower index.
+	if got := keep(TopK{}, 1, 1, []float64{2, 5, 2, 5, 2}, 3); fmt.Sprint(got) != "[0 1 3]" {
+		t.Fatalf("TopK tie-break picked %v, want [0 1 3]", got)
 	}
 }
 
-func TestNodeRNGDeterministicAndDistinct(t *testing.T) {
-	// Stream 0 is a node's sampling decision, 1+s a hub shard's pre-sample.
-	a := NodeRNG(7, 100, 0).Int63()
-	b := NodeRNG(7, 100, 0).Int63()
-	if a != b {
-		t.Fatal("NodeRNG not deterministic")
+// TestEdgeUDeterministicAndDistinct: the key is a pure function of (seed,
+// dst, src), inside (0,1), and no argument can be swapped for another.
+func TestEdgeUDeterministicAndDistinct(t *testing.T) {
+	if EdgeU(7, 100, 3) != EdgeU(7, 100, 3) {
+		t.Fatal("EdgeU not deterministic")
 	}
-	seen := map[int64]string{a: "(7,100,0)"}
-	for _, k := range [][3]int64{{7, 100, 1}, {7, 100, 2}, {7, 101, 0}, {7, 101, 1}, {8, 100, 0}, {8, 100, 1}} {
-		v := NodeRNG(k[0], k[1], int(k[2])).Int63()
-		if prev, dup := seen[v]; dup {
-			t.Fatalf("NodeRNG collision across (seed,node,stream): %v and %s", k, prev)
+	seen := map[float64]string{}
+	for _, k := range [][3]int64{{7, 100, 3}, {7, 3, 100}, {100, 7, 3}, {3, 100, 7}, {7, 101, 3}, {8, 100, 3}, {0, 0, 0}, {-1, -1, -1}} {
+		u := EdgeU(k[0], k[1], k[2])
+		if !(u > 0 && u < 1) {
+			t.Fatalf("EdgeU%v = %v, outside (0,1)", k, u)
 		}
-		seen[v] = fmt.Sprint(k)
-	}
-}
-
-func TestReservoirUniformity(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	counts := make([]int, 20)
-	for trial := 0; trial < 3000; trial++ {
-		r := NewReservoir(5, rng)
-		for i := 0; i < 20; i++ {
-			r.Offer([]byte{byte(i)})
+		if prev, dup := seen[u]; dup {
+			t.Fatalf("EdgeU collision across (seed,dst,src): %v and %s", k, prev)
 		}
-		if r.Seen() != 20 || len(r.Items) != 5 {
-			t.Fatalf("seen=%d len=%d", r.Seen(), len(r.Items))
-		}
-		for _, it := range r.Items {
-			counts[it[0]]++
-		}
-	}
-	// Each item expected 750 times.
-	for i, c := range counts {
-		if c < 580 || c > 920 {
-			t.Fatalf("item %d kept %d times, expected ~750", i, c)
-		}
+		seen[u] = fmt.Sprint(k)
 	}
 }
 
@@ -154,12 +149,9 @@ func TestStrategySubsetProperty(t *testing.T) {
 		for i := range w {
 			w[i] = rng.Float64() + 0.001
 		}
-		for _, s := range []Strategy{Uniform{}, Weighted{}, TopK{}} {
-			idx := s.Sample(rng, n, w, k)
-			want := k
-			if n < k {
-				want = n
-			}
+		for _, s := range strategies {
+			idx := keep(s, seed, 1, w, k)
+			want := min(k, n)
 			if len(idx) != want {
 				return false
 			}
@@ -174,6 +166,65 @@ func TestStrategySubsetProperty(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestTopOfPartsIsTopOfWhole is what makes hub re-indexing answer-neutral:
+// split a node's candidate in-edges by source into parts, keep the top k of
+// each part, and the top k of what survives is the top k of the whole.
+// Candidates are in canonical (src, weight) order, as the pipeline ranks
+// them, with parallel edges and tied weights.
+func TestTopOfPartsIsTopOfWhole(t *testing.T) {
+	type cand struct {
+		src int64
+		w   float64
+	}
+	decide := func(s Strategy, seed int64, cs []cand, k int) []cand {
+		slices.SortStableFunc(cs, func(a, b cand) int {
+			return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.w, b.w))
+		})
+		prio := make([]float64, len(cs))
+		for i, c := range cs {
+			prio[i] = s.Priority(EdgeU(seed, 42, c.src), c.w)
+		}
+		var out []cand
+		for _, i := range Top(prio, k) {
+			out = append(out, cs[i])
+		}
+		return out
+	}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n, k, parts := 1+rng.Intn(60), 1+rng.Intn(12), 1+rng.Intn(6)
+		cs := make([]cand, n)
+		for i := range cs {
+			cs[i] = cand{src: int64(rng.Intn(n)), w: float64(1 + rng.Intn(4))}
+		}
+		part := map[int64]int{}
+		for _, c := range cs {
+			if _, ok := part[c.src]; !ok {
+				part[c.src] = rng.Intn(parts)
+			}
+		}
+		for _, s := range strategies {
+			split := make([][]cand, parts)
+			for _, c := range cs {
+				split[part[c.src]] = append(split[part[c.src]], c)
+			}
+			var survivors []cand
+			for _, p := range split {
+				survivors = append(survivors, decide(s, seed, p, k)...)
+			}
+			whole := decide(s, seed, slices.Clone(cs), k)
+			if !slices.Equal(decide(s, seed, survivors, k), whole) {
+				t.Logf("%s seed %d: parts disagree with the whole", s.Name(), seed)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

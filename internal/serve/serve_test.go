@@ -174,13 +174,13 @@ func TestColdPathMatchesGraphInfer(t *testing.T) {
 
 // TestWarmAndColdAgreeUnderSampling: GraphInfer and the request-time
 // extraction keep the same sampled in-edges for every node (same
-// MaxNeighbors, Strategy and Seed; HubThreshold 0), so the score of a node
-// is the same whether it is served off a store built by Infer or computed
-// cold.
+// MaxNeighbors, Strategy and Seed), so the score of a node is the same
+// whether it is served off a store built by Infer — here with every sampled
+// node re-indexed as a hub — or computed cold.
 func TestWarmAndColdAgreeUnderSampling(t *testing.T) {
 	g, model, _ := testGraph(t)
 	const seed = 17
-	res, err := core.Infer(core.InferConfig{MaxNeighbors: 3, Strategy: sampling.Weighted{}, Seed: seed,
+	res, err := core.Infer(core.InferConfig{MaxNeighbors: 3, Strategy: sampling.Weighted{}, Seed: seed, HubThreshold: 3,
 		TempDir: t.TempDir(), KeepEmbeddings: true}, model, mapreduce.MemInput(core.TableRecords(g)))
 	if err != nil {
 		t.Fatal(err)

@@ -41,10 +41,7 @@ type Config struct {
 	// Given the values of the training run and of the GraphInfer run that
 	// built the store, a cold extraction keeps exactly the in-edges those
 	// kept for every node, so warm and cold scores of a node agree within
-	// 1e-9 under sampling too. There is no HubThreshold here: the guarantee
-	// holds for offline runs with HubThreshold 0 (with re-indexing on, the
-	// offline pre-sample of a hub's in-edge shards has no online
-	// counterpart). Hops defaults to the model's layer count.
+	// 1e-9 under sampling too. Hops defaults to the model's layer count.
 	Hops         int
 	MaxNeighbors int
 	Strategy     sampling.Strategy
@@ -389,7 +386,7 @@ func (s *Server) Score(ctx context.Context, node int64) ([]float64, error) {
 // scoreStart is the part of Score that never blocks on a forward pass: a
 // cache hit or a warm row resolves inline on the caller's goroutine;
 // anything else joins the node's in-flight computation or registers a new
-// one (register), and the returned call is collected with wait.
+// one (registerLocked), and the returned call is collected with wait.
 func (s *Server) scoreStart(ctx context.Context, node int64) (_ []float64, _ *call, fresh bool, _ error) {
 	s.requests.Add(1)
 	start := time.Now()
@@ -433,47 +430,33 @@ func (s *Server) scoreStart(ctx context.Context, node int64) (_ []float64, _ *ca
 		}
 		return scores, nil, false, nil
 	}
+	c, err := s.registerLocked(ctx, node, start)
 	s.mu.Unlock()
-	c, fresh, err := s.register(ctx, node, start)
-	return nil, c, fresh, err
+	return nil, c, c != nil, err
 }
 
-// register is the cold path's front door for node and link scoring alike:
-// behind it is a k-hop extraction plus a shared forward pass, so admission
-// control gates it. It joins the computation already registered for node
-// (single-flight) or registers a new one and reports it fresh: the caller
-// then owes the batcher that call (send) before it blocks on anything, for
-// the batcher holds a batch open while a registered call is on its way.
-func (s *Server) register(ctx context.Context, node int64, enq time.Time) (_ *call, fresh bool, _ error) {
+// registerLocked is the cold path's front door for node and link scoring
+// alike: behind it is a k-hop extraction plus a shared forward pass, so
+// admission control gates it. The caller holds s.mu from its cache, warm-row
+// and in-flight checks through this call, so no batch can finish in between
+// and leave a second cold call behind for a node it just resolved. The
+// caller then owes the batcher the new call (send) before it blocks on
+// anything, for the batcher holds a batch open while a registered call is on
+// its way.
+func (s *Server) registerLocked(ctx context.Context, node int64, enq time.Time) (*call, error) {
 	if err := ctx.Err(); err != nil {
 		s.errors.Add(1)
-		return nil, false, err
+		return nil, err
 	}
 	if err := s.adm.admit(); err != nil {
 		s.shed.Add(1)
-		return nil, false, err
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.adm.release()
-		s.errors.Add(1)
-		return nil, false, ErrClosed
-	}
-	if c, ok := s.inflight[node]; ok {
-		// Raced with another registration for the same node; join it.
-		s.mu.Unlock()
-		s.adm.release()
-		c.extendDeadline(deadlineOf(ctx))
-		s.collapsed.Add(1)
-		return c, false, nil
+		return nil, err
 	}
 	c := &call{id: node, done: make(chan struct{}), enq: enq, admitted: true}
 	c.deadline.Store(deadlineOf(ctx))
 	s.inflight[node] = c
 	s.queued.Add(1)
-	s.mu.Unlock()
-	return c, true, nil
+	return c, nil
 }
 
 // send hands a call to the batcher if this caller registered it (fresh).
@@ -628,9 +611,9 @@ func (s *Server) embedStart(ctx context.Context, node int64) (Row, *call, error)
 		s.collapsed.Add(1)
 		return Row{}, c, nil
 	}
+	c, err := s.registerLocked(ctx, node, time.Now())
 	s.mu.Unlock()
-	c, fresh, err := s.register(ctx, node, time.Now())
-	s.send(c, fresh)
+	s.send(c, c != nil)
 	return Row{}, c, err
 }
 

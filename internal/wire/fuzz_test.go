@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -118,4 +120,41 @@ func FuzzDecodeLinkRecord(f *testing.F) {
 			t.Fatal("re-encode does not round-trip")
 		}
 	})
+}
+
+// fuzzState holds one of the engine's state decoders to its contract: it
+// never panics, allocates at most 64 bytes per input byte plus 1 MiB, and
+// whatever it accepts re-encodes to exactly the bytes it consumed.
+func fuzzState[T any](t *testing.T, data []byte, decode func(*Reader) (T, error), encode func([]byte, T) []byte) {
+	r := NewReader(data)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	v, err := decode(r)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(64*len(data)+1<<20); got > limit {
+		t.Fatalf("a %d-byte input allocated %d bytes (limit %d)", len(data), got, limit)
+	}
+	if err != nil {
+		return
+	}
+	if used, enc := data[:len(data)-r.Remaining()], encode(nil, v); !bytes.Equal(enc, used) {
+		t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(used), len(enc))
+	}
+}
+
+// FuzzDecodeSubgraph: GraphFlat's round state.
+func FuzzDecodeSubgraph(f *testing.F) {
+	fuzzSeeds(f, func(sg *Subgraph) []byte { return EncodeSubgraph(nil, sg) })
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzState(t, data, DecodeSubgraph, EncodeSubgraph) })
+}
+
+// FuzzDecodeEmbedding: GraphInfer's round state.
+func FuzzDecodeEmbedding(f *testing.F) {
+	f.Add(EncodeEmbedding(nil, &Embedding{ID: -3, H: []float64{0.5, -1, math.NaN()}, Deg: 2}))
+	f.Add(append(EncodeEmbedding(nil, &Embedding{ID: 1 << 40}), 7))
+	f.Add([]byte{0x80, 0x00, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	for _, n := range overflowCounts {
+		f.Add(append([]byte{2}, AppendUvarint(nil, n)...))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) { fuzzState(t, data, DecodeEmbedding, EncodeEmbedding) })
 }

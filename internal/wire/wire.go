@@ -15,6 +15,9 @@ import (
 // ErrTruncated reports a read past the end of the buffer.
 var ErrTruncated = errors.New("wire: truncated message")
 
+// errPaddedVarint reports a varint longer than its value needs.
+var errPaddedVarint = errors.New("wire: padded varint")
+
 // AppendUvarint appends v as an unsigned varint.
 func AppendUvarint(b []byte, v uint64) []byte {
 	return binary.AppendUvarint(b, v)
@@ -68,7 +71,8 @@ func (r *Reader) Err() error { return r.err }
 // Remaining reports how many bytes are left.
 func (r *Reader) Remaining() int { return len(r.buf) - r.pos }
 
-// Uvarint reads an unsigned varint.
+// Uvarint reads an unsigned varint. Only the shortest encoding of a value
+// is accepted, so every accepted message re-encodes to the same bytes.
 func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
@@ -76,6 +80,10 @@ func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.buf[r.pos:])
 	if n <= 0 {
 		r.err = ErrTruncated
+		return 0
+	}
+	if n > 1 && r.buf[r.pos+n-1] == 0 {
+		r.err = errPaddedVarint
 		return 0
 	}
 	r.pos += n

@@ -72,6 +72,10 @@ func TestTruncatedReads(t *testing.T) {
 	if r3.Float64s() != nil || r3.Err() != ErrTruncated {
 		t.Fatal("oversized float64s accepted")
 	}
+	// A padded varint (0 spelled in two bytes) would not re-encode alike.
+	if r4 := NewReader([]byte{0x80, 0x00}); r4.Uvarint() != 0 || r4.Err() == nil {
+		t.Fatal("padded varint accepted")
+	}
 }
 
 func randomSubgraph(rng *rand.Rand) *Subgraph {
