@@ -251,26 +251,29 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		t.Fatalf("unknown node returned %d", r.StatusCode)
 	}
 
-	// POST /scores edge inputs: an empty list is an empty answer, a repeated
-	// id is answered once under its key, and a body over the 64 MiB cap
-	// (/update's cap) is refused with the 413 envelope.
+	// POST edge inputs: an empty list is an empty answer, a repeated id is
+	// answered once under its key, and a body over the 64 MiB cap is
+	// refused with the 413 envelope by both POST endpoints.
+	oversized := `{"nodes":[1` + strings.Repeat(" ", 64<<20) + `]}`
 	for _, tc := range []struct {
+		path       string
 		body       string
 		wantStatus int
 		wantBody   string
 		wantKeys   int
 	}{
-		{`{"nodes":[]}`, http.StatusOK, `{"scores":{}}`, 0},
-		{fmt.Sprintf(`{"nodes":[%d,%[1]d]}`, ids[0]), http.StatusOK, "", 1},
-		{`{"nodes":[1` + strings.Repeat(" ", 64<<20) + `]}`, http.StatusRequestEntityTooLarge, "", 0},
+		{"/scores", `{"nodes":[]}`, http.StatusOK, `{"scores":{}}`, 0},
+		{"/scores", fmt.Sprintf(`{"nodes":[%d,%[1]d]}`, ids[0]), http.StatusOK, "", 1},
+		{"/scores", oversized, http.StatusRequestEntityTooLarge, "", 0},
+		{"/update", oversized, http.StatusRequestEntityTooLarge, "", 0},
 	} {
-		resp, err := http.Post("http://"+addr+"/scores", "application/json", strings.NewReader(tc.body))
+		resp, err := http.Post("http://"+addr+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, _ := bodyText(resp)
 		if resp.StatusCode != tc.wantStatus || tc.wantBody != "" && strings.TrimSpace(got) != tc.wantBody {
-			t.Fatalf("POST /scores %.40s: status %d, body %.200s", tc.body, resp.StatusCode, got)
+			t.Fatalf("POST %s %.40s: status %d, body %.200s", tc.path, tc.body, resp.StatusCode, got)
 		}
 		switch tc.wantStatus {
 		case http.StatusOK:
@@ -278,12 +281,12 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 				Scores map[string][]float64 `json:"scores"`
 			}
 			if err := json.Unmarshal([]byte(got), &dup); err != nil || len(dup.Scores) != tc.wantKeys {
-				t.Fatalf("POST /scores %s: %v, body %s", tc.body, err, got)
+				t.Fatalf("POST %s %s: %v, body %s", tc.path, tc.body, err, got)
 			}
 		default:
 			var env errEnvelope
 			if err := json.Unmarshal([]byte(got), &env); err != nil || env.Error.Code != "too_large" {
-				t.Fatalf("oversized POST /scores: %v, body %.200s", err, got)
+				t.Fatalf("oversized POST %s: %v, body %.200s", tc.path, err, got)
 			}
 		}
 	}
@@ -396,9 +399,10 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 
 	// Step 6: what was removed fails fast and says what to do. The saved
 	// store reopens through the flags that replaced the aliases; a removed
-	// alias, and -hub-threshold (re-indexing only lays out the precompute's
-	// shuffle), is an unknown flag; a store file in a retired format is
-	// refused with the regenerate message.
+	// alias, -hub-threshold (re-indexing only lays out the precompute's
+	// shuffle) and -flight-slots (the ring size is serve.Config's default)
+	// are unknown flags; a store file in a retired format is refused with
+	// the regenerate message.
 	mustFail := func(wantSub string, extra ...string) {
 		t.Helper()
 		out, err := exec.Command(bins["aglserve"], append(serveArgs, extra...)...).CombinedOutput()
@@ -409,6 +413,9 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	mustFail("flag provided but not defined: -store-mmap", "-store-mmap", storePath)
 	mustFail("flag provided but not defined: -store-quant", "-store-quant")
 	mustFail("flag provided but not defined: -hub-threshold", "-hub-threshold", "20")
+	// The bad backend makes a binary that still accepts -flight-slots exit
+	// instead of serving forever.
+	mustFail("flag provided but not defined: -flight-slots", "-flight-slots", "10", "-store-backend", "none")
 	retired := filepath.Join(dir, "old.aglmap")
 	if err := os.WriteFile(retired, append([]byte("AGLMAP01"), make([]byte, 56)...), 0o644); err != nil {
 		t.Fatal(err)
