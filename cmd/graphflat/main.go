@@ -4,7 +4,8 @@
 //
 // It reads TSV node/edge tables plus a target table (id<TAB>label), runs
 // the k-hop neighborhood pipeline, and writes GraphFeature records to an
-// output dataset directory.
+// output dataset directory: part files hash-partitioned by target id plus a
+// partitions.json manifest, which graphtrainer -i and graphinfer -flat read.
 package main
 
 import (
@@ -37,7 +38,7 @@ func main() {
 	hubThreshold := flag.Int("hub-threshold", 0, "re-indexing threshold (0 = disabled)")
 	seed := flag.Int64("seed", 1, "sampling seed")
 	reducers := flag.Int("reducers", 8, "reduce partitions")
-	partitions := flag.Int("partitions", 0, "hash-partition the output by target id into N part files (0 = single dataset); graphtrainer/graphinfer stream partitioned outputs with bounded memory")
+	partitions := flag.Int("partitions", 1, "part files the output is hash-partitioned into by target id; graphtrainer and graphinfer -flat hold about two partitions in memory at once")
 	spill := flag.Bool("spill", false, "spill intermediate rounds to disk instead of RAM")
 	out := flag.String("o", "graphfeatures", "output dataset directory")
 	flag.Parse()
@@ -97,15 +98,9 @@ func main() {
 	}
 	fmt.Printf("graph: %d nodes, %d edges; hubs re-indexed: %d\n",
 		g.NumNodes(), g.NumEdges(), res.HubCount)
-	if res.Partitioned != nil {
-		fmt.Printf("wrote %d %s records to %s across %d partitions (%d MR rounds, %.2f MB shuffled)\n",
-			res.Partitioned.Records, kind, *out, res.Partitioned.Partitions,
-			len(res.RoundStats), float64(res.TotalShuffledBytes())/1e6)
-	} else {
-		fmt.Printf("wrote %d %s records to %s (%d MR rounds, %.2f MB shuffled)\n",
-			len(res.Records), kind, *out, len(res.RoundStats),
-			float64(res.TotalShuffledBytes())/1e6)
-	}
+	fmt.Printf("wrote %d %s records to %s across %d partitions (%d MR rounds, %.2f MB shuffled)\n",
+		res.Partitioned.Records, kind, *out, res.Partitioned.Partitions,
+		len(res.RoundStats), float64(res.TotalShuffledBytes())/1e6)
 }
 
 // loadPairs reads an edge-target table: src<TAB>dst<TAB>label per line

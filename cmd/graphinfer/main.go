@@ -32,7 +32,7 @@ func main() {
 	modelPath := flag.String("m", "model.agl", "trained model file")
 	nodePath := flag.String("n", "", "node table TSV")
 	edgePath := flag.String("e", "", "edge table TSV")
-	flatPath := flag.String("flat", "", "partitioned graphflat output to score one partition at a time (bounded memory); replaces -n/-e")
+	flatPath := flag.String("flat", "", "graphflat output dataset to score one partition at a time (bounded memory); replaces -n/-e")
 	batch := flag.Int("batch", 256, "scoring batch size (-flat mode)")
 	strategy := flag.String("s", "uniform", "sampling strategy (match training)")
 	maxNeighbors := flag.Int("max-neighbors", 0, "per-node in-edge cap (match training)")
@@ -107,8 +107,8 @@ func main() {
 		float64(res.TotalShuffledBytes())/1e6, *out)
 }
 
-// scorePartitioned streams a partitioned graphflat output through the
-// model one partition at a time, writing scores as they come. Peak memory
+// scorePartitioned streams a graphflat output dataset through the model
+// one partition at a time, writing scores as they come. Peak memory
 // is one partition plus the inference workspace, not the dataset.
 func scorePartitioned(model *gnn.Model, flatPath string, batch int, out string) {
 	parts, err := core.OpenPartitions(flatPath)

@@ -2,8 +2,9 @@
 //
 //	GraphTrainer -m model_name -i input -t train_strategy -c dist_configs
 //
-// It reads GraphFeature records produced by graphflat, trains a GNN with
-// parameter-server workers, and saves the model.
+// It streams the GraphFeature records of a graphflat output dataset one
+// partition at a time, trains a GNN with parameter-server workers, and saves
+// the model.
 package main
 
 import (
@@ -14,7 +15,6 @@ import (
 	"strings"
 
 	"agl/internal/core"
-	"agl/internal/dfs"
 	"agl/internal/gnn"
 	"agl/internal/nn"
 	"agl/internal/ps"
@@ -25,9 +25,9 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("graphtrainer: ")
 
-	modelName := flag.String("m", "gcn", "model: gcn|sage|gat")
+	modelName := flag.String("m", "gcn", "model: gcn|sage|gat|gin")
 	input := flag.String("i", "graphfeatures", "input dataset directory (graphflat output)")
-	evalInput := flag.String("eval", "", "optional eval dataset directory")
+	evalInput := flag.String("eval", "", "optional eval dataset directory (graphflat output)")
 	loss := flag.String("loss", "ce", "loss: ce|bce")
 	metric := flag.String("metric", "accuracy", "eval metric: accuracy|f1|auc")
 	hidden := flag.Int("hidden", 16, "embedding dimension")
@@ -49,43 +49,25 @@ func main() {
 	flag.Parse()
 
 	link := *edgeHead != ""
-	var (
-		records [][]byte
-		parts   *core.PartitionSet
-		inDim   int
-		err     error
-	)
-	if core.IsPartitioned(*input) {
-		// Partitioned graphflat output: stream one partition at a time
-		// instead of materializing the dataset.
-		parts, err = core.OpenPartitions(*input)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if parts.Link() != link {
-			log.Fatalf("%s holds link=%v partitions but -edge-head=%q selects link=%v training",
-				*input, parts.Link(), *edgeHead, link)
-		}
-		first, ferr := parts.First()
-		if ferr != nil {
-			log.Fatal(ferr)
-		}
-		inDim, err = sniffDim(first, link)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("partitioned input: %d records across %d partitions", parts.Records(), parts.NumPartitions())
-	} else {
-		records, inDim, err = loadRecords(*input, link)
-		if err != nil {
-			log.Fatal(err)
-		}
+	parts := openDataset(*input, link)
+	first, err := parts.First()
+	if err != nil {
+		log.Fatal(err)
 	}
+	inDim, err := sniffDim(first, link)
+	if err != nil {
+		log.Fatalf("%s: %v", *input, err)
+	}
+	log.Printf("input: %d records across %d partitions", parts.Records(), parts.NumPartitions())
 	var eval [][]byte
 	if *evalInput != "" {
-		eval, _, err = loadRecords(*evalInput, link)
-		if err != nil {
-			log.Fatal(err)
+		evalParts := openDataset(*evalInput, link)
+		for i := 0; i < evalParts.NumPartitions(); i++ {
+			recs, err := evalParts.Load(i)
+			if err != nil {
+				log.Fatal(err)
+			}
+			eval = append(eval, recs...)
 		}
 	}
 
@@ -135,12 +117,7 @@ func main() {
 		}
 	}
 
-	var res *core.TrainResult
-	if parts != nil {
-		res, err = core.TrainPartitions(cfg, parts)
-	} else {
-		res, err = core.Train(cfg, records)
-	}
+	res, err := core.TrainPartitions(cfg, parts)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -168,25 +145,18 @@ func main() {
 	fmt.Printf("model saved to %s\n", *out)
 }
 
-// loadRecords reads GraphFeature (or, in link mode, LinkRecord) records
-// and sniffs the feature dimension from the first record.
-func loadRecords(path string, link bool) ([][]byte, int, error) {
-	dir, err := dfs.Open(path)
+// openDataset opens a graphflat output dataset whose records must be
+// LinkRecords exactly when link is set.
+func openDataset(path string, link bool) *core.PartitionSet {
+	parts, err := core.OpenPartitions(path)
 	if err != nil {
-		return nil, 0, err
+		log.Fatal(err)
 	}
-	records, err := dir.ReadAll()
-	if err != nil {
-		return nil, 0, err
+	if parts.Link() != link {
+		log.Fatalf("%s holds link=%v records but -edge-head selects link=%v training",
+			path, parts.Link(), link)
 	}
-	if len(records) == 0 {
-		return nil, 0, fmt.Errorf("no records in %s", path)
-	}
-	dim, err := sniffDim(records[0], link)
-	if err != nil {
-		return nil, 0, fmt.Errorf("%s: %w", path, err)
-	}
-	return records, dim, nil
+	return parts
 }
 
 // sniffDim decodes a single record to discover the feature dimension.

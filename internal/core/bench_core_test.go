@@ -184,7 +184,7 @@ func BenchmarkGraphInfer(b *testing.B) {
 // Skewed-key shuffle: every record fans into one hub key, the access
 // pattern that motivated the streaming reducer contract. The streaming
 // variant reduces straight off the k-way merge; the collected variant
-// materializes the group via CollectValues, standing in for the old
+// copies the whole group into one slice first, standing in for the old
 // [][]byte contract. Compare allocs/op and peak-group-bytes between them.
 
 func skewedShuffleInput(values, size int) mapreduce.MemInput {
@@ -238,8 +238,15 @@ func BenchmarkSkewedShuffleStreaming(b *testing.B) {
 
 func BenchmarkSkewedShuffleCollected(b *testing.B) {
 	benchSkewedShuffle(b, mapreduce.ReducerFunc(func(key string, values mapreduce.ValueIter, emit mapreduce.Emit) error {
-		vals, err := mapreduce.CollectValues(values)
-		if err != nil {
+		var vals [][]byte
+		for {
+			v, ok := values.Next()
+			if !ok {
+				break
+			}
+			vals = append(vals, append([]byte(nil), v...))
+		}
+		if err := values.Err(); err != nil {
 			return err
 		}
 		var total int64

@@ -473,9 +473,9 @@ func TestSyncWorkersAllRegisterBeforeAnyPush(t *testing.T) {
 	}
 }
 
-// flattenOnePartition flattens into a one-partition output dataset and
-// returns it with its records in on-disk order, so in-memory and streamed
-// training can be fed exactly the same records in the same order.
+// flattenOnePartition flattens into an output dataset with Partitions left
+// at 0 — GraphFlat's default layout, one partition — and returns it with
+// its records in on-disk order.
 func flattenOnePartition(t *testing.T, g *graph.Graph, cfg FlatConfig, targets map[int64]Target) (*PartitionSet, [][]byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "flat")
@@ -483,13 +483,16 @@ func flattenOnePartition(t *testing.T, g *graph.Graph, cfg FlatConfig, targets m
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.TempDir, cfg.Output, cfg.Partitions = t.TempDir(), out, 1
+	cfg.TempDir, cfg.Output = t.TempDir(), out
 	if _, err := Flatten(cfg, mapreduce.MemInput(TableRecords(g)), targets); err != nil {
 		t.Fatal(err)
 	}
 	parts, err := OpenPartitions(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if parts.NumPartitions() != 1 {
+		t.Fatalf("default layout has %d partitions, want 1", parts.NumPartitions())
 	}
 	recs, err := parts.Load(0)
 	if err != nil {
@@ -502,10 +505,13 @@ func flattenOnePartition(t *testing.T, g *graph.Graph, cfg FlatConfig, targets m
 // trained model is a function of the records alone. Neither the training
 // pipeline nor the entry point may change it: Train with and without
 // Pipeline, TrainWithHistory (which evaluates every epoch) and
-// TrainPartitions over a one-partition dataset holding the same records
-// must return byte-identical models and identical per-epoch losses, with
-// dropout on (so no epoch may replay another's masks) and for the link task
-// too (so the negative-sampling stream is carried the same way).
+// TrainPartitions over GraphFlat's default one-partition dataset must
+// return byte-identical models and identical per-epoch losses, with dropout
+// on (so no epoch may replay another's masks) and for the link task too (so
+// the negative-sampling stream is carried the same way). The dataset's one
+// partition holds the in-memory Flatten's Records byte for byte and in
+// order, so graphtrainer over a default graphflat output trains exactly
+// what Train over the in-memory records trains.
 func TestTrainPipelineDoesNotChangeResults(t *testing.T) {
 	cora, err := datagen.Cora(datagen.CoraConfig{Nodes: 240, Edges: 700, FeatDim: 48, Classes: 4, Seed: 9})
 	if err != nil {
@@ -548,6 +554,15 @@ func TestTrainPipelineDoesNotChangeResults(t *testing.T) {
 	}
 	for _, tc := range cases {
 		parts, recs := flattenOnePartition(t, tc.g, tc.flat, tc.targets)
+		mem := flatten(t, tc.g, tc.flat, tc.targets).Records
+		if len(recs) != len(mem) {
+			t.Fatalf("%s: dataset holds %d records, in-memory Flatten %d", tc.name, len(recs), len(mem))
+		}
+		for i := range mem {
+			if !bytes.Equal(recs[i], mem[i]) {
+				t.Fatalf("%s: record %d of the dataset differs from in-memory Records[%d]", tc.name, i, i)
+			}
+		}
 		cfg := tc.cfg
 		cfg.Model.Seed, cfg.Model.Dropout = 1, 0.3
 		cfg.LR, cfg.Seed, cfg.Eval = 0.02, 4, recs
@@ -557,9 +572,9 @@ func TestTrainPipelineDoesNotChangeResults(t *testing.T) {
 			name string
 			run  func() (*TrainResult, error)
 		}{
-			{"Train", func() (*TrainResult, error) { return Train(cfg, recs) }},
-			{"Train pipelined", func() (*TrainResult, error) { return Train(pipelined, recs) }},
-			{"TrainWithHistory", func() (*TrainResult, error) { return TrainWithHistory(cfg, recs) }},
+			{"Train", func() (*TrainResult, error) { return Train(cfg, mem) }},
+			{"Train pipelined", func() (*TrainResult, error) { return Train(pipelined, mem) }},
+			{"TrainWithHistory", func() (*TrainResult, error) { return TrainWithHistory(cfg, mem) }},
 			{"TrainPartitions", func() (*TrainResult, error) { return TrainPartitions(pipelined, parts) }},
 		}
 		var wantModel []byte

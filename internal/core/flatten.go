@@ -55,22 +55,23 @@ type FlatConfig struct {
 	MaxAttempts int
 	Faults      mapreduce.FaultInjector
 
-	// Output, when set, receives the final GraphFeature records as a dfs
-	// dataset in addition to the in-memory result.
+	// Output, when set, receives the final records as the one GraphFlat
+	// dataset layout: Partitions part files plus a partitions.json manifest,
+	// read back with OpenPartitions and streamed one partition at a time by
+	// TrainPartitions / ScorePartitions. FlatResult.Records is then nil.
+	// Unset, the records are collected in FlatResult.Records instead.
 	Output *dfs.Dir
 
 	// SpillRounds routes intermediate round data through dfs part files in
 	// TempDir instead of memory — the industrial-scale mode where a round's
 	// shuffle exceeds RAM. Results are identical to the in-memory mode.
+	// With Output set as well, the final round never materializes in RAM.
 	SpillRounds bool
 
-	// Partitions, when > 0, switches Output to partitioned mode: the final
-	// records are hash-partitioned by target id (the pair's source endpoint
-	// in edge mode) into exactly Partitions part files plus a manifest, and
-	// FlatResult.Records is left nil — the records are meant to be streamed
-	// back one partition at a time (OpenPartitions / TrainPartitions /
-	// ScorePartitions) with bounded resident memory. Combine with
-	// SpillRounds so the final round never materializes in RAM either.
+	// Partitions is the number of part files Output's records are
+	// hash-partitioned into by target id (the pair's source endpoint in edge
+	// mode); 0 selects 1, whose one part file holds the records in the order
+	// of FlatResult.Records. Pick it so one partition fits in memory.
 	// Requires Output.
 	Partitions int
 }
@@ -84,6 +85,9 @@ func (c FlatConfig) withDefaults() FlatConfig {
 	}
 	if c.NumReducers <= 0 {
 		c.NumReducers = 4
+	}
+	if c.Partitions <= 0 {
+		c.Partitions = 1
 	}
 	return c
 }
@@ -204,16 +208,16 @@ func (e engine) run(tables mapreduce.Input, rounds int, j job) (*passes, error) 
 // FlatResult is GraphFlat's output: one serialized TrainRecord (the triple
 // <TargetedNodeId, Label, GraphFeature>) per target node, plus accounting.
 type FlatResult struct {
-	// Records holds the final records in memory — nil in partitioned mode
-	// (FlatConfig.Partitions > 0), where they live only in the output
-	// dataset's part files.
+	// Records holds the final records in memory when FlatConfig.Output is
+	// unset; with Output set it is nil and the records live only in the
+	// output dataset's part files.
 	Records     [][]byte
 	RoundStats  []*mapreduce.Stats
 	InDegrees   map[int64]int
 	WeightedDeg map[int64]float64
 	HubCount    int
-	// Partitioned is the manifest of the partitioned output dataset (nil
-	// when FlatConfig.Partitions was 0).
+	// Partitioned is the manifest of the output dataset (nil when
+	// FlatConfig.Output was unset).
 	Partitioned *PartitionManifest
 }
 
@@ -260,17 +264,17 @@ func flattenNodes(cfg FlatConfig, tables mapreduce.Input, targets map[int64]Targ
 	return res.deliver(cfg, p.out, p.collect, nil)
 }
 
-// deliver lands the final round's records. Partitioned mode streams them
-// straight into the hash-partitioned part files (by target id, or by the
-// source endpoint of pairs) and materializes nothing — with SpillRounds the
-// records go disk to disk; otherwise they are collected into res.Records
-// and, when set, written to cfg.Output.
+// deliver lands the final round's records. With cfg.Output set they stream
+// straight into the dataset's hash-partitioned part files (by target id, or
+// by the source endpoint of pairs) and nothing is materialized — with
+// SpillRounds the records go disk to disk; otherwise they are collected
+// into res.Records.
 func (res *FlatResult) deliver(cfg FlatConfig, final mapreduce.Input, collect func() ([]mapreduce.KeyValue, error), pairs []EdgeTarget) (*FlatResult, error) {
 	res.Records = nil
-	if cfg.Partitions > 0 {
+	if cfg.Output != nil {
 		man, err := writePartitionedOutput(cfg, final, pairs)
 		if err != nil {
-			return nil, fmt.Errorf("core: GraphFlat partitioned output: %w", err)
+			return nil, fmt.Errorf("core: GraphFlat output: %w", err)
 		}
 		res.Partitioned = man
 		return res, nil
@@ -282,11 +286,6 @@ func (res *FlatResult) deliver(cfg FlatConfig, final mapreduce.Input, collect fu
 	res.Records = make([][]byte, 0, len(kvs))
 	for _, kv := range kvs {
 		res.Records = append(res.Records, kv.Value)
-	}
-	if cfg.Output != nil {
-		if err := cfg.Output.WriteAll(res.Records, cfg.NumReducers); err != nil {
-			return nil, fmt.Errorf("core: GraphFlat output: %w", err)
-		}
 	}
 	return res, nil
 }

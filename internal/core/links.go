@@ -35,8 +35,7 @@ func flattenEdges(cfg FlatConfig, tables mapreduce.Input) (*FlatResult, error) {
 	}
 	sub := cfg
 	sub.EdgeTargets = nil
-	sub.Output = nil   // the output dataset receives LinkRecords, not endpoint records
-	sub.Partitions = 0 // only the final pair records are partitioned
+	sub.Output = nil // the output dataset receives LinkRecords, not endpoint records
 	res, err := flattenNodes(sub, tables, nodeTargets)
 	if err != nil {
 		return nil, err

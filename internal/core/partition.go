@@ -13,21 +13,20 @@ import (
 	"agl/internal/mapreduce"
 )
 
-// This file is GraphFlat's partitioned-output mode and the bounded-memory
-// train/infer loops over it. With FlatConfig.Partitions set, the final
-// round's records are hash-partitioned by target id into per-partition
-// part files instead of being materialized in FlatResult.Records, and
-// TrainPartitions / ScorePartitions stream them back one partition at a
-// time — peak resident memory is the largest partition plus the training
-// workspaces, not the dataset.
+// This file is GraphFlat's one output-dataset layout and the bounded-memory
+// train/infer loops over it. With FlatConfig.Output set, the final round's
+// records are hash-partitioned by target id into FlatConfig.Partitions part
+// files (one by default) plus a manifest instead of being materialized in
+// FlatResult.Records, and TrainPartitions / ScorePartitions stream them back
+// one partition at a time — peak resident memory is the largest partition
+// plus the training workspaces, not the dataset.
 
 // partitionManifestName is the manifest file written next to the part
 // files; dfs readers ignore it (they only list part-* files).
 const partitionManifestName = "partitions.json"
 
-// PartitionManifest describes a partitioned GraphFlat output dataset:
-// part-NNNNN holds exactly the records whose target id hashes to
-// partition NNNNN.
+// PartitionManifest describes a GraphFlat output dataset: part-NNNNN holds
+// exactly the records whose target id hashes to partition NNNNN.
 type PartitionManifest struct {
 	// Partitions is the partition count; part files are part-00000 ..
 	// part-(Partitions-1).
@@ -54,8 +53,9 @@ func partitionOf(id int64, partitions int) int {
 // manifest. In node mode the shuffle key is the target node id; in link
 // mode (pairs non-nil) it is the pair index, and the pair's source
 // endpoint picks the partition. The input is the final round's output
-// re-framed as an Input, so with SpillRounds set the records stream from
-// disk to disk without ever being resident at once.
+// re-framed as an Input and read as one split, so every partition keeps
+// the order of the in-memory FlatResult.Records, and with SpillRounds set
+// the records stream from disk to disk without ever being resident at once.
 func writePartitionedOutput(cfg FlatConfig, finalRound mapreduce.Input, pairs []EdgeTarget) (*PartitionManifest, error) {
 	writers := make([]*dfs.PartWriter, cfg.Partitions)
 	abort := func() {
@@ -126,18 +126,19 @@ func writePartitionedOutput(cfg FlatConfig, finalRound mapreduce.Input, pairs []
 	return man, nil
 }
 
-// PartitionSet is a reader over a partitioned GraphFlat output: the
-// manifest plus lazy per-partition loading. Load materializes exactly one
+// PartitionSet is a reader over a GraphFlat output dataset: the manifest
+// plus lazy per-partition loading. Load materializes exactly one
 // partition's records; dropping the returned slice releases them.
 type PartitionSet struct {
 	dir *dfs.Dir
 	man PartitionManifest
 }
 
-// OpenPartitions opens a dataset written by Flatten with
-// FlatConfig.Partitions set. It fails with os.ErrNotExist (wrapped) when
-// the directory has no partition manifest — callers can fall back to
-// treating the dataset as unpartitioned.
+// OpenPartitions opens a dataset Flatten wrote to FlatConfig.Output — every
+// GraphFlat output dataset. A directory without a manifest (not a GraphFlat
+// output, or one in the retired manifest-less layout) is refused with a
+// message saying to regenerate it; so is a manifest whose counts are
+// negative or do not sum to its record total.
 func OpenPartitions(path string) (*PartitionSet, error) {
 	dir, err := dfs.Open(path)
 	if err != nil {
@@ -145,23 +146,38 @@ func OpenPartitions(path string) (*PartitionSet, error) {
 	}
 	b, err := os.ReadFile(filepath.Join(path, partitionManifestName))
 	if err != nil {
-		return nil, fmt.Errorf("core: %s is not a partitioned dataset: %w", path, err)
+		return nil, fmt.Errorf("core: %s is not a graphflat dataset, or one in the retired layout without %s; regenerate it with graphflat: %w",
+			path, partitionManifestName, err)
 	}
 	var man PartitionManifest
 	if err := json.Unmarshal(b, &man); err != nil {
 		return nil, fmt.Errorf("core: bad partition manifest in %s: %w", path, err)
 	}
-	if man.Partitions < 1 || len(man.Counts) != man.Partitions {
-		return nil, fmt.Errorf("core: implausible partition manifest in %s (partitions=%d counts=%d)",
-			path, man.Partitions, len(man.Counts))
+	if err := man.check(); err != nil {
+		return nil, fmt.Errorf("core: implausible partition manifest in %s: %w", path, err)
 	}
 	return &PartitionSet{dir: dir, man: man}, nil
 }
 
-// IsPartitioned reports whether path carries a partition manifest.
-func IsPartitioned(path string) bool {
-	_, err := os.Stat(filepath.Join(path, partitionManifestName))
-	return err == nil
+// check holds a manifest to what writePartitionedOutput writes: one
+// non-negative count per partition, summing to Records.
+func (m PartitionManifest) check() error {
+	if m.Partitions < 1 || len(m.Counts) != m.Partitions {
+		return fmt.Errorf("partitions=%d with %d counts", m.Partitions, len(m.Counts))
+	}
+	left := m.Records
+	for i, c := range m.Counts {
+		// c > left also catches a negative Records, and keeps the sum from
+		// overflowing.
+		if c < 0 || c > left {
+			return fmt.Errorf("count %d of partition %d does not fit records=%d", c, i, m.Records)
+		}
+		left -= c
+	}
+	if left != 0 {
+		return fmt.Errorf("counts sum to %d, records=%d", m.Records-left, m.Records)
+	}
+	return nil
 }
 
 // Manifest returns the dataset's manifest.
@@ -176,18 +192,23 @@ func (p *PartitionSet) Link() bool { return p.man.Link }
 // Records returns the total record count.
 func (p *PartitionSet) Records() int { return p.man.Records }
 
-// Load materializes partition i's records.
+// Load materializes partition i's records. The allocation grows with the
+// records actually read, never with the manifest's count, which only
+// checks the result.
 func (p *PartitionSet) Load(i int) ([][]byte, error) {
 	if i < 0 || i >= p.man.Partitions {
 		return nil, fmt.Errorf("core: partition %d out of range [0,%d)", i, p.man.Partitions)
 	}
 	path := filepath.Join(p.dir.Path(), fmt.Sprintf("part-%05d", i))
-	out := make([][]byte, 0, p.man.Counts[i])
+	var out [][]byte
 	if err := dfs.ScanParts([]string{path}, func(rec []byte) error {
 		out = append(out, rec)
 		return nil
 	}); err != nil {
 		return nil, fmt.Errorf("core: partition %d: %w", i, err)
+	}
+	if len(out) != p.man.Counts[i] {
+		return nil, fmt.Errorf("core: partition %d holds %d records, manifest says %d", i, len(out), p.man.Counts[i])
 	}
 	return out, nil
 }
@@ -211,7 +232,7 @@ func (p *PartitionSet) First() ([]byte, error) {
 		}
 		return rec, nil
 	}
-	return nil, fmt.Errorf("core: partitioned dataset is empty")
+	return nil, fmt.Errorf("core: dataset is empty")
 }
 
 // each streams the partitions through fn in the given order, skipping empty
@@ -252,17 +273,18 @@ func (p *PartitionSet) each(order []int, fn func(part int, recs [][]byte) error)
 	return nil
 }
 
-// TrainPartitions is Train over a partitioned GraphFlat output with bounded
+// TrainPartitions is Train over a GraphFlat output dataset with bounded
 // resident memory: each epoch streams the partitions, in an order shuffled
 // per epoch, through one pass each of the same workers and the same
 // parameter servers, holding one partition's records while the next loads.
 // Convergence matches Train over the concatenated records up to batch
-// ordering, and over a single partition the two return the same model.
+// ordering, and over a single partition (GraphFlat's default) the two
+// return the same model.
 //
 // cfg.Eval is evaluated once on the final model, as in Train.
 func TrainPartitions(cfg TrainConfig, parts *PartitionSet) (*TrainResult, error) {
 	if link := cfg.Model.EdgeHead != ""; link != parts.Link() {
-		return nil, fmt.Errorf("core: partitioned dataset link=%v does not match model edge head %q",
+		return nil, fmt.Errorf("core: dataset link=%v does not match model edge head %q",
 			parts.Link(), cfg.Model.EdgeHead)
 	}
 	order := rand.New(rand.NewSource(cfg.Seed))
@@ -271,8 +293,8 @@ func TrainPartitions(cfg TrainConfig, parts *PartitionSet) (*TrainResult, error)
 	})
 }
 
-// ScorePartitions runs batched node inference over a partitioned GraphFlat
-// output one partition at a time (prefetching the next while the current
+// ScorePartitions runs batched node inference over a GraphFlat output
+// dataset one partition at a time (prefetching the next while the current
 // one scores), streaming each partition's (ids, score vectors) to fn.
 // Resident memory is bounded by one partition plus the inference
 // workspace. Link partitions are rejected — use PredictLinks over

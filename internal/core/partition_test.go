@@ -15,9 +15,9 @@ import (
 	"agl/internal/wire"
 )
 
-// flattenPartitioned runs the miniCora train flatten into a partitioned
-// output dataset and opens it.
-func flattenPartitioned(t *testing.T, partitions int) (*PartitionSet, *datagen.Dataset, string) {
+// flattenPartitioned runs the miniCora train flatten into an output dataset
+// of the given partition count and opens it.
+func flattenPartitioned(t testing.TB, partitions int) (*PartitionSet, *datagen.Dataset, string) {
 	t.Helper()
 	ds, err := datagen.Cora(datagen.CoraConfig{
 		Nodes: 240, Edges: 700, FeatDim: 48, Classes: 4, Seed: 9,
@@ -60,11 +60,8 @@ func flattenPartitioned(t *testing.T, partitions int) (*PartitionSet, *datagen.D
 // its target id hashes to.
 func TestPartitionedFlattenMatchesUnpartitioned(t *testing.T) {
 	want, _, _ := miniCora(t, 2)
-	parts, _, path := flattenPartitioned(t, 4)
+	parts, _, _ := flattenPartitioned(t, 4)
 
-	if !IsPartitioned(path) {
-		t.Fatalf("IsPartitioned(%s) = false", path)
-	}
 	wantSet := map[string]int{}
 	for _, rec := range want {
 		wantSet[string(rec)]++
@@ -100,23 +97,82 @@ func TestPartitionedFlattenMatchesUnpartitioned(t *testing.T) {
 	}
 }
 
-// TestOpenPartitionsRejectsUnpartitioned: a plain dataset directory has no
-// manifest and must not open as a PartitionSet.
+// TestOpenPartitionsRejectsUnpartitioned: a directory of part files without
+// a manifest — the retired manifest-less layout — must not open, and the
+// error must say how to get a readable dataset.
 func TestOpenPartitionsRejectsUnpartitioned(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "plain")
 	out, err := dfs.Create(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := out.WriteAll([][]byte{[]byte("x")}, 1); err != nil {
+	w, err := out.Writer(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if IsPartitioned(dir) {
-		t.Fatal("plain dataset reported as partitioned")
+	if err := w.Append([]byte("x")); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := OpenPartitions(dir); err == nil || !strings.Contains(err.Error(), "not a partitioned dataset") {
-		t.Fatalf("OpenPartitions on plain dataset: %v", err)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
 	}
+	if _, err := OpenPartitions(dir); err == nil || !strings.Contains(err.Error(), "regenerate it with graphflat") {
+		t.Fatalf("OpenPartitions on a dataset without a manifest: %v", err)
+	}
+}
+
+// FuzzOpenPartitions: any manifest next to real part files either is
+// refused or opens with non-negative counts summing to Records, and
+// loading its partitions never panics and returns exactly the counted
+// records.
+func FuzzOpenPartitions(f *testing.F) {
+	_, _, src := flattenPartitioned(f, 3)
+	names, err := filepath.Glob(filepath.Join(src, "part-*"))
+	if err != nil || len(names) != 3 {
+		f.Fatalf("part files %v: %v", names, err)
+	}
+	written, err := os.ReadFile(filepath.Join(src, partitionManifestName))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(written)
+	f.Add([]byte(`{"partitions":1,"link":false,"records":0,"counts":[0]}`))
+	f.Add([]byte(`{"partitions":1,"link":false,"records":-1,"counts":[-1]}`))
+	f.Add([]byte(`{"partitions":1,"link":false,"records":0,"counts":[-1]}`))
+	f.Add([]byte(`{"partitions":1,"link":false,"records":4611686018427387904,"counts":[4611686018427387904]}`))
+	f.Add([]byte(`{"partitions":2,"link":true,"records":0,"counts":[4611686018427387904,-4611686018427387904]}`))
+	f.Fuzz(func(t *testing.T, manifest []byte) {
+		dir := t.TempDir()
+		for _, name := range names {
+			if err := os.Symlink(name, filepath.Join(dir, filepath.Base(name))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, partitionManifestName), manifest, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		parts, err := OpenPartitions(dir)
+		if err != nil {
+			return
+		}
+		man := parts.Manifest()
+		left := man.Records
+		for i, c := range man.Counts {
+			if c < 0 || c > left {
+				t.Fatalf("accepted count %d of partition %d with records=%d", c, i, man.Records)
+			}
+			left -= c
+		}
+		if left != 0 {
+			t.Fatalf("accepted counts %v that do not sum to records=%d", man.Counts, man.Records)
+		}
+		for i := 0; i < parts.NumPartitions(); i++ {
+			if recs, err := parts.Load(i); err == nil && len(recs) != man.Counts[i] {
+				t.Fatalf("partition %d: loaded %d records, manifest says %d", i, len(recs), man.Counts[i])
+			}
+		}
+		parts.First()
+	})
 }
 
 // TestTrainPartitionsLearns: streaming one partition at a time through the
@@ -187,7 +243,8 @@ func TestTrainPartitionsValidation(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "does not match model edge head") {
 		t.Fatalf("link-mode mismatch: %v", err)
 	}
-	// FlatConfig validation: Partitions needs Output, and must be >= 0.
+	// FlatConfig validation: Partitions counts Output's part files, so it
+	// needs Output, and must be >= 0.
 	if err := (FlatConfig{Partitions: 2}).Validate(); err == nil {
 		t.Fatal("Partitions without Output accepted")
 	}

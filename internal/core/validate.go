@@ -56,7 +56,7 @@ func (c FlatConfig) Validate() error {
 		}
 	}
 	if c.Partitions < 0 {
-		return Invalidf("FlatConfig.Partitions", "must be >= 0 (0 disables partitioned output), got %d", c.Partitions)
+		return Invalidf("FlatConfig.Partitions", "must be >= 1 (0 selects 1), got %d", c.Partitions)
 	}
 	if c.Partitions > 0 && c.Output == nil {
 		return Invalidf("FlatConfig.Partitions", "requires Output (partitions are part files of the output dataset)")

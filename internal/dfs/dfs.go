@@ -176,32 +176,6 @@ func (r *PartReader) Next() ([]byte, error) {
 // Close releases the underlying file.
 func (r *PartReader) Close() error { return r.f.Close() }
 
-// WriteAll distributes records round-robin over nParts part files.
-func (d *Dir) WriteAll(records [][]byte, nParts int) error {
-	if nParts < 1 {
-		nParts = 1
-	}
-	writers := make([]*PartWriter, nParts)
-	for i := range writers {
-		w, err := d.Writer(i)
-		if err != nil {
-			return err
-		}
-		writers[i] = w
-	}
-	for i, rec := range records {
-		if err := writers[i%nParts].Append(rec); err != nil {
-			return err
-		}
-	}
-	for _, w := range writers {
-		if err := w.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // ReadAll loads every record from every part, in part order.
 func (d *Dir) ReadAll() ([][]byte, error) {
 	parts, err := d.Parts()

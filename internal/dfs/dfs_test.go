@@ -101,35 +101,28 @@ func TestUncommittedTmpIgnored(t *testing.T) {
 	}
 }
 
-func TestWriteAllRoundRobin(t *testing.T) {
-	d, _ := Create(filepath.Join(t.TempDir(), "ds"))
-	var recs [][]byte
-	for i := 0; i < 10; i++ {
-		recs = append(recs, []byte{byte(i)})
-	}
-	if err := d.WriteAll(recs, 3); err != nil {
-		t.Fatal(err)
-	}
-	parts, _ := d.Parts()
-	if len(parts) != 3 {
-		t.Fatalf("parts: %v", parts)
-	}
-	got, _ := d.ReadAll()
-	if len(got) != 10 {
-		t.Fatalf("records: %d", len(got))
-	}
-	seen := map[byte]bool{}
-	for _, r := range got {
-		seen[r[0]] = true
-	}
-	if len(seen) != 10 {
-		t.Fatal("records lost or duplicated")
+// writeParts commits part file i holding parts[i]'s records.
+func writeParts(t *testing.T, d *Dir, parts ...[][]byte) {
+	t.Helper()
+	for i, recs := range parts {
+		w, err := d.Writer(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := w.Append(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
 func TestScanStopsOnError(t *testing.T) {
 	d, _ := Create(filepath.Join(t.TempDir(), "ds"))
-	_ = d.WriteAll([][]byte{{1}, {2}, {3}}, 3)
+	writeParts(t, d, [][]byte{{1}}, [][]byte{{2}}, [][]byte{{3}})
 	parts, _ := d.Parts()
 	count := 0
 	err := ScanParts(parts, func(rec []byte) error {
@@ -240,7 +233,7 @@ func TestOpenErrors(t *testing.T) {
 func TestRemove(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "ds")
 	d, _ := Create(dir)
-	_ = d.WriteAll([][]byte{{1}}, 1)
+	writeParts(t, d, [][]byte{{1}})
 	if err := d.Remove(); err != nil {
 		t.Fatal(err)
 	}

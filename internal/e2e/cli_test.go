@@ -20,7 +20,9 @@ import (
 	"testing"
 	"time"
 
+	"agl"
 	"agl/internal/datagen"
+	"agl/internal/dfs"
 	"agl/internal/gnn"
 	"agl/internal/graph"
 	"agl/internal/nn"
@@ -119,6 +121,13 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "GraphFeature records") {
 		t.Fatalf("graphflat output: %s", out)
 	}
+	// The one dataset layout: without -partitions, one part file plus the
+	// manifest.
+	for _, name := range []string{"partitions.json", "part-00000"} {
+		if _, err := os.Stat(filepath.Join(features, name)); err != nil {
+			t.Fatalf("graphflat output lacks %s: %v", name, err)
+		}
+	}
 
 	// Step 2: GraphTrainer.
 	modelPath := filepath.Join(dir, "model.agl")
@@ -164,14 +173,27 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		}
 	}
 
+	// Scoring the GraphFeatures graphflat wrote (the default layout) must
+	// agree with message passing over the tables on every flattened id:
+	// both keep the same sampled in-edges for the same flags.
+	wantScores := readScores(t, scoresPath)
+	flatScoresPath := filepath.Join(dir, "scores-flat.tsv")
+	out = run(t, bins["graphinfer"], "-m", modelPath, "-flat", features, "-o", flatScoresPath)
+	if want := fmt.Sprintf("scored %d nodes", len(ds.Train)); !strings.Contains(out, want) {
+		t.Fatalf("graphinfer -flat output %q, want %q", out, want)
+	}
+	flatScores := readScores(t, flatScoresPath)
+	if len(flatScores) != len(ds.Train) {
+		t.Fatalf("graphinfer -flat scored %d ids, graphflat flattened %d", len(flatScores), len(ds.Train))
+	}
+	for id, v := range flatScores {
+		if w, ok := wantScores[id]; !ok || abs(v-w) > 1e-9 {
+			t.Fatalf("node %s: graphinfer -flat %v, graphinfer -n/-e %v", id, v, w)
+		}
+	}
+
 	// Step 4: aglserve — the online tier over the same artifacts. Scores
 	// served over HTTP must match GraphInfer's TSV output.
-	wantScores := map[string]float64{}
-	for _, line := range lines {
-		parts := strings.Split(line, "\t")
-		v, _ := strconv.ParseFloat(strings.Split(parts[1], ",")[0], 64)
-		wantScores[parts[0]] = v
-	}
 	addr := freeAddr(t)
 	storePath := filepath.Join(dir, "store.agl")
 	serveArgs := []string{
@@ -433,6 +455,78 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustFail("gob model files are retired", "-m", gobPath)
+}
+
+// readScores parses a graphinfer scores TSV into id -> first score.
+func readScores(t *testing.T, path string) map[string]float64 {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores := map[string]float64{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		id, cols, _ := strings.Cut(line, "\t")
+		v, err := strconv.ParseFloat(strings.Split(cols, ",")[0], 64)
+		if err != nil {
+			t.Fatalf("%s: bad score line %q: %v", path, line, err)
+		}
+		scores[id] = v
+	}
+	return scores
+}
+
+// TestCLIRefusesRetiredDatasetLayout: a directory of part files without a
+// partitions.json — what graphflat wrote by default before every output
+// carried the manifest — is refused by both readers with the message that
+// says how to get a readable dataset, instead of being misread.
+func TestCLIRefusesRetiredDatasetLayout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	bins := buildSome(t, dir, "graphtrainer", "graphinfer")
+
+	ds, err := datagen.UUG(datagen.UUGConfig{Nodes: 60, FeatDim: 4, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A real dataset with its manifest removed: part-00000 alone.
+	retired, err := dfs.Create(filepath.Join(dir, "retired"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := agl.Flatten(agl.FlatConfig{Hops: 1, TempDir: dir, Output: retired}, ds.G, agl.BinaryTargets(ds, ds.Train)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(retired.Path(), "partitions.json")); err != nil {
+		t.Fatal(err)
+	}
+	model, err := gnn.NewModel(gnn.Config{
+		Kind: gnn.KindGCN, InDim: 4, Hidden: 4, Classes: 1, Layers: 1, Act: nn.ActTanh, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := gnn.MarshalModel(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelPath := filepath.Join(dir, "model.agl")
+	if err := os.WriteFile(modelPath, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, args := range [][]string{
+		{bins["graphtrainer"], "-i", retired.Path(), "-o", filepath.Join(dir, "out.agl")},
+		{bins["graphinfer"], "-m", modelPath, "-flat", retired.Path(), "-o", filepath.Join(dir, "scores.tsv")},
+	} {
+		out, err := exec.Command(args[0], args[1:]...).CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "regenerate it with graphflat") {
+			t.Fatalf("%s: err %v, want a failure saying to regenerate the dataset; output:\n%s",
+				filepath.Base(args[0]), err, out)
+		}
+	}
 }
 
 // postJSON posts a JSON body, asserts the status, and decodes the response.

@@ -307,8 +307,6 @@ func (r *spillReader) close() { r.f.Close() }
 type merger struct {
 	readers  []*spillReader
 	groupKey []byte // reusable copy of the current group's key bytes
-	// maxGroupBytes is forwarded to group iterators for CollectValues.
-	maxGroupBytes int64
 	// onGroupDone, when set, observes each group's total streamed value
 	// bytes (for Stats.PeakGroupBytes).
 	onGroupDone func(groupBytes int64)
@@ -368,8 +366,7 @@ func (g *groupIter) Next() ([]byte, bool) {
 	return nil, false
 }
 
-func (g *groupIter) Err() error          { return g.err }
-func (g *groupIter) collectLimit() int64 { return g.m.maxGroupBytes }
+func (g *groupIter) Err() error { return g.err }
 
 // drain exhausts whatever the reducer left unconsumed so the merge can
 // move to the next group.

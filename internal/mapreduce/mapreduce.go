@@ -14,7 +14,6 @@
 package mapreduce
 
 import (
-	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -47,8 +46,7 @@ type Mapper interface {
 // slice aliases a buffer the engine reuses for the following value: it is
 // valid only until the next Next call, so a consumer that retains raw bytes
 // past that point must copy them (decoding into an owned structure, as all
-// AGL reducers do, is naturally safe). Use CollectValues when an algorithm
-// genuinely needs the whole group at once.
+// AGL reducers do, is naturally safe).
 type ValueIter interface {
 	Next() ([]byte, bool)
 	Err() error
@@ -75,50 +73,11 @@ func (f ReducerFunc) Reduce(key string, values ValueIter, emit Emit) error {
 	return f(key, values, emit)
 }
 
-// groupLimiter is implemented by engine-provided iterators that carry the
-// job's MaxGroupBytes bound for CollectValues to enforce.
-type groupLimiter interface{ collectLimit() int64 }
-
-// ErrGroupTooLarge wraps MaxGroupBytes violations (use errors.Is via the
-// %w chain on the returned error's message prefix).
-var ErrGroupTooLarge = fmt.Errorf("mapreduce: collected group exceeds MaxGroupBytes")
-
-// CollectValues drains a ValueIter into an owned [][]byte slice, copying
-// each value. It is the escape hatch for reducers that truly need random
-// access to the whole group; when the engine was configured with
-// MaxGroupBytes > 0 and the group's total value bytes exceed that bound,
-// it fails fast with an error wrapping ErrGroupTooLarge instead of
-// silently materializing an OOM-sized slice.
-func CollectValues(values ValueIter) ([][]byte, error) {
-	var limit int64
-	if l, ok := values.(groupLimiter); ok {
-		limit = l.collectLimit()
-	}
-	var out [][]byte
-	var total int64
-	for {
-		v, ok := values.Next()
-		if !ok {
-			break
-		}
-		total += int64(len(v))
-		if limit > 0 && total > limit {
-			return nil, fmt.Errorf("%w (%d bytes collected, limit %d); stream the group or raise Config.MaxGroupBytes", ErrGroupTooLarge, total, limit)
-		}
-		out = append(out, append([]byte(nil), v...))
-	}
-	if err := values.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // sliceIter iterates an in-memory value slice. The engine uses it to feed
 // the combiner from the sorted map-output buffer.
 type sliceIter struct {
 	values [][]byte
 	pos    int
-	limit  int64
 }
 
 func (s *sliceIter) Next() ([]byte, bool) {
@@ -130,8 +89,7 @@ func (s *sliceIter) Next() ([]byte, bool) {
 	return v, true
 }
 
-func (s *sliceIter) Err() error          { return nil }
-func (s *sliceIter) collectLimit() int64 { return s.limit }
+func (s *sliceIter) Err() error { return nil }
 
 // FaultInjector lets tests simulate task failures. It is consulted at the
 // start of each task attempt; a non-nil error fails that attempt.
@@ -141,19 +99,9 @@ type FaultInjector func(taskKind string, taskIndex, attempt int) error
 type Config struct {
 	Name        string
 	NumMappers  int    // parallel map tasks; default GOMAXPROCS
-	NumReducers int    // shuffle partitions; default 4
+	NumReducers int    // shuffle partitions; default 4, GOMAXPROCS reduce at once
 	TempDir     string // spill directory; default os.TempDir()
 	MaxAttempts int    // attempts per task; default 3
-	// ReduceParallelism caps concurrently running reduce tasks; default
-	// GOMAXPROCS (it is deliberately independent of NumMappers — shuffle
-	// partition count shapes data layout, this knob shapes CPU use).
-	ReduceParallelism int
-	// MaxGroupBytes, when positive, bounds the total value bytes a reducer
-	// may materialize from one group via CollectValues; exceeding it fails
-	// the job with ErrGroupTooLarge. Streaming consumption is never
-	// limited — the bound exists to keep accidental materialization of a
-	// hub key from becoming an OOM.
-	MaxGroupBytes int64
 	// Combiner, when set, pre-reduces map-side output per partition as it
 	// is spilled, cutting shuffle volume (classic MapReduce combiner). It
 	// must emit keys in non-decreasing order — emitting its own group key,
@@ -169,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NumReducers <= 0 {
 		c.NumReducers = 4
-	}
-	if c.ReduceParallelism <= 0 {
-		c.ReduceParallelism = runtime.GOMAXPROCS(0)
 	}
 	if c.TempDir == "" {
 		c.TempDir = os.TempDir()
@@ -199,22 +144,6 @@ type Stats struct {
 	// through the merge, in value bytes. Groups are never materialized by
 	// the engine, so this measures skew, not resident memory.
 	PeakGroupBytes int64
-	counters       sync.Map
-}
-
-// IncCounter adds delta to a named counter.
-func (s *Stats) IncCounter(name string, delta int64) {
-	v, _ := s.counters.LoadOrStore(name, new(int64))
-	atomic.AddInt64(v.(*int64), delta)
-}
-
-// Counter reads a named counter.
-func (s *Stats) Counter(name string) int64 {
-	v, ok := s.counters.Load(name)
-	if !ok {
-		return 0
-	}
-	return atomic.LoadInt64(v.(*int64))
 }
 
 // Run executes a full map/shuffle/reduce cycle. Reduce tasks are scheduled
@@ -279,7 +208,7 @@ func Run(cfg Config, mapper Mapper, reducer Reducer, input Input, output Output)
 	// ---- Reduce phase ----
 	var redErr error
 	var redErrOnce sync.Once
-	sem2 := make(chan struct{}, cfg.ReduceParallelism)
+	sem2 := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg2 sync.WaitGroup
 	for r := 0; r < cfg.NumReducers; r++ {
 		wg2.Add(1)
@@ -324,11 +253,6 @@ func runMapTask(cfg Config, stats *Stats, spillDir string, idx int, split Record
 		files, err := tryMapTask(cfg, stats, spillDir, idx, attempt, split, mapper)
 		if err == nil {
 			return files, nil
-		}
-		if errors.Is(err, ErrGroupTooLarge) {
-			// Deterministic: the group is over the bound on every attempt.
-			// Fail fast instead of re-streaming it MaxAttempts times.
-			return nil, fmt.Errorf("map task %d: %w", idx, err)
 		}
 		lastErr = err
 	}
@@ -411,7 +335,7 @@ func spillPartition(cfg Config, path string, kvs []KeyValue) (int64, error) {
 		for _, kv := range kvs[i:j] {
 			group = append(group, kv.Value)
 		}
-		it := &sliceIter{values: group, limit: cfg.MaxGroupBytes}
+		it := &sliceIter{values: group}
 		if err := cfg.Combiner.Reduce(kvs[i].Key, it, emit); err != nil {
 			w.abort()
 			return 0, err
@@ -430,16 +354,9 @@ func runReduceTask(cfg Config, stats *Stats, idx int, files []string, reducer Re
 		if attempt > 0 {
 			atomic.AddInt64(&stats.Retries, 1)
 		}
-		if err := tryReduceTask(cfg, stats, idx, attempt, files, reducer, output); err != nil {
-			if errors.Is(err, ErrGroupTooLarge) {
-				// Deterministic: the group is over the bound on every
-				// attempt. Fail fast instead of re-merging it.
-				return fmt.Errorf("reduce task %d: %w", idx, err)
-			}
-			lastErr = err
-			continue
+		if lastErr = tryReduceTask(cfg, stats, idx, attempt, files, reducer, output); lastErr == nil {
+			return nil
 		}
-		return nil
 	}
 	return fmt.Errorf("reduce task %d failed after %d attempts: %w", idx, cfg.MaxAttempts, lastErr)
 }
@@ -461,7 +378,6 @@ func tryReduceTask(cfg Config, stats *Stats, idx, attempt int, files []string, r
 	if err != nil {
 		return err
 	}
-	merged.maxGroupBytes = cfg.MaxGroupBytes
 	merged.onGroupDone = func(groupBytes int64) {
 		for {
 			peak := atomic.LoadInt64(&stats.PeakGroupBytes)

@@ -228,10 +228,19 @@ func TestDFSInputOutputRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := in.WriteAll([][]byte{
-		[]byte("x y"), []byte("y z"), []byte("z x"), []byte("x x"),
-	}, 3); err != nil {
-		t.Fatal(err)
+	for i, recs := range [][]string{{"x y", "x x"}, {"y z"}, {"z x"}} {
+		w, err := in.Writer(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range recs {
+			if err := w.Append([]byte(r)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	outDir, err := dfs.Create(filepath.Join(dir, "out"))
 	if err != nil {
@@ -319,14 +328,5 @@ func TestLargeShuffleManyKeys(t *testing.T) {
 	sort.Strings(keys)
 	if total != 200 || len(keys) != 50 {
 		t.Fatalf("total=%d keys=%d", total, len(keys))
-	}
-}
-
-func TestStatsCounters(t *testing.T) {
-	s := &Stats{}
-	s.IncCounter("foo", 2)
-	s.IncCounter("foo", 3)
-	if s.Counter("foo") != 5 || s.Counter("bar") != 0 {
-		t.Fatal("counters broken")
 	}
 }
