@@ -230,10 +230,7 @@ func (m *Model) BackwardEdges(st *EdgeForwardState, dLogits *tensor.Matrix) {
 	dh := ws.Get(st.H.Rows, st.H.Cols)
 	tensor.ScatterRowsAdd(dh, dhs, st.src)
 	tensor.ScatterRowsAdd(dh, dhd, st.dst)
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		dh = m.Layers[i].Backward(ws, st.Prep.Aggs[i], dh)
-		dh = m.drops[i].Backward(ws, dh)
-	}
+	m.backwardLayers(ws, st.Prep, dh)
 }
 
 // InferEdges runs ForwardEdges with dropout disabled and returns the link

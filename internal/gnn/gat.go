@@ -182,12 +182,15 @@ func (l *GATLayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, h *tenso
 }
 
 // Backward implements Layer.
-func (l *GATLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix) *tensor.Matrix {
+func (l *GATLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	a, at := ag.A, ag.AT
 	n := a.NumRows
 	dOut := l.act.Backward(ws, dy)
 	dOut.ColSumsInto(l.B.Grad.Row(0))
-	dh := ws.Get(l.hIn.Rows, l.in)
+	var dh *tensor.Matrix
+	if inputGrad {
+		dh = ws.Get(l.hIn.Rows, l.in)
+	}
 	if len(l.draw) != l.Heads {
 		l.draw = make([][]float64, l.Heads)
 	}
@@ -305,9 +308,11 @@ func (l *GATLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *ten
 		dw := ws.GetUninit(l.in, l.headDim)
 		tensor.MatMulATB(dw, l.hIn, dZ)
 		tensor.AXPY(l.WH[hd].Grad, 1, dw)
-		dhHead := ws.GetUninit(n, l.in)
-		tensor.MatMulABT(dhHead, dZ, l.WH[hd].W)
-		tensor.Add(dh, dh, dhHead)
+		if inputGrad {
+			dhHead := ws.GetUninit(n, l.in)
+			tensor.MatMulABT(dhHead, dZ, l.WH[hd].W)
+			tensor.Add(dh, dh, dhHead)
+		}
 		l.draw[hd] = draw
 	}
 	return dh

@@ -52,13 +52,16 @@ func (l *GCNLayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, h *tenso
 }
 
 // Backward implements Layer.
-func (l *GCNLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix) *tensor.Matrix {
+func (l *GCNLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	dz := l.act.Backward(ws, dy)
 	// dW += (Â·H)ᵀ · dZ, db += colsum(dZ)
 	dw := ws.GetUninit(l.W.W.Rows, l.W.W.Cols)
 	tensor.MatMulATB(dw, l.hAgg, dz)
 	tensor.AXPY(l.W.Grad, 1, dw)
 	dz.ColSumsInto(l.B.Grad.Row(0))
+	if !inputGrad {
+		return nil
+	}
 	// dH = Âᵀ · (dZ · Wᵀ)
 	dhAgg := ws.GetUninit(dz.Rows, l.W.W.Rows)
 	tensor.MatMulABT(dhAgg, dz, l.W.W)

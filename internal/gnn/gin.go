@@ -76,7 +76,7 @@ func (l *GINLayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, h *tenso
 }
 
 // Backward implements Layer.
-func (l *GINLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix) *tensor.Matrix {
+func (l *GINLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	dz2 := l.act2.Backward(ws, dy)
 	dw2 := ws.GetUninit(l.W2.W.Rows, l.W2.W.Cols)
 	tensor.MatMulATB(dw2, l.z1, dz2)
@@ -98,6 +98,9 @@ func (l *GINLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *ten
 		deps += v * l.h.Data[i]
 	}
 	l.Eps.Grad.Data[0] += deps
+	if !inputGrad {
+		return nil
+	}
 	// dH = (1+ε)·dc + Aᵀ·dc
 	eps := l.Eps.W.Data[0]
 	dh := ws.GetUninit(ag.A.NumCols, l.in)

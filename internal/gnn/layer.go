@@ -32,10 +32,12 @@ type NeighborMsg struct {
 type Layer interface {
 	// Forward computes H^{(k)} from H^{(k-1)} over the given adjacency.
 	Forward(ws *tensor.Workspace, ag *sparse.Aggregator, h *tensor.Matrix) *tensor.Matrix
-	// Backward consumes dL/dH^{(k)} and returns dL/dH^{(k-1)}, accumulating
-	// parameter gradients. Must be called after Forward with the same
-	// aggregator and workspace.
-	Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix) *tensor.Matrix
+	// Backward consumes dL/dH^{(k)} and accumulates parameter gradients.
+	// With inputGrad it returns dL/dH^{(k-1)}; without it, it returns nil
+	// and skips that work (the first layer's input is the raw features,
+	// whose gradient nothing reads). Must be called after Forward with the
+	// same aggregator and workspace.
+	Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix
 	// InferNode computes this layer's output for one node: selfH is the
 	// node's own input embedding, selfDeg its normalization degree, msgs its
 	// in-edge neighbor messages.

@@ -306,10 +306,19 @@ func (m *Model) Backward(st *ForwardState, dLogits *tensor.Matrix) {
 	dEmb := m.Head.Backward(ws, dLogits)
 	dh := ws.Get(st.H.Rows, st.H.Cols)
 	tensor.ScatterRowsAdd(dh, dEmb, st.b.Targets)
-	for i := len(m.Layers) - 1; i >= 0; i-- {
-		dh = m.Layers[i].Backward(ws, st.Prep.Aggs[i], dh)
+	m.backwardLayers(ws, st.Prep, dh)
+}
+
+// backwardLayers propagates dL/dH of the last layer down the layer stack,
+// accumulating every layer's parameter gradients. The first layer's input
+// is the batch's raw features, whose gradient nothing reads, so neither
+// that layer's input gradient nor its dropout backward is computed.
+func (m *Model) backwardLayers(ws *tensor.Workspace, prep *Prepared, dh *tensor.Matrix) {
+	for i := len(m.Layers) - 1; i > 0; i-- {
+		dh = m.Layers[i].Backward(ws, prep.Aggs[i], dh, true)
 		dh = m.drops[i].Backward(ws, dh)
 	}
+	m.Layers[0].Backward(ws, prep.Aggs[0], dh, false)
 }
 
 // Infer runs a forward pass with dropout disabled and returns the target

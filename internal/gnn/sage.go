@@ -57,7 +57,7 @@ func (l *SAGELayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, h *tens
 }
 
 // Backward implements Layer.
-func (l *SAGELayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix) *tensor.Matrix {
+func (l *SAGELayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	dz := l.act.Backward(ws, dy)
 	// Parameter gradients.
 	dws := ws.GetUninit(l.WSelf.W.Rows, l.WSelf.W.Cols)
@@ -67,6 +67,9 @@ func (l *SAGELayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *te
 	tensor.MatMulATB(dwn, l.m, dz)
 	tensor.AXPY(l.WNeigh.Grad, 1, dwn)
 	dz.ColSumsInto(l.B.Grad.Row(0))
+	if !inputGrad {
+		return nil
+	}
 	// dH = dZ·W_selfᵀ + Aᵀ·(dZ·W_neighᵀ)
 	dh := ws.GetUninit(dz.Rows, l.in)
 	tensor.MatMulABT(dh, dz, l.WSelf.W)

@@ -1,13 +1,17 @@
 package tensor
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
-// Naive reference kernels: the exact loop order the blocked/parallel
-// kernels must reproduce bit for bit (per destination element, ascending-k
-// accumulation with the same zero-skip).
+// Naive reference kernels: per destination element, ascending-k
+// accumulation from +0. The packed dot-product kernel adds every product,
+// where the first two references skip a zero a-value; adding a zero product
+// can change only the sign of an exactly-zero sum, and == (which the
+// comparisons below use) treats +0 and -0 as equal, so the results must be
+// equal element for element.
 
 func naiveMatMul(a, b *Matrix) *Matrix {
 	dst := New(a.Rows, b.Cols)
@@ -64,8 +68,8 @@ func naiveMatMulABT(a, b *Matrix) *Matrix {
 	return dst
 }
 
-// randMat fills a matrix with values including exact zeros (to exercise the
-// sparsity skip) and denormal-ish magnitudes.
+// randMat fills a matrix with normal values and exact zeros (the values the
+// references skip).
 func randMat(rng *rand.Rand, rows, cols int) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
@@ -91,14 +95,14 @@ func sameBits(t *testing.T, name string, got, want *Matrix) {
 	}
 }
 
-// TestBlockedKernelsMatchNaive drives the blocked/parallel kernels over
-// randomized shapes — including empty (0-row), single-column, exact
-// block-multiple and non-multiple-of-block sizes — at several parallelism
-// settings, asserting bit-identical results against the naive reference.
+// TestBlockedKernelsMatchNaive drives the packed kernels over randomized
+// shapes — including empty (0-row), single-column, multiples of the
+// four-wide pass and ragged remainders — at several parallelism settings,
+// asserting bit-identical results against the naive reference.
 func TestBlockedKernelsMatchNaive(t *testing.T) {
 	defer SetParallelism(SetParallelism(0))
 	rng := rand.New(rand.NewSource(7))
-	dims := []int{0, 1, 2, 3, 7, 17, 31, 64, 100, matmulBlockK - 1, matmulBlockK, matmulBlockK + 3}
+	dims := []int{0, 1, 2, 3, 7, 17, 31, 64, 100, 255, 256, 259}
 	pick := func() int { return dims[rng.Intn(len(dims))] }
 	for _, par := range []int{1, 2, 3, 8} {
 		SetParallelism(par)
@@ -134,11 +138,11 @@ func TestKernelsExplicitEdgeShapes(t *testing.T) {
 	SetParallelism(8)
 	rng := rand.New(rand.NewSource(11))
 	cases := []struct{ m, k, n int }{
-		{0, 5, 4},                // 0 output rows
-		{5, 0, 4},                // empty inner dimension: result is all zeros
-		{4, 5, 1},                // single output column
-		{1, 1, 1},                // scalars
-		{3, matmulBlockK + 1, 2}, // inner dim just past one block
+		{0, 5, 4},   // 0 output rows
+		{5, 0, 4},   // empty inner dimension: result is all zeros
+		{4, 5, 1},   // single output column
+		{1, 1, 1},   // scalars
+		{3, 257, 2}, // long inner dim, fewer outputs than one four-wide pass
 	}
 	for _, c := range cases {
 		a := randMat(rng, c.m, c.k)
@@ -161,8 +165,22 @@ func TestKernelsExplicitEdgeShapes(t *testing.T) {
 
 func TestIntoVariantsMatchAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	m := randMat(rng, 7, 5)
+	// Ragged shapes larger than one transpose tile, in both orientations.
+	for _, sh := range [][2]int{{37, 21}, {16, 35}, {50, 16}, {1, 40}} {
+		x := randMat(rng, sh[0], sh[1])
+		tr := New(sh[1], sh[0])
+		tr.Fill(9)
+		x.TransposeInto(tr)
+		for i := 0; i < x.Rows; i++ {
+			for j := 0; j < x.Cols; j++ {
+				if tr.At(j, i) != x.At(i, j) {
+					t.Fatalf("TransposeInto %dx%d: (%d,%d) = %v want %v", x.Rows, x.Cols, j, i, tr.At(j, i), x.At(i, j))
+				}
+			}
+		}
+	}
 
+	m := randMat(rng, 7, 5)
 	tr := New(5, 7)
 	m.TransposeInto(tr)
 	sameBits(t, "TransposeInto", tr, m.Transpose())
@@ -188,4 +206,71 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	sl := New(7, 2)
 	m.SliceColsInto(sl, 1, 3)
 	sameBits(t, "SliceColsInto", sl, m.SliceCols(1, 3))
+}
+
+// fuzzValue maps two bytes to a float64: +0, -0, subnormals, or normal
+// values of mixed sign and magnitude. Every product of two such values, and
+// every sum of up to 300 of them, stays finite.
+func fuzzValue(x, y byte) float64 {
+	switch x % 8 {
+	case 0:
+		return 0
+	case 1:
+		return math.Copysign(0, -1)
+	case 2:
+		return float64(int8(y)) * math.SmallestNonzeroFloat64
+	case 3:
+		return float64(int8(y)) * 0x1p-1030
+	default:
+		return float64(int8(y)) * math.Ldexp(1, int(x>>3)-16)
+	}
+}
+
+// fuzzMat fills a rows×cols matrix from vals, cycling through its bytes two
+// at a time (an empty vals gives all zeros).
+func fuzzMat(vals []byte, salt byte, rows, cols int) *Matrix {
+	m := New(rows, cols)
+	if len(vals) < 2 {
+		return m
+	}
+	for i := range m.Data {
+		p := 2 * i % (len(vals) - 1)
+		m.Data[i] = fuzzValue(vals[p], vals[p+1]^byte(i)^salt)
+	}
+	return m
+}
+
+// FuzzMatMulMatchesNaive checks all three packed kernels against the naive
+// references with == at parallelism 1 and 3, over shapes 0–300 and values
+// that include zeros of both signs and subnormals.
+func FuzzMatMulMatchesNaive(f *testing.F) {
+	f.Add(uint16(4), uint16(5), uint16(3), []byte{4, 9, 0, 1, 1, 7, 2, 200, 3, 5, 77, 13})
+	f.Add(uint16(0), uint16(7), uint16(2), []byte{})
+	f.Add(uint16(9), uint16(0), uint16(5), []byte{8, 8})
+	f.Add(uint16(17), uint16(33), uint16(9), []byte{1, 0, 2, 1, 3, 255, 0, 0, 250, 3})
+	f.Add(uint16(40), uint16(256), uint16(64), []byte{12, 100, 77, 3, 9, 9, 130, 41})
+	f.Fuzz(func(t *testing.T, m16, k16, n16 uint16, vals []byte) {
+		m, k, n := int(m16%301), int(k16%301), int(n16%301)
+		a := fuzzMat(vals, 0, m, k)
+		b := fuzzMat(vals, 1, k, n)
+		g := fuzzMat(vals, 2, m, n)
+		bt := fuzzMat(vals, 3, n, k)
+		wantAB, wantATB, wantABT := naiveMatMul(a, b), naiveMatMulATB(a, g), naiveMatMulABT(a, bt)
+		defer SetParallelism(SetParallelism(0))
+		for _, par := range []int{1, 3} {
+			SetParallelism(par)
+			dst := New(m, n)
+			dst.Fill(42)
+			MatMul(dst, a, b)
+			sameBits(t, "MatMul", dst, wantAB)
+			atb := New(k, n)
+			atb.Fill(-7)
+			MatMulATB(atb, a, g)
+			sameBits(t, "MatMulATB", atb, wantATB)
+			abt := New(m, n)
+			abt.Fill(3.5)
+			MatMulABT(abt, a, bt)
+			sameBits(t, "MatMulABT", abt, wantABT)
+		}
+	})
 }

@@ -1,13 +1,15 @@
 // Package tensor provides the dense linear-algebra kernels that underpin the
 // neural-network substrate of AGL. Matrices are row-major float64; all
-// operations are written against flat slices so the hot loops vectorize well
-// and allocate nothing beyond their destination.
+// operations are written against flat slices and allocate nothing beyond
+// their destination. Every dense product runs one packed dot-product
+// kernel (see MatMul).
 package tensor
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Matrix is a dense, row-major matrix of float64 values.
@@ -123,13 +125,6 @@ func (m *Matrix) RandFill(rng *rand.Rand, scale float64) {
 	}
 }
 
-// matmulBlockK is the depth-panel size of the blocked kernels: MatMul
-// streams b in panels of up to matmulBlockK rows so the active slab stays
-// cache-resident across the destination rows a worker owns. Blocking over
-// k keeps the per-element accumulation order (k ascending) identical to
-// the reference kernel, so blocked and naive results are bit-identical.
-const matmulBlockK = 256
-
 // matmulGrain returns the number of destination rows per parallel task so
 // each task carries enough arithmetic (~64k multiply-adds) to amortize
 // scheduling. work is the per-row flop count.
@@ -145,10 +140,15 @@ func matmulGrain(work int) int {
 }
 
 // MatMul computes dst = a @ b. dst must be a.Rows×b.Cols and distinct from
-// both operands. The kernel is cache-blocked over the inner dimension and
-// row-partitioned across the shared worker pool; because every destination
-// row is owned by exactly one worker and accumulates in ascending-k order,
-// the result is bit-identical at any parallelism setting.
+// both operands.
+//
+// MatMul, MatMulATB and MatMulABT run one kernel, dotRows: every
+// destination element is a dot product of two contiguous rows, started at
+// +0 and accumulated one product at a time in ascending k. MatMul and
+// MatMulATB first pack the operands that are not row-contiguous along k
+// into pooled transposes. Work is row-partitioned across the shared worker
+// pool; each destination row is owned by exactly one worker, so results
+// are bit-identical at any parallelism setting.
 func MatMul(dst, a, b *Matrix) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", a.Cols, b.Rows))
@@ -156,22 +156,16 @@ func MatMul(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	chunks, size := jobChunks(a.Rows, matmulGrain(a.Cols*b.Cols))
-	if chunks <= 1 {
-		matMulRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	dispatch(&poolJob{kind: kindMatMul, dst: dst, a: a, b: b, n: a.Rows, size: size, chunks: chunks})
+	bt := packT(b)
+	dotRows(dst, a, bt)
+	packPool.Put(bt)
 }
 
 // AXPYVec computes dst[j] += a*src[j] over len(src) elements — the
-// exported row primitive shared with the sparse kernels.
-func AXPYVec(dst, src []float64, a float64) { axpyRow(dst, src, a) }
-
-// axpyRow computes dst[j] += a*src[j] with a 4-wide unroll. Distinct
-// elements accumulate independently, so the unroll cannot change any
-// element's rounding.
-func axpyRow(dst, src []float64, a float64) {
+// exported row primitive shared with the sparse kernels. A 4-wide unroll;
+// distinct elements accumulate independently, so the unroll cannot change
+// any element's rounding.
+func AXPYVec(dst, src []float64, a float64) {
 	n := len(src)
 	dst = dst[:n]
 	j := 0
@@ -186,32 +180,6 @@ func axpyRow(dst, src []float64, a float64) {
 	}
 }
 
-// matMulRows computes destination rows [lo, hi) of dst = a @ b with the
-// inner dimension walked in cache-sized panels.
-func matMulRows(dst, a, b *Matrix, lo, hi int) {
-	n := b.Cols
-	for i := lo; i < hi; i++ {
-		clear(dst.Row(i))
-	}
-	for kb := 0; kb < a.Cols; kb += matmulBlockK {
-		kend := kb + matmulBlockK
-		if kend > a.Cols {
-			kend = a.Cols
-		}
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			drow := dst.Row(i)
-			for k := kb; k < kend; k++ {
-				av := arow[k]
-				if av == 0 {
-					continue
-				}
-				axpyRow(drow, b.Data[k*n:(k+1)*n], av)
-			}
-		}
-	}
-}
-
 // MatMulNew allocates and returns a @ b.
 func MatMulNew(a, b *Matrix) *Matrix {
 	dst := New(a.Rows, b.Cols)
@@ -219,11 +187,7 @@ func MatMulNew(a, b *Matrix) *Matrix {
 	return dst
 }
 
-// MatMulATB computes dst = aᵀ @ b without materializing the transpose.
-// a is m×n, b is m×p, dst must be n×p. Work is partitioned over
-// destination rows (columns of a): each worker streams all of a and b but
-// writes only its own slab of dst, in the reference accumulation order, so
-// parallel and serial results are bit-identical.
+// MatMulATB computes dst = aᵀ @ b. a is m×n, b is m×p, dst must be n×p.
 func MatMulATB(dst, a, b *Matrix) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulATB outer dims %d vs %d", a.Rows, b.Rows))
@@ -231,37 +195,14 @@ func MatMulATB(dst, a, b *Matrix) {
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulATB dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	chunks, size := jobChunks(a.Cols, matmulGrain(a.Rows*b.Cols))
-	if chunks <= 1 {
-		matMulATBRows(dst, a, b, 0, a.Cols)
-		return
-	}
-	dispatch(&poolJob{kind: kindMatMulATB, dst: dst, a: a, b: b, n: a.Cols, size: size, chunks: chunks})
+	at, bt := packT(a), packT(b)
+	dotRows(dst, at, bt)
+	packPool.Put(at)
+	packPool.Put(bt)
 }
 
-// matMulATBRows computes destination rows [lo, hi) of dst = aᵀ @ b.
-func matMulATBRows(dst, a, b *Matrix, lo, hi int) {
-	p := b.Cols
-	for r := lo; r < hi; r++ {
-		clear(dst.Row(r))
-	}
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		brow := b.Row(i)
-		for k := lo; k < hi; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
-			}
-			axpyRow(dst.Data[k*p:(k+1)*p], brow, av)
-		}
-	}
-}
-
-// MatMulABT computes dst = a @ bᵀ without materializing the transpose.
-// a is m×n, b is p×n, dst must be m×p. Row-partitioned over dst like
-// MatMul; each element is a single ascending-k dot product, so results are
-// bit-identical at any parallelism.
+// MatMulABT computes dst = a @ bᵀ. a is m×n, b is p×n, dst must be m×p.
+// Both operands are already row-contiguous along n, so nothing is packed.
 func MatMulABT(dst, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulABT inner dims %d vs %d", a.Cols, b.Cols))
@@ -269,29 +210,53 @@ func MatMulABT(dst, a, b *Matrix) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulABT dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	chunks, size := jobChunks(a.Rows, matmulGrain(a.Cols*b.Rows))
-	if chunks <= 1 {
-		matMulABTRows(dst, a, b, 0, a.Rows)
-		return
-	}
-	dispatch(&poolJob{kind: kindMatMulABT, dst: dst, a: a, b: b, n: a.Rows, size: size, chunks: chunks})
+	dotRows(dst, a, b)
 }
 
-// matMulABTRows computes destination rows [lo, hi) of dst = a @ bᵀ. Four
+// packPool recycles the transposed copies MatMul and MatMulATB pack, so a
+// warm training step allocates none.
+var packPool = sync.Pool{New: func() any { return new(Matrix) }}
+
+// packT returns mᵀ in a pooled matrix; the caller returns it with
+// packPool.Put once the product is done.
+func packT(m *Matrix) *Matrix {
+	t := packPool.Get().(*Matrix)
+	n := len(m.Data)
+	if cap(t.Data) < n {
+		t.Data = make([]float64, n)
+	}
+	t.Rows, t.Cols, t.Data = m.Cols, m.Rows, t.Data[:n]
+	m.TransposeInto(t)
+	return t
+}
+
+// dotRows computes dst = a @ bᵀ over the shared worker pool.
+func dotRows(dst, a, b *Matrix) {
+	chunks, size := jobChunks(a.Rows, matmulGrain(a.Cols*b.Rows))
+	if chunks <= 1 {
+		dotRowsRange(dst, a, b, 0, a.Rows)
+		return
+	}
+	dispatch(&poolJob{kind: kindDot, dst: dst, a: a, b: b, n: a.Rows, size: size, chunks: chunks})
+}
+
+// dotRowsRange computes destination rows [lo, hi) of dst = a @ bᵀ. Four
 // dot products run fused per pass so each streamed row of a is reused
 // fourfold; every dot still accumulates its own sum in ascending-k order,
 // so results match the one-at-a-time reference bit for bit.
-func matMulABTRows(dst, a, b *Matrix, lo, hi int) {
+func dotRowsRange(dst, a, b *Matrix, lo, hi int) {
 	n := a.Cols
 	for i := lo; i < hi; i++ {
 		arow := a.Row(i)
 		drow := dst.Row(i)
 		j := 0
 		for ; j+4 <= b.Rows; j += 4 {
-			b0 := b.Data[j*n : (j+1)*n]
-			b1 := b.Data[(j+1)*n : (j+2)*n]
-			b2 := b.Data[(j+2)*n : (j+3)*n]
-			b3 := b.Data[(j+3)*n : (j+4)*n]
+			// Slicing each row to len(arow) lets the compiler drop the
+			// bounds checks in the inner loop.
+			b0 := b.Data[j*n:][:len(arow)]
+			b1 := b.Data[(j+1)*n:][:len(arow)]
+			b2 := b.Data[(j+2)*n:][:len(arow)]
+			b3 := b.Data[(j+3)*n:][:len(arow)]
 			var s0, s1, s2, s3 float64
 			for k, av := range arow {
 				s0 += av * b0[k]
@@ -305,7 +270,7 @@ func matMulABTRows(dst, a, b *Matrix, lo, hi int) {
 			drow[j+3] = s3
 		}
 		for ; j < b.Rows; j++ {
-			brow := b.Row(j)
+			brow := b.Data[j*n:][:len(arow)]
 			var sum float64
 			for k, av := range arow {
 				sum += av * brow[k]
@@ -314,6 +279,12 @@ func matMulABTRows(dst, a, b *Matrix, lo, hi int) {
 		}
 	}
 }
+
+// transposeTile is the block edge of TransposeInto. Within a block every
+// destination row segment is written contiguously while the source column
+// it reads stays within transposeTile cache-resident rows, so neither side
+// strides the whole matrix per element.
+const transposeTile = 16
 
 // Transpose returns a newly allocated mᵀ.
 func (m *Matrix) Transpose() *Matrix {
@@ -327,10 +298,16 @@ func (m *Matrix) TransposeInto(dst *Matrix) {
 	if dst.Rows != m.Cols || dst.Cols != m.Rows {
 		panic(fmt.Sprintf("tensor: TransposeInto dst %dx%d want %dx%d", dst.Rows, dst.Cols, m.Cols, m.Rows))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst.Data[j*m.Rows+i] = v
+	for i0 := 0; i0 < m.Rows; i0 += transposeTile {
+		i1 := min(i0+transposeTile, m.Rows)
+		for j0 := 0; j0 < m.Cols; j0 += transposeTile {
+			for j := j0; j < min(j0+transposeTile, m.Cols); j++ {
+				drow := dst.Data[j*m.Rows+i0 : j*m.Rows+i1]
+				src := m.Data[i0*m.Cols+j:]
+				for k := range drow {
+					drow[k] = src[k*m.Cols]
+				}
+			}
 		}
 	}
 }

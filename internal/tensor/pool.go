@@ -7,7 +7,7 @@ import (
 )
 
 // This file implements the shared worker pool behind every parallel kernel
-// in the engine: the blocked dense matmuls below, sparse.Aggregator's
+// in the engine: the dense matmuls, sparse.Aggregator's
 // edge-partitioned aggregation, and any caller that wants row-partitioned
 // data parallelism. One fixed set of goroutines serves the whole process,
 // so concurrent training workers, the serving batcher, and offline
@@ -32,9 +32,9 @@ var (
 
 // poolJob describes one fan-out: a range [0, n) cut into fixed-size chunks
 // that workers (and the submitting goroutine) claim with an atomic
-// counter. The kind field dispatches the three dense kernels without a
-// closure, keeping the hot training path at one allocation per parallel
-// matmul; kindFunc covers generic callers.
+// counter. kindDot dispatches the dense product kernel without a closure,
+// keeping the hot training path at one allocation per parallel matmul;
+// kindFunc and kindEach cover generic callers.
 type poolJob struct {
 	kind      int
 	dst, a, b *Matrix
@@ -50,9 +50,7 @@ type poolJob struct {
 const (
 	kindFunc = iota
 	kindEach
-	kindMatMul
-	kindMatMulATB
-	kindMatMulABT
+	kindDot
 )
 
 // run claims chunks until the job is exhausted. Safe to call from any
@@ -76,12 +74,8 @@ func (j *poolJob) run() {
 			for i := lo; i < hi; i++ {
 				j.each(i)
 			}
-		case kindMatMul:
-			matMulRows(j.dst, j.a, j.b, lo, hi)
-		case kindMatMulATB:
-			matMulATBRows(j.dst, j.a, j.b, lo, hi)
-		case kindMatMulABT:
-			matMulABTRows(j.dst, j.a, j.b, lo, hi)
+		case kindDot:
+			dotRowsRange(j.dst, j.a, j.b, lo, hi)
 		}
 		j.wg.Done()
 	}
