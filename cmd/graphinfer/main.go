@@ -8,9 +8,9 @@
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"sort"
@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"agl/internal/core"
+	"agl/internal/dfs"
 	"agl/internal/gnn"
 	"agl/internal/graph"
 	"agl/internal/mapreduce"
@@ -79,27 +80,20 @@ func main() {
 		log.Fatal(err)
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	w := bufio.NewWriter(f)
 	ids := make([]int64, 0, len(res.Scores))
 	for id := range res.Scores {
 		ids = append(ids, id)
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		parts := make([]string, 0, len(res.Scores[id]))
-		for _, s := range res.Scores[id] {
-			parts = append(parts, strconv.FormatFloat(s, 'g', 8, 64))
+	err = dfs.WriteFile(*out, func(w io.Writer) error {
+		for _, id := range ids {
+			if err := writeScores(w, id, res.Scores[id]); err != nil {
+				return err
+			}
 		}
-		fmt.Fprintf(w, "%d\t%s\n", id, strings.Join(parts, ","))
-	}
-	if err := w.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+		return nil
+	})
+	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("scored %d nodes in %s (%d MR rounds, %.2f MB shuffled) -> %s\n",
@@ -115,36 +109,34 @@ func scorePartitioned(model *gnn.Model, flatPath string, batch int, out string) 
 	if err != nil {
 		log.Fatal(err)
 	}
-	f, err := os.Create(out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	w := bufio.NewWriter(f)
 	start := time.Now()
 	scored := 0
-	err = core.ScorePartitions(model, parts, batch, gnn.RunOptions{},
-		func(part int, ids []int64, scores [][]float64) error {
-			for i, id := range ids {
-				cols := make([]string, 0, len(scores[i]))
-				for _, s := range scores[i] {
-					cols = append(cols, strconv.FormatFloat(s, 'g', 8, 64))
+	err = dfs.WriteFile(out, func(w io.Writer) error {
+		return core.ScorePartitions(model, parts, batch, gnn.RunOptions{},
+			func(part int, ids []int64, scores [][]float64) error {
+				for i, id := range ids {
+					if err := writeScores(w, id, scores[i]); err != nil {
+						return err
+					}
 				}
-				if _, err := fmt.Fprintf(w, "%d\t%s\n", id, strings.Join(cols, ",")); err != nil {
-					return err
-				}
-			}
-			scored += len(ids)
-			return nil
-		})
+				scored += len(ids)
+				return nil
+			})
+	})
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("scored %d nodes in %s from %d partitions -> %s\n",
 		scored, time.Since(start).Round(1e6), parts.NumPartitions(), out)
+}
+
+// writeScores writes one output line: the id, a tab, and its scores
+// joined by commas.
+func writeScores(w io.Writer, id int64, scores []float64) error {
+	cols := make([]string, 0, len(scores))
+	for _, s := range scores {
+		cols = append(cols, strconv.FormatFloat(s, 'g', 8, 64))
+	}
+	_, err := fmt.Fprintf(w, "%d\t%s\n", id, strings.Join(cols, ","))
+	return err
 }

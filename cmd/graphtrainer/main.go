@@ -11,10 +11,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 
 	"agl/internal/core"
+	"agl/internal/dfs"
 	"agl/internal/gnn"
 	"agl/internal/nn"
 	"agl/internal/ps"
@@ -132,14 +132,7 @@ func main() {
 	fmt.Printf("total %s, PS traffic %.2f MB down / %.2f MB up\n",
 		res.Total.Round(1e6), float64(res.PSBytesOut)/1e6, float64(res.PSBytesIn)/1e6)
 
-	f, err := os.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := res.Model.Save(f); err != nil {
-		log.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := dfs.WriteFile(*out, res.Model.Save); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("model saved to %s\n", *out)

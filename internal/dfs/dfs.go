@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Dir is a dataset directory of part files.
@@ -103,9 +104,13 @@ func (w *PartWriter) Append(rec []byte) error {
 	return nil
 }
 
-// Close flushes and atomically commits the part.
+// Close flushes, fsyncs and atomically commits the part.
 func (w *PartWriter) Close() error {
 	if err := w.bw.Flush(); err != nil {
+		w.f.Close()
+		return err
+	}
+	if err := w.f.Sync(); err != nil {
 		w.f.Close()
 		return err
 	}
@@ -120,6 +125,43 @@ func (w *PartWriter) Abort() error {
 	w.f.Close()
 	return os.Remove(w.tmp)
 }
+
+// WriteFile atomically replaces the file at path with what write writes:
+// the bytes are staged in a temporary file in the same directory, flushed,
+// fsynced, closed and renamed over path. On any error the staged file is
+// removed and path is left as it was, so a crash or a failed write never
+// leaves a truncated file behind.
+func WriteFile(path string, write func(io.Writer) error) (err error) {
+	tmp := fmt.Sprintf("%s.%d.%d.tmp", path, os.Getpid(), stageSeq.Add(1))
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_EXCL, 0o666)
+	if err != nil {
+		return fmt.Errorf("dfs: stage %s: %w", path, err)
+	}
+	defer func() {
+		if err != nil {
+			f.Close()
+			os.Remove(tmp)
+		}
+	}()
+	bw := bufio.NewWriterSize(f, 1<<16)
+	if err := write(bw); err != nil {
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// stageSeq numbers WriteFile's staged files, so concurrent writes of one
+// path in a process never share one.
+var stageSeq atomic.Int64
 
 // ErrCorruptPart marks a part file whose framing is damaged: a truncated
 // or overlong length prefix, or a record longer than the bytes left in the

@@ -260,3 +260,58 @@ func TestLargeRecords(t *testing.T) {
 		t.Fatal("large record corrupted")
 	}
 }
+
+// TestWriteFileIsAtomic: a write function that fails half-way leaves the
+// old file intact and no staged file behind; one that succeeds replaces
+// the file whole.
+func TestWriteFileIsAtomic(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "model.agl")
+	if err := os.WriteFile(path, []byte("old contents"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	boom := errors.New("disk on fire")
+	err := WriteFile(path, func(w io.Writer) error {
+		// More than the staging buffer, so part of it reaches the file.
+		if _, err := w.Write(bytes.Repeat([]byte("x"), 1<<17)); err != nil {
+			return err
+		}
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("WriteFile err = %v, want the write function's", err)
+	}
+	assertDirHolds(t, dir, path, "old contents")
+
+	if err := WriteFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, "new contents")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	assertDirHolds(t, dir, path, "new contents")
+}
+
+// assertDirHolds checks that dir holds exactly path, with the given
+// contents.
+func assertDirHolds(t *testing.T, dir, path, want string) {
+	t.Helper()
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatalf("%s holds %q, want %q", path, got, want)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 1 {
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("directory holds %v, want only %s (a staged file was left behind)", names, filepath.Base(path))
+	}
+}

@@ -217,27 +217,7 @@ func Read(r io.Reader) (*Table, error) {
 	return &t, nil
 }
 
-// WriteFile persists the table to path (staged write + rename, so a
-// concurrent reader never sees a torn table).
-func (t *Table) WriteFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := t.WriteTo(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
-// ReadFile loads and validates a table persisted with WriteFile.
+// ReadFile loads and validates a table file written by WriteTo.
 func ReadFile(path string) (*Table, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -19,8 +19,8 @@ type Client interface {
 	Deregister()
 }
 
-// ShardOf maps a parameter name to its owning shard. Servers and remote
-// clients must agree on this function.
+// ShardOf maps a parameter name to its owning shard. Servers and clients
+// must agree on this function.
 func ShardOf(name string, numShards int) int {
 	h := fnv.New32a()
 	h.Write([]byte(name))
@@ -57,7 +57,7 @@ func NewCluster(numShards int, params *nn.ParamSet, optFactory func() nn.Optimiz
 // NumShards returns the shard count.
 func (c *Cluster) NumShards() int { return len(c.shards) }
 
-// Shard returns shard i (for tests and RPC serving).
+// Shard returns shard i (for tests).
 func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
 
 // Snapshot copies current server weights into dst by name.

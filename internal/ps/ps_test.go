@@ -277,86 +277,3 @@ func TestDistributedConvergence(t *testing.T) {
 		t.Fatalf("did not converge: max diff %v", d)
 	}
 }
-
-func TestRPCTransportRoundTrip(t *testing.T) {
-	params := makeParams(t, "a", "b", "c")
-	c := NewCluster(2, params, func() nn.Optimizer { return nn.NewSGD(0.5) }, Async)
-	addrs, stop, err := Serve(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	client, err := Dial(addrs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	worker := makeParams(t, "a", "b", "c")
-	if err := client.PullInto(worker); err != nil {
-		t.Fatal(err)
-	}
-	if !tensor.Equalish(worker.Get("b").W, params.Get("b").W, 0) {
-		t.Fatal("RPC pull mismatch")
-	}
-	for _, p := range worker.List() {
-		p.Grad.Fill(2)
-	}
-	if err := client.PushGrads(worker); err != nil {
-		t.Fatal(err)
-	}
-	after := makeParams(t, "a", "b", "c")
-	if err := client.PullInto(after); err != nil {
-		t.Fatal(err)
-	}
-	diff := tensor.New(3, 2)
-	tensor.Sub(diff, worker.Get("c").W, after.Get("c").W)
-	for _, v := range diff.Data {
-		if math.Abs(v-1.0) > 1e-12 {
-			t.Fatalf("RPC push not applied: %v", v)
-		}
-	}
-	if out, in := c.Traffic(); out == 0 || in == 0 {
-		t.Fatal("traffic accounting missing")
-	}
-}
-
-func TestRPCSyncModeAcrossTransports(t *testing.T) {
-	params := makeParams(t, "w")
-	c := NewCluster(1, params, func() nn.Optimizer { return nn.NewSGD(1.0) }, Sync)
-	addrs, stop, err := Serve(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	// Register both workers before either pushes: the sync barrier counts
-	// registered workers, so a worker that registered, pushed and
-	// deregistered before its peer arrived would form a 1-worker step of
-	// its own (two applied versions instead of one).
-	clients := make([]Client, 2)
-	for i := range clients {
-		client, err := Dial(addrs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		client.Register()
-		clients[i] = client
-	}
-	var wg sync.WaitGroup
-	for i, client := range clients {
-		wg.Add(1)
-		go func(i int, client Client) {
-			defer wg.Done()
-			defer client.Deregister()
-			local := makeParams(t, "w")
-			local.Get("w").Grad.Fill(float64(i + 1))
-			if err := client.PushGrads(local); err != nil {
-				t.Error(err)
-			}
-		}(i, client)
-	}
-	wg.Wait()
-	if c.Shard(0).Version() != 1 {
-		t.Fatalf("version=%d want 1", c.Shard(0).Version())
-	}
-}

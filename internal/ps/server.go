@@ -1,8 +1,8 @@
 // Package ps implements the parameter-server substrate GraphTrainer runs
 // on: sharded servers holding named dense parameters, workers that pull
-// weights and push gradients, a synchronous (BSP, gradient-averaging) and
-// an asynchronous consistency mode, and two transports — in-process for
-// single-machine runs and net/rpc over TCP for real distribution.
+// weights and push gradients, and a synchronous (BSP, gradient-averaging)
+// and an asynchronous consistency mode. Workers reach the shards in
+// process (Cluster.Client).
 package ps
 
 import (

@@ -8,8 +8,9 @@ import (
 
 // This file is the serving tier's dynamic-graph machinery: the k-hop
 // invalidation walk that turns a mutation batch into the exact set of
-// invalidated nodes, and Server.Apply, which commits a batch and evicts
-// precisely those entries from the score cache and the embedding store.
+// invalidated nodes, and Server.Apply, which commits a batch, evicts
+// precisely those entries from the score cache and marks their warm rows
+// dirty.
 //
 // Consistency model. A node's served score depends on its k-hop in-edge
 // neighborhood (the GraphFeature extraction walks in-edges backwards from
@@ -86,15 +87,15 @@ type ApplyResult struct {
 	// why it was skipped. Matches ScoreMany's partial-failure contract —
 	// one bad mutation does not discard the rest of the batch.
 	Errs []error
-	// Invalidated counts cache entries evicted plus store rows newly
-	// marked dirty by this batch.
+	// Invalidated counts cache entries evicted plus warm rows (store or
+	// overlay-only) newly marked dirty by this batch.
 	Invalidated int
 }
 
 // Apply commits a mutation batch to the serving graph and incrementally
 // invalidates everything the batch can have affected: the k-hop BFS picks
 // the affected node set, their score-cache entries are evicted,
-// and their embedding-store rows are marked dirty. Dirty rows serve
+// and their warm rows are marked dirty. Dirty rows serve
 // through the cold path (request-time extraction + forward pass on the new
 // graph version) and are re-admitted warm on their first recompute.
 //
@@ -152,23 +153,15 @@ func (s *Server) Apply(ctx context.Context, muts []graph.Mutation) (*ApplyResult
 		// waiters (who arrived before this commit) still get its result,
 		// but requests arriving after Apply returns must not collapse onto
 		// a pre-mutation computation — they start a fresh one on the new
-		// version. The detached call's result is also barred from the
-		// cache by the version fence in process().
+		// version — and finish neither caches nor re-admits the detached
+		// call's result.
 		delete(s.inflight, id)
-		if _, wasDirty := s.dirty[id]; wasDirty {
-			continue
-		}
-		// A warm row needing invalidation can live in the base store OR
-		// only in the overlay (re-admitted rows shadow the store; rows
-		// installed by a slot migration may have no store row at all on
-		// this replica). Either way it goes dirty: the lookup misses, the
-		// next request recomputes cold on the new version, and the first
-		// recompute re-admits it warm.
-		_, inStore := s.store.LookupRow(id)
-		_, inOverlay := s.overlay[id]
-		if inStore || inOverlay {
-			s.dirty[id] = struct{}{}
-			delete(s.overlay, id) // a re-admitted embedding is stale too
+		// A warm row, in the base store or only in the overlay (re-admitted,
+		// or installed by a slot migration), goes dirty: a zero overlay row
+		// shadows it, the next request recomputes cold on the new version,
+		// and the first recompute re-admits it warm.
+		if _, warm := s.lookupRowLocked(id); warm {
+			s.setRowLocked(id, Row{})
 			res.Invalidated++
 		}
 	}

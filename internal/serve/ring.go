@@ -59,7 +59,7 @@ type FlightSample struct {
 	WarmP99us  uint32 `json:"warm_p99_us"`
 	ColdP50us  uint32 `json:"cold_p50_us"`
 	ColdP99us  uint32 `json:"cold_p99_us"`
-	DirtyRows  uint32 `json:"dirty_rows"` // store rows shadowed by the dynamic overlay (gauge)
+	DirtyRows  uint32 `json:"dirty_rows"` // warm rows (store or overlay-only) marked dirty, Stats.DirtyRows (gauge)
 	Applies    uint32 `json:"applies"`    // mutation batches applied
 
 	// Cluster-health counters (zero outside cluster mode).

@@ -70,30 +70,14 @@ func (s *Server) RowsInSlot(slot, slots int, slotOf func(id int64, slots int) in
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.store.Range(func(id int64, row Row) bool {
-		if slotOf(id, slots) != slot {
-			return true
+		if _, shadowed := s.overlay[id]; !shadowed && slotOf(id, slots) == slot {
+			out[id] = row.Clone()
 		}
-		if _, d := s.dirty[id]; d {
-			return true
-		}
-		if ov, ok := s.overlay[id]; ok {
-			row = ov // re-admitted row shadows the store
-		}
-		out[id] = row.Clone()
 		return true
 	})
-	// Overlay rows with no base store row (installed by a previous
-	// migration, or re-admitted after the base store was built without
-	// them).
-	for id, ov := range s.overlay {
-		if slotOf(id, slots) != slot {
-			continue
-		}
-		if _, d := s.dirty[id]; d {
-			continue
-		}
-		if _, seen := out[id]; !seen {
-			out[id] = ov.Clone()
+	for id, row := range s.overlay {
+		if !row.IsZero() && slotOf(id, slots) == slot {
+			out[id] = row.Clone()
 		}
 	}
 	return out
@@ -112,7 +96,7 @@ func FloatRows(rows map[int64][]float64) map[int64]Row {
 
 // InstallRows admits migrated rows into the warm tier (the overlay, which
 // shadows the base store), preserving each row's codec. A row this replica
-// has already marked dirty is NOT resurrected: the dirty flag records a
+// has already marked dirty is NOT resurrected: the dirty mark records a
 // mutation the incoming snapshot may predate, and a cold recompute is
 // always correct while a stale warm row never is.
 func (s *Server) InstallRows(rows map[int64]Row) int {
@@ -120,35 +104,42 @@ func (s *Server) InstallRows(rows map[int64]Row) int {
 	defer s.mu.Unlock()
 	n := 0
 	for id, row := range rows {
-		if _, d := s.dirty[id]; d {
+		row = row.Clone()
+		if old, ok := s.overlay[id]; row.IsZero() || (ok && old.IsZero()) {
 			continue
 		}
-		s.overlay[id] = row.Clone()
+		s.overlay[id] = row
 		n++
 	}
 	return n
 }
 
-// DropRows discards overlay rows, dirty flags, and cache entries for every
-// id matching the predicate — the source-side cleanup after a slot
-// migrates away. Base store rows cannot be deleted (the store is
-// read-only) but they stay invalidation-tracked by Apply, so a stale
-// router asking this replica anyway still gets a correct answer, just a
-// slower one.
+// DropRows discards the overlay rows and cache entries of every id
+// matching the predicate — the source-side cleanup after a slot migrates
+// away — and reports how many warm overlay rows it dropped. It never
+// exposes a base store row the overlay was shadowing: the store is
+// read-only and that row may predate a mutation, so the id keeps (or
+// gets) a dirty mark instead, and a stale router asking this replica
+// anyway still gets a correct answer, just a slower one.
 func (s *Server) DropRows(match func(id int64) bool) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	n := 0
-	for id := range s.overlay {
-		if match(id) {
-			delete(s.overlay, id)
+	for id, row := range s.overlay {
+		if !match(id) {
+			continue
+		}
+		if !row.IsZero() {
 			n++
 		}
-	}
-	for id := range s.dirty {
-		if match(id) {
-			delete(s.dirty, id)
+		if _, inStore := s.store.LookupRow(id); inStore {
+			s.setRowLocked(id, Row{})
+			continue
 		}
+		if row.IsZero() {
+			s.dirtyRows--
+		}
+		delete(s.overlay, id)
 	}
 	for _, id := range s.cache.keys() {
 		if match(id) {

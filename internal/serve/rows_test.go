@@ -213,3 +213,48 @@ func TestFlightAccessors(t *testing.T) {
 		t.Fatal("always-on recorder returned nil samples slice")
 	}
 }
+
+// TestDropRowsNeverExposesStaleStoreRows: DropRows after an Apply must not
+// bring back the pre-mutation store row of a dropped id, whether the id is
+// still dirty or was re-admitted (an overlay row shadowing the store row).
+func TestDropRowsNeverExposesStaleStoreRows(t *testing.T) {
+	g, model, res := testGraph(t)
+	store, err := NewStore(0, res.Embeddings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Seed: 4, CacheSize: 1}, model, g, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ctx := context.Background()
+	dirty, readmitted := g.Nodes[0].ID, g.Nodes[1].ID
+	if _, err := srv.Apply(ctx, []graph.Mutation{
+		graph.UpdateNodeFeat(dirty, make([]float64, g.FeatureDim())),
+		graph.UpdateNodeFeat(readmitted, make([]float64, g.FeatureDim())),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Score(ctx, readmitted); err != nil {
+		t.Fatal(err)
+	}
+	if !srv.WarmRow(readmitted) || srv.WarmRow(dirty) {
+		t.Fatal("setup: want one re-admitted and one dirty row")
+	}
+	srv.DropRows(func(id int64) bool { return id == dirty || id == readmitted })
+	cur, _ := srv.Graph()
+	want := coldRecompute(t, Config{Seed: 4}, cloneModel(t, model), cur, []int64{dirty, readmitted})
+	for _, id := range []int64{dirty, readmitted} {
+		if srv.WarmRow(id) {
+			t.Fatalf("DropRows exposed the store row of %d", id)
+		}
+		got, err := srv.Score(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(got[0]-want[id][0]) > 1e-9 {
+			t.Fatalf("node %d after DropRows: %v, recompute %v", id, got[0], want[id][0])
+		}
+	}
+}

@@ -164,9 +164,9 @@ type Stats struct {
 	Version     uint64 // current graph version (one per applied batch)
 	Applies     int64  // mutation batches that applied at least one mutation
 	Mutations   int64  // individual mutations applied
-	Invalidated int64  // cache entries evicted + store rows dirtied by mutations
+	Invalidated int64  // cache entries evicted + warm rows dirtied by mutations
 	Readmitted  int64  // dirty rows recomputed cold and re-admitted warm
-	DirtyRows   int64  // store rows currently dirty (the staleness frontier)
+	DirtyRows   int64  // warm rows (store or overlay-only) currently dirty: the staleness frontier
 }
 
 // Server answers per-node score requests on top of the offline pipeline's
@@ -183,7 +183,7 @@ type Stats struct {
 // The graph is live: Apply commits mutation batches (edge inserts and
 // removals, feature updates, new nodes) onto copy-on-write graph versions,
 // and a k-hop walk from the mutated nodes invalidates exactly the cache
-// entries and store rows a batch can have affected — see dynamic.go for
+// entries and warm rows a batch can have affected — see dynamic.go for
 // the consistency model.
 //
 // Concurrent requests for one node collapse into a single computation
@@ -200,13 +200,20 @@ type Server struct {
 
 	applyMu sync.Mutex // serializes Apply end to end
 
-	mu       sync.Mutex
-	closed   bool
-	flat     *core.LocalFlattener // extractor for the current version (swapped by Apply)
-	version  uint64               // version flat/cache/dirty reflect
-	cache    *lruCache
-	overlay  map[int64]Row      // recomputed/installed rows overriding the base store
-	dirty    map[int64]struct{} // store rows invalidated by mutations
+	mu      sync.Mutex
+	closed  bool
+	flat    *core.LocalFlattener // extractor for the current version (swapped by Apply)
+	version uint64               // version flat/cache/overlay reflect
+	cache   *lruCache
+	// overlay shadows the read-only base store: a recomputed or installed
+	// row serves in place of the store's, and a zero Row marks the id
+	// dirty (invalidated by a mutation, no warm row until recomputed).
+	// dirtyRows counts the zero rows.
+	overlay   map[int64]Row
+	dirtyRows int64
+	// inflight maps an id to its registered computation. Apply detaches
+	// the calls of the ids it invalidates, so a call still registered when
+	// it finishes computed a value that holds on the current version.
 	inflight map[int64]*call
 
 	// ws is the cold-path workspace: all model execution runs on the
@@ -338,7 +345,6 @@ func New(cfg Config, model *gnn.Model, g *graph.Graph, store Store) (*Server, er
 		}, g),
 		cache:    newLRU(cfg.CacheSize),
 		overlay:  make(map[int64]Row),
-		dirty:    make(map[int64]struct{}),
 		inflight: make(map[int64]*call),
 		ws:       tensor.NewWorkspace(),
 		adm:      newAdmission(cfg.ShedThreshold, cfg.MaxBatch),
@@ -386,77 +392,77 @@ func (s *Server) Score(ctx context.Context, node int64) ([]float64, error) {
 // scoreStart is the part of Score that never blocks on a forward pass: a
 // cache hit or a warm row resolves inline on the caller's goroutine;
 // anything else joins the node's in-flight computation or registers a new
-// one (registerLocked), and the returned call is collected with wait.
+// one (startLocked), and the returned call is collected with wait.
 func (s *Server) scoreStart(ctx context.Context, node int64) (_ []float64, _ *call, fresh bool, _ error) {
 	s.requests.Add(1)
 	start := time.Now()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.errors.Add(1)
-		return nil, nil, false, ErrClosed
-	}
-	if v, ok := s.cache.get(node); ok {
+	if v, ok := s.cache.get(node); ok && !s.closed {
 		s.mu.Unlock()
 		s.hits.Add(1)
 		return v, nil, false, nil
 	}
-	if c, ok := s.inflight[node]; ok {
-		s.mu.Unlock()
-		c.extendDeadline(deadlineOf(ctx))
-		s.collapsed.Add(1)
-		return nil, c, false, nil
-	}
-	if row, ok := s.lookupRowLocked(node); ok {
-		ver := s.version
-		s.mu.Unlock()
-		// Warm path, inline: the prediction slice is a pure function of
-		// the stored embedding, so it runs on the caller's goroutine and
-		// never queues behind cold-path batches — under cold saturation
-		// warm latency is untouched by design, not by luck. A CodecF64 row
-		// feeds the head as a zero-copy view; a CodecQ8 row dequantizes
-		// dim floats here (the only decode on the node warm path).
-		scores := core.ScoresFromLogits(gnn.ApplyDense(s.head.Head, row.Floats(nil)))
-		s.warm.Add(1)
-		s.observeWarm(time.Since(start))
-		s.mu.Lock()
-		if !s.closed && ver == s.version {
-			s.cache.add(node, scores)
-		}
-		s.mu.Unlock()
-		if err := ctx.Err(); err != nil {
-			s.errors.Add(1)
-			return nil, nil, false, err
-		}
-		return scores, nil, false, nil
-	}
-	c, err := s.registerLocked(ctx, node, start)
+	row, c, fresh, err := s.startLocked(ctx, node, start)
+	ver := s.version
 	s.mu.Unlock()
-	return nil, c, c != nil, err
-}
-
-// registerLocked is the cold path's front door for node and link scoring
-// alike: behind it is a k-hop extraction plus a shared forward pass, so
-// admission control gates it. The caller holds s.mu from its cache, warm-row
-// and in-flight checks through this call, so no batch can finish in between
-// and leave a second cold call behind for a node it just resolved. The
-// caller then owes the batcher the new call (send) before it blocks on
-// anything, for the batcher holds a batch open while a registered call is on
-// its way.
-func (s *Server) registerLocked(ctx context.Context, node int64, enq time.Time) (*call, error) {
+	if c != nil || err != nil {
+		return nil, c, fresh, err
+	}
+	// Warm path, inline: the prediction slice is a pure function of the
+	// stored embedding, so it runs on the caller's goroutine and never
+	// queues behind cold-path batches — under cold saturation warm latency
+	// is untouched by design, not by luck. A CodecF64 row feeds the head as
+	// a zero-copy view; a CodecQ8 row dequantizes dim floats here (the only
+	// decode on the node warm path).
+	scores := core.ScoresFromLogits(gnn.ApplyDense(s.head.Head, row.Floats(nil)))
+	s.warm.Add(1)
+	s.observeWarm(time.Since(start))
+	s.mu.Lock()
+	if !s.closed && ver == s.version {
+		s.cache.add(node, scores)
+	}
+	s.mu.Unlock()
 	if err := ctx.Err(); err != nil {
 		s.errors.Add(1)
-		return nil, err
+		return nil, nil, false, err
+	}
+	return scores, nil, false, nil
+}
+
+// startLocked is the front door for node and link requests alike, called
+// with s.mu held: a warm row is returned to run inline; otherwise the
+// request joins node's in-flight computation or, past admission control,
+// registers a new one (fresh). Holding s.mu from the lookups through the
+// registration means no batch can finish in between and leave a second
+// cold call behind for a node it just resolved. A caller handed a fresh
+// call owes the batcher a send before it blocks on anything, for the
+// batcher holds a batch open while a registered call is on its way.
+func (s *Server) startLocked(ctx context.Context, node int64, enq time.Time) (_ Row, _ *call, fresh bool, _ error) {
+	if s.closed {
+		s.errors.Add(1)
+		return Row{}, nil, false, ErrClosed
+	}
+	if row, ok := s.lookupRowLocked(node); ok {
+		return row, nil, false, nil
+	}
+	if c, ok := s.inflight[node]; ok {
+		c.extendDeadline(deadlineOf(ctx))
+		s.collapsed.Add(1)
+		return Row{}, c, false, nil
+	}
+	if err := ctx.Err(); err != nil {
+		s.errors.Add(1)
+		return Row{}, nil, false, err
 	}
 	if err := s.adm.admit(); err != nil {
 		s.shed.Add(1)
-		return nil, err
+		return Row{}, nil, false, err
 	}
 	c := &call{id: node, done: make(chan struct{}), enq: enq, admitted: true}
 	c.deadline.Store(deadlineOf(ctx))
 	s.inflight[node] = c
 	s.queued.Add(1)
-	return c, nil
+	return Row{}, c, true, nil
 }
 
 // send hands a call to the batcher if this caller registered it (fresh).
@@ -586,42 +592,26 @@ func (s *Server) scoreRows(u, v Row) float64 {
 }
 
 // embedStart resolves one node's layer-K embedding or queues its
-// computation: warm hits return the stored row (native codec) immediately; otherwise the
-// returned call is registered with the batcher (sharing any in-flight
-// Score/ScoreLink computation for the same node, single-flight) and the
-// caller collects it with wait (a call that resolves without error carries
-// its embedding in emb). A dirty row recomputed this way
+// computation: warm hits return the stored row (native codec) immediately;
+// otherwise the returned call is registered with the batcher (sharing any
+// in-flight Score/ScoreLink computation for the same node, single-flight)
+// and the caller collects it with wait (a call that resolves without error
+// carries its embedding in emb). A dirty row recomputed this way
 // re-admits warm for everyone, same as node scoring. Queueing a fresh
 // computation passes admission control: a saturated cold path sheds the
 // link request with a *ShedError instead of registering.
 func (s *Server) embedStart(ctx context.Context, node int64) (Row, *call, error) {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.errors.Add(1)
-		return Row{}, nil, ErrClosed
-	}
-	if row, ok := s.lookupRowLocked(node); ok {
-		s.mu.Unlock()
-		return row, nil, nil
-	}
-	if c, ok := s.inflight[node]; ok {
-		s.mu.Unlock()
-		c.extendDeadline(deadlineOf(ctx))
-		s.collapsed.Add(1)
-		return Row{}, c, nil
-	}
-	c, err := s.registerLocked(ctx, node, time.Now())
+	row, c, fresh, err := s.startLocked(ctx, node, time.Now())
 	s.mu.Unlock()
-	s.send(c, c != nil)
-	return Row{}, c, err
+	s.send(c, fresh)
+	return row, c, err
 }
 
 // Stats snapshots the request and mutation counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
-	version := s.version
-	dirtyRows := int64(len(s.dirty))
+	version, dirtyRows := s.version, s.dirtyRows
 	s.mu.Unlock()
 	return Stats{
 		Requests:     s.requests.Load(),
@@ -686,20 +676,6 @@ func (s *Server) wait(ctx context.Context, c *call) ([]float64, error) {
 	}
 }
 
-// fail resolves a call without scoring it (shutdown drain).
-func (s *Server) fail(c *call, err error) {
-	s.mu.Lock()
-	if s.inflight[c.id] == c {
-		delete(s.inflight, c.id)
-	}
-	s.mu.Unlock()
-	if c.admitted {
-		s.adm.release()
-	}
-	c.err = err
-	close(c.done)
-}
-
 // batcher is the single consumer of the request queue. After the first
 // request it greedily drains whatever else is already queued (optionally
 // lingering MaxWait for stragglers), then scores the whole batch in one
@@ -762,48 +738,47 @@ func (s *Server) batcher() {
 // before the closed flag flipped may still be on their way into the
 // queue, so it keeps consuming until the queued counter reaches zero.
 func (s *Server) drain() {
-	for {
+	for s.queued.Load() > 0 {
 		select {
 		case c := <-s.reqs:
 			s.queued.Add(-1)
-			s.fail(c, ErrClosed)
-			continue
-		default:
-		}
-		if s.queued.Load() == 0 {
-			return
-		}
-		select {
-		case c := <-s.reqs:
-			s.queued.Add(-1)
-			s.fail(c, ErrClosed)
+			c.err = ErrClosed
+			s.finish([]*call{c})
 		case <-time.After(100 * time.Microsecond):
 		}
 	}
 }
 
-// lookupRowLocked resolves a node's warm row in its stored codec: dirty
-// rows miss (they must recompute on the current graph version), the
-// overlay (recomputed/installed rows) shadows the base store. The payload
-// may alias store or overlay memory; overlay entries are replaced, never
-// mutated in place, so a returned row stays valid after the lock drops.
-// Callers hold s.mu.
+// lookupRowLocked resolves a node's warm row in its stored codec: the
+// overlay shadows the base store, and a zero overlay row (dirty: it must
+// recompute on the current graph version) misses. The payload may alias
+// store or overlay memory; overlay entries are replaced, never mutated in
+// place, so a returned row stays valid after the lock drops. Callers hold
+// s.mu.
 func (s *Server) lookupRowLocked(id int64) (Row, bool) {
-	if _, isDirty := s.dirty[id]; isDirty {
-		return Row{}, false
-	}
 	if row, ok := s.overlay[id]; ok {
-		return row, true
+		return row, !row.IsZero()
 	}
 	return s.store.LookupRow(id)
+}
+
+// setRowLocked shadows id's base store row with row; a zero row marks id
+// dirty. Callers hold s.mu.
+func (s *Server) setRowLocked(id int64, row Row) {
+	if old, ok := s.overlay[id]; ok && old.IsZero() {
+		s.dirtyRows--
+	}
+	if row.IsZero() {
+		s.dirtyRows++
+	}
+	s.overlay[id] = row
 }
 
 // process scores one micro-batch: store-backed nodes through the
 // prediction slice, the rest through one merged forward pass. The whole
 // batch runs against one graph version (the flattener snapshot taken at
-// entry); results are admitted to the cache and store only if no mutation
-// batch committed meanwhile, so a concurrent Apply can never be shadowed
-// by an in-flight computation on the old version.
+// entry), and finish fences each result by its own call, so a concurrent
+// Apply can never be shadowed by a computation on the old version.
 func (s *Server) process(batch []*call) {
 	s.batches.Add(1)
 	s.recordBatch(len(batch))
@@ -812,7 +787,6 @@ func (s *Server) process(batch []*call) {
 
 	s.mu.Lock()
 	flat := s.flat
-	ver := s.version
 	warmCalls := batch[:0:0]
 	for _, c := range batch {
 		if row, ok := s.lookupRowLocked(c.id); ok {
@@ -879,7 +853,6 @@ func (s *Server) process(batch []*call) {
 	}
 	coldCalls = kept
 
-	var coldEmb *tensor.Matrix
 	if len(coldRecs) > 0 {
 		// The whole cold pass — batch assembly, adjacency normalization,
 		// layer activations — runs out of the batcher-owned workspace;
@@ -894,13 +867,12 @@ func (s *Server) process(batch []*call) {
 			}
 		} else {
 			// Forward (rather than Infer) keeps the target rows' layer-K
-			// embeddings, which re-admit recomputed dirty rows warm below.
+			// embeddings, which finish re-admits for recomputed dirty rows.
 			prep := s.model.Prepare(b.Graph, opt)
 			st := s.model.Forward(b.Graph, prep, opt)
-			coldEmb = st.Emb
 			for i, c := range coldCalls {
 				c.scores = core.ScoresFromLogits(st.Logits.Row(i))
-				c.emb = append([]float64(nil), coldEmb.Row(i)...)
+				c.emb = append([]float64(nil), st.Emb.Row(i)...)
 				s.cold.Add(1)
 				s.observeCold(time.Since(c.enq))
 			}
@@ -908,29 +880,31 @@ func (s *Server) process(batch []*call) {
 		s.adm.observe(len(coldRecs), time.Since(coldStart))
 	}
 
+	s.finish(batch)
+}
+
+// finish resolves a batch of calls, each carrying its result or its error.
+// A call still registered in inflight — one no Apply detached since it
+// registered, so its result holds on the current graph version — caches
+// its scores, and re-admits its id warm when the id is dirty. Every call
+// then releases its admission slot and wakes its waiters.
+func (s *Server) finish(batch []*call) {
 	s.mu.Lock()
-	fresh := ver == s.version
 	for _, c := range batch {
-		if c.err == nil && fresh {
-			s.cache.add(c.id, c.scores)
+		if s.inflight[c.id] != c {
+			continue
 		}
-		if s.inflight[c.id] == c {
-			delete(s.inflight, c.id)
+		delete(s.inflight, c.id)
+		if c.err != nil {
+			continue
 		}
-	}
-	if fresh && coldEmb != nil {
-		for _, c := range coldCalls {
-			if c.err != nil {
-				continue
-			}
-			if _, isDirty := s.dirty[c.id]; isDirty {
-				// c.emb is already a heap copy of coldEmb.Row(i); recomputed
-				// rows re-admit full-precision even over a quantized base
-				// store — the overlay is resident memory either way.
-				s.overlay[c.id] = F64Row(c.emb)
-				delete(s.dirty, c.id)
-				s.readmitted.Add(1)
-			}
+		s.cache.add(c.id, c.scores)
+		if row, ok := s.overlay[c.id]; ok && row.IsZero() {
+			// c.emb is the call's own heap copy; recomputed rows re-admit
+			// full-precision even over a quantized base store — the
+			// overlay is resident memory either way.
+			s.setRowLocked(c.id, F64Row(c.emb))
+			s.readmitted.Add(1)
 		}
 	}
 	s.mu.Unlock()

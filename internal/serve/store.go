@@ -26,6 +26,8 @@ import (
 	"os"
 	"slices"
 	"unsafe"
+
+	"agl/internal/dfs"
 )
 
 // Store is the read interface of an embedding store. The serving tier
@@ -451,28 +453,18 @@ func (s *RowStore) WriteTo(w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// Save persists the store at path. The file is staged at path+".tmp",
-// fsynced and renamed into place, so a crash mid-write never leaves a
-// half-written store at path.
+// Save persists the store at path with dfs.WriteFile (staged, fsynced and
+// renamed into place), so a crash mid-write never leaves a half-written
+// store at path.
 func (s *RowStore) Save(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	err := dfs.WriteFile(path, func(w io.Writer) error {
+		_, err := s.WriteTo(w)
+		return err
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: save store %s: %w", path, err)
 	}
-	defer os.Remove(tmp) // no-op after the rename
-	if _, err := s.WriteTo(f); err != nil {
-		f.Close()
-		return fmt.Errorf("serve: write store %s: %w", tmp, err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return nil
 }
 
 // Verify checksums the id, meta and row sections against the header — the
