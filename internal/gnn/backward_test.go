@@ -13,7 +13,7 @@ import (
 func fullBackwardLayers(t *testing.T, m *Model, ws *tensor.Workspace, prep *Prepared, dh *tensor.Matrix) {
 	t.Helper()
 	for i := len(m.Layers) - 1; i >= 0; i-- {
-		dh = m.Layers[i].Backward(ws, prep.Aggs[i], dh, true)
+		dh = m.Layers[i].Backward(ws, prep.Aggs[i], prep.layer(i), dh, true)
 		if dh == nil {
 			t.Fatalf("layer %d returned no input gradient", i)
 		}
@@ -108,7 +108,7 @@ func TestFirstLayerSkipsInputGradient(t *testing.T) {
 			sameGrads(t, c.name, snapshotGrads(m), want)
 
 			dy := ws.Get(b.Adj.NumRows, cfg.Hidden)
-			if dx := m.Layers[0].Backward(ws, prep.Aggs[0], dy, false); dx != nil {
+			if dx := m.Layers[0].Backward(ws, prep.Aggs[0], prep.layer(0), dy, false); dx != nil {
 				t.Fatalf("layer 0 returned an input gradient without inputGrad")
 			}
 		})

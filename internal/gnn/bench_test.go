@@ -111,3 +111,62 @@ func BenchmarkModelSegment(b *testing.B) {
 		}
 	}
 }
+
+// khopBatch builds a two-hop batch shaped like a GraphFlat training batch:
+// every one of hop1 rows feeds a target and every one of hop2 rows feeds a
+// hop1 row, plus fanIn random in-edges per target and per hop1 row from the
+// next ring out. Most rows sit two hops out, as in bench's offline_dense
+// (582 rows, 163 within one hop).
+func khopBatch(rng *rand.Rand, targets, hop1, hop2, fanIn, feat int) *BatchGraph {
+	n := targets + hop1 + hop2
+	seen := map[[2]int]bool{}
+	var es []sparse.Coo
+	link := func(dst, src int) {
+		if !seen[[2]int{dst, src}] {
+			seen[[2]int{dst, src}] = true
+			es = append(es, sparse.Coo{Row: dst, Col: src, Val: 1})
+		}
+	}
+	for i := 0; i < hop1; i++ {
+		link(i%targets, targets+i)
+	}
+	for i := 0; i < hop2; i++ {
+		link(targets+i%hop1, targets+hop1+i)
+	}
+	for k := 0; k < fanIn; k++ {
+		for v := 0; v < targets; v++ {
+			link(v, targets+rng.Intn(hop1))
+		}
+		for v := targets; v < targets+hop1; v++ {
+			link(v, targets+hop1+rng.Intn(hop2))
+		}
+	}
+	b := &BatchGraph{Adj: sparse.NewCSR(n, n, es), X: tensor.New(n, feat)}
+	b.X.RandFill(rng, 1)
+	for v := 0; v < targets; v++ {
+		b.Targets = append(b.Targets, v)
+	}
+	b.Dist = ComputeDistances(b.Adj, b.Targets)
+	return b
+}
+
+// BenchmarkGATTrainStepDense is one offline_dense-shaped step: a 256-dim
+// two-hop batch through a two-layer GAT with hidden 64, with and without
+// pruning.
+func BenchmarkGATTrainStepDense(b *testing.B) {
+	for _, prune := range []bool{false, true} {
+		name := "base"
+		if prune {
+			name = "pruned"
+		}
+		b.Run(name, func(b *testing.B) {
+			bg := khopBatch(rand.New(rand.NewSource(3)), 32, 131, 419, 4, 256)
+			m, err := NewModel(Config{Kind: KindGAT, InDim: 256, Hidden: 64, Classes: 2, Layers: 2,
+				Heads: 1, Act: nn.ActReLU, Seed: 2})
+			if err != nil {
+				b.Fatal(err)
+			}
+			benchForwardBackward(b, m, bg, RunOptions{Train: true, Pruning: prune, Threads: 2})
+		})
+	}
+}

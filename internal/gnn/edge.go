@@ -192,7 +192,7 @@ func axpyVec(dst []float64, alpha float64, x []float64) {
 // BackwardEdges.
 type EdgeForwardState struct {
 	Prep   *Prepared
-	H      *tensor.Matrix // final node embeddings (all batch rows)
+	H      *tensor.Matrix // final node embeddings (under pruning, valid on endpoint rows only)
 	Hs, Hd *tensor.Matrix // endpoint embeddings, one row per pair
 	Logits *tensor.Matrix // P×1 link logits
 	b      *BatchGraph
@@ -210,7 +210,7 @@ func (m *Model) ForwardEdges(b *BatchGraph, prep *Prepared, src, dst []int, opt 
 	for i, layer := range m.Layers {
 		m.drops[i].Train = opt.Train
 		h = m.drops[i].Forward(ws, h)
-		h = layer.Forward(ws, prep.Aggs[i], h)
+		h = layer.Forward(ws, prep.Aggs[i], prep.layer(i), h)
 	}
 	hs := ws.GetUninit(len(src), h.Cols)
 	h.RowsSubsetInto(hs, src)

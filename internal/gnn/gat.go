@@ -115,8 +115,9 @@ func (l *GATLayer) leakyGrad(x float64) float64 {
 	return l.LeakySlope
 }
 
-// Forward implements Layer.
-func (l *GATLayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, h *tensor.Matrix) *tensor.Matrix {
+// Forward implements Layer. The projection and the attention scores run
+// over the input rows, the sources of the layer's adjacency.
+func (l *GATLayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Rows, h *tensor.Matrix) *tensor.Matrix {
 	a := ag.A
 	n := a.NumRows
 	nnz := a.NNZ()
@@ -130,10 +131,10 @@ func (l *GATLayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, h *tenso
 
 	for hd := 0; hd < l.Heads; hd++ {
 		z := ws.GetUninit(h.Rows, l.WH[hd].W.Cols)
-		tensor.MatMul(z, h, l.WH[hd].W)
+		tensor.MatMulRows(z, h, l.WH[hd].W, rows.In)
 		l.z[hd] = z
-		ssrc := matVecWS(ws, z, l.ASrc[hd].W)
-		sdst := matVecWS(ws, z, l.ADst[hd].W)
+		ssrc := matVecWS(ws, z, l.ASrc[hd].W, rows.In)
+		sdst := matVecWS(ws, z, l.ADst[hd].W, rows.In)
 		raw := ws.Floats(nnz)
 		alpha := ws.Floats(nnz)
 		off := hd * l.headDim
@@ -178,15 +179,16 @@ func (l *GATLayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, h *tenso
 	}
 	out.AddRowVector(l.B.W.Row(0))
 	l.act = nn.Activation{Kind: l.Act}
-	return l.act.Forward(ws, out)
+	return l.act.ForwardRows(ws, out, rows.Out)
 }
 
-// Backward implements Layer.
-func (l *GATLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
+// Backward implements Layer. dZ is nonzero on the input rows only, so the
+// weight and input gradients run over them.
+func (l *GATLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Rows, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
 	a, at := ag.A, ag.AT
 	n := a.NumRows
-	dOut := l.act.Backward(ws, dy)
-	dOut.ColSumsInto(l.B.Grad.Row(0))
+	dOut := l.act.BackwardRows(ws, dy, rows.Out)
+	dOut.ColSumsRowsInto(l.B.Grad.Row(0), rows.Out)
 	var dh *tensor.Matrix
 	if inputGrad {
 		dh = ws.Get(l.hIn.Rows, l.in)
@@ -278,12 +280,13 @@ func (l *GATLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *ten
 			}
 		}
 
-		// Score contributions to dZ and attention-vector gradients.
+		// Score contributions to dZ and attention-vector gradients; dsdst
+		// and dssrc are zero off the input rows.
 		asrc := l.ASrc[hd].W.Data
 		adst := l.ADst[hd].W.Data
 		daSrc := ws.Floats(l.headDim)
 		daDst := ws.Floats(l.headDim)
-		for i := 0; i < n; i++ {
+		for i := range tensor.EachRow(n, rows.In) {
 			zrow := dZ.Row(i)
 			zi := z.Row(i)
 			if d := dsdst[i]; d != 0 {
@@ -306,12 +309,17 @@ func (l *GATLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *ten
 
 		// dW += Hᵀ·dZ ; dH += dZ·Wᵀ
 		dw := ws.GetUninit(l.in, l.headDim)
-		tensor.MatMulATB(dw, l.hIn, dZ)
+		tensor.MatMulATBRows(dw, l.hIn, dZ, rows.In)
 		tensor.AXPY(l.WH[hd].Grad, 1, dw)
 		if inputGrad {
 			dhHead := ws.GetUninit(n, l.in)
-			tensor.MatMulABT(dhHead, dZ, l.WH[hd].W)
-			tensor.Add(dh, dh, dhHead)
+			tensor.MatMulABTRows(dhHead, dZ, l.WH[hd].W, rows.In)
+			for r := range tensor.EachRow(n, rows.In) {
+				d := dh.Row(r)
+				for j, v := range dhHead.Row(r) {
+					d[j] += v
+				}
+			}
 		}
 		l.draw[hd] = draw
 	}
@@ -364,11 +372,12 @@ func (l *GATLayer) InferNode(selfH []float64, selfDeg float64, msgs []NeighborMs
 	return out
 }
 
-// matVecWS computes m @ v for a column-vector parameter v (k×1), returning
-// a dense []float64 of length m.Rows drawn from ws (nil allocates).
-func matVecWS(ws *tensor.Workspace, m *tensor.Matrix, v *tensor.Matrix) []float64 {
+// matVecWS computes the listed rows (every row when rows is nil) of m @ v
+// for a column-vector parameter v (k×1), returning a dense []float64 of
+// length m.Rows drawn from ws (nil allocates); other entries are zero.
+func matVecWS(ws *tensor.Workspace, m *tensor.Matrix, v *tensor.Matrix, rows []int) []float64 {
 	out := ws.Floats(m.Rows)
-	for i := 0; i < m.Rows; i++ {
+	for i := range tensor.EachRow(m.Rows, rows) {
 		row := m.Row(i)
 		var s float64
 		for j, x := range row {

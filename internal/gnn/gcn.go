@@ -40,31 +40,32 @@ func NewGCN(name string, in, out int, act nn.ActKind, rng *rand.Rand) *GCNLayer 
 // Params implements Layer.
 func (l *GCNLayer) Params() []*nn.Param { return []*nn.Param{l.W, l.B} }
 
-// Forward implements Layer.
-func (l *GCNLayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, h *tensor.Matrix) *tensor.Matrix {
+// Forward implements Layer. It transforms after aggregating, so its
+// product runs over the output rows.
+func (l *GCNLayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Rows, h *tensor.Matrix) *tensor.Matrix {
 	l.hAgg = ws.GetUninit(ag.A.NumRows, h.Cols)
 	ag.Forward(l.hAgg, h)
 	z := ws.GetUninit(l.hAgg.Rows, l.W.W.Cols)
-	tensor.MatMul(z, l.hAgg, l.W.W)
+	tensor.MatMulRows(z, l.hAgg, l.W.W, rows.Out)
 	z.AddRowVector(l.B.W.Row(0))
 	l.act = nn.Activation{Kind: l.Act}
-	return l.act.Forward(ws, z)
+	return l.act.ForwardRows(ws, z, rows.Out)
 }
 
 // Backward implements Layer.
-func (l *GCNLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
-	dz := l.act.Backward(ws, dy)
+func (l *GCNLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Rows, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
+	dz := l.act.BackwardRows(ws, dy, rows.Out)
 	// dW += (Â·H)ᵀ · dZ, db += colsum(dZ)
 	dw := ws.GetUninit(l.W.W.Rows, l.W.W.Cols)
-	tensor.MatMulATB(dw, l.hAgg, dz)
+	tensor.MatMulATBRows(dw, l.hAgg, dz, rows.Out)
 	tensor.AXPY(l.W.Grad, 1, dw)
-	dz.ColSumsInto(l.B.Grad.Row(0))
+	dz.ColSumsRowsInto(l.B.Grad.Row(0), rows.Out)
 	if !inputGrad {
 		return nil
 	}
-	// dH = Âᵀ · (dZ · Wᵀ)
+	// dH = Âᵀ · (dZ · Wᵀ); Âᵀ reads only the output rows.
 	dhAgg := ws.GetUninit(dz.Rows, l.W.W.Rows)
-	tensor.MatMulABT(dhAgg, dz, l.W.W)
+	tensor.MatMulABTRows(dhAgg, dz, l.W.W, rows.Out)
 	dh := ws.GetUninit(ag.A.NumCols, l.W.W.Rows)
 	ag.Backward(dh, dhAgg)
 	return dh

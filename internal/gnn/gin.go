@@ -52,60 +52,69 @@ func (l *GINLayer) Params() []*nn.Param {
 	return []*nn.Param{l.W1, l.B1, l.W2, l.B2, l.Eps}
 }
 
-// Forward implements Layer.
-func (l *GINLayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, h *tensor.Matrix) *tensor.Matrix {
+// Forward implements Layer. The combination and both MLP products run
+// over the output rows.
+func (l *GINLayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Rows, h *tensor.Matrix) *tensor.Matrix {
 	l.h = h
 	l.agg = ws.GetUninit(ag.A.NumRows, h.Cols)
 	ag.Forward(l.agg, h)
 	eps := l.Eps.W.Data[0]
 	combined := ws.GetUninit(l.agg.Rows, l.agg.Cols)
-	combined.CopyFrom(l.agg)
-	tensor.AXPY(combined, 1+eps, h)
+	for r := range tensor.EachRow(combined.Rows, rows.Out) {
+		c := combined.Row(r)
+		copy(c, l.agg.Row(r))
+		tensor.AXPYVec(c, h.Row(r), 1+eps)
+	}
 	l.combined = combined
 	z1 := ws.GetUninit(combined.Rows, l.W1.W.Cols)
-	tensor.MatMul(z1, combined, l.W1.W)
+	tensor.MatMulRows(z1, combined, l.W1.W, rows.Out)
 	z1.AddRowVector(l.B1.W.Row(0))
 	l.act1 = nn.Activation{Kind: l.Act}
-	a1 := l.act1.Forward(ws, z1)
+	a1 := l.act1.ForwardRows(ws, z1, rows.Out)
 	l.z1 = a1
 	z2 := ws.GetUninit(a1.Rows, l.W2.W.Cols)
-	tensor.MatMul(z2, a1, l.W2.W)
+	tensor.MatMulRows(z2, a1, l.W2.W, rows.Out)
 	z2.AddRowVector(l.B2.W.Row(0))
 	l.act2 = nn.Activation{Kind: l.Act}
-	return l.act2.Forward(ws, z2)
+	return l.act2.ForwardRows(ws, z2, rows.Out)
 }
 
 // Backward implements Layer.
-func (l *GINLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
-	dz2 := l.act2.Backward(ws, dy)
+func (l *GINLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Rows, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
+	dz2 := l.act2.BackwardRows(ws, dy, rows.Out)
 	dw2 := ws.GetUninit(l.W2.W.Rows, l.W2.W.Cols)
-	tensor.MatMulATB(dw2, l.z1, dz2)
+	tensor.MatMulATBRows(dw2, l.z1, dz2, rows.Out)
 	tensor.AXPY(l.W2.Grad, 1, dw2)
-	dz2.ColSumsInto(l.B2.Grad.Row(0))
+	dz2.ColSumsRowsInto(l.B2.Grad.Row(0), rows.Out)
 	da1 := ws.GetUninit(dz2.Rows, l.W2.W.Rows)
-	tensor.MatMulABT(da1, dz2, l.W2.W)
-	dz1 := l.act1.Backward(ws, da1)
+	tensor.MatMulABTRows(da1, dz2, l.W2.W, rows.Out)
+	dz1 := l.act1.BackwardRows(ws, da1, rows.Out)
 	dw1 := ws.GetUninit(l.W1.W.Rows, l.W1.W.Cols)
-	tensor.MatMulATB(dw1, l.combined, dz1)
+	tensor.MatMulATBRows(dw1, l.combined, dz1, rows.Out)
 	tensor.AXPY(l.W1.Grad, 1, dw1)
-	dz1.ColSumsInto(l.B1.Grad.Row(0))
+	dz1.ColSumsRowsInto(l.B1.Grad.Row(0), rows.Out)
 	// dCombined = dZ1 · W1ᵀ
 	dc := ws.GetUninit(dz1.Rows, l.in)
-	tensor.MatMulABT(dc, dz1, l.W1.W)
+	tensor.MatMulABTRows(dc, dz1, l.W1.W, rows.Out)
 	// dε = Σ dc ⊙ h
 	var deps float64
-	for i, v := range dc.Data {
-		deps += v * l.h.Data[i]
+	for r := range tensor.EachRow(dc.Rows, rows.Out) {
+		hr := l.h.Row(r)
+		for i, v := range dc.Row(r) {
+			deps += v * hr[i]
+		}
 	}
 	l.Eps.Grad.Data[0] += deps
 	if !inputGrad {
 		return nil
 	}
-	// dH = (1+ε)·dc + Aᵀ·dc
+	// dH = (1+ε)·dc + Aᵀ·dc; both read dc on the output rows only.
 	eps := l.Eps.W.Data[0]
 	dh := ws.GetUninit(ag.A.NumCols, l.in)
 	ag.Backward(dh, dc)
-	tensor.AXPY(dh, 1+eps, dc)
+	for r := range tensor.EachRow(dh.Rows, rows.Out) {
+		tensor.AXPYVec(dh.Row(r), dc.Row(r), 1+eps)
+	}
 	return dh
 }
 

@@ -24,20 +24,23 @@ type NeighborMsg struct {
 
 // Layer is one GNN layer. Forward/Backward operate on whole batch
 // subgraphs via an Aggregator (which encapsulates the adjacency and the
-// edge-partitioned parallelism); InferNode computes a single node's output
-// embedding from explicit neighbor messages, which is what a GraphInfer
-// reduce round does. Forward/Backward draw every temporary from the
-// per-step workspace (nil allocates), so one Reset after the optimizer
-// step recycles the whole layer stack's memory.
+// edge-partitioned parallelism) and the layer's Rows (the zero Rows means
+// every row); InferNode computes a single node's output embedding from
+// explicit neighbor messages, which is what a GraphInfer reduce round does.
+// Forward/Backward draw every temporary from the per-step workspace (nil
+// allocates), so one Reset after the optimizer step recycles the whole
+// layer stack's memory.
 type Layer interface {
-	// Forward computes H^{(k)} from H^{(k-1)} over the given adjacency.
-	Forward(ws *tensor.Workspace, ag *sparse.Aggregator, h *tensor.Matrix) *tensor.Matrix
-	// Backward consumes dL/dH^{(k)} and accumulates parameter gradients.
-	// With inputGrad it returns dL/dH^{(k-1)}; without it, it returns nil
-	// and skips that work (the first layer's input is the raw features,
-	// whose gradient nothing reads). Must be called after Forward with the
-	// same aggregator and workspace.
-	Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix
+	// Forward computes H^{(k)} from H^{(k-1)} over the given adjacency. It
+	// reads h only on rows.In; the result is valid on rows.Out only.
+	Forward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Rows, h *tensor.Matrix) *tensor.Matrix
+	// Backward consumes dL/dH^{(k)}, read on rows.Out only, and
+	// accumulates parameter gradients. With inputGrad it returns
+	// dL/dH^{(k-1)}, zero outside rows.In; without it, it returns nil and
+	// skips that work (the first layer's input is the raw features, whose
+	// gradient nothing reads). Must be called after Forward with the same
+	// aggregator, rows and workspace.
+	Backward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Rows, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix
 	// InferNode computes this layer's output for one node: selfH is the
 	// node's own input embedding, selfDeg its normalization degree, msgs its
 	// in-edge neighbor messages.

@@ -187,8 +187,9 @@ func ComputeDistances(adj *sparse.CSR, targets []int) []int {
 
 // RunOptions toggles the paper's training-time optimization strategies.
 type RunOptions struct {
-	// Pruning enables per-layer adjacency pruning (paper §3.3.2): layer k
-	// keeps only edges that can still influence a target.
+	// Pruning enables per-layer graph pruning (paper §3.3.2): layer k
+	// keeps only the edges, and runs its dense products only over the rows,
+	// that can still influence a target.
 	Pruning bool
 	// Threads > 1 enables edge-partitioned parallel aggregation with that
 	// many partitions.
@@ -203,19 +204,48 @@ type RunOptions struct {
 }
 
 // Prepared holds the per-batch, per-layer aggregation state: the normalized
-// (and optionally pruned) adjacency of every layer. Preparing is part of
-// the subgraph-vectorization phase and is overlapped with model compute by
-// the training pipeline.
+// (and optionally pruned) adjacency of every layer and, under pruning, the
+// rows each layer computes. Preparing is part of the subgraph-vectorization
+// phase and is overlapped with model compute by the training pipeline.
 type Prepared struct {
 	Aggs []*sparse.Aggregator
+	// Rows holds each layer's row lists; nil without pruning, which every
+	// layer reads as "all rows".
+	Rows []Rows
+}
+
+// Rows lists the batch rows one layer computes under pruning, ascending. A
+// nil list means every row, so the zero Rows runs a layer over the whole
+// batch.
+type Rows struct {
+	// Out holds the rows whose output a later layer or the head reads:
+	// d(V_B,v) ≤ K−k−1 for 0-based layer k. The layer reads dy and writes
+	// dense results only on these rows.
+	Out []int
+	// In holds the rows whose input the layer transforms, the sources of
+	// its pruned adjacency: d(V_B,u) ≤ K−k. The layer reads h and writes
+	// its input gradient only on these rows (the gradient is zero on every
+	// other row).
+	In []int
+}
+
+// layer returns layer k's row lists.
+func (p *Prepared) layer(k int) Rows {
+	if p.Rows == nil {
+		return Rows{}
+	}
+	return p.Rows[k]
 }
 
 // Prepare normalizes the batch adjacency for the model kind and builds the
 // per-layer aggregators. With pruning enabled, layer k's adjacency A^(k)
 // keeps edge (v,u) only when d(V_B,v) ≤ K−k−1 and d(V_B,u) ≤ K−k (0-based
-// k), so the final layer touches only the targets' in-edges. Normalization
-// happens once on the full batch adjacency before filtering, which keeps
-// pruned and unpruned outputs for target nodes bit-identical.
+// k), so the final layer touches only the targets' in-edges, and layer k's
+// dense products run only over the rows of its Rows lists: the same two
+// distance bounds. Normalization happens once on the full batch adjacency
+// before filtering, and every computed row sums the same terms in the same
+// order as without pruning, so pruned and unpruned outputs for target nodes,
+// and the parameter gradients, are bit-identical.
 func (m *Model) Prepare(b *BatchGraph, opt RunOptions) *Prepared {
 	ws := opt.Workspace
 	var norm *sparse.CSR
@@ -268,13 +298,47 @@ func (m *Model) Prepare(b *BatchGraph, opt RunOptions) *Prepared {
 		}
 		p.Aggs = append(p.Aggs, ag)
 	}
+	if opt.Pruning {
+		p.Rows = layerRows(ws, b.Dist, k)
+	}
 	return p
+}
+
+// layerRows builds each of k layers' row lists from the batch's target
+// distances: layer i's Out is the rows within k−i−1 hops of a target and
+// its In those within k−i (unreachable rows, d = −1, are in neither). A
+// list that would hold every row is nil.
+func layerRows(ws *tensor.Workspace, dist []int, k int) []Rows {
+	within := make([][]int, k+1) // within[t]: the rows with 0 ≤ d ≤ t
+	for t := range within {
+		n := 0
+		for _, d := range dist {
+			if d >= 0 && d <= t {
+				n++
+			}
+		}
+		if n == len(dist) {
+			continue
+		}
+		rows := ws.Ints(n)[:0]
+		for r, d := range dist {
+			if d >= 0 && d <= t {
+				rows = append(rows, r)
+			}
+		}
+		within[t] = rows
+	}
+	out := make([]Rows, k)
+	for i := range out {
+		out[i] = Rows{Out: within[k-i-1], In: within[k-i]}
+	}
+	return out
 }
 
 // ForwardState carries activations between Forward and Backward.
 type ForwardState struct {
 	Prep   *Prepared
-	H      *tensor.Matrix // final node embeddings (all batch rows)
+	H      *tensor.Matrix // final node embeddings (under pruning, valid on target rows only)
 	Emb    *tensor.Matrix // target-row embeddings
 	Logits *tensor.Matrix // head outputs for target rows
 	b      *BatchGraph
@@ -291,7 +355,7 @@ func (m *Model) Forward(b *BatchGraph, prep *Prepared, opt RunOptions) *ForwardS
 	for i, layer := range m.Layers {
 		m.drops[i].Train = opt.Train
 		h = m.drops[i].Forward(ws, h)
-		h = layer.Forward(ws, prep.Aggs[i], h)
+		h = layer.Forward(ws, prep.Aggs[i], prep.layer(i), h)
 	}
 	emb := ws.GetUninit(len(b.Targets), h.Cols)
 	h.RowsSubsetInto(emb, b.Targets)
@@ -315,10 +379,10 @@ func (m *Model) Backward(st *ForwardState, dLogits *tensor.Matrix) {
 // that layer's input gradient nor its dropout backward is computed.
 func (m *Model) backwardLayers(ws *tensor.Workspace, prep *Prepared, dh *tensor.Matrix) {
 	for i := len(m.Layers) - 1; i > 0; i-- {
-		dh = m.Layers[i].Backward(ws, prep.Aggs[i], dh, true)
+		dh = m.Layers[i].Backward(ws, prep.Aggs[i], prep.layer(i), dh, true)
 		dh = m.drops[i].Backward(ws, dh)
 	}
-	m.Layers[0].Backward(ws, prep.Aggs[0], dh, false)
+	m.Layers[0].Backward(ws, prep.Aggs[0], prep.layer(0), dh, false)
 }
 
 // Infer runs a forward pass with dropout disabled and returns the target

@@ -41,40 +41,42 @@ func NewSAGE(name string, in, out int, act nn.ActKind, rng *rand.Rand) *SAGELaye
 // Params implements Layer.
 func (l *SAGELayer) Params() []*nn.Param { return []*nn.Param{l.WSelf, l.WNeigh, l.B} }
 
-// Forward implements Layer.
-func (l *SAGELayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, h *tensor.Matrix) *tensor.Matrix {
+// Forward implements Layer. Both products run over the output rows: the
+// self term reads only those rows of h, the neighbor term the aggregate.
+func (l *SAGELayer) Forward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Rows, h *tensor.Matrix) *tensor.Matrix {
 	l.h = h
 	l.m = ws.GetUninit(ag.A.NumRows, h.Cols)
 	ag.Forward(l.m, h)
 	z := ws.GetUninit(h.Rows, l.WSelf.W.Cols)
-	tensor.MatMul(z, h, l.WSelf.W)
+	tensor.MatMulRows(z, h, l.WSelf.W, rows.Out)
 	zn := ws.GetUninit(l.m.Rows, l.WNeigh.W.Cols)
-	tensor.MatMul(zn, l.m, l.WNeigh.W)
+	tensor.MatMulRows(zn, l.m, l.WNeigh.W, rows.Out)
 	tensor.Add(z, z, zn)
 	z.AddRowVector(l.B.W.Row(0))
 	l.act = nn.Activation{Kind: l.Act}
-	return l.act.Forward(ws, z)
+	return l.act.ForwardRows(ws, z, rows.Out)
 }
 
 // Backward implements Layer.
-func (l *SAGELayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
-	dz := l.act.Backward(ws, dy)
+func (l *SAGELayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Rows, dy *tensor.Matrix, inputGrad bool) *tensor.Matrix {
+	dz := l.act.BackwardRows(ws, dy, rows.Out)
 	// Parameter gradients.
 	dws := ws.GetUninit(l.WSelf.W.Rows, l.WSelf.W.Cols)
-	tensor.MatMulATB(dws, l.h, dz)
+	tensor.MatMulATBRows(dws, l.h, dz, rows.Out)
 	tensor.AXPY(l.WSelf.Grad, 1, dws)
 	dwn := ws.GetUninit(l.WNeigh.W.Rows, l.WNeigh.W.Cols)
-	tensor.MatMulATB(dwn, l.m, dz)
+	tensor.MatMulATBRows(dwn, l.m, dz, rows.Out)
 	tensor.AXPY(l.WNeigh.Grad, 1, dwn)
-	dz.ColSumsInto(l.B.Grad.Row(0))
+	dz.ColSumsRowsInto(l.B.Grad.Row(0), rows.Out)
 	if !inputGrad {
 		return nil
 	}
-	// dH = dZ·W_selfᵀ + Aᵀ·(dZ·W_neighᵀ)
-	dh := ws.GetUninit(dz.Rows, l.in)
-	tensor.MatMulABT(dh, dz, l.WSelf.W)
+	// dH = dZ·W_selfᵀ + Aᵀ·(dZ·W_neighᵀ); the self term is zero off the
+	// output rows.
+	dh := ws.Get(dz.Rows, l.in)
+	tensor.MatMulABTRows(dh, dz, l.WSelf.W, rows.Out)
 	dm := ws.GetUninit(dz.Rows, l.in)
-	tensor.MatMulABT(dm, dz, l.WNeigh.W)
+	tensor.MatMulABTRows(dm, dz, l.WNeigh.W, rows.Out)
 	dhAgg := ws.GetUninit(ag.A.NumCols, l.in)
 	ag.Backward(dhAgg, dm)
 	tensor.Add(dh, dh, dhAgg)

@@ -14,11 +14,12 @@
 package mapreduce
 
 import (
+	"cmp"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -292,8 +293,9 @@ func tryMapTask(cfg Config, stats *Stats, spillDir string, idx, attempt int, spl
 
 	out := make([]string, cfg.NumReducers)
 	var shuffled int64
+	var order []int32
 	for p, kvs := range buckets {
-		sort.SliceStable(kvs, func(i, j int) bool { return kvs[i].Key < kvs[j].Key })
+		order = sortByKey(kvs, order)
 		path := fmt.Sprintf("%s/m%05d-r%05d-a%d", spillDir, idx, p, attempt)
 		n, err := spillPartition(cfg, path, kvs)
 		if err != nil {
@@ -306,6 +308,41 @@ func tryMapTask(cfg Config, stats *Stats, spillDir string, idx, attempt int, spl
 	atomic.AddInt64(&stats.MapRecordsOut, recordsOut)
 	atomic.AddInt64(&stats.BytesShuffled, shuffled)
 	return out, nil
+}
+
+// sortByKey sorts kvs by key, stably: it sorts the pairs' positions by
+// (key, position), which an unstable sort does in fewer moves than a stable
+// sort of the pairs themselves, then permutes kvs in place by following the
+// permutation's cycles. idx is scratch, returned for reuse.
+func sortByKey(kvs []KeyValue, idx []int32) []int32 {
+	idx = idx[:0]
+	for i := range kvs {
+		idx = append(idx, int32(i))
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := strings.Compare(kvs[a].Key, kvs[b].Key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	// Position j takes the pair at idx[j]; a placed position is marked -1.
+	for start := range idx {
+		if idx[start] < 0 {
+			continue
+		}
+		held := kvs[start]
+		for j := start; ; {
+			k := int(idx[j])
+			idx[j] = -1
+			if k == start {
+				kvs[j] = held
+				break
+			}
+			kvs[j] = kvs[k]
+			j = k
+		}
+	}
+	return idx
 }
 
 // spillPartition writes one partition's sorted pairs to a spill file,
@@ -417,10 +454,15 @@ func tryReduceTask(cfg Config, stats *Stats, idx, attempt int, files []string, r
 	return nil
 }
 
+// partition assigns key to one of n reducers by its 32-bit FNV-1a hash,
+// computed in place over the string's bytes.
 func partition(key string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h ^= uint32(key[i])
+		h *= 16777619
+	}
+	return int(h % uint32(n))
 }
 
 func sanitize(s string) string {

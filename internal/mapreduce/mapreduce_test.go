@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -219,6 +221,44 @@ func TestValuesGroupedAndOrderedDeterministically(t *testing.T) {
 	}
 	if strings.Join(got, ",") != "1,2,3,4" {
 		t.Fatalf("value order: %v", got)
+	}
+}
+
+// TestPartitionIsFNV1a pins partition to the 32-bit FNV-1a hash of the key
+// modulo the reducer count, so spill layouts stay what they were.
+func TestPartitionIsFNV1a(t *testing.T) {
+	keys := []string{"", "a", "the", "node:12345", "\x00\xff\x80", strings.Repeat("k", 300)}
+	for i := 0; i < 200; i++ {
+		keys = append(keys, strconv.Itoa(i*7919))
+	}
+	for _, k := range keys {
+		h := fnv.New32a()
+		h.Write([]byte(k))
+		for _, n := range []int{1, 2, 3, 7, 64} {
+			if got, want := partition(k, n), int(h.Sum32()%uint32(n)); got != want {
+				t.Fatalf("partition(%q, %d) = %d want %d", k, n, got, want)
+			}
+		}
+	}
+}
+
+// TestSortByKeyIsStable holds the map-side sort to a stable sort by key:
+// equal keys keep their emit order, so spills stay byte-identical.
+func TestSortByKeyIsStable(t *testing.T) {
+	var idx []int32
+	for _, n := range []int{0, 1, 2, 3, 17, 1000} {
+		kvs := make([]KeyValue, n)
+		for i := range kvs {
+			kvs[i] = KeyValue{Key: strconv.Itoa((i * 7919) % (n/3 + 1)), Value: []byte(strconv.Itoa(i))}
+		}
+		want := slices.Clone(kvs)
+		slices.SortStableFunc(want, func(a, b KeyValue) int { return strings.Compare(a.Key, b.Key) })
+		idx = sortByKey(kvs, idx)
+		for i := range want {
+			if kvs[i].Key != want[i].Key || !bytes.Equal(kvs[i].Value, want[i].Value) {
+				t.Fatalf("n=%d: position %d holds %s/%s want %s/%s", n, i, kvs[i].Key, kvs[i].Value, want[i].Key, want[i].Value)
+			}
+		}
 	}
 }
 

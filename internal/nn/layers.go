@@ -100,35 +100,45 @@ func (k ActKind) String() string {
 
 // Forward applies the activation elementwise, caching what backward needs.
 func (a *Activation) Forward(ws *tensor.Workspace, x *tensor.Matrix) *tensor.Matrix {
+	return a.ForwardRows(ws, x, nil)
+}
+
+// ForwardRows is Forward over the listed rows of x only (ascending; nil
+// means every row): no other row of x is read, and the other rows of the
+// result are zero.
+func (a *Activation) ForwardRows(ws *tensor.Workspace, x *tensor.Matrix, rows []int) *tensor.Matrix {
 	a.x = x
 	y := ws.Get(x.Rows, x.Cols)
 	slope := a.LeakySlope
 	if slope == 0 {
 		slope = 0.01
 	}
-	for i, v := range x.Data {
-		switch a.Kind {
-		case ActIdentity:
-			y.Data[i] = v
-		case ActReLU:
-			if v > 0 {
-				y.Data[i] = v
-			}
-		case ActLeakyReLU:
-			if v > 0 {
-				y.Data[i] = v
-			} else {
-				y.Data[i] = slope * v
-			}
-		case ActTanh:
-			y.Data[i] = math.Tanh(v)
-		case ActSigmoid:
-			y.Data[i] = 1 / (1 + math.Exp(-v))
-		case ActELU:
-			if v > 0 {
-				y.Data[i] = v
-			} else {
-				y.Data[i] = math.Exp(v) - 1
+	for r := range tensor.EachRow(x.Rows, rows) {
+		yr := y.Row(r)
+		for i, v := range x.Row(r) {
+			switch a.Kind {
+			case ActIdentity:
+				yr[i] = v
+			case ActReLU:
+				if v > 0 {
+					yr[i] = v
+				}
+			case ActLeakyReLU:
+				if v > 0 {
+					yr[i] = v
+				} else {
+					yr[i] = slope * v
+				}
+			case ActTanh:
+				yr[i] = math.Tanh(v)
+			case ActSigmoid:
+				yr[i] = 1 / (1 + math.Exp(-v))
+			case ActELU:
+				if v > 0 {
+					yr[i] = v
+				} else {
+					yr[i] = math.Exp(v) - 1
+				}
 			}
 		}
 	}
@@ -138,36 +148,46 @@ func (a *Activation) Forward(ws *tensor.Workspace, x *tensor.Matrix) *tensor.Mat
 
 // Backward returns dX = dY ⊙ f'(X).
 func (a *Activation) Backward(ws *tensor.Workspace, dy *tensor.Matrix) *tensor.Matrix {
+	return a.BackwardRows(ws, dy, nil)
+}
+
+// BackwardRows is Backward over the listed rows only, which must be those
+// ForwardRows computed or a subset of them: no other row of dy or of the
+// cached activations is read, and the other rows of dX are zero.
+func (a *Activation) BackwardRows(ws *tensor.Workspace, dy *tensor.Matrix, rows []int) *tensor.Matrix {
 	dx := ws.Get(dy.Rows, dy.Cols)
 	slope := a.LeakySlope
 	if slope == 0 {
 		slope = 0.01
 	}
-	for i, g := range dy.Data {
-		switch a.Kind {
-		case ActIdentity:
-			dx.Data[i] = g
-		case ActReLU:
-			if a.x.Data[i] > 0 {
-				dx.Data[i] = g
-			}
-		case ActLeakyReLU:
-			if a.x.Data[i] > 0 {
-				dx.Data[i] = g
-			} else {
-				dx.Data[i] = slope * g
-			}
-		case ActTanh:
-			t := a.y.Data[i]
-			dx.Data[i] = g * (1 - t*t)
-		case ActSigmoid:
-			s := a.y.Data[i]
-			dx.Data[i] = g * s * (1 - s)
-		case ActELU:
-			if a.x.Data[i] > 0 {
-				dx.Data[i] = g
-			} else {
-				dx.Data[i] = g * (a.y.Data[i] + 1)
+	for r := range tensor.EachRow(dy.Rows, rows) {
+		dxr, xr, yr := dx.Row(r), a.x.Row(r), a.y.Row(r)
+		for i, g := range dy.Row(r) {
+			switch a.Kind {
+			case ActIdentity:
+				dxr[i] = g
+			case ActReLU:
+				if xr[i] > 0 {
+					dxr[i] = g
+				}
+			case ActLeakyReLU:
+				if xr[i] > 0 {
+					dxr[i] = g
+				} else {
+					dxr[i] = slope * g
+				}
+			case ActTanh:
+				t := yr[i]
+				dxr[i] = g * (1 - t*t)
+			case ActSigmoid:
+				s := yr[i]
+				dxr[i] = g * s * (1 - s)
+			case ActELU:
+				if xr[i] > 0 {
+					dxr[i] = g
+				} else {
+					dxr[i] = g * (yr[i] + 1)
+				}
 			}
 		}
 	}

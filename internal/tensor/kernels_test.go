@@ -240,34 +240,99 @@ func fuzzMat(vals []byte, salt byte, rows, cols int) *Matrix {
 	return m
 }
 
-// FuzzMatMulMatchesNaive checks all three packed kernels against the naive
-// references with == at parallelism 1 and 3, over shapes 0–300 and values
-// that include zeros of both signs and subnormals.
+// fuzzRows picks the row list of a row-subset product over n rows: nil,
+// empty, every row listed, or an ascending subset chosen by vals.
+func fuzzRows(mode uint16, vals []byte, n int) []int {
+	switch mode % 4 {
+	case 0:
+		return nil
+	case 1:
+		return []int{}
+	}
+	rows := []int{}
+	for i := 0; i < n; i++ {
+		if mode%4 == 2 || (len(vals) > 0 && (vals[i%len(vals)]^byte(i*7))&1 == 1) {
+			rows = append(rows, i)
+		}
+	}
+	return rows
+}
+
+// sameListedRows checks that got equals want on the listed rows (every row
+// when rows is nil) and still holds fill everywhere else.
+func sameListedRows(t *testing.T, name string, got, want *Matrix, rows []int, fill float64) {
+	t.Helper()
+	listed := make([]bool, got.Rows)
+	for i := range listed {
+		listed[i] = rows == nil
+	}
+	for _, r := range rows {
+		listed[r] = true
+	}
+	for i := 0; i < got.Rows; i++ {
+		for j := 0; j < got.Cols; j++ {
+			w := fill
+			if listed[i] {
+				w = want.At(i, j)
+			}
+			if got.At(i, j) != w {
+				t.Fatalf("%s rows %v: (%d,%d) = %v want %v (must be bit-identical)", name, rows, i, j, got.At(i, j), w)
+			}
+		}
+	}
+}
+
+// FuzzMatMulMatchesNaive checks all three packed kernels, and their
+// row-subset forms, against the naive references with == at parallelism 1
+// and 3, over shapes 0–300 and values that include zeros of both signs and
+// subnormals. m16/301 picks the row list: none, empty, full or a subset.
 func FuzzMatMulMatchesNaive(f *testing.F) {
 	f.Add(uint16(4), uint16(5), uint16(3), []byte{4, 9, 0, 1, 1, 7, 2, 200, 3, 5, 77, 13})
 	f.Add(uint16(0), uint16(7), uint16(2), []byte{})
 	f.Add(uint16(9), uint16(0), uint16(5), []byte{8, 8})
 	f.Add(uint16(17), uint16(33), uint16(9), []byte{1, 0, 2, 1, 3, 255, 0, 0, 250, 3})
 	f.Add(uint16(40), uint16(256), uint16(64), []byte{12, 100, 77, 3, 9, 9, 130, 41})
+	f.Add(uint16(301+6), uint16(5), uint16(4), []byte{3, 1, 4, 1, 5, 9})
+	f.Add(uint16(2*301+17), uint16(33), uint16(9), []byte{1, 0, 2, 1, 3, 255, 0, 0, 250, 3})
+	f.Add(uint16(3*301+40), uint16(256), uint16(64), []byte{12, 100, 77, 3, 9, 9, 130, 41})
+	f.Add(uint16(3*301+163), uint16(64), uint16(64), []byte{7, 21, 0, 1, 96, 5, 8})
+	f.Add(uint16(3*301+1), uint16(3), uint16(2), []byte{0})
 	f.Fuzz(func(t *testing.T, m16, k16, n16 uint16, vals []byte) {
 		m, k, n := int(m16%301), int(k16%301), int(n16%301)
 		a := fuzzMat(vals, 0, m, k)
 		b := fuzzMat(vals, 1, k, n)
 		g := fuzzMat(vals, 2, m, n)
 		bt := fuzzMat(vals, 3, n, k)
-		wantAB, wantATB, wantABT := naiveMatMul(a, b), naiveMatMulATB(a, g), naiveMatMulABT(a, bt)
+		rows := fuzzRows(m16/301, vals, m)
+		wantAB, wantABT := naiveMatMul(a, b), naiveMatMulABT(a, bt)
+		wantATB := naiveMatMulATB(a, g)
+		if rows != nil {
+			wantATB = naiveMatMulATB(a.RowsSubset(rows), g.RowsSubset(rows))
+		}
 		defer SetParallelism(SetParallelism(0))
 		for _, par := range []int{1, 3} {
 			SetParallelism(par)
 			dst := New(m, n)
 			dst.Fill(42)
+			MatMulRows(dst, a, b, rows)
+			sameListedRows(t, "MatMulRows", dst, wantAB, rows, 42)
+			atb := New(k, n)
+			atb.Fill(-7)
+			MatMulATBRows(atb, a, g, rows)
+			sameBits(t, "MatMulATBRows", atb, wantATB)
+			abt := New(m, n)
+			abt.Fill(3.5)
+			MatMulABTRows(abt, a, bt, rows)
+			sameListedRows(t, "MatMulABTRows", abt, wantABT, rows, 3.5)
+			if rows != nil {
+				continue
+			}
+			dst.Fill(42)
 			MatMul(dst, a, b)
 			sameBits(t, "MatMul", dst, wantAB)
-			atb := New(k, n)
 			atb.Fill(-7)
 			MatMulATB(atb, a, g)
 			sameBits(t, "MatMulATB", atb, wantATB)
-			abt := New(m, n)
 			abt.Fill(3.5)
 			MatMulABT(abt, a, bt)
 			sameBits(t, "MatMulABT", abt, wantABT)

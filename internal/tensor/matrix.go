@@ -7,6 +7,7 @@ package tensor
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"math/rand"
 	"sync"
@@ -149,15 +150,21 @@ func matmulGrain(work int) int {
 // into pooled transposes. Work is row-partitioned across the shared worker
 // pool; each destination row is owned by exactly one worker, so results
 // are bit-identical at any parallelism setting.
-func MatMul(dst, a, b *Matrix) {
+func MatMul(dst, a, b *Matrix) { MatMulRows(dst, a, b, nil) }
+
+// MatMulRows is MatMul over the listed rows only: it computes row i of
+// dst = a @ b for each i in rows and leaves every other row of dst as it
+// was. rows must be ascending; nil means every row. Each computed row is
+// MatMul's bit for bit.
+func MatMulRows(dst, a, b *Matrix, rows []int) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul inner dims %d vs %d", a.Cols, b.Rows))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Cols))
 	}
-	bt := packT(b)
-	dotRows(dst, a, bt)
+	bt := packT(b, nil)
+	dotRows(dst, a, bt, rows)
 	packPool.Put(bt)
 }
 
@@ -188,65 +195,96 @@ func MatMulNew(a, b *Matrix) *Matrix {
 }
 
 // MatMulATB computes dst = aᵀ @ b. a is m×n, b is m×p, dst must be n×p.
-func MatMulATB(dst, a, b *Matrix) {
+func MatMulATB(dst, a, b *Matrix) { MatMulATBRows(dst, a, b, nil) }
+
+// MatMulATBRows computes dst = a[rows]ᵀ @ b[rows]: the sum runs over the
+// listed rows of the shared m dimension only, which are the only ones
+// packed. rows must be ascending; nil means every row. Each element is
+// still summed from +0 in ascending row order, so when every unlisted row
+// of a or b is zero the result is MatMulATB's bit for bit: a sum started
+// at +0 is unchanged by adding a zero product, whatever its sign.
+func MatMulATBRows(dst, a, b *Matrix, rows []int) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulATB outer dims %d vs %d", a.Rows, b.Rows))
 	}
 	if dst.Rows != a.Cols || dst.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulATB dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Cols, b.Cols))
 	}
-	at, bt := packT(a), packT(b)
-	dotRows(dst, at, bt)
+	at, bt := packT(a, rows), packT(b, rows)
+	dotRows(dst, at, bt, nil)
 	packPool.Put(at)
 	packPool.Put(bt)
 }
 
 // MatMulABT computes dst = a @ bᵀ. a is m×n, b is p×n, dst must be m×p.
 // Both operands are already row-contiguous along n, so nothing is packed.
-func MatMulABT(dst, a, b *Matrix) {
+func MatMulABT(dst, a, b *Matrix) { MatMulABTRows(dst, a, b, nil) }
+
+// MatMulABTRows is MatMulABT over the listed rows only, as MatMulRows is
+// MatMul's: rows of dst not in rows are left as they were.
+func MatMulABTRows(dst, a, b *Matrix, rows []int) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulABT inner dims %d vs %d", a.Cols, b.Cols))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulABT dst %dx%d want %dx%d", dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	dotRows(dst, a, b)
+	dotRows(dst, a, b, rows)
 }
 
 // packPool recycles the transposed copies MatMul and MatMulATB pack, so a
 // warm training step allocates none.
 var packPool = sync.Pool{New: func() any { return new(Matrix) }}
 
-// packT returns mᵀ in a pooled matrix; the caller returns it with
-// packPool.Put once the product is done.
-func packT(m *Matrix) *Matrix {
+// packT returns the transpose of m's listed rows (all of m when rows is
+// nil) in a pooled matrix; the caller returns it with packPool.Put once the
+// product is done.
+func packT(m *Matrix, rows []int) *Matrix {
 	t := packPool.Get().(*Matrix)
-	n := len(m.Data)
+	r := m.Rows
+	if rows != nil {
+		r = len(rows)
+	}
+	n := r * m.Cols
 	if cap(t.Data) < n {
 		t.Data = make([]float64, n)
 	}
-	t.Rows, t.Cols, t.Data = m.Cols, m.Rows, t.Data[:n]
-	m.TransposeInto(t)
+	t.Rows, t.Cols, t.Data = m.Cols, r, t.Data[:n]
+	if rows == nil {
+		m.TransposeInto(t)
+	} else {
+		m.transposeRowsInto(t, rows)
+	}
 	return t
 }
 
-// dotRows computes dst = a @ bᵀ over the shared worker pool.
-func dotRows(dst, a, b *Matrix) {
-	chunks, size := jobChunks(a.Rows, matmulGrain(a.Cols*b.Rows))
+// dotRows computes the listed rows (every row when rows is nil) of
+// dst = a @ bᵀ over the shared worker pool.
+func dotRows(dst, a, b *Matrix, rows []int) {
+	n := a.Rows
+	if rows != nil {
+		n = len(rows)
+	}
+	chunks, size := jobChunks(n, matmulGrain(a.Cols*b.Rows))
 	if chunks <= 1 {
-		dotRowsRange(dst, a, b, 0, a.Rows)
+		dotRowsRange(dst, a, b, rows, 0, n)
 		return
 	}
-	dispatch(&poolJob{kind: kindDot, dst: dst, a: a, b: b, n: a.Rows, size: size, chunks: chunks})
+	dispatch(&poolJob{kind: kindDot, dst: dst, a: a, b: b, rows: rows, n: n, size: size, chunks: chunks})
 }
 
-// dotRowsRange computes destination rows [lo, hi) of dst = a @ bᵀ. Four
-// dot products run fused per pass so each streamed row of a is reused
-// fourfold; every dot still accumulates its own sum in ascending-k order,
-// so results match the one-at-a-time reference bit for bit.
-func dotRowsRange(dst, a, b *Matrix, lo, hi int) {
+// dotRowsRange computes destination rows rows[lo:hi] (rows [lo, hi) when
+// rows is nil) of dst = a @ bᵀ. Four dot products run fused per pass so
+// each streamed row of a is reused fourfold; every dot still accumulates
+// its own sum in ascending-k order, so results match the one-at-a-time
+// reference bit for bit.
+func dotRowsRange(dst, a, b *Matrix, rows []int, lo, hi int) {
 	n := a.Cols
-	for i := lo; i < hi; i++ {
+	for x := lo; x < hi; x++ {
+		i := x
+		if rows != nil {
+			i = rows[x]
+		}
 		arow := a.Row(i)
 		drow := dst.Row(i)
 		j := 0
@@ -306,6 +344,23 @@ func (m *Matrix) TransposeInto(dst *Matrix) {
 				src := m.Data[i0*m.Cols+j:]
 				for k := range drow {
 					drow[k] = src[k*m.Cols]
+				}
+			}
+		}
+	}
+}
+
+// transposeRowsInto writes the transpose of m's listed rows into dst
+// (m.Cols×len(rows)), tiled as TransposeInto is.
+func (m *Matrix) transposeRowsInto(dst *Matrix, rows []int) {
+	r := len(rows)
+	for i0 := 0; i0 < r; i0 += transposeTile {
+		i1 := min(i0+transposeTile, r)
+		for j0 := 0; j0 < m.Cols; j0 += transposeTile {
+			for j := j0; j < min(j0+transposeTile, m.Cols); j++ {
+				drow := dst.Data[j*r+i0 : j*r+i1]
+				for k, src := range rows[i0:i1] {
+					drow[k] = m.Data[src*m.Cols+j]
 				}
 			}
 		}
@@ -377,14 +432,38 @@ func (m *Matrix) ColSums() []float64 {
 // ColSumsInto accumulates the per-column sums of m into out (len m.Cols),
 // which the caller must have zeroed (or be accumulating into, as the bias
 // gradients do).
-func (m *Matrix) ColSumsInto(out []float64) {
+func (m *Matrix) ColSumsInto(out []float64) { m.ColSumsRowsInto(out, nil) }
+
+// ColSumsRowsInto is ColSumsInto over the listed rows only (ascending; nil
+// means every row). No other row of m is read.
+func (m *Matrix) ColSumsRowsInto(out []float64, rows []int) {
 	if len(out) != m.Cols {
 		panic(fmt.Sprintf("tensor: ColSumsInto len %d want %d", len(out), m.Cols))
 	}
-	for i := 0; i < m.Rows; i++ {
+	for i := range EachRow(m.Rows, rows) {
 		row := m.Row(i)
 		for j, v := range row {
 			out[j] += v
+		}
+	}
+}
+
+// EachRow yields the listed rows in order, or every row in [0, n) when rows
+// is nil: the row loop of every row-subset operation.
+func EachRow(n int, rows []int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		if rows != nil {
+			for _, r := range rows {
+				if !yield(r) {
+					return
+				}
+			}
+			return
+		}
+		for r := 0; r < n; r++ {
+			if !yield(r) {
+				return
+			}
 		}
 	}
 }

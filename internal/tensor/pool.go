@@ -38,6 +38,7 @@ var (
 type poolJob struct {
 	kind      int
 	dst, a, b *Matrix
+	rows      []int // kindDot's destination rows; nil means all
 	fn        func(lo, hi int)
 	each      func(i int)
 	n, size   int
@@ -75,7 +76,7 @@ func (j *poolJob) run() {
 				j.each(i)
 			}
 		case kindDot:
-			dotRowsRange(j.dst, j.a, j.b, lo, hi)
+			dotRowsRange(j.dst, j.a, j.b, j.rows, lo, hi)
 		}
 		j.wg.Done()
 	}
