@@ -63,8 +63,8 @@ var goldenRuns = []goldenRun{
 
 		recordsSum:    "ecdca0703fb4a7a9c65b0f3b20eea28dfa75b94e9aac304cfa40b0a0406ca6e8",
 		modelSum:      "299d7b9b6a9eb05708585894e69c9b10c0689d615d16bd02fbbd926085478a9e",
-		scoresSum:     "13b8e22dcdc45812cff943510d42f0f6e08370ed101192be5cc386fcf3a84479",
-		embeddingsSum: "ef99c3a85b2cb2365bd10ff3107fd172ea55ca7b2b5bd7f192c2ef12b4e82a0a",
+		scoresSum:     "7368d32d4beb808bf63128c8b5b4b57f35478414723f6ceb363631e3b5fa1d5f",
+		embeddingsSum: "47bd04d1c5528cfb33f53a5bda468adb59ffe4016886a9e3a7120e362fd0e2b5",
 	},
 }
 

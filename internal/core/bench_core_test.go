@@ -169,15 +169,46 @@ func benchInferModel(b *testing.B) *gnn.Model {
 	return m
 }
 
+// BenchmarkGraphInfer runs GraphInfer in the shapes of the two offline
+// benchmark workloads: hub is a 6,000-node power-law graph with 64-dim
+// features, a GCN of hidden 16, weighted sampling of 10 in-edges and hub
+// re-indexing above 50; dense is 800 nodes with 256-dim features, a GAT of
+// hidden 64 and 25 in-edges. Both keep the embeddings, as the benchmark
+// does.
 func BenchmarkGraphInfer(b *testing.B) {
-	_, tables := benchGraph(b, 1500)
-	model := benchInferModel(b)
-	cfg := InferConfig{MaxNeighbors: 15, Seed: 2, TempDir: b.TempDir()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Infer(cfg, model, tables); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name  string
+		uug   datagen.UUGConfig
+		model gnn.Config
+		infer InferConfig
+	}{
+		{"hub", datagen.UUGConfig{Nodes: 6000, FeatDim: 64, Seed: 1},
+			gnn.Config{Kind: gnn.KindGCN, InDim: 64, Hidden: 16, Classes: 1, Layers: 2, Seed: 1},
+			InferConfig{MaxNeighbors: 10, Strategy: sampling.Weighted{}, HubThreshold: 50, Seed: 1, KeepEmbeddings: true}},
+		{"dense", datagen.UUGConfig{Nodes: 800, FeatDim: 256, Seed: 1},
+			gnn.Config{Kind: gnn.KindGAT, InDim: 256, Hidden: 64, Classes: 1, Layers: 2, Seed: 1},
+			InferConfig{MaxNeighbors: 25, Seed: 1, KeepEmbeddings: true}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			ds, err := datagen.UUG(c.uug)
+			if err != nil {
+				b.Fatal(err)
+			}
+			model, err := gnn.NewModel(c.model)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tables := mapreduce.MemInput(TableRecords(ds.G))
+			cfg := c.infer
+			cfg.TempDir = b.TempDir()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Infer(cfg, model, tables); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

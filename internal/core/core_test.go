@@ -682,46 +682,145 @@ func buildInferGraph(t *testing.T) *graph.Graph {
 	return ds.G
 }
 
+// directForward runs model over the whole graph g as one batch, every node a
+// target, with E_B: the reference GraphInfer must reproduce.
+func directForward(g *graph.Graph, model *gnn.Model) *gnn.ForwardState {
+	adj := g.CSR()
+	x := make([][]float64, g.NumNodes())
+	for i, n := range g.Nodes {
+		x[i] = n.Feat
+	}
+	targets := make([]int, g.NumNodes())
+	for i := range targets {
+		targets[i] = i
+	}
+	edgeFeat := make(map[[2]int][]float64)
+	for _, e := range g.Edges {
+		edgeFeat[[2]int{g.MustIndex(e.Dst), g.MustIndex(e.Src)}] = e.Feat
+	}
+	bg := &gnn.BatchGraph{Adj: adj, X: tensor.FromRows(x), Targets: targets,
+		Dist: gnn.ComputeDistances(adj, targets), EdgeFeat: edgeFeat}
+	opt := gnn.RunOptions{}
+	return model.Forward(bg, model.Prepare(bg, opt), opt)
+}
+
+// checkMatchesDirect holds GraphInfer's output to a whole-graph forward pass:
+// every embedding bit for bit, every score within 1e-9. Both run the one
+// Layer.Forward with each row's in-edges in ascending node id; the graphs
+// here have integer weights, so GCN's degrees come out exact whether the
+// degree job or the batch normalization sums them. Scores keep 1e-9: the
+// prediction round's ApplyDense adds the bias first, nn.Dense last.
+func checkMatchesDirect(t *testing.T, name string, g *graph.Graph, direct *gnn.ForwardState, res *InferResult) {
+	t.Helper()
+	if len(res.Scores) != g.NumNodes() || len(res.Embeddings) != g.NumNodes() {
+		t.Fatalf("%s: scored %d nodes, %d embeddings, want %d", name, len(res.Scores), len(res.Embeddings), g.NumNodes())
+	}
+	for i, n := range g.Nodes {
+		if got, want := res.Embeddings[n.ID], direct.H.Row(i); !slices.Equal(got, want) {
+			t.Fatalf("%s node %d: GraphInfer embedding %v, direct %v", name, n.ID, got, want)
+		}
+		want := nn.Sigmoid(direct.Logits.At(i, 0))
+		if got := res.Scores[n.ID][0]; math.Abs(got-want) > 1e-9 {
+			t.Fatalf("%s node %d: GraphInfer %v direct %v", name, n.ID, got, want)
+		}
+	}
+}
+
+// TestGraphInferMatchesDirectInference: for every layer kind, one to three
+// layers deep, and GAT with two heads, GraphInfer's rounds compute what a
+// whole-graph forward pass computes.
 func TestGraphInferMatchesDirectInference(t *testing.T) {
 	g := buildInferGraph(t)
+	tables := mapreduce.MemInput(TableRecords(g))
 	for _, kind := range []string{gnn.KindGCN, gnn.KindSAGE, gnn.KindGAT, gnn.KindGIN} {
-		model, err := gnn.NewModel(gnn.Config{
-			Kind: kind, InDim: 6, Hidden: 8, Classes: 1, Layers: 2,
-			Act: nn.ActTanh, Seed: 21,
-		})
-		if err != nil {
-			t.Fatal(err)
+		heads := []int{1}
+		if kind == gnn.KindGAT {
+			heads = []int{1, 2}
 		}
-		// Direct dense inference over the whole graph.
-		adj := g.CSR()
-		x := make([][]float64, g.NumNodes())
-		for i, n := range g.Nodes {
-			x[i] = n.Feat
-		}
-		targets := make([]int, g.NumNodes())
-		for i := range targets {
-			targets[i] = i
-		}
-		xm := tensor.FromRows(x)
-		bg := &gnn.BatchGraph{Adj: adj, X: xm, Targets: targets, Dist: gnn.ComputeDistances(adj, targets)}
-		direct := model.Infer(bg, gnn.RunOptions{})
-
-		// GraphInfer over the tables.
-		res, err := Infer(InferConfig{Seed: 4, TempDir: t.TempDir()},
-			model, mapreduce.MemInput(TableRecords(g)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res.Scores) != g.NumNodes() {
-			t.Fatalf("%s: scored %d nodes want %d", kind, len(res.Scores), g.NumNodes())
-		}
-		for i, n := range g.Nodes {
-			want := nn.Sigmoid(direct.At(i, 0))
-			got := res.Scores[n.ID][0]
-			if math.Abs(got-want) > 1e-9 {
-				t.Fatalf("%s node %d: GraphInfer %v direct %v", kind, n.ID, got, want)
+		for _, h := range heads {
+			for _, layers := range []int{1, 2, 3} {
+				name := fmt.Sprintf("%s heads %d layers %d", kind, h, layers)
+				model, err := gnn.NewModel(gnn.Config{
+					Kind: kind, InDim: 6, Hidden: 8, Classes: 1, Layers: layers, Heads: h,
+					Act: nn.ActTanh, Seed: 21,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := Infer(InferConfig{Seed: 4, KeepEmbeddings: true, TempDir: t.TempDir()}, model, tables)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkMatchesDirect(t, name, g, directForward(g, model), res)
 			}
 		}
+	}
+}
+
+// TestGraphInferBlocksAreExact: on a graph large enough that every reduce
+// task merges several blocks, GraphInfer's scores and embeddings are the
+// same bits at any reducer count, and when the first attempt of every
+// reduce task fails.
+func TestGraphInferBlocksAreExact(t *testing.T) {
+	ds, err := datagen.UUG(datagen.UUGConfig{Nodes: 10000, AttachEdges: 10, FeatDim: 6, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := gnn.NewModel(gnn.Config{Kind: gnn.KindGAT, InDim: 6, Hidden: 8, Classes: 1, Heads: 2, Act: nn.ActTanh, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := mapreduce.MemInput(TableRecords(ds.G))
+	infer := func(reducers int, faults mapreduce.FaultInjector) *InferResult {
+		t.Helper()
+		res, err := Infer(InferConfig{Seed: 3, KeepEmbeddings: true, NumReducers: reducers,
+			Faults: faults, TempDir: t.TempDir()}, model, tables)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	// Unsampled, every in-edge is kept: a task of the 8-reducer run holds
+	// about 1,250 nodes and their in-edges, over two and a half blocks.
+	if per := (ds.G.NumNodes() + ds.G.NumEdges()) / 8; per < 5*inferBlock/2 {
+		t.Fatalf("%d nodes and in-edges per task fill fewer than two and a half blocks", per)
+	}
+	want := infer(1, nil)
+	failFirst := func(kind string, _, attempt int) error {
+		if kind == "reduce" && attempt == 0 {
+			return errors.New("injected reduce failure")
+		}
+		return nil
+	}
+	faulty := infer(3, failFirst)
+	for _, run := range []struct {
+		name string
+		res  *InferResult
+	}{
+		{"3 reducers", infer(3, nil)},
+		{"8 reducers", infer(8, nil)},
+		{"3 reducers, first attempts failed", faulty},
+	} {
+		if len(run.res.Scores) != len(want.Scores) || len(run.res.Embeddings) != len(want.Embeddings) {
+			t.Fatalf("%s: %d scores, %d embeddings; one reducer gave %d, %d", run.name,
+				len(run.res.Scores), len(run.res.Embeddings), len(want.Scores), len(want.Embeddings))
+		}
+		for id, w := range want.Scores {
+			if got := run.res.Scores[id]; !slices.Equal(got, w) {
+				t.Fatalf("%s node %d: score %v, %v with one reducer", run.name, id, got, w)
+			}
+			if got := run.res.Embeddings[id]; !slices.Equal(got, want.Embeddings[id]) {
+				t.Fatalf("%s node %d: embedding %v, %v with one reducer", run.name, id, got, want.Embeddings[id])
+			}
+		}
+	}
+	var tasks, retries int64
+	for _, s := range faulty.RoundStats {
+		tasks += int64(s.ReduceTasks)
+		retries += s.Retries
+	}
+	if retries != tasks {
+		t.Fatalf("%d retries over %d reduce tasks", retries, tasks)
 	}
 }
 
@@ -951,38 +1050,12 @@ func TestEdgeGATGraphInferMatchesDirect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Direct whole-graph inference with E_B.
-	adj := g.CSR()
-	x := make([][]float64, g.NumNodes())
-	for i, n := range g.Nodes {
-		x[i] = n.Feat
-	}
-	targets := make([]int, g.NumNodes())
-	for i := range targets {
-		targets[i] = i
-	}
-	edgeFeat := make(map[[2]int][]float64)
-	for _, e := range g.Edges {
-		edgeFeat[[2]int{g.MustIndex(e.Dst), g.MustIndex(e.Src)}] = e.Feat
-	}
-	bg := &gnn.BatchGraph{
-		Adj: adj, X: tensor.FromRows(x), Targets: targets,
-		Dist: gnn.ComputeDistances(adj, targets), EdgeFeat: edgeFeat,
-	}
-	direct := model.Infer(bg, gnn.RunOptions{})
-
-	res, err := Infer(InferConfig{Seed: 4, TempDir: t.TempDir()},
+	res, err := Infer(InferConfig{Seed: 4, KeepEmbeddings: true, TempDir: t.TempDir()},
 		model, mapreduce.MemInput(TableRecords(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, n := range g.Nodes {
-		want := nn.Sigmoid(direct.At(i, 0))
-		got := res.Scores[n.ID][0]
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("node %d: GraphInfer %v direct %v", n.ID, got, want)
-		}
-	}
+	checkMatchesDirect(t, "edge GAT", g, directForward(g, model), res)
 }
 
 func TestPredictReturnsAlignedOutputs(t *testing.T) {

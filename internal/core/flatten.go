@@ -125,15 +125,30 @@ func (c FlatConfig) engine() engine {
 type job struct {
 	// seed encodes a node's round-0 state from its node-table row.
 	seed func(id int64, feat []float64, deg float64) []byte
-	// merge returns round r's mergeFunc (GraphInfer loads model slice r).
+	// merge opens round r's mergeFunc for one reduce-task attempt
+	// (GraphInfer's owns a private copy of model slice r).
 	merge func(round int) (mergeFunc, error)
+	// block bounds a merge block: a reduce task holds nodes back until
+	// they and their kept in-edges number block, then merges them in one
+	// call. Zero merges node by node.
+	block int
 }
 
-// mergeFunc folds the states riding a node's kept in-edges into the node's
-// own state. It returns the new state, which the engine propagates; in the
-// final round it returns the finished shuffle value for the node instead,
-// nil to emit nothing.
-type mergeFunc func(id int64, self []byte, kept []*flatMsg, final bool) ([]byte, error)
+// mergeNode is one node of a merge block: its key, self state, kept
+// in-edges and out-edges going in, and its new state coming out.
+type mergeNode struct {
+	key        string
+	id         int64
+	self       []byte
+	kept, outs []*flatMsg
+	state      []byte
+}
+
+// mergeFunc folds the states riding each block node's kept in-edges into
+// the node's own state. It sets each node's new state, which the engine
+// propagates; in the final round it sets the finished shuffle value for the
+// node instead, nil to emit nothing.
+type mergeFunc func(block []mergeNode, final bool) error
 
 // passes is what engine.run hands back: the last round's output plus the
 // accounting of every round that ran.
@@ -194,11 +209,7 @@ func (e engine) run(tables mapreduce.Input, rounds int, j job) (*passes, error) 
 				return nil, err
 			}
 		}
-		merge, err := j.merge(round)
-		if err != nil {
-			return nil, err
-		}
-		if err := step(fmt.Sprintf("%s-merge-%d", e.name, round), mapreduce.IdentityMapper, e.mergeReducer(merge, round == rounds)); err != nil {
+		if err := step(fmt.Sprintf("%s-merge-%d", e.name, round), mapreduce.IdentityMapper, e.mergeReducer(j, round, round == rounds)); err != nil {
 			return nil, err
 		}
 	}
@@ -295,32 +306,37 @@ func (res *FlatResult) deliver(cfg FlatConfig, final mapreduce.Input, collect fu
 // round r is its r-hop neighborhood in the sampled graph. The final round
 // wraps a target's neighborhood in its TrainRecord and drops everyone else.
 func subgraphMerge(targets map[int64]Target) mergeFunc {
-	return func(id int64, self []byte, kept []*flatMsg, final bool) ([]byte, error) {
-		tgt, isTarget := targets[id]
-		if final && !isTarget {
-			return nil, nil
-		}
-		sg, err := wire.DecodeSubgraph(wire.NewReader(self))
-		if err != nil {
-			return nil, err
-		}
-		seenN, seenE := sg.NewSeenSets()
-		for _, in := range kept {
-			from, err := wire.DecodeSubgraph(wire.NewReader(in.State))
+	return func(block []mergeNode, final bool) error {
+		for i := range block {
+			n := &block[i]
+			tgt, isTarget := targets[n.id]
+			if final && !isTarget {
+				continue
+			}
+			sg, err := wire.DecodeSubgraph(wire.NewReader(n.self))
 			if err != nil {
-				return nil, err
+				return err
 			}
-			ek := [2]int64{in.Src, id}
-			if !seenE[ek] {
-				seenE[ek] = true
-				sg.Edges = append(sg.Edges, wire.SGEdge{Src: in.Src, Dst: id, Weight: in.W, Feat: in.EFeat})
+			seenN, seenE := sg.NewSeenSets()
+			for _, in := range n.kept {
+				from, err := wire.DecodeSubgraph(wire.NewReader(in.State))
+				if err != nil {
+					return err
+				}
+				ek := [2]int64{in.Src, n.id}
+				if !seenE[ek] {
+					seenE[ek] = true
+					sg.Edges = append(sg.Edges, wire.SGEdge{Src: in.Src, Dst: n.id, Weight: in.W, Feat: in.EFeat})
+				}
+				sg.MergeInto(from, seenN, seenE)
 			}
-			sg.MergeInto(from, seenN, seenE)
+			if final {
+				n.state = wire.EncodeTrainRecord(&wire.TrainRecord{TargetID: n.id, Label: tgt.Label, LabelVec: tgt.LabelVec, SG: sg})
+			} else {
+				n.state = wire.EncodeSubgraph(nil, sg)
+			}
 		}
-		if final {
-			return wire.EncodeTrainRecord(&wire.TrainRecord{TargetID: id, Label: tgt.Label, LabelVec: tgt.LabelVec, SG: sg}), nil
-		}
-		return wire.EncodeSubgraph(nil, sg), nil
+		return nil
 	}
 }
 
@@ -480,13 +496,13 @@ func joinReducer(weightedDeg map[int64]float64, seed func(id int64, feat []float
 
 // keepInEdges is the sampling decision, the only place in the package that
 // consults a Strategy: it sorts a node's candidate in-edges into the
-// canonical (src, weight) order and keeps the limit in-edges with the
-// highest priorities, each a function of (seed, node, src, weight) alone
-// (ties go to the earlier in-edge). No round, depth or shard enters, so a
-// node keeps the same in-edges in every round of GraphFlat, in GraphInfer
-// and in LocalFlattener, and deciding over a subset first (a re-indexed
-// hub's shard) keeps every in-edge the whole decision keeps. ins is
-// reordered in place.
+// canonical (src, weight) order and keeps, in that order, the limit
+// in-edges with the highest priorities, each a function of (seed, node,
+// src, weight) alone (ties go to the earlier in-edge). No round, depth or
+// shard enters, so a node keeps the same in-edges in every round of
+// GraphFlat, in GraphInfer and in LocalFlattener, and deciding over a
+// subset first (a re-indexed hub's shard) keeps every in-edge the whole
+// decision keeps. ins is reordered in place.
 func keepInEdges[E any](strategy sampling.Strategy, seed, node int64, limit int, ins []E, key func(E) (src int64, w float64)) []E {
 	sort.SliceStable(ins, func(a, b int) bool {
 		sa, wa := key(ins[a])
@@ -515,30 +531,75 @@ func keepInEdges[E any](strategy sampling.Strategy, seed, node int64, limit int,
 func msgKey(m *flatMsg) (int64, float64) { return m.Src, m.W }
 
 // mergeReducer is one merge/propagate round (paper Figure 2) for any job:
-// gather the node's self, out-edge and in-edge info, keep the sampled
-// in-edges, let the job merge their states into the node's, and propagate
-// the result. The final round emits the job's finished value instead.
-func (e engine) mergeReducer(merge mergeFunc, final bool) mapreduce.Reducer {
-	return mapreduce.ReducerFunc(func(key string, values mapreduce.ValueIter, emit mapreduce.Emit) error {
-		id, self, outs, ins, err := gather(key, values, tagSelf)
+// each reduce-task attempt runs its own mergeTask over a fresh mergeFunc.
+func (e engine) mergeReducer(j job, round int, final bool) mapreduce.Reducer {
+	return mapreduce.PerTask(func() (mapreduce.Holder, error) {
+		merge, err := j.merge(round)
+		if err != nil {
+			return nil, err
+		}
+		return &mergeTask{e: e, merge: merge, final: final, max: j.block}, nil
+	})
+}
+
+// mergeTask is one reduce-task attempt of a merge round. For each node it
+// gathers the self, out-edge and in-edge info and keeps the sampled
+// in-edges, then holds the node in the current block; a full block (and
+// the last one, at Flush) is merged in one call, and its nodes are
+// propagated — in the final round, their finished values emitted — in the
+// order they arrived, which is key order.
+type mergeTask struct {
+	e     engine
+	merge mergeFunc
+	final bool
+	block []mergeNode
+	size  int // nodes and kept in-edges held in block
+	max   int
+}
+
+// Reduce implements mapreduce.Reducer.
+func (t *mergeTask) Reduce(key string, values mapreduce.ValueIter, emit mapreduce.Emit) error {
+	id, self, outs, ins, err := gather(key, values, tagSelf)
+	if err != nil {
+		return err
+	}
+	if self == nil {
+		// In-edge info addressed to a node that has no self info (not in
+		// the node table): nothing to merge into.
+		return nil
+	}
+	kept := keepInEdges(t.e.strategy, t.e.seed, id, t.e.maxNeighbors, ins, msgKey)
+	t.block = append(t.block, mergeNode{key: key, id: id, self: self.State, kept: kept, outs: outs})
+	if t.size += 1 + len(kept); t.size < t.max {
+		return nil
+	}
+	return t.Flush(emit)
+}
+
+// Flush implements mapreduce.Holder: it merges the held block and emits
+// its nodes.
+func (t *mergeTask) Flush(emit mapreduce.Emit) error {
+	if len(t.block) == 0 {
+		return nil
+	}
+	if err := t.merge(t.block, t.final); err != nil {
+		return err
+	}
+	for _, n := range t.block {
+		var err error
+		switch {
+		case !t.final:
+			err = propagate(emit, n.key, n.id, n.state, n.outs)
+		case n.state != nil:
+			err = emit(mapreduce.KeyValue{Key: n.key, Value: n.state})
+		}
 		if err != nil {
 			return err
 		}
-		if self == nil {
-			// In-edge info addressed to a node that has no self info (not
-			// in the node table): nothing to merge into.
-			return nil
-		}
-		kept := keepInEdges(e.strategy, e.seed, id, e.maxNeighbors, ins, msgKey)
-		state, err := merge(id, self.State, kept, final)
-		if err != nil || (final && state == nil) {
-			return err
-		}
-		if final {
-			return emit(mapreduce.KeyValue{Key: key, Value: state})
-		}
-		return propagate(emit, key, id, state, outs)
-	})
+	}
+	clear(t.block) // drop the held states before the next block fills
+	t.block, t.size = t.block[:0], 0
+	return nil
 }
 
 // hubShard assigns an in-edge to one of its hub destination's shards: a pure

@@ -2,7 +2,9 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 
@@ -10,6 +12,7 @@ import (
 	"agl/internal/mapreduce"
 	"agl/internal/nn"
 	"agl/internal/sampling"
+	"agl/internal/sparse"
 	"agl/internal/tensor"
 	"agl/internal/wire"
 )
@@ -131,7 +134,8 @@ func Infer(cfg InferConfig, model *gnn.Model, tables mapreduce.Input) (*InferRes
 		seed: func(id int64, feat []float64, deg float64) []byte {
 			return wire.EncodeEmbedding(nil, &wire.Embedding{ID: id, H: feat, Deg: deg})
 		},
-		merge: func(round int) (mergeFunc, error) { return embeddingMerge(slices[round-1]), nil },
+		merge: func(round int) (mergeFunc, error) { return embeddingMerge(model, round) },
+		block: inferBlock,
 	})
 	if err != nil {
 		return nil, err
@@ -251,33 +255,109 @@ func OriginalInfer(cfg FlatConfig, model *gnn.Model, tables mapreduce.Input, ids
 	return res, nil
 }
 
-// embeddingMerge is GraphInfer's merge for round k: the kth model slice
-// turns the node's own (k−1)-layer embedding and those riding its kept
-// in-edges into its k-layer embedding. After the final embedding round only
-// the embedding itself is forwarded, as self info for the prediction round
-// (paper §3.4).
-func embeddingMerge(slice *gnn.Slice) mergeFunc {
-	return func(id int64, self []byte, kept []*flatMsg, final bool) ([]byte, error) {
-		own, err := wire.DecodeEmbedding(wire.NewReader(self))
-		if err != nil {
-			return nil, err
-		}
-		msgs := make([]gnn.NeighborMsg, 0, len(kept))
-		for _, in := range kept {
-			from, err := wire.DecodeEmbedding(wire.NewReader(in.State))
-			if err != nil {
-				return nil, err
-			}
-			msgs = append(msgs, gnn.NeighborMsg{H: from.H, W: in.W, Deg: from.Deg, EFeat: in.EFeat})
-		}
-		h := slice.Layer.InferNode(own.H, own.Deg, msgs)
-		state := wire.EncodeEmbedding(nil, &wire.Embedding{ID: id, H: h, Deg: own.Deg})
-		if final {
-			sm := flatMsg{Tag: tagSelf, State: state}
-			return sm.encode(), nil
-		}
-		return state, nil
+// inferBlock bounds GraphInfer's merge blocks: a reduce task runs a slice's
+// layer once over as many nodes as, with their kept in-edges, number
+// inferBlock, so the layer packs its weights once per block and a sender
+// several of the block's nodes share is one row of it.
+const inferBlock = 8192
+
+// embeddingMerge opens GraphInfer's merge of round r for one reduce-task
+// attempt: a private copy of model slice r (Forward writes the layer's
+// caches, and reduce tasks run concurrently) and one workspace, reset after
+// every block. The slice's layer turns the (k−1)-layer embeddings of a
+// block's nodes and their kept in-edges' senders into the nodes' k-layer
+// embeddings. After the final embedding round only the embedding itself is
+// forwarded, as self info for the prediction round (paper §3.4).
+func embeddingMerge(model *gnn.Model, round int) (mergeFunc, error) {
+	segs, err := model.Segment()
+	if err != nil {
+		return nil, fmt.Errorf("core: GraphInfer segmentation: %w", err)
 	}
+	slice := segs[round-1]
+	ws := tensor.NewWorkspace()
+	return func(block []mergeNode, final bool) error {
+		defer ws.Reset()
+		b, rows, err := blockGraph(ws, block)
+		if err != nil {
+			return err
+		}
+		out := slices.Clone(rows)
+		slices.Sort(out)
+		h := slice.Forward(ws, b, out)
+		for i := range block {
+			n, r := &block[i], rows[i]
+			n.state = wire.EncodeEmbedding(nil, &wire.Embedding{ID: n.id, H: h.Row(r), Deg: b.Deg[r]})
+			if final {
+				sm := flatMsg{Tag: tagSelf, State: n.state}
+				n.state = sm.encode()
+			}
+		}
+		return nil
+	}, nil
+}
+
+// blockGraph vectorizes a merge block. Its rows are the block's nodes and
+// the senders of their kept in-edges, in ascending node id, each with its
+// (k−1)-layer embedding in X and its normalization degree in Deg; row v of
+// the adjacency holds v's kept in-edges in the ascending sender id order
+// keepInEdges returns them in. Every row
+// therefore sums its terms in one order whichever block or task it lands
+// in, and a node's embedding has the same bits at any reducer count. rows
+// holds the row of each block node, in block order; X, Deg and the
+// adjacency are drawn from ws.
+func blockGraph(ws *tensor.Workspace, block []mergeNode) (b *gnn.BatchGraph, rows []int, err error) {
+	embs := make(map[int64]*wire.Embedding, len(block))
+	decode := func(id int64, state []byte) {
+		if _, ok := embs[id]; !ok && err == nil {
+			embs[id], err = wire.DecodeEmbedding(wire.NewReader(state))
+		}
+	}
+	nnz := 0
+	for _, n := range block {
+		decode(n.id, n.self)
+		for _, in := range n.kept {
+			decode(in.Src, in.State)
+		}
+		nnz += len(n.kept)
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	ids := slices.Sorted(maps.Keys(embs))
+	row := make(map[int64]int, len(ids))
+	dim := 0
+	for r, id := range ids {
+		row[id] = r
+		dim = max(dim, len(embs[id].H))
+	}
+	b = &gnn.BatchGraph{X: ws.GetUninit(len(ids), dim), Deg: ws.Floats(len(ids)), EdgeFeat: make(map[[2]int][]float64)}
+	for r, id := range ids {
+		x := b.X.Row(r)
+		clear(x[copy(x, embs[id].H):])
+		b.Deg[r] = embs[id].Deg
+	}
+	adj := &sparse.CSR{NumRows: len(ids), NumCols: len(ids),
+		RowPtr: ws.Ints(len(ids) + 1), ColIdx: ws.Ints(nnz), Val: ws.Floats(nnz)}
+	rows = ws.Ints(len(block))
+	for i, n := range block {
+		rows[i] = row[n.id]
+		adj.RowPtr[rows[i]+1] = len(n.kept)
+	}
+	for r := range ids {
+		adj.RowPtr[r+1] += adj.RowPtr[r]
+	}
+	for i, n := range block {
+		v, at := rows[i], adj.RowPtr[rows[i]]
+		for j, in := range n.kept {
+			u := row[in.Src]
+			adj.ColIdx[at+j], adj.Val[at+j] = u, in.W
+			if len(in.EFeat) > 0 {
+				b.EdgeFeat[[2]int{v, u}] = in.EFeat
+			}
+		}
+	}
+	b.Adj = adj
+	return b, rows, nil
 }
 
 // predictReducer applies the prediction slice to each node's final

@@ -240,3 +240,11 @@ func (m *Model) InferEdges(b *BatchGraph, src, dst []int, opt RunOptions) *tenso
 	prep := m.Prepare(b, opt)
 	return m.ForwardEdges(b, prep, src, dst, opt).Logits
 }
+
+func dot(a, b []float64) float64 {
+	var s float64
+	for i, v := range a {
+		s += v * b[i]
+	}
+	return s
+}

@@ -113,53 +113,6 @@ func TestEdgeGATPruningAndPartitioningStillExact(t *testing.T) {
 	}
 }
 
-func TestEdgeGATSlicedInferenceMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	n := 16
-	b := edgeBatch(rng, n, 5, 3, n, 0.2)
-	b.Targets = make([]int, n)
-	for i := range b.Targets {
-		b.Targets[i] = i
-	}
-	b.Dist = ComputeDistances(b.Adj, b.Targets)
-	m := newEdgeGAT(t, 2, 5, 6, 3, 1, 3)
-	batch := m.Infer(b, RunOptions{})
-
-	// Sliced per-node inference with edge features in the messages.
-	slices, err := m.Segment()
-	if err != nil {
-		t.Fatal(err)
-	}
-	deg := NormDegrees(b.Adj)
-	h := make([][]float64, n)
-	for v := 0; v < n; v++ {
-		h[v] = append([]float64(nil), b.X.Row(v)...)
-	}
-	var sliced *tensor.Matrix
-	for _, s := range slices {
-		if s.IsPrediction() {
-			sliced = s.Head.Forward(nil, tensor.FromRows(h))
-			break
-		}
-		next := make([][]float64, n)
-		for v := 0; v < n; v++ {
-			cols, vals := b.Adj.Row(v)
-			msgs := make([]NeighborMsg, 0, len(cols))
-			for i, u := range cols {
-				msgs = append(msgs, NeighborMsg{
-					H: h[u], W: vals[i], Deg: deg[u],
-					EFeat: b.EdgeFeat[[2]int{v, u}],
-				})
-			}
-			next[v] = s.Layer.InferNode(h[v], deg[v], msgs)
-		}
-		h = next
-	}
-	if !tensor.Equalish(batch, sliced, 1e-9) {
-		t.Fatalf("edge-GAT sliced inference differs by %v", tensor.MaxAbsDiff(batch, sliced))
-	}
-}
-
 func TestEdgeGATSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	b := edgeBatch(rng, 12, 5, 3, 2, 0.25)

@@ -326,52 +326,6 @@ func (l *GATLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Ro
 	return dh
 }
 
-// InferNode implements Layer. The node attends over its in-edge messages
-// plus itself (the self loop the batch-mode adjacency carries). Graphs must
-// not contain explicit self loops (the graph loader strips them), so the
-// self candidate is never duplicated.
-func (l *GATLayer) InferNode(selfH []float64, selfDeg float64, msgs []NeighborMsg) []float64 {
-	out := make([]float64, l.out)
-	copy(out, l.B.W.Row(0))
-	for hd := 0; hd < l.Heads; hd++ {
-		w := l.WH[hd].W
-		zSelf := vecMat(selfH, w)
-		asrc := l.ASrc[hd].W.Data
-		adst := l.ADst[hd].W.Data
-		sdst := dot(zSelf, adst)
-
-		cands := make([][]float64, 0, len(msgs)+1)
-		logits := make([]float64, 0, len(msgs)+1)
-		cands = append(cands, zSelf)
-		logits = append(logits, l.leaky(sdst+dot(zSelf, asrc)))
-		for _, m := range msgs {
-			zu := vecMat(m.H, w)
-			cands = append(cands, zu)
-			logits = append(logits, l.leaky(sdst+dot(zu, asrc)+l.edgeScore(hd, m.EFeat)))
-		}
-		maxv := math.Inf(-1)
-		for _, lg := range logits {
-			if lg > maxv {
-				maxv = lg
-			}
-		}
-		var sum float64
-		for i := range logits {
-			logits[i] = math.Exp(logits[i] - maxv)
-			sum += logits[i]
-		}
-		off := hd * l.headDim
-		for i, zc := range cands {
-			c := logits[i] / sum
-			for j, zv := range zc {
-				out[off+j] += c * zv
-			}
-		}
-	}
-	applyActVec(l.Act, out)
-	return out
-}
-
 // matVecWS computes the listed rows (every row when rows is nil) of m @ v
 // for a column-vector parameter v (k×1), returning a dense []float64 of
 // length m.Rows drawn from ws (nil allocates); other entries are zero.
@@ -386,28 +340,4 @@ func matVecWS(ws *tensor.Workspace, m *tensor.Matrix, v *tensor.Matrix, rows []i
 		out[i] = s
 	}
 	return out
-}
-
-// vecMat computes x @ m for a row vector x, returning a []float64 of length
-// m.Cols.
-func vecMat(x []float64, m *tensor.Matrix) []float64 {
-	out := make([]float64, m.Cols)
-	for i, v := range x {
-		if v == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, w := range row {
-			out[j] += v * w
-		}
-	}
-	return out
-}
-
-func dot(a, b []float64) float64 {
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
 }

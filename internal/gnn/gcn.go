@@ -1,7 +1,6 @@
 package gnn
 
 import (
-	"math"
 	"math/rand"
 
 	"agl/internal/nn"
@@ -21,9 +20,8 @@ type GCNLayer struct {
 	W, B *nn.Param
 	Act  nn.ActKind
 
-	in, out int
-	act     nn.Activation
-	hAgg    *tensor.Matrix // cached Â·H
+	act  nn.Activation
+	hAgg *tensor.Matrix // cached Â·H
 }
 
 // NewGCN builds a GCN layer mapping in-dimensional embeddings to out.
@@ -32,8 +30,6 @@ func NewGCN(name string, in, out int, act nn.ActKind, rng *rand.Rand) *GCNLayer 
 		W:   nn.GlorotParam(name+"/W", in, out, rng),
 		B:   nn.NewParam(name+"/b", 1, out),
 		Act: act,
-		in:  in,
-		out: out,
 	}
 }
 
@@ -69,46 +65,4 @@ func (l *GCNLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Ro
 	dh := ws.GetUninit(ag.A.NumCols, l.W.W.Rows)
 	ag.Backward(dh, dhAgg)
 	return dh
-}
-
-// InferNode implements Layer. For GCN the messages must carry the
-// neighbors' normalization degrees; edge weight msg.W is the raw adjacency
-// weight, and normalization Â_vu = w / (sqrt(d_v)·sqrt(d_u)) is applied
-// here, matching sparse.CSR.SymNormalize.
-func (l *GCNLayer) InferNode(selfH []float64, selfDeg float64, msgs []NeighborMsg) []float64 {
-	acc := make([]float64, l.in)
-	dv := selfDeg
-	if dv <= 0 {
-		dv = 1
-	}
-	// Self loop term: Â_vv = 1/d_v.
-	for j, v := range selfH {
-		acc[j] += v / dv
-	}
-	sdv := math.Sqrt(dv)
-	for _, m := range msgs {
-		du := m.Deg
-		if du <= 0 {
-			du = 1
-		}
-		coef := m.W / (sdv * math.Sqrt(du))
-		for j, v := range m.H {
-			acc[j] += coef * v
-		}
-	}
-	z := make([]float64, l.out)
-	for j := 0; j < l.out; j++ {
-		z[j] = l.B.W.Data[j]
-	}
-	for i, a := range acc {
-		if a == 0 {
-			continue
-		}
-		wrow := l.W.W.Row(i)
-		for j, w := range wrow {
-			z[j] += a * w
-		}
-	}
-	applyActVec(l.Act, z)
-	return z
 }

@@ -18,8 +18,9 @@ import (
 // no normalization is applied.
 //
 // GIN is not part of the paper's evaluation; it exists to demonstrate that
-// AGL's Layer contract (batch Forward/Backward + per-node InferNode) admits
-// new architectures without touching GraphFlat, GraphTrainer or GraphInfer.
+// AGL's Layer contract (batch Forward/Backward over an aggregator) admits
+// new architectures without touching GraphFlat, GraphTrainer or GraphInfer,
+// whose rounds run the same Forward over blocks of nodes.
 type GINLayer struct {
 	W1, B1, W2, B2 *nn.Param
 	Eps            *nn.Param
@@ -116,30 +117,4 @@ func (l *GINLayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, rows Ro
 		tensor.AXPYVec(dh.Row(r), dc.Row(r), 1+eps)
 	}
 	return dh
-}
-
-// InferNode implements Layer: sum-aggregate weighted neighbor embeddings,
-// combine with (1+ε)·self, and run the MLP.
-func (l *GINLayer) InferNode(selfH []float64, _ float64, msgs []NeighborMsg) []float64 {
-	eps := l.Eps.W.Data[0]
-	comb := make([]float64, l.in)
-	for i, v := range selfH {
-		comb[i] = (1 + eps) * v
-	}
-	for _, m := range msgs {
-		for i, v := range m.H {
-			comb[i] += m.W * v
-		}
-	}
-	z1 := vecMat(comb, l.W1.W)
-	for j := range z1 {
-		z1[j] += l.B1.W.Data[j]
-	}
-	applyActVec(l.Act, z1)
-	z2 := vecMat(z1, l.W2.W)
-	for j := range z2 {
-		z2[j] += l.B2.W.Data[j]
-	}
-	applyActVec(l.Act, z2)
-	return z2
 }

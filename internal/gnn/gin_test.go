@@ -80,23 +80,6 @@ func TestGINPruningAndPartitioningExact(t *testing.T) {
 	}
 }
 
-func TestGINSlicedInferenceMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	n := 16
-	b := testBatch(rng, n, 5, n, 0.2)
-	b.Targets = make([]int, n)
-	for i := range b.Targets {
-		b.Targets[i] = i
-	}
-	b.Dist = ComputeDistances(b.Adj, b.Targets)
-	m := newGINModel(t, 2, 5, 6, 3)
-	batch := m.Infer(b, RunOptions{})
-	sliced := runSliced(t, m, b.Adj, b.X)
-	if !tensor.Equalish(batch, sliced, 1e-9) {
-		t.Fatalf("GIN sliced inference differs by %v", tensor.MaxAbsDiff(batch, sliced))
-	}
-}
-
 func TestGINSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(24))
 	b := testBatch(rng, 15, 5, 3, 0.2)

@@ -184,62 +184,23 @@ func TestParallelBackwardMatchesSerial(t *testing.T) {
 	}
 }
 
-// runSliced performs per-node message-passing inference with the model's
-// slices — exactly what GraphInfer's reduce rounds do — and returns scores
-// for every node.
-func runSliced(t *testing.T, m *Model, adj *sparse.CSR, x *tensor.Matrix) *tensor.Matrix {
+// runSliced runs the model's slices one after another over the whole batch,
+// as GraphInfer's rounds do block by block, and returns every node's logits.
+func runSliced(t *testing.T, m *Model, b *BatchGraph) *tensor.Matrix {
 	t.Helper()
 	slices, err := m.Segment()
 	if err != nil {
 		t.Fatal(err)
 	}
-	deg := NormDegrees(adj)
-	n := adj.NumRows
-	h := make([][]float64, n)
-	for v := 0; v < n; v++ {
-		h[v] = append([]float64(nil), x.Row(v)...)
-	}
+	h := b.X
 	for _, s := range slices {
 		if s.IsPrediction() {
-			emb := tensor.FromRows(h)
-			return s.Head.Forward(nil, emb)
+			return s.Head.Forward(nil, h)
 		}
-		next := make([][]float64, n)
-		for v := 0; v < n; v++ {
-			cols, vals := adj.Row(v)
-			msgs := make([]NeighborMsg, 0, len(cols))
-			for i, u := range cols {
-				msgs = append(msgs, NeighborMsg{H: h[u], W: vals[i], Deg: deg[u]})
-			}
-			next[v] = s.Layer.InferNode(h[v], deg[v], msgs)
-		}
-		h = next
+		h = s.Forward(nil, &BatchGraph{Adj: b.Adj, X: h, Deg: b.Deg, EdgeFeat: b.EdgeFeat}, nil)
 	}
 	t.Fatal("no prediction slice")
 	return nil
-}
-
-func TestSlicedInferenceMatchesBatchForward(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n := 18
-	b := testBatch(rng, n, 5, n, 0.2)
-	b.Targets = make([]int, n)
-	for i := range b.Targets {
-		b.Targets[i] = i
-	}
-	b.Dist = ComputeDistances(b.Adj, b.Targets)
-	for _, kind := range []string{KindGCN, KindSAGE, KindGAT} {
-		heads := 1
-		if kind == KindGAT {
-			heads = 2
-		}
-		m := newTestModel(t, kind, 2, 5, 6, 3, heads)
-		batch := m.Infer(b, RunOptions{})
-		sliced := runSliced(t, m, b.Adj, b.X)
-		if !tensor.Equalish(batch, sliced, 1e-9) {
-			t.Fatalf("%s: sliced inference differs by %v", kind, tensor.MaxAbsDiff(batch, sliced))
-		}
-	}
 }
 
 // TestModelSaveLoadRoundTrip: every layer kind, with and without a learned

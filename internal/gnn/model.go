@@ -248,23 +248,7 @@ func (p *Prepared) layer(k int) Rows {
 // and the parameter gradients, are bit-identical.
 func (m *Model) Prepare(b *BatchGraph, opt RunOptions) *Prepared {
 	ws := opt.Workspace
-	var norm *sparse.CSR
-	switch m.Cfg.Kind {
-	case KindGCN:
-		if b.Deg != nil {
-			norm = sparse.SymNormalizeWithDegWS(ws, b.Adj, b.Deg)
-		} else {
-			norm = b.Adj.SymNormalizeWS(ws)
-		}
-	case KindSAGE:
-		norm = b.Adj.RowNormalizeWS(ws)
-	case KindGAT:
-		norm = b.Adj.AddSelfLoopsWS(ws, 1)
-	case KindGIN:
-		norm = b.Adj // GIN sum-aggregates the raw weighted adjacency
-	default:
-		panic("gnn: unknown kind " + m.Cfg.Kind)
-	}
+	norm := m.Cfg.normalize(ws, b)
 	k := len(m.Layers)
 	p := &Prepared{}
 	// Aggregators hold only the adjacency, so without pruning every layer
@@ -279,20 +263,7 @@ func (m *Model) Prepare(b *BatchGraph, opt RunOptions) *Prepared {
 			p.Aggs = append(p.Aggs, shared)
 			continue
 		}
-		ag := sparse.NewAggregatorWS(ws, adj, opt.Threads)
-		if m.Cfg.EdgeDim > 0 && b.EdgeFeat != nil {
-			// Materialize E_B aligned with this layer's (possibly pruned,
-			// possibly self-looped) edge array; absent entries (self loops)
-			// stay nil and read as zero vectors.
-			ef := make([][]float64, adj.NNZ())
-			for r := 0; r < adj.NumRows; r++ {
-				lo, hi := adj.RowPtr[r], adj.RowPtr[r+1]
-				for e := lo; e < hi; e++ {
-					ef[e] = b.EdgeFeat[[2]int{r, adj.ColIdx[e]}]
-				}
-			}
-			ag.EFeat = ef
-		}
+		ag := m.Cfg.aggregator(ws, b, adj, opt.Threads)
 		if !opt.Pruning {
 			shared = ag
 		}
@@ -302,6 +273,45 @@ func (m *Model) Prepare(b *BatchGraph, opt RunOptions) *Prepared {
 		p.Rows = layerRows(ws, b.Dist, k)
 	}
 	return p
+}
+
+// normalize returns b's adjacency in the form layers of c.Kind aggregate:
+// GCN's symmetric normalization with self loops (over b.Deg when set),
+// GraphSAGE's row normalization, GAT's self loops, GIN's raw weights.
+func (c Config) normalize(ws *tensor.Workspace, b *BatchGraph) *sparse.CSR {
+	switch c.Kind {
+	case KindGCN:
+		if b.Deg != nil {
+			return sparse.SymNormalizeWithDegWS(ws, b.Adj, b.Deg)
+		}
+		return b.Adj.SymNormalizeWS(ws)
+	case KindSAGE:
+		return b.Adj.RowNormalizeWS(ws)
+	case KindGAT:
+		return b.Adj.AddSelfLoopsWS(ws, 1)
+	case KindGIN:
+		return b.Adj // GIN sum-aggregates the raw weighted adjacency
+	}
+	panic("gnn: unknown kind " + c.Kind)
+}
+
+// aggregator builds a layer's aggregator over adj, a (possibly pruned)
+// normalization of b's adjacency. When the model reads edge features it
+// materializes E_B aligned with adj's edge array; absent entries (self
+// loops) stay nil and read as zero vectors.
+func (c Config) aggregator(ws *tensor.Workspace, b *BatchGraph, adj *sparse.CSR, threads int) *sparse.Aggregator {
+	ag := sparse.NewAggregatorWS(ws, adj, threads)
+	if c.EdgeDim > 0 && b.EdgeFeat != nil {
+		ef := make([][]float64, adj.NNZ())
+		for r := 0; r < adj.NumRows; r++ {
+			lo, hi := adj.RowPtr[r], adj.RowPtr[r+1]
+			for e := lo; e < hi; e++ {
+				ef[e] = b.EdgeFeat[[2]int{r, adj.ColIdx[e]}]
+			}
+		}
+		ag.EFeat = ef
+	}
+	return ag
 }
 
 // layerRows builds each of k layers' row lists from the batch's target
@@ -391,21 +401,4 @@ func (m *Model) Infer(b *BatchGraph, opt RunOptions) *tensor.Matrix {
 	opt.Train = false
 	prep := m.Prepare(b, opt)
 	return m.Forward(b, prep, opt).Logits
-}
-
-// NormDegrees returns the per-node normalization degrees a GCN slice needs
-// during per-node inference: weighted in-degree + 1 (the self loop), i.e.
-// the diagonal of D in D^{-1/2}(A+I)D^{-1/2}. For other kinds it returns
-// in-degree + 1 as well (unused by their InferNode).
-func NormDegrees(adj *sparse.CSR) []float64 {
-	deg := make([]float64, adj.NumRows)
-	for v := 0; v < adj.NumRows; v++ {
-		_, vals := adj.Row(v)
-		d := 1.0
-		for _, w := range vals {
-			d += w
-		}
-		deg[v] = d
-	}
-	return deg
 }

@@ -20,10 +20,10 @@ type SAGELayer struct {
 	WSelf, WNeigh, B *nn.Param
 	Act              nn.ActKind
 
-	in, out int
-	act     nn.Activation
-	h       *tensor.Matrix // cached input
-	m       *tensor.Matrix // cached mean-aggregated neighbors
+	in  int
+	act nn.Activation
+	h   *tensor.Matrix // cached input
+	m   *tensor.Matrix // cached mean-aggregated neighbors
 }
 
 // NewSAGE builds a GraphSAGE layer mapping in-dimensional embeddings to out.
@@ -34,7 +34,6 @@ func NewSAGE(name string, in, out int, act nn.ActKind, rng *rand.Rand) *SAGELaye
 		B:      nn.NewParam(name+"/b", 1, out),
 		Act:    act,
 		in:     in,
-		out:    out,
 	}
 }
 
@@ -81,44 +80,4 @@ func (l *SAGELayer) Backward(ws *tensor.Workspace, ag *sparse.Aggregator, rows R
 	ag.Backward(dhAgg, dm)
 	tensor.Add(dh, dh, dhAgg)
 	return dh
-}
-
-// InferNode implements Layer. Messages carry raw adjacency weights; the
-// weighted mean is computed here, matching sparse.CSR.RowNormalize.
-func (l *SAGELayer) InferNode(selfH []float64, selfDeg float64, msgs []NeighborMsg) []float64 {
-	mean := make([]float64, l.in)
-	var wsum float64
-	for _, m := range msgs {
-		wsum += m.W
-	}
-	if wsum > 0 {
-		for _, m := range msgs {
-			c := m.W / wsum
-			for j, v := range m.H {
-				mean[j] += c * v
-			}
-		}
-	}
-	z := make([]float64, l.out)
-	copy(z, l.B.W.Row(0))
-	for i, v := range selfH {
-		if v == 0 {
-			continue
-		}
-		wrow := l.WSelf.W.Row(i)
-		for j, w := range wrow {
-			z[j] += v * w
-		}
-	}
-	for i, v := range mean {
-		if v == 0 {
-			continue
-		}
-		wrow := l.WNeigh.W.Row(i)
-		for j, w := range wrow {
-			z[j] += v * w
-		}
-	}
-	applyActVec(l.Act, z)
-	return z
 }

@@ -9,6 +9,7 @@ import (
 	"io"
 
 	"agl/internal/nn"
+	"agl/internal/tensor"
 	"agl/internal/wire"
 )
 
@@ -179,10 +180,23 @@ type Slice struct {
 // IsPrediction reports whether this is the final (head) slice.
 func (s *Slice) IsPrediction() bool { return s.Head != nil }
 
+// Forward runs a layer slice over the batch b with dropout off: the
+// normalization Model.Prepare applies, then the layer's Forward with
+// Rows{Out: out}, whose result it returns (valid on the out rows; nil out
+// means every row). With b.Deg set, a row's output depends only on the row,
+// its in-edges in b's column order and their source rows, never on which
+// other rows b holds. The layer caches its activations, so one slice serves
+// one caller at a time.
+func (s *Slice) Forward(ws *tensor.Workspace, b *BatchGraph, out []int) *tensor.Matrix {
+	ag := s.Cfg.aggregator(ws, b, s.Cfg.normalize(ws, b), 1)
+	return s.Layer.Forward(ws, ag, Rows{Out: out}, b.X)
+}
+
 // Segment splits the model into K+1 slices — the paper's hierarchical
 // model segmentation. The slices point into a private copy of the model's
-// weights, so each GraphInfer reduce round owns its slice and later
-// changes to the model do not reach it.
+// weights, so whoever runs a layer slice owns it (a GraphInfer reduce-task
+// attempt segments the model for itself) and later changes to the model do
+// not reach it.
 func (m *Model) Segment() ([]*Slice, error) {
 	cp, err := NewModel(m.Cfg)
 	if err != nil {

@@ -87,7 +87,7 @@ func TestEdgeHeadSetAfterConstructionRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, got := runSliced(t, m, b.Adj, b.X), runSliced(t, m2, b.Adj, b.X)
+	want, got := runSliced(t, m, b), runSliced(t, m2, b)
 	if !sameBits(want, got) {
 		t.Fatal("the loaded model's slices compute different scores")
 	}

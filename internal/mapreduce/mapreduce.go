@@ -55,9 +55,38 @@ type ValueIter interface {
 
 // Reducer receives every value that shares a key within its partition as a
 // streaming iterator. A Reducer need not drain the iterator; the engine
-// skips whatever remains of the group.
+// skips whatever remains of the group. Concurrent reduce tasks share one
+// Reducer, unless it is a PerTask.
 type Reducer interface {
 	Reduce(key string, values ValueIter, emit Emit) error
+}
+
+// Holder is a Reducer that may hold groups back across Reduce calls and
+// emit their output later; Flush emits whatever it still holds.
+type Holder interface {
+	Reducer
+	Flush(emit Emit) error
+}
+
+// PerTask is a Reducer built fresh for every reduce-task attempt, so it may
+// carry state from one group to the next. The engine calls the constructor
+// at the start of each attempt, feeds that instance the attempt's groups in
+// key order, and calls its Flush after the last group and before the task's
+// output commits. A failed attempt's instance is dropped with whatever it
+// held: none of its output survives, and the retry starts from nothing.
+type PerTask func() (Holder, error)
+
+// Reduce implements Reducer outside a reduce task (as a Combiner): a fresh
+// instance reduces the one group and is flushed at once.
+func (f PerTask) Reduce(key string, values ValueIter, emit Emit) error {
+	h, err := f()
+	if err == nil {
+		err = h.Reduce(key, values, emit)
+	}
+	if err == nil {
+		err = h.Flush(emit)
+	}
+	return err
 }
 
 // MapperFunc adapts a function to the Mapper interface.
@@ -411,6 +440,13 @@ func tryReduceTask(cfg Config, stats *Stats, idx, attempt int, files []string, r
 			return err
 		}
 	}
+	var held Holder
+	if newTask, ok := reducer.(PerTask); ok {
+		if held, err = newTask(); err != nil {
+			return err
+		}
+		reducer = held
+	}
 	merged, err := mergeSpills(files)
 	if err != nil {
 		return err
@@ -442,6 +478,9 @@ func tryReduceTask(cfg Config, stats *Stats, idx, attempt int, files []string, r
 		keys++
 		return reducer.Reduce(key, values, emit)
 	})
+	if err == nil && held != nil {
+		err = held.Flush(emit)
+	}
 	if err != nil {
 		return err
 	}

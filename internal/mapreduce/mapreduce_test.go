@@ -10,6 +10,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -368,5 +369,93 @@ func TestLargeShuffleManyKeys(t *testing.T) {
 	sort.Strings(keys)
 	if total != 200 || len(keys) != 50 {
 		t.Fatalf("total=%d keys=%d", total, len(keys))
+	}
+}
+
+// blockCounter is a PerTask word counter that holds its groups back and
+// emits their counts three at a time, the rest at Flush. With failed set,
+// the first Flush of each task emits one held count, if it holds any, and
+// fails with the rest still held; a task is known by the first key its
+// attempts see.
+type blockCounter struct {
+	held   []KeyValue
+	first  string
+	failed *sync.Map
+}
+
+func (c *blockCounter) Reduce(key string, values ValueIter, emit Emit) error {
+	if c.first == "" {
+		c.first = key
+	}
+	hold := func(kv KeyValue) error {
+		c.held = append(c.held, kv)
+		return nil
+	}
+	if err := wcReducer.Reduce(key, values, hold); err != nil {
+		return err
+	}
+	if len(c.held) < 3 {
+		return nil
+	}
+	return c.emitHeld(emit)
+}
+
+func (c *blockCounter) emitHeld(emit Emit) error {
+	for _, kv := range c.held {
+		if err := emit(kv); err != nil {
+			return err
+		}
+	}
+	c.held = c.held[:0]
+	return nil
+}
+
+func (c *blockCounter) Flush(emit Emit) error {
+	if c.failed != nil {
+		if _, again := c.failed.LoadOrStore(c.first, true); !again {
+			if len(c.held) > 0 {
+				_ = emit(c.held[0]) // the attempt fails, so the error is the one to report
+			}
+			return errors.New("injected flush failure")
+		}
+	}
+	return c.emitHeld(emit)
+}
+
+// TestHeldGroupsSurviveFailedFlush: a PerTask reducer that holds groups
+// back gets a fresh instance per attempt and is flushed before commit, so
+// its output equals the plain reducer's byte for byte, and when the first
+// attempt of every task fails in Flush, after emitting, none of that
+// attempt's records survive.
+func TestHeldGroupsSurviveFailedFlush(t *testing.T) {
+	var input MemInput
+	for i := 0; i < 300; i++ {
+		input = append(input, []byte(fmt.Sprintf("k%03d k%03d", i%61, i%7)))
+	}
+	run := func(reducer Reducer) ([]KeyValue, *Stats) {
+		t.Helper()
+		out := NewMemOutput()
+		stats, err := Run(Config{Name: "held", TempDir: t.TempDir(), NumMappers: 3, NumReducers: 4},
+			wcMapper, reducer, input, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out.Pairs(), stats
+	}
+	blocks := func(failed *sync.Map) PerTask {
+		return func() (Holder, error) { return &blockCounter{failed: failed}, nil }
+	}
+	plain, _ := run(wcReducer)
+	clean, _ := run(blocks(nil))
+	faulty, stats := run(blocks(new(sync.Map)))
+	same := func(a, b KeyValue) bool { return a.Key == b.Key && bytes.Equal(a.Value, b.Value) }
+	if !slices.EqualFunc(clean, plain, same) {
+		t.Fatalf("holding groups changed the output:\n%v\n%v", clean, plain)
+	}
+	if !slices.EqualFunc(faulty, clean, same) {
+		t.Fatalf("a failed flush leaked into the output:\n%v\n%v", faulty, clean)
+	}
+	if stats.Retries != 4 {
+		t.Fatalf("retries=%d want 4, one per task", stats.Retries)
 	}
 }
