@@ -65,6 +65,7 @@ func BenchmarkFlattenWithReindexing(b *testing.B) {
 		Hops: 2, MaxNeighbors: 15, Seed: 2, HubThreshold: 32,
 		Strategy: sampling.Weighted{}, TempDir: b.TempDir(),
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Flatten(cfg, tables, targets); err != nil {

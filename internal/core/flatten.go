@@ -126,8 +126,8 @@ type job struct {
 	// seed encodes a node's round-0 state from its node-table row.
 	seed func(id int64, feat []float64, deg float64) []byte
 	// merge opens round r's mergeFunc for one reduce-task attempt
-	// (GraphInfer's owns a private copy of model slice r).
-	merge func(round int) (mergeFunc, error)
+	// (GraphInfer's runs its own fork of model slice r).
+	merge func(round int) mergeFunc
 	// block bounds a merge block: a reduce task holds nodes back until
 	// they and their kept in-edges number block, then merges them in one
 	// call. Zero merges node by node.
@@ -154,7 +154,6 @@ type mergeFunc func(block []mergeNode, final bool) error
 // accounting of every round that ran.
 type passes struct {
 	out      mapreduce.Input
-	collect  func() ([]mapreduce.KeyValue, error)
 	stats    []*mapreduce.Stats
 	inDeg    map[int64]int
 	weighted map[int64]float64
@@ -165,7 +164,9 @@ type passes struct {
 // node features to out-edges — the paper's "in-edge information: feature of
 // the in-edge and the neighbor node"), then K merge/propagate rounds, each
 // preceded by a re-index/sample/invert job for hub keys when re-indexing is
-// on (paper Figure 3).
+// on (paper Figure 3). The re-index job reads only the in-edges addressed
+// to hubs; the merge job reads the rest of the round's input followed by
+// what the re-index job kept, so a key's values keep their input order.
 func (e engine) run(tables mapreduce.Input, rounds int, j job) (*passes, error) {
 	p := &passes{}
 	var err error
@@ -175,41 +176,44 @@ func (e engine) run(tables mapreduce.Input, rounds int, j job) (*passes, error) 
 	if err != nil {
 		return nil, fmt.Errorf("core: %s degrees: %w", e.what, err)
 	}
-	// Hub set for re-indexing: node id -> number of suffix shards. Without
-	// sampling there is nothing to cut per shard, so nothing to re-index.
-	hubs := map[int64]int{}
+	// Hub set for re-indexing: a hub's key -> number of suffix shards.
+	// Without sampling there is nothing to cut per shard, so nothing to
+	// re-index.
+	hubs := map[string]int{}
 	if e.hubThreshold > 0 && e.maxNeighbors > 0 {
 		for id, d := range p.inDeg {
 			if d > e.hubThreshold {
-				hubs[id] = (d + e.hubThreshold - 1) / e.hubThreshold
+				hubs[key64(id)] = (d + e.hubThreshold - 1) / e.hubThreshold
 			}
 		}
 	}
 	p.hubs = len(hubs)
+	hubIn := func(kv mapreduce.KeyValue) bool { return kv.Value[0] == tagInEdge && hubs[kv.Key] > 1 }
+	rest := func(kv mapreduce.KeyValue) bool { return !hubIn(kv) }
 
-	// step runs one round over the previous round's output, which it lets go
-	// of first: once the map phase has read it, it is garbage.
-	p.out = tables
-	step := func(name string, mapper mapreduce.Mapper, reducer mapreduce.Reducer) error {
-		in := p.out
-		p.out, p.collect = nil, nil
-		out, collect, stats, err := e.runRound(name, mapper, reducer, in)
+	step := func(name string, mapper mapreduce.Mapper, reducer mapreduce.Reducer, in mapreduce.Input) error {
+		out, stats, err := e.runRound(name, mapper, reducer, in)
 		if err != nil {
 			return fmt.Errorf("core: %s %s: %w", e.what, name, err)
 		}
-		p.out, p.collect, p.stats = out, collect, append(p.stats, stats)
+		p.out, p.stats = out, append(p.stats, stats)
 		return nil
 	}
-	if err := step(e.name+"-join", joinMapper(), joinReducer(p.weighted, j.seed)); err != nil {
+	if err := step(e.name+"-join", joinMapper(), joinReducer(p.weighted, j.seed), tables); err != nil {
 		return nil, err
 	}
 	for round := 1; round <= rounds; round++ {
+		// Only in holds the previous round's output now: it is garbage once
+		// the round's jobs have read it.
+		in := p.out
+		p.out = nil
 		if len(hubs) > 0 {
-			if err := step(fmt.Sprintf("%s-reindex-%d", e.name, round), reindexMapper(hubs), e.reindexReducer()); err != nil {
+			if err := step(fmt.Sprintf("%s-reindex-%d", e.name, round), reindexMapper(hubs), e.reindexReducer(), mapreduce.Filter{In: in, Keep: hubIn}); err != nil {
 				return nil, err
 			}
+			in = mapreduce.Concat{mapreduce.Filter{In: in, Keep: rest}, p.out}
 		}
-		if err := step(fmt.Sprintf("%s-merge-%d", e.name, round), mapreduce.IdentityMapper, e.mergeReducer(j, round, round == rounds)); err != nil {
+		if err := step(fmt.Sprintf("%s-merge-%d", e.name, round), mapreduce.IdentityMapper, e.mergeReducer(j, round, round == rounds), in); err != nil {
 			return nil, err
 		}
 	}
@@ -266,13 +270,13 @@ func flattenNodes(cfg FlatConfig, tables mapreduce.Input, targets map[int64]Targ
 		seed: func(id int64, feat []float64, deg float64) []byte {
 			return wire.EncodeSubgraph(nil, &wire.Subgraph{Target: id, Nodes: []wire.SGNode{{ID: id, Feat: feat, Deg: deg}}})
 		},
-		merge: func(int) (mergeFunc, error) { return subgraphMerge(targets), nil },
+		merge: func(int) mergeFunc { return subgraphMerge(targets) },
 	})
 	if err != nil {
 		return nil, err
 	}
 	res := &FlatResult{RoundStats: p.stats, InDegrees: p.inDeg, WeightedDeg: p.weighted, HubCount: p.hubs}
-	return res.deliver(cfg, p.out, p.collect, nil)
+	return res.deliver(cfg, p.out, nil)
 }
 
 // deliver lands the final round's records. With cfg.Output set they stream
@@ -280,7 +284,7 @@ func flattenNodes(cfg FlatConfig, tables mapreduce.Input, targets map[int64]Targ
 // by the source endpoint of pairs) and nothing is materialized — with
 // SpillRounds the records go disk to disk; otherwise they are collected
 // into res.Records.
-func (res *FlatResult) deliver(cfg FlatConfig, final mapreduce.Input, collect func() ([]mapreduce.KeyValue, error), pairs []EdgeTarget) (*FlatResult, error) {
+func (res *FlatResult) deliver(cfg FlatConfig, final mapreduce.Input, pairs []EdgeTarget) (*FlatResult, error) {
 	res.Records = nil
 	if cfg.Output != nil {
 		man, err := writePartitionedOutput(cfg, final, pairs)
@@ -290,15 +294,27 @@ func (res *FlatResult) deliver(cfg FlatConfig, final mapreduce.Input, collect fu
 		res.Partitioned = man
 		return res, nil
 	}
-	kvs, err := collect()
-	if err != nil {
+	if err := scanPairs(final, func(kv mapreduce.KeyValue) error {
+		res.Records = append(res.Records, kv.Value)
+		return nil
+	}); err != nil {
 		return nil, fmt.Errorf("core: GraphFlat collect: %w", err)
 	}
-	res.Records = make([][]byte, 0, len(kvs))
-	for _, kv := range kvs {
-		res.Records = append(res.Records, kv.Value)
-	}
 	return res, nil
+}
+
+// scanPairs streams every pair of in to fn, in order.
+func scanPairs(in mapreduce.Input, fn func(kv mapreduce.KeyValue) error) error {
+	splits, err := in.Splits(1)
+	if err != nil {
+		return err
+	}
+	for _, split := range splits {
+		if err := split(fn); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // subgraphMerge is GraphFlat's merge (paper Figure 2): the kept in-edges and
@@ -340,20 +356,10 @@ func subgraphMerge(targets map[int64]Target) mergeFunc {
 	}
 }
 
-// pairsInput re-frames a previous round's output as the next round's input.
-func pairsInput(pairs []mapreduce.KeyValue) mapreduce.MemInput {
-	recs := make([][]byte, len(pairs))
-	for i, kv := range pairs {
-		recs[i] = mapreduce.EncodeKV(kv)
-	}
-	return recs
-}
-
 // runRound executes one MapReduce round, routing its output either through
-// memory (default) or through dfs part files (SpillRounds). It returns the
-// next round's input and a collector that materializes the round's pairs
-// (used after the final round).
-func (e engine) runRound(name string, mapper mapreduce.Mapper, reducer mapreduce.Reducer, input mapreduce.Input) (mapreduce.Input, func() ([]mapreduce.KeyValue, error), *mapreduce.Stats, error) {
+// memory (default) or through dfs part files (SpillRounds), and returns the
+// round's pairs as the next round's input.
+func (e engine) runRound(name string, mapper mapreduce.Mapper, reducer mapreduce.Reducer, input mapreduce.Input) (mapreduce.Input, *mapreduce.Stats, error) {
 	cfg := e.mr
 	cfg.Name = name
 	if e.spill {
@@ -363,41 +369,18 @@ func (e engine) runRound(name string, mapper mapreduce.Mapper, reducer mapreduce
 		}
 		path, err := os.MkdirTemp(spillRoot, "agl-"+name+"-")
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		dir, err := dfs.Create(path)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		stats, err := mapreduce.Run(cfg, mapper, reducer, input, mapreduce.DFSOutput{Dir: dir})
-		if err != nil {
-			return nil, nil, stats, err
-		}
-		collect := func() ([]mapreduce.KeyValue, error) {
-			recs, err := dir.ReadAll()
-			if err != nil {
-				return nil, err
-			}
-			out := make([]mapreduce.KeyValue, 0, len(recs))
-			for _, r := range recs {
-				kv, err := mapreduce.DecodeKV(r)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, kv)
-			}
-			return out, nil
-		}
-		return mapreduce.DFSInput{Dir: dir}, collect, stats, nil
+		return mapreduce.DFSPairs{Dir: dir}, stats, err
 	}
 	out := mapreduce.NewMemOutput()
 	stats, err := mapreduce.Run(cfg, mapper, reducer, input, out)
-	if err != nil {
-		return nil, nil, stats, err
-	}
-	pairs := out.Pairs()
-	collect := func() ([]mapreduce.KeyValue, error) { return pairs, nil }
-	return pairsInput(pairs), collect, stats, nil
+	return mapreduce.Pairs(out.Pairs()), stats, err
 }
 
 func key64(id int64) string { return strconv.FormatInt(id, 10) }
@@ -534,11 +517,7 @@ func msgKey(m *flatMsg) (int64, float64) { return m.Src, m.W }
 // each reduce-task attempt runs its own mergeTask over a fresh mergeFunc.
 func (e engine) mergeReducer(j job, round int, final bool) mapreduce.Reducer {
 	return mapreduce.PerTask(func() (mapreduce.Holder, error) {
-		merge, err := j.merge(round)
-		if err != nil {
-			return nil, err
-		}
-		return &mergeTask{e: e, merge: merge, final: final, max: j.block}, nil
+		return &mergeTask{e: e, merge: j.merge(round), final: final, max: j.block}, nil
 	})
 }
 
@@ -613,28 +592,19 @@ func hubShard(src int64, shards int) int {
 	return int(h.Sum32() % uint32(shards))
 }
 
-// reindexMapper splits hub destinations' in-edge traffic across suffixed
-// shuffle keys so no single reducer drowns (paper §3.2.2, "re-indexing").
-// Only the source id is read off an in-edge value (tag, src, ...); the state
-// behind it is never decoded.
-func reindexMapper(hubs map[int64]int) mapreduce.Mapper {
-	return mapreduce.MapperFunc(func(rec []byte, emit mapreduce.Emit) error {
-		kv, err := mapreduce.DecodeKV(rec)
-		if err != nil {
-			return err
+// reindexMapper splits the in-edge messages addressed to hubs — the only
+// messages a re-index job reads — across suffixed shuffle keys so no single
+// reducer drowns (paper §3.2.2, "re-indexing"). Only the source id is read
+// off an in-edge value (tag, src, ...); the state behind it is never
+// decoded.
+func reindexMapper(hubs map[string]int) mapreduce.Mapper {
+	return mapreduce.PairMapperFunc(func(kv mapreduce.KeyValue, emit mapreduce.Emit) error {
+		r := wire.NewReader(kv.Value[1:])
+		src := r.Varint()
+		if err := r.Err(); err != nil {
+			return fmt.Errorf("core: in-edge to hub %s: %w", kv.Key, err)
 		}
-		if len(kv.Value) > 0 && kv.Value[0] == tagInEdge {
-			if id, err := strconv.ParseInt(kv.Key, 10, 64); err == nil {
-				if shards, ok := hubs[id]; ok && shards > 1 {
-					r := wire.NewReader(kv.Value[1:])
-					src := r.Varint()
-					if err := r.Err(); err != nil {
-						return fmt.Errorf("core: in-edge to hub %d: %w", id, err)
-					}
-					kv.Key = fmt.Sprintf("%s#%d", kv.Key, hubShard(src, shards))
-				}
-			}
-		}
+		kv.Key += "#" + strconv.Itoa(hubShard(src, hubs[kv.Key]))
 		return emit(kv)
 	})
 }
@@ -643,25 +613,10 @@ func reindexMapper(hubs map[int64]int) mapreduce.Mapper {
 // MaxNeighbors, then inverts the key back to the original node id (paper
 // §3.2.2, "sampling" plus "inverted indexing"). The k best of a union are
 // the k best of its parts' k best, so the merge round's keepInEdges keeps
-// exactly what it would keep unsharded. Non-suffixed keys pass through
-// untouched.
+// exactly what it would keep unsharded.
 func (e engine) reindexReducer() mapreduce.Reducer {
 	return mapreduce.ReducerFunc(func(key string, values mapreduce.ValueIter, emit mapreduce.Emit) error {
-		hash := strings.IndexByte(key, '#')
-		if hash < 0 {
-			for {
-				v, ok := values.Next()
-				if !ok {
-					return values.Err()
-				}
-				// Copy: v aliases the engine's reusable read buffer, and
-				// emitted values may be retained by the output.
-				if err := emit(mapreduce.KeyValue{Key: key, Value: append([]byte(nil), v...)}); err != nil {
-					return err
-				}
-			}
-		}
-		orig := key[:hash]
+		orig, _, _ := strings.Cut(key, "#")
 		id, err := strconv.ParseInt(orig, 10, 64)
 		if err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strconv"
+	"sync"
 	"time"
 
 	"agl/internal/gnn"
@@ -125,7 +126,8 @@ func Infer(cfg InferConfig, model *gnn.Model, tables mapreduce.Input) (*InferRes
 		return nil, fmt.Errorf("core: GraphInfer segmentation: %w", err)
 	}
 	// Every reduce round uses exactly its own slice, the way a real reduce
-	// task ships only the parameters it needs.
+	// task ships only the parameters it needs; each task attempt runs a
+	// fork of it, sharing its weights.
 	k := len(slices) - 1 // number of GNN layers
 
 	e := cfg.engine()
@@ -134,7 +136,7 @@ func Infer(cfg InferConfig, model *gnn.Model, tables mapreduce.Input) (*InferRes
 		seed: func(id int64, feat []float64, deg float64) []byte {
 			return wire.EncodeEmbedding(nil, &wire.Embedding{ID: id, H: feat, Deg: deg})
 		},
-		merge: func(round int) (mergeFunc, error) { return embeddingMerge(model, round) },
+		merge: func(round int) mergeFunc { return embeddingMerge(slices[round-1].Fork()) },
 		block: inferBlock,
 	})
 	if err != nil {
@@ -143,36 +145,35 @@ func Infer(cfg InferConfig, model *gnn.Model, tables mapreduce.Input) (*InferRes
 
 	// Round K+1: prediction slice.
 	res.RoundStats = p.stats
-	_, collect, stats, err := e.runRound("infer-predict",
+	scored, stats, err := e.runRound("infer-predict",
 		mapreduce.IdentityMapper, predictReducer(slices[k], cfg.KeepEmbeddings), p.out)
 	if err != nil {
 		return nil, fmt.Errorf("core: GraphInfer predict: %w", err)
 	}
 	res.RoundStats = append(res.RoundStats, stats)
-	scored, err := collect()
-	if err != nil {
-		return nil, fmt.Errorf("core: GraphInfer collect: %w", err)
-	}
-	for _, kv := range scored {
+	if err := scanPairs(scored, func(kv mapreduce.KeyValue) error {
 		id, err := strconv.ParseInt(kv.Key, 10, 64)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m, err := decodeMsg(kv.Value)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if m.Tag != tagScore {
-			return nil, fmt.Errorf("core: prediction round emitted tag %d", m.Tag)
+			return fmt.Errorf("core: prediction round emitted tag %d", m.Tag)
 		}
 		res.Scores[id] = m.Scores
 		if res.Embeddings != nil && len(m.State) > 0 {
 			emb, err := wire.DecodeEmbedding(wire.NewReader(m.State))
 			if err != nil {
-				return nil, err
+				return err
 			}
 			res.Embeddings[id] = emb.H
 		}
+		return nil
+	}); err != nil {
+		return nil, fmt.Errorf("core: GraphInfer collect: %w", err)
 	}
 	if len(cfg.EdgeTargets) > 0 {
 		res.LinkScores = make(map[[2]int64]float64, len(cfg.EdgeTargets))
@@ -261,22 +262,24 @@ func OriginalInfer(cfg FlatConfig, model *gnn.Model, tables mapreduce.Input, ids
 // several of the block's nodes share is one row of it.
 const inferBlock = 8192
 
-// embeddingMerge opens GraphInfer's merge of round r for one reduce-task
-// attempt: a private copy of model slice r (Forward writes the layer's
-// caches, and reduce tasks run concurrently) and one workspace, reset after
-// every block. The slice's layer turns the (k−1)-layer embeddings of a
+// inferWorkspaces holds the workspaces GraphInfer's merge blocks draw from,
+// so tasks and rounds reuse one another's buffers.
+var inferWorkspaces = sync.Pool{New: func() any { return tensor.NewWorkspace() }}
+
+// embeddingMerge is GraphInfer's merge for one reduce-task attempt, over
+// the attempt's own fork of the round's layer slice (Forward writes the
+// layer's caches, and reduce tasks run concurrently); each block borrows a
+// pooled workspace. The slice's layer turns the (k−1)-layer embeddings of a
 // block's nodes and their kept in-edges' senders into the nodes' k-layer
 // embeddings. After the final embedding round only the embedding itself is
 // forwarded, as self info for the prediction round (paper §3.4).
-func embeddingMerge(model *gnn.Model, round int) (mergeFunc, error) {
-	segs, err := model.Segment()
-	if err != nil {
-		return nil, fmt.Errorf("core: GraphInfer segmentation: %w", err)
-	}
-	slice := segs[round-1]
-	ws := tensor.NewWorkspace()
+func embeddingMerge(slice *gnn.Slice) mergeFunc {
 	return func(block []mergeNode, final bool) error {
-		defer ws.Reset()
+		ws := inferWorkspaces.Get().(*tensor.Workspace)
+		defer func() {
+			ws.Reset()
+			inferWorkspaces.Put(ws)
+		}()
 		b, rows, err := blockGraph(ws, block)
 		if err != nil {
 			return err
@@ -293,7 +296,7 @@ func embeddingMerge(model *gnn.Model, round int) (mergeFunc, error) {
 			}
 		}
 		return nil
-	}, nil
+	}
 }
 
 // blockGraph vectorizes a merge block. Its rows are the block's nodes and

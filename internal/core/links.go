@@ -102,13 +102,13 @@ func flattenEdges(cfg FlatConfig, tables mapreduce.Input) (*FlatResult, error) {
 		return emit(mapreduce.KeyValue{Key: key, Value: wire.EncodeLinkRecord(rec)})
 	})
 
-	cur, collect, stats, err := sub.engine().runRound("flat-pairs", pairMapper, pairReducer,
+	cur, stats, err := sub.engine().runRound("flat-pairs", pairMapper, pairReducer,
 		mapreduce.MemInput(res.Records))
 	if err != nil {
 		return nil, fmt.Errorf("core: GraphFlat pair merge: %w", err)
 	}
 	res.RoundStats = append(res.RoundStats, stats)
-	return res.deliver(cfg, cur, collect, pairs)
+	return res.deliver(cfg, cur, pairs)
 }
 
 // LinkBatch is a vectorized batch of link examples: the merged subgraph of

@@ -52,10 +52,10 @@ func partitionOf(id int64, partitions int) int {
 // cfg.Partitions hash-partitioned part files under cfg.Output, plus the
 // manifest. In node mode the shuffle key is the target node id; in link
 // mode (pairs non-nil) it is the pair index, and the pair's source
-// endpoint picks the partition. The input is the final round's output
-// re-framed as an Input and read as one split, so every partition keeps
-// the order of the in-memory FlatResult.Records, and with SpillRounds set
-// the records stream from disk to disk without ever being resident at once.
+// endpoint picks the partition. The final round's output is read in
+// order, so every partition keeps the order of the in-memory
+// FlatResult.Records, and with SpillRounds set the records stream from disk
+// to disk without ever being resident at once.
 func writePartitionedOutput(cfg FlatConfig, finalRound mapreduce.Input, pairs []EdgeTarget) (*PartitionManifest, error) {
 	writers := make([]*dfs.PartWriter, cfg.Partitions)
 	abort := func() {
@@ -78,37 +78,25 @@ func writePartitionedOutput(cfg FlatConfig, finalRound mapreduce.Input, pairs []
 		Link:       pairs != nil,
 		Counts:     make([]int, cfg.Partitions),
 	}
-	iters, err := finalRound.Splits(1)
-	if err != nil {
+	if err := scanPairs(finalRound, func(kv mapreduce.KeyValue) error {
+		key, err := strconv.ParseInt(kv.Key, 10, 64)
+		if err != nil {
+			return fmt.Errorf("bad final-round key %q: %w", kv.Key, err)
+		}
+		target := key
+		if pairs != nil {
+			if key < 0 || key >= int64(len(pairs)) {
+				return fmt.Errorf("pair index %d out of range (have %d pairs)", key, len(pairs))
+			}
+			target = pairs[key].Src
+		}
+		p := partitionOf(target, cfg.Partitions)
+		man.Counts[p]++
+		man.Records++
+		return writers[p].Append(kv.Value)
+	}); err != nil {
 		abort()
 		return nil, err
-	}
-	for _, iter := range iters {
-		err := iter(func(rec []byte) error {
-			kv, err := mapreduce.DecodeKV(rec)
-			if err != nil {
-				return err
-			}
-			key, err := strconv.ParseInt(kv.Key, 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad final-round key %q: %w", kv.Key, err)
-			}
-			target := key
-			if pairs != nil {
-				if key < 0 || key >= int64(len(pairs)) {
-					return fmt.Errorf("pair index %d out of range (have %d pairs)", key, len(pairs))
-				}
-				target = pairs[key].Src
-			}
-			p := partitionOf(target, cfg.Partitions)
-			man.Counts[p]++
-			man.Records++
-			return writers[p].Append(kv.Value)
-		})
-		if err != nil {
-			abort()
-			return nil, err
-		}
 	}
 	for _, w := range writers {
 		if err := w.Close(); err != nil {

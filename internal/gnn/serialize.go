@@ -192,11 +192,36 @@ func (s *Slice) Forward(ws *tensor.Workspace, b *BatchGraph, out []int) *tensor.
 	return s.Layer.Forward(ws, ag, Rows{Out: out}, b.X)
 }
 
+// Fork returns a slice over s's weights whose layer caches are its own, so
+// concurrent callers of one segmented layer slice (GraphInfer's reduce
+// tasks) each run a fork of it instead of a copy of the model.
+func (s *Slice) Fork() *Slice {
+	cp := *s
+	switch l := s.Layer.(type) {
+	case nil:
+	case *GCNLayer:
+		c := GCNLayer{W: l.W, B: l.B, Act: l.Act}
+		cp.Layer = &c
+	case *SAGELayer:
+		c := SAGELayer{WSelf: l.WSelf, WNeigh: l.WNeigh, B: l.B, Act: l.Act, in: l.in}
+		cp.Layer = &c
+	case *GINLayer:
+		c := GINLayer{W1: l.W1, B1: l.B1, W2: l.W2, B2: l.B2, Eps: l.Eps, Act: l.Act, in: l.in}
+		cp.Layer = &c
+	case *GATLayer:
+		c := GATLayer{Heads: l.Heads, WH: l.WH, ASrc: l.ASrc, ADst: l.ADst, AEdge: l.AEdge, B: l.B,
+			Act: l.Act, LeakySlope: l.LeakySlope, in: l.in, out: l.out, headDim: l.headDim}
+		cp.Layer = &c
+	default:
+		panic(fmt.Sprintf("gnn: Fork of unknown layer %T", l))
+	}
+	return &cp
+}
+
 // Segment splits the model into K+1 slices — the paper's hierarchical
 // model segmentation. The slices point into a private copy of the model's
-// weights, so whoever runs a layer slice owns it (a GraphInfer reduce-task
-// attempt segments the model for itself) and later changes to the model do
-// not reach it.
+// weights, so later changes to the model do not reach them; concurrent
+// callers of a layer slice each run a Fork of it.
 func (m *Model) Segment() ([]*Slice, error) {
 	cp, err := NewModel(m.Cfg)
 	if err != nil {

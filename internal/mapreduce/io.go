@@ -13,74 +13,142 @@ import (
 	"agl/internal/dfs"
 )
 
-// RecordIter streams the records of one input split.
-type RecordIter func(yield func(rec []byte) error) error
+// Split streams the pairs of one input split.
+type Split func(yield func(kv KeyValue) error) error
 
-// Input provides the job's records partitioned into map splits.
+// Input provides the job's pairs partitioned into map splits. An input of
+// raw records (MemInput, DFSInput) hands each record over as the value of a
+// pair with an empty key.
 type Input interface {
-	Splits(n int) ([]RecordIter, error)
+	Splits(n int) ([]Split, error)
 }
 
-// MemInput serves in-memory records, chunked into n splits.
+// MemInput serves in-memory raw records, chunked into n splits.
 type MemInput [][]byte
 
 // Splits implements Input.
-func (m MemInput) Splits(n int) ([]RecordIter, error) {
-	if n < 1 {
-		n = 1
-	}
-	if len(m) == 0 {
-		return []RecordIter{func(func([]byte) error) error { return nil }}, nil
-	}
-	if n > len(m) {
-		n = len(m)
-	}
-	chunk := (len(m) + n - 1) / n
-	var out []RecordIter
-	for lo := 0; lo < len(m); lo += chunk {
-		hi := lo + chunk
-		if hi > len(m) {
-			hi = len(m)
-		}
-		part := m[lo:hi]
-		out = append(out, func(yield func([]byte) error) error {
-			for _, rec := range part {
-				if err := yield(rec); err != nil {
+func (m MemInput) Splits(n int) ([]Split, error) {
+	return chunks(m, n, func(rec []byte) KeyValue { return KeyValue{Value: rec} }), nil
+}
+
+// Pairs serves in-memory pairs as they are, chunked into n splits: how one
+// round's MemOutput becomes the next round's input.
+type Pairs []KeyValue
+
+// Splits implements Input.
+func (p Pairs) Splits(n int) ([]Split, error) {
+	return chunks(p, n, func(kv KeyValue) KeyValue { return kv }), nil
+}
+
+// chunks cuts items into at most n contiguous splits, so split order is
+// input order; no items are one empty split.
+func chunks[T any](items []T, n int, pair func(T) KeyValue) []Split {
+	n = max(min(n, len(items)), 1)
+	chunk := max((len(items)+n-1)/n, 1)
+	var out []Split
+	for lo := 0; lo < len(items) || lo == 0; lo += chunk {
+		part := items[lo:min(lo+chunk, len(items))]
+		out = append(out, func(yield func(KeyValue) error) error {
+			for _, it := range part {
+				if err := yield(pair(it)); err != nil {
 					return err
 				}
 			}
 			return nil
 		})
 	}
-	return out, nil
+	return out
 }
 
-// DFSInput serves the records of a dfs dataset; each part file is a split
-// (merging small parts when there are more parts than requested splits).
+// DFSInput serves the raw records of a dfs dataset; each part file is a
+// split (merging small parts when there are more parts than requested
+// splits).
 type DFSInput struct{ Dir *dfs.Dir }
 
 // Splits implements Input.
-func (d DFSInput) Splits(n int) ([]RecordIter, error) {
+func (d DFSInput) Splits(n int) ([]Split, error) {
 	parts, err := d.Dir.Parts()
 	if err != nil {
 		return nil, err
 	}
 	if len(parts) == 0 {
-		return []RecordIter{func(func([]byte) error) error { return nil }}, nil
+		return []Split{func(func(KeyValue) error) error { return nil }}, nil
 	}
-	if n < 1 {
-		n = 1
-	}
-	if n > len(parts) {
-		n = len(parts)
-	}
+	n = max(min(n, len(parts)), 1)
 	groups := make([][]string, n)
 	for i, p := range parts {
 		groups[i%n] = append(groups[i%n], p)
 	}
-	var out []RecordIter
+	var out []Split
 	for _, g := range groups {
-		out = append(out, func(yield func([]byte) error) error { return dfs.ScanParts(g, yield) })
+		out = append(out, func(yield func(KeyValue) error) error {
+			return dfs.ScanParts(g, func(rec []byte) error { return yield(KeyValue{Value: rec}) })
+		})
+	}
+	return out, nil
+}
+
+// DFSPairs serves the pairs DFSOutput wrote to a dfs dataset, split as
+// DFSInput splits it.
+type DFSPairs struct{ Dir *dfs.Dir }
+
+// Splits implements Input.
+func (d DFSPairs) Splits(n int) ([]Split, error) {
+	return mapSplits(DFSInput(d), n, func(rec KeyValue, yield func(KeyValue) error) error {
+		kv, err := DecodeKV(rec.Value)
+		if err != nil {
+			return err
+		}
+		return yield(kv)
+	})
+}
+
+// Filter is the view of In that holds only the pairs Keep accepts, split as
+// In splits and in In's order.
+type Filter struct {
+	In   Input
+	Keep func(KeyValue) bool
+}
+
+// Splits implements Input.
+func (f Filter) Splits(n int) ([]Split, error) {
+	return mapSplits(f.In, n, func(kv KeyValue, yield func(KeyValue) error) error {
+		if !f.Keep(kv) {
+			return nil
+		}
+		return yield(kv)
+	})
+}
+
+// mapSplits passes every pair of in's splits through f.
+func mapSplits(in Input, n int, f func(kv KeyValue, yield func(KeyValue) error) error) ([]Split, error) {
+	splits, err := in.Splits(n)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Split, len(splits))
+	for i, s := range splits {
+		out[i] = func(yield func(KeyValue) error) error {
+			return s(func(kv KeyValue) error { return f(kv, yield) })
+		}
+	}
+	return out, nil
+}
+
+// Concat reads its inputs one after another: each is split n ways, and its
+// splits follow those of the inputs before it, so a key's values reach the
+// reducer in Concat order.
+type Concat []Input
+
+// Splits implements Input.
+func (c Concat) Splits(n int) ([]Split, error) {
+	var out []Split
+	for _, in := range c {
+		s, err := in.Splits(n)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s...)
 	}
 	return out, nil
 }

@@ -6,6 +6,12 @@
 // and counters plus resource accounting for the cost comparisons in the
 // paper's Table 5.
 //
+// A job reads pairs. Rounds chain without framing: one round's MemOutput
+// is the next round's Pairs input as it stands, and only pairs that go to
+// disk (DFSOutput) are framed with EncodeKV, to be read back by DFSPairs.
+// Filter and Concat compose inputs as views, so a job can read part of one
+// round's output together with another job's.
+//
 // The shuffle is streaming end to end: reducers receive their value groups
 // as pull-based ValueIter iterators fed directly from the k-way merge of
 // sorted spill files, so a single hub key whose fan-in exceeds RAM still
@@ -34,9 +40,11 @@ type KeyValue struct {
 // Emit receives key/value pairs from mappers and reducers.
 type Emit func(kv KeyValue) error
 
-// Mapper transforms one input record into zero or more key/value pairs.
+// Mapper transforms one input pair into zero or more key/value pairs. It
+// must not modify the pair's value: a failed attempt's retry reads the same
+// input.
 type Mapper interface {
-	Map(record []byte, emit Emit) error
+	Map(in KeyValue, emit Emit) error
 }
 
 // ValueIter streams the values of one reduce group in deterministic order
@@ -89,11 +97,19 @@ func (f PerTask) Reduce(key string, values ValueIter, emit Emit) error {
 	return err
 }
 
-// MapperFunc adapts a function to the Mapper interface.
+// MapperFunc adapts a function of a raw record, the input pair's value, to
+// the Mapper interface.
 type MapperFunc func(record []byte, emit Emit) error
 
 // Map implements Mapper.
-func (f MapperFunc) Map(record []byte, emit Emit) error { return f(record, emit) }
+func (f MapperFunc) Map(in KeyValue, emit Emit) error { return f(in.Value, emit) }
+
+// PairMapperFunc adapts a function of the whole input pair to the Mapper
+// interface.
+type PairMapperFunc func(in KeyValue, emit Emit) error
+
+// Map implements Mapper.
+func (f PairMapperFunc) Map(in KeyValue, emit Emit) error { return f(in, emit) }
 
 // ReducerFunc adapts a function to the Reducer interface.
 type ReducerFunc func(key string, values ValueIter, emit Emit) error
@@ -274,7 +290,7 @@ func Run(cfg Config, mapper Mapper, reducer Reducer, input Input, output Output)
 
 // runMapTask executes one map task with retry; on success it returns one
 // committed spill file per reduce partition.
-func runMapTask(cfg Config, stats *Stats, spillDir string, idx int, split RecordIter, mapper Mapper) ([]string, error) {
+func runMapTask(cfg Config, stats *Stats, spillDir string, idx int, split Split, mapper Mapper) ([]string, error) {
 	var lastErr error
 	for attempt := 0; attempt < cfg.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -289,7 +305,7 @@ func runMapTask(cfg Config, stats *Stats, spillDir string, idx int, split Record
 	return nil, fmt.Errorf("map task %d failed after %d attempts: %w", idx, cfg.MaxAttempts, lastErr)
 }
 
-func tryMapTask(cfg Config, stats *Stats, spillDir string, idx, attempt int, split RecordIter, mapper Mapper) (files []string, err error) {
+func tryMapTask(cfg Config, stats *Stats, spillDir string, idx, attempt int, split Split, mapper Mapper) (files []string, err error) {
 	begin := time.Now()
 	defer func() { atomic.AddInt64((*int64)(&stats.MapBusy), int64(time.Since(begin))) }()
 	defer func() {
@@ -313,9 +329,9 @@ func tryMapTask(cfg Config, stats *Stats, spillDir string, idx, attempt int, spl
 		recordsOut++
 		return nil
 	}
-	if err := split(func(rec []byte) error {
+	if err := split(func(kv KeyValue) error {
 		recordsIn++
-		return mapper.Map(rec, emit)
+		return mapper.Map(kv, emit)
 	}); err != nil {
 		return nil, err
 	}
@@ -519,12 +535,7 @@ func sanitize(s string) string {
 	return string(out)
 }
 
-// IdentityMapper emits each record as a value under the key encoded in the
-// record itself by a previous round; records must be EncodeKV-framed.
-var IdentityMapper = MapperFunc(func(rec []byte, emit Emit) error {
-	kv, err := DecodeKV(rec)
-	if err != nil {
-		return err
-	}
-	return emit(kv)
-})
+// IdentityMapper emits each input pair as it is: a round that reads a
+// previous round's output (Pairs, DFSPairs) shuffles it by that round's
+// keys.
+var IdentityMapper = PairMapperFunc(func(kv KeyValue, emit Emit) error { return emit(kv) })
