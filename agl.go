@@ -302,7 +302,7 @@ type (
 // Infer runs the GraphInfer pipeline over the whole graph and returns
 // predicted scores for every node (plus final-layer embeddings when
 // cfg.KeepEmbeddings is set). With the sampling fields of the Flatten run,
-// the scores equal a forward pass over each node's GraphFeature within 1e-9.
+// the scores equal a forward pass over each node's GraphFeature (==).
 func Infer(cfg InferConfig, m *Model, g *Graph) (*InferResult, error) {
 	return core.Infer(cfg, m, mapreduce.MemInput(core.TableRecords(g)))
 }

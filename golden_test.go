@@ -49,7 +49,7 @@ var goldenRuns = []goldenRun{
 		train: agl.TrainConfig{Loss: agl.LossBCE, Epochs: 2, BatchSize: 32, Workers: 2, PSShards: 2,
 			Mode: agl.Sync, Pipeline: true, Pruning: true, AggThreads: 2, Seed: 1},
 		recordsSum: "33a65d215a2875eade6918b6793f85fc19846cf4ce47b19cda77ada165a24d86",
-		modelSum:   "40dbd63e29c6af35ba670464b76a6681a50dfac9f0448fb0ad02a600bff2e6eb",
+		modelSum:   "8d39daca9234a84698c9138cfaa02333ba006a0edd09dfc1b5953f064aa72b9e",
 	},
 	{
 		// The shape of bench's offline_hub: weighted sampling with hub
@@ -62,9 +62,9 @@ var goldenRuns = []goldenRun{
 		infer: true,
 
 		recordsSum:    "ecdca0703fb4a7a9c65b0f3b20eea28dfa75b94e9aac304cfa40b0a0406ca6e8",
-		modelSum:      "299d7b9b6a9eb05708585894e69c9b10c0689d615d16bd02fbbd926085478a9e",
-		scoresSum:     "7368d32d4beb808bf63128c8b5b4b57f35478414723f6ceb363631e3b5fa1d5f",
-		embeddingsSum: "47bd04d1c5528cfb33f53a5bda468adb59ffe4016886a9e3a7120e362fd0e2b5",
+		modelSum:      "80ec0c1a4ad9005f33cf50dc78c74f43bfa51261f4f808b2968a6b4b9b889776",
+		scoresSum:     "b116787b19a5bf17c44ad823eb7edd1800795c665f1a3a8cde65425a61473b5a",
+		embeddingsSum: "a6ce31c4fb9e574f8e18f9b97be59e099c7548a64c2c3f6ed87446659fc8c8ff",
 	},
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"agl/internal/gnn"
 	"agl/internal/sparse"
@@ -31,22 +32,19 @@ func AssembleBatch(recs []*wire.TrainRecord, numClasses int, multiLabel bool) (*
 	return AssembleBatchWS(nil, recs, numClasses, multiLabel)
 }
 
-// AssembleBatchWS is AssembleBatch with the batch feature matrix X drawn
-// from a per-step workspace (nil allocates). Supervision (LabelVecs) stays
-// heap-allocated: callers like Predict keep it past the workspace reset.
+// AssembleBatchWS is AssembleBatch with the batch graph's X, Deg, adjacency
+// and edge features drawn from a per-step workspace (nil allocates).
+// Supervision (LabelVecs) and NodeIDs stay heap-allocated: callers like
+// Predict keep them past the workspace reset.
 func AssembleBatchWS(ws *tensor.Workspace, recs []*wire.TrainRecord, numClasses int, multiLabel bool) (*Batch, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("core: empty batch")
 	}
-	sgs := make([]*wire.Subgraph, len(recs))
-	for i, rec := range recs {
-		sgs[i] = rec.SG
-	}
-	m, err := mergeSubgraphs(ws, sgs)
+	g, ids, err := recordBatch(ws, recs, func(r *wire.TrainRecord) *wire.Subgraph { return r.SG })
 	if err != nil {
 		return nil, err
 	}
-	b := &Batch{NodeIDs: m.nodeIDs}
+	b := &Batch{Graph: g, NodeIDs: ids}
 	if multiLabel || len(recs[0].LabelVec) > 0 {
 		cols := numClasses
 		if len(recs[0].LabelVec) > 0 {
@@ -54,100 +52,170 @@ func AssembleBatchWS(ws *tensor.Workspace, recs []*wire.TrainRecord, numClasses 
 		}
 		b.LabelVecs = tensor.New(len(recs), cols)
 	}
-	var targets []int
 	for bi, rec := range recs {
-		ti, ok := m.row[rec.TargetID]
+		ti, ok := slices.BinarySearch(ids, rec.TargetID)
 		if !ok {
 			return nil, fmt.Errorf("core: target %d missing from its own subgraph", rec.TargetID)
 		}
-		targets = append(targets, ti)
+		g.Targets = append(g.Targets, ti)
 		b.TargetIDs = append(b.TargetIDs, rec.TargetID)
 		b.Labels = append(b.Labels, int(rec.Label))
 		if b.LabelVecs != nil {
 			copy(b.LabelVecs.Row(bi), rec.LabelVec)
 		}
 	}
-	b.Graph = m.graph(targets)
+	g.Dist = gnn.ComputeDistances(g.Adj, g.Targets)
 	return b, nil
 }
 
-// merged is the union of a batch's subgraphs in vectorized form, plus the
-// id maps its callers resolve targets and pairs against.
-type merged struct {
-	g *gnn.BatchGraph
-	// nodeIDs maps batch row -> original node id; row is its inverse.
-	nodeIDs []int64
-	row     map[int64]int
-	// edges holds the (src, dst) ids of every batch edge.
-	edges map[[2]int64]bool
-}
-
-// mergeSubgraphs is the one subgraph-vectorization routine: it merges the
-// (overlapping) k-hop neighborhoods of a batch, deduplicating nodes and
-// edges by id, into the adjacency (COO -> CSR, row = destination), the
-// node feature matrix X (drawn from ws; nil allocates), the edge features
-// and the normalization degrees.
-func mergeSubgraphs(ws *tensor.Workspace, sgs []*wire.Subgraph) (*merged, error) {
-	m := &merged{row: make(map[int64]int), edges: make(map[[2]int64]bool)}
-	var feats [][]float64
-	var degs []float64
-	anyDeg := false
-	featDim := 0
-	for _, sg := range sgs {
-		for _, n := range sg.Nodes {
-			if _, ok := m.row[n.ID]; ok {
-				continue
-			}
-			m.row[n.ID] = len(m.nodeIDs)
-			m.nodeIDs = append(m.nodeIDs, n.ID)
-			feats = append(feats, n.Feat)
-			featDim = max(featDim, len(n.Feat))
-			degs = append(degs, n.Deg)
-			if n.Deg > 0 {
-				anyDeg = true
-			}
+// recordBatch vectorizes a batch of records' subgraphs through buildBatch.
+func recordBatch[R any](ws *tensor.Workspace, recs []R, sg func(R) *wire.Subgraph) (*gnn.BatchGraph, []int64, error) {
+	nn, ne := 0, 0
+	for _, rec := range recs {
+		nn, ne = nn+len(sg(rec).Nodes), ne+len(sg(rec).Edges)
+	}
+	nodes, edges := make([]batchNode, 0, nn), make([]batchEdge, 0, ne)
+	for _, rec := range recs {
+		for _, n := range sg(rec).Nodes {
+			nodes = append(nodes, batchNode{id: n.ID, feat: n.Feat, deg: n.Deg})
+		}
+		for _, e := range sg(rec).Edges {
+			edges = append(edges, batchEdge{dst: e.Dst, src: e.Src, w: e.Weight, feat: e.Feat})
 		}
 	}
-	var coos []sparse.Coo
-	var edgeFeat map[[2]int][]float64
-	for _, sg := range sgs {
-		for _, e := range sg.Edges {
-			k := [2]int64{e.Src, e.Dst}
-			if m.edges[k] {
-				continue
-			}
-			m.edges[k] = true
-			si, ok1 := m.row[e.Src]
-			di, ok2 := m.row[e.Dst]
-			if !ok1 || !ok2 {
-				return nil, fmt.Errorf("core: edge (%d,%d) references node outside subgraphs", e.Src, e.Dst)
-			}
-			coos = append(coos, sparse.Coo{Row: di, Col: si, Val: e.Weight})
-			if len(e.Feat) > 0 {
-				if edgeFeat == nil {
-					edgeFeat = make(map[[2]int][]float64)
+	return buildBatch(ws, nodes, edges)
+}
+
+// blockBatch vectorizes a GraphInfer merge block through buildBatch: the
+// block's nodes and the senders of their kept in-edges, each with its
+// encoded (k−1)-layer embedding.
+func blockBatch(ws *tensor.Workspace, block []mergeNode) (*gnn.BatchGraph, []int64, error) {
+	nnz := 0
+	for _, n := range block {
+		nnz += len(n.kept)
+	}
+	nodes, edges := make([]batchNode, 0, len(block)+nnz), make([]batchEdge, 0, nnz)
+	for _, n := range block {
+		nodes = append(nodes, batchNode{id: n.id, enc: n.self})
+		for _, in := range n.kept {
+			nodes = append(nodes, batchNode{id: in.Src, enc: in.State})
+			edges = append(edges, batchEdge{dst: n.id, src: in.Src, w: in.W, feat: in.EFeat})
+		}
+	}
+	return buildBatch(ws, nodes, edges)
+}
+
+// batchNode is one occurrence of a node offered to buildBatch: its id and
+// its feature (or embedding) row and normalization degree, or enc, the
+// encoded wire.Embedding to decode them from.
+type batchNode struct {
+	id   int64
+	feat []float64
+	deg  float64
+	enc  []byte
+}
+
+// batchEdge is one in-edge src → dst offered to buildBatch.
+type batchEdge struct {
+	dst, src int64
+	w        float64
+	feat     []float64
+}
+
+// buildBatch is the one batch-graph builder: training, link and GraphInfer
+// batches and the serving cold path all vectorize through it. nodes and
+// edges come in any order and may repeat an id or a (dst, src) pair; only
+// the first occurrence of each is read (and an enc decoded). Rows are the
+// distinct ids, ascending (returned), each with its X row (zero-padded),
+// its Deg (nil when every degree is zero) and its in-edges as a CSR row
+// (row = destination) in ascending source row, so a row sums its terms in
+// one order in any batch or block. X, Deg, adjacency and edge features
+// are drawn from ws (nil allocates).
+func buildBatch(ws *tensor.Workspace, nodes []batchNode, edges []batchEdge) (*gnn.BatchGraph, []int64, error) {
+	ids := make([]int64, len(nodes))
+	for i, n := range nodes {
+		ids[i] = n.id
+	}
+	slices.Sort(ids)
+	ids = slices.Clip(slices.Compact(ids))
+	rows := len(ids)
+	first := ws.Ints(rows) // 1 + the index of each row's first occurrence
+	dim, anyDeg := 0, false
+	for i := range nodes {
+		n := &nodes[i]
+		if r, _ := slices.BinarySearch(ids, n.id); first[r] == 0 {
+			if n.enc != nil {
+				e, err := wire.DecodeEmbedding(wire.NewReader(n.enc))
+				if err != nil {
+					return nil, nil, err
 				}
-				edgeFeat[[2]int{di, si}] = e.Feat
+				n.feat, n.deg = e.H, e.Deg
 			}
+			first[r] = i + 1
+			dim, anyDeg = max(dim, len(n.feat)), anyDeg || n.deg != 0
 		}
 	}
-	x := ws.Get(len(m.nodeIDs), featDim)
-	for i, f := range feats {
-		copy(x.Row(i), f)
+	g := &gnn.BatchGraph{X: ws.GetUninit(rows, dim), Deg: ws.Floats(rows)}
+	for r, i := range first {
+		x := g.X.Row(r)
+		clear(x[copy(x, nodes[i-1].feat):])
+		g.Deg[r] = nodes[i-1].deg
 	}
-	m.g = &gnn.BatchGraph{Adj: sparse.NewCSR(len(m.nodeIDs), len(m.nodeIDs), coos), X: x, EdgeFeat: edgeFeat}
-	if anyDeg {
-		m.g.Deg = degs
+	if !anyDeg {
+		g.Deg = nil
 	}
-	return m, nil
-}
 
-// graph completes the batch graph with its target rows (the rows whose
-// embeddings must survive all K layers) and every row's distance to them.
-func (m *merged) graph(targets []int) *gnn.BatchGraph {
-	m.g.Targets = targets
-	m.g.Dist = gnn.ComputeDistances(m.g.Adj, targets)
-	return m.g
+	// A counting sort places the edges by destination row in input order;
+	// a stable sort of each row by source row then puts a repeated (dst,
+	// src) pair right behind its first occurrence, which is kept.
+	adj := &sparse.CSR{NumRows: rows, NumCols: rows,
+		RowPtr: ws.Ints(rows + 1), ColIdx: ws.Ints(len(edges)), Val: ws.Floats(len(edges))}
+	src, dst, slot := ws.Ints(len(edges)), ws.Ints(len(edges)), ws.Ints(len(edges))
+	featLen := 0
+	for i, e := range edges {
+		s, ok1 := slices.BinarySearch(ids, e.src)
+		d, ok2 := slices.BinarySearch(ids, e.dst)
+		if !ok1 || !ok2 {
+			return nil, nil, fmt.Errorf("core: edge (%d,%d) references a node outside the batch", e.src, e.dst)
+		}
+		src[i], dst[i] = s, d
+		adj.RowPtr[d+1]++
+		featLen += len(e.feat)
+	}
+	for r := range rows {
+		adj.RowPtr[r+1] += adj.RowPtr[r]
+	}
+	next := slices.Clone(adj.RowPtr[:rows])
+	for i, d := range dst {
+		slot[next[d]] = i
+		next[d]++
+	}
+	var feats []float64
+	if featLen > 0 {
+		g.EdgeFeat, feats = make(map[[2]int][]float64), ws.Floats(featLen)
+	}
+	bySrc := func(a, b int) int { return src[a] - src[b] }
+	at, lo := 0, 0
+	for r := range rows {
+		hi := adj.RowPtr[r+1]
+		if row := slot[lo:hi]; !slices.IsSortedFunc(row, bySrc) {
+			slices.SortStableFunc(row, bySrc)
+		}
+		for _, i := range slot[lo:hi] {
+			if at > adj.RowPtr[r] && adj.ColIdx[at-1] == src[i] {
+				continue
+			}
+			adj.ColIdx[at], adj.Val[at] = src[i], edges[i].w
+			if f := edges[i].feat; len(f) > 0 {
+				g.EdgeFeat[[2]int{r, src[i]}] = feats[:len(f):len(f)]
+				feats = feats[copy(feats, f):]
+			}
+			at++
+		}
+		adj.RowPtr[r+1], lo = at, hi
+	}
+	adj.ColIdx, adj.Val, g.Adj = adj.ColIdx[:at], adj.Val[:at], adj
+	return g, ids, nil
 }
 
 // DecodeRecords parses a slice of encoded TrainRecords.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -704,12 +705,12 @@ func directForward(g *graph.Graph, model *gnn.Model) *gnn.ForwardState {
 	return model.Forward(bg, model.Prepare(bg, opt), opt)
 }
 
-// checkMatchesDirect holds GraphInfer's output to a whole-graph forward pass:
-// every embedding bit for bit, every score within 1e-9. Both run the one
-// Layer.Forward with each row's in-edges in ascending node id; the graphs
-// here have integer weights, so GCN's degrees come out exact whether the
-// degree job or the batch normalization sums them. Scores keep 1e-9: the
-// prediction round's ApplyDense adds the bias first, nn.Dense last.
+// checkMatchesDirect holds GraphInfer's output to a whole-graph forward pass,
+// every embedding and every score bit for bit. Both run the one
+// Layer.Forward with each row's in-edges in ascending node id, and the
+// prediction round's ApplyDense adds the bias last, as nn.Dense does; the
+// graphs here have integer weights, so GCN's degrees come out exact whether
+// the degree job or the batch normalization sums them.
 func checkMatchesDirect(t *testing.T, name string, g *graph.Graph, direct *gnn.ForwardState, res *InferResult) {
 	t.Helper()
 	if len(res.Scores) != g.NumNodes() || len(res.Embeddings) != g.NumNodes() {
@@ -720,7 +721,7 @@ func checkMatchesDirect(t *testing.T, name string, g *graph.Graph, direct *gnn.F
 			t.Fatalf("%s node %d: GraphInfer embedding %v, direct %v", name, n.ID, got, want)
 		}
 		want := nn.Sigmoid(direct.Logits.At(i, 0))
-		if got := res.Scores[n.ID][0]; math.Abs(got-want) > 1e-9 {
+		if got := res.Scores[n.ID][0]; got != want {
 			t.Fatalf("%s node %d: GraphInfer %v direct %v", name, n.ID, got, want)
 		}
 	}
@@ -890,7 +891,7 @@ func TestOriginalInferMatchesGraphInfer(t *testing.T) {
 			}
 			for id, want := range fast.Scores {
 				got := slow.Scores[id]
-				if math.Abs(got[0]-want[0]) > 1e-9 {
+				if got[0] != want[0] {
 					t.Fatalf("%s node %d: original %v graphinfer %v", name, id, got[0], want[0])
 				}
 			}
@@ -934,13 +935,66 @@ func TestInferWithSamplingIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestFlattenSpillRoundsMatchesMemory: disk-spooled rounds give the
+// in-memory records byte for byte, and Flatten removes every round dataset
+// it spilled under TempDir — after a run that succeeds, and after a run
+// that fails in any one of its task attempts (re-index jobs included).
 func TestFlattenSpillRoundsMatchesMemory(t *testing.T) {
-	g := chainGraph(t, 8)
-	targets := map[int64]Target{6: {Label: 1}, 7: {Label: 0}}
-	mem := flatten(t, g, FlatConfig{Hops: 2, Seed: 3}, targets)
-	disk := flatten(t, g, FlatConfig{Hops: 2, Seed: 3, SpillRounds: true}, targets)
-	if len(mem.Records) != 2 || !slices.EqualFunc(mem.Records, disk.Records, bytes.Equal) {
-		t.Fatalf("disk-spooled rounds changed the records: %d in memory, %d spilled", len(mem.Records), len(disk.Records))
+	rng := rand.New(rand.NewSource(5))
+	for _, c := range []struct {
+		name    string
+		g       *graph.Graph
+		cfg     FlatConfig
+		targets map[int64]Target
+	}{
+		{"chain", chainGraph(t, 8), FlatConfig{Hops: 2, Seed: 3}, map[int64]Target{6: {Label: 1}, 7: {Label: 0}}},
+		{"hubs", randomDigraph(rng, 20, 0.3), FlatConfig{Hops: 2, Seed: 3, MaxNeighbors: 2, HubThreshold: 2},
+			map[int64]Target{1: {Label: 1}, 4: {Label: 0}, 9: {Label: 1}}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tables := mapreduce.MemInput(TableRecords(c.g))
+			spilled := func(dir string) []string {
+				left, err := filepath.Glob(filepath.Join(dir, "agl-*"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return left
+			}
+			mem := flatten(t, c.g, c.cfg, c.targets)
+			var attempts atomic.Int32
+			cfg := c.cfg
+			cfg.SpillRounds, cfg.MaxAttempts, cfg.TempDir = true, 1, t.TempDir()
+			cfg.Faults = func(string, int, int) error { attempts.Add(1); return nil }
+			disk, err := Flatten(cfg, tables, c.targets)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(mem.Records) != len(c.targets) || !slices.EqualFunc(mem.Records, disk.Records, bytes.Equal) {
+				t.Fatalf("disk-spooled rounds changed the records: %d in memory, %d spilled", len(mem.Records), len(disk.Records))
+			}
+			if c.cfg.HubThreshold > 0 && disk.HubCount == 0 {
+				t.Fatal("no hub re-indexed: the re-index jobs went untested")
+			}
+			if left := spilled(cfg.TempDir); len(left) > 0 {
+				t.Fatalf("a successful run left its round datasets: %v", left)
+			}
+			for fail := int32(1); fail <= attempts.Load(); fail++ {
+				var n atomic.Int32
+				cfg.TempDir = t.TempDir()
+				cfg.Faults = func(string, int, int) error {
+					if n.Add(1) == fail {
+						return errors.New("injected")
+					}
+					return nil
+				}
+				if _, err := Flatten(cfg, tables, c.targets); err == nil {
+					t.Fatalf("attempt %d failed, Flatten did not", fail)
+				}
+				if left := spilled(cfg.TempDir); len(left) > 0 {
+					t.Fatalf("a run failing at attempt %d left %v", fail, left)
+				}
+			}
+		})
 	}
 }
 

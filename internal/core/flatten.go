@@ -66,6 +66,7 @@ type FlatConfig struct {
 	// TempDir instead of memory — the industrial-scale mode where a round's
 	// shuffle exceeds RAM. Results are identical to the in-memory mode.
 	// With Output set as well, the final round never materializes in RAM.
+	// A round's dataset is removed once read, and every one if Flatten fails.
 	SpillRounds bool
 
 	// Partitions is the number of part files Output's records are
@@ -191,9 +192,11 @@ func (e engine) run(tables mapreduce.Input, rounds int, j job) (*passes, error) 
 	hubIn := func(kv mapreduce.KeyValue) bool { return kv.Value[0] == tagInEdge && hubs[kv.Key] > 1 }
 	rest := func(kv mapreduce.KeyValue) bool { return !hubIn(kv) }
 
-	step := func(name string, mapper mapreduce.Mapper, reducer mapreduce.Reducer, in mapreduce.Input) error {
-		out, stats, err := e.runRound(name, mapper, reducer, in)
+	var in mapreduce.Input
+	step := func(name string, mapper mapreduce.Mapper, reducer mapreduce.Reducer, input mapreduce.Input) error {
+		out, stats, err := e.runRound(name, mapper, reducer, input)
 		if err != nil {
+			release(in)
 			return fmt.Errorf("core: %s %s: %w", e.what, name, err)
 		}
 		p.out, p.stats = out, append(p.stats, stats)
@@ -203,10 +206,10 @@ func (e engine) run(tables mapreduce.Input, rounds int, j job) (*passes, error) 
 		return nil, err
 	}
 	for round := 1; round <= rounds; round++ {
-		// Only in holds the previous round's output now: it is garbage once
-		// the round's jobs have read it.
-		in := p.out
-		p.out = nil
+		// Only in holds the previous round's output now: it is garbage, and
+		// its spilled datasets are released, once the round's jobs have read
+		// it (or one of them has failed, in step).
+		in, p.out = p.out, nil
 		if len(hubs) > 0 {
 			if err := step(fmt.Sprintf("%s-reindex-%d", e.name, round), reindexMapper(hubs), e.reindexReducer(), mapreduce.Filter{In: in, Keep: hubIn}); err != nil {
 				return nil, err
@@ -216,6 +219,7 @@ func (e engine) run(tables mapreduce.Input, rounds int, j job) (*passes, error) 
 		if err := step(fmt.Sprintf("%s-merge-%d", e.name, round), mapreduce.IdentityMapper, e.mergeReducer(j, round, round == rounds), in); err != nil {
 			return nil, err
 		}
+		release(in)
 	}
 	return p, nil
 }
@@ -237,9 +241,11 @@ type FlatResult struct {
 }
 
 // TotalShuffledBytes sums shuffle volume over all rounds.
-func (r *FlatResult) TotalShuffledBytes() int64 {
+func (r *FlatResult) TotalShuffledBytes() int64 { return shuffledBytes(r.RoundStats) }
+
+func shuffledBytes(rounds []*mapreduce.Stats) int64 {
 	var n int64
-	for _, s := range r.RoundStats {
+	for _, s := range rounds {
 		n += s.BytesShuffled
 	}
 	return n
@@ -285,6 +291,7 @@ func flattenNodes(cfg FlatConfig, tables mapreduce.Input, targets map[int64]Targ
 // SpillRounds the records go disk to disk; otherwise they are collected
 // into res.Records.
 func (res *FlatResult) deliver(cfg FlatConfig, final mapreduce.Input, pairs []EdgeTarget) (*FlatResult, error) {
+	defer release(final)
 	res.Records = nil
 	if cfg.Output != nil {
 		man, err := writePartitionedOutput(cfg, final, pairs)
@@ -358,7 +365,7 @@ func subgraphMerge(targets map[int64]Target) mergeFunc {
 
 // runRound executes one MapReduce round, routing its output either through
 // memory (default) or through dfs part files (SpillRounds), and returns the
-// round's pairs as the next round's input.
+// round's pairs as the next round's input, for its last reader to release.
 func (e engine) runRound(name string, mapper mapreduce.Mapper, reducer mapreduce.Reducer, input mapreduce.Input) (mapreduce.Input, *mapreduce.Stats, error) {
 	cfg := e.mr
 	cfg.Name = name
@@ -376,11 +383,29 @@ func (e engine) runRound(name string, mapper mapreduce.Mapper, reducer mapreduce
 			return nil, nil, err
 		}
 		stats, err := mapreduce.Run(cfg, mapper, reducer, input, mapreduce.DFSOutput{Dir: dir})
+		if err != nil {
+			_ = dir.Remove() // best effort: the round's own error is the one to report
+		}
 		return mapreduce.DFSPairs{Dir: dir}, stats, err
 	}
 	out := mapreduce.NewMemOutput()
 	stats, err := mapreduce.Run(cfg, mapper, reducer, input, out)
 	return mapreduce.Pairs(out.Pairs()), stats, err
+}
+
+// release removes the spilled round datasets behind in once nothing reads
+// it again; in-memory rounds have nothing to remove.
+func release(in mapreduce.Input) {
+	switch in := in.(type) {
+	case mapreduce.DFSPairs:
+		_ = in.Dir.Remove() // best effort: a leftover costs disk, never a result
+	case mapreduce.Filter:
+		release(in.In)
+	case mapreduce.Concat:
+		for _, c := range in {
+			release(c)
+		}
+	}
 }
 
 func key64(id int64) string { return strconv.FormatInt(id, 10) }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
 	"math"
 	"slices"
 	"strconv"
@@ -13,7 +12,6 @@ import (
 	"agl/internal/mapreduce"
 	"agl/internal/nn"
 	"agl/internal/sampling"
-	"agl/internal/sparse"
 	"agl/internal/tensor"
 	"agl/internal/wire"
 )
@@ -24,7 +22,7 @@ type InferConfig struct {
 	// FlatConfig. Given the training run's MaxNeighbors, Strategy and Seed,
 	// GraphInfer keeps exactly the in-edges GraphFlat kept for every node,
 	// so its scores are those of a forward pass over the training-time
-	// GraphFeatures (within 1e-9) and inference stays unbiased (paper §3.4).
+	// GraphFeatures bit for bit and inference stays unbiased (paper §3.4).
 	MaxNeighbors int
 	Strategy     sampling.Strategy
 	Seed         int64
@@ -91,13 +89,7 @@ type InferResult struct {
 }
 
 // TotalShuffledBytes sums shuffle volume over all rounds.
-func (r *InferResult) TotalShuffledBytes() int64 {
-	var n int64
-	for _, s := range r.RoundStats {
-		n += s.BytesShuffled
-	}
-	return n
-}
+func (r *InferResult) TotalShuffledBytes() int64 { return shuffledBytes(r.RoundStats) }
 
 // Infer runs the GraphInfer pipeline (paper §3.4) over node/edge tables:
 // the model is hierarchically segmented into K+1 slices; the engine's K
@@ -224,32 +216,19 @@ func OriginalInfer(cfg FlatConfig, model *gnn.Model, tables mapreduce.Input, ids
 	}
 	flatWall := time.Since(t0)
 
+	// Forward each GraphFeature independently, a batch of one — the
+	// "massive repetitions of embedding inference" of paper §3.4. Batching
+	// here would only merge literal duplicates; each record still carries
+	// its full k-hop subgraph through vectorization, so per-record
+	// forwarding is the honest baseline.
 	t1 := time.Now()
-	res := &OriginalInferResult{
-		Scores:    make(map[int64][]float64, len(ids)),
-		FlatWall:  flatWall,
-		FlatStats: flat.RoundStats,
+	scored, logits, _, _, err := Predict(model, flat.Records, 1, gnn.RunOptions{})
+	if err != nil {
+		return nil, err
 	}
-	// Forward each GraphFeature independently — the "massive repetitions of
-	// embedding inference" of paper §3.4. Batching here would only merge
-	// literal duplicates; each record still carries its full k-hop subgraph
-	// through vectorization, so per-record forwarding is the honest
-	// baseline. One workspace is recycled across all records: scores are
-	// copied out by ScoresFromLogits before each reset.
-	ws := tensor.NewWorkspace()
-	iopt := gnn.RunOptions{Workspace: ws}
-	for _, rec := range flat.Records {
-		tr, err := wire.DecodeTrainRecord(rec)
-		if err != nil {
-			return nil, err
-		}
-		b, err := AssembleBatchWS(ws, []*wire.TrainRecord{tr}, model.Cfg.Classes, false)
-		if err != nil {
-			return nil, err
-		}
-		logits := model.Infer(b.Graph, iopt)
-		res.Scores[tr.TargetID] = ScoresFromLogits(logits.Row(0))
-		ws.Reset()
+	res := &OriginalInferResult{Scores: make(map[int64][]float64, len(scored)), FlatWall: flatWall, FlatStats: flat.RoundStats}
+	for i, id := range scored {
+		res.Scores[id] = ScoresFromLogits(logits.Row(i))
 	}
 	res.ForwardWall = time.Since(t1)
 	res.ForwardBusy = res.ForwardWall
@@ -280,14 +259,19 @@ func embeddingMerge(slice *gnn.Slice) mergeFunc {
 			ws.Reset()
 			inferWorkspaces.Put(ws)
 		}()
-		b, rows, err := blockGraph(ws, block)
+		b, ids, err := blockBatch(ws, block)
 		if err != nil {
 			return err
+		}
+		rows := make([]int, len(block))
+		for i, n := range block {
+			rows[i], _ = slices.BinarySearch(ids, n.id)
 		}
 		out := slices.Clone(rows)
 		slices.Sort(out)
 		h := slice.Forward(ws, b, out)
 		for i := range block {
+			// Deg is set: the join round seeds every degree nonzero.
 			n, r := &block[i], rows[i]
 			n.state = wire.EncodeEmbedding(nil, &wire.Embedding{ID: n.id, H: h.Row(r), Deg: b.Deg[r]})
 			if final {
@@ -297,70 +281,6 @@ func embeddingMerge(slice *gnn.Slice) mergeFunc {
 		}
 		return nil
 	}
-}
-
-// blockGraph vectorizes a merge block. Its rows are the block's nodes and
-// the senders of their kept in-edges, in ascending node id, each with its
-// (k−1)-layer embedding in X and its normalization degree in Deg; row v of
-// the adjacency holds v's kept in-edges in the ascending sender id order
-// keepInEdges returns them in. Every row
-// therefore sums its terms in one order whichever block or task it lands
-// in, and a node's embedding has the same bits at any reducer count. rows
-// holds the row of each block node, in block order; X, Deg and the
-// adjacency are drawn from ws.
-func blockGraph(ws *tensor.Workspace, block []mergeNode) (b *gnn.BatchGraph, rows []int, err error) {
-	embs := make(map[int64]*wire.Embedding, len(block))
-	decode := func(id int64, state []byte) {
-		if _, ok := embs[id]; !ok && err == nil {
-			embs[id], err = wire.DecodeEmbedding(wire.NewReader(state))
-		}
-	}
-	nnz := 0
-	for _, n := range block {
-		decode(n.id, n.self)
-		for _, in := range n.kept {
-			decode(in.Src, in.State)
-		}
-		nnz += len(n.kept)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	ids := slices.Sorted(maps.Keys(embs))
-	row := make(map[int64]int, len(ids))
-	dim := 0
-	for r, id := range ids {
-		row[id] = r
-		dim = max(dim, len(embs[id].H))
-	}
-	b = &gnn.BatchGraph{X: ws.GetUninit(len(ids), dim), Deg: ws.Floats(len(ids)), EdgeFeat: make(map[[2]int][]float64)}
-	for r, id := range ids {
-		x := b.X.Row(r)
-		clear(x[copy(x, embs[id].H):])
-		b.Deg[r] = embs[id].Deg
-	}
-	adj := &sparse.CSR{NumRows: len(ids), NumCols: len(ids),
-		RowPtr: ws.Ints(len(ids) + 1), ColIdx: ws.Ints(nnz), Val: ws.Floats(nnz)}
-	rows = ws.Ints(len(block))
-	for i, n := range block {
-		rows[i] = row[n.id]
-		adj.RowPtr[rows[i]+1] = len(n.kept)
-	}
-	for r := range ids {
-		adj.RowPtr[r+1] += adj.RowPtr[r]
-	}
-	for i, n := range block {
-		v, at := rows[i], adj.RowPtr[rows[i]]
-		for j, in := range n.kept {
-			u := row[in.Src]
-			adj.ColIdx[at+j], adj.Val[at+j] = u, in.W
-			if len(in.EFeat) > 0 {
-				b.EdgeFeat[[2]int{v, u}] = in.EFeat
-			}
-		}
-	}
-	b.Adj = adj
-	return b, rows, nil
 }
 
 // predictReducer applies the prediction slice to each node's final

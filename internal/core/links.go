@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 
 	"agl/internal/gnn"
@@ -127,33 +128,23 @@ type LinkBatch struct {
 	Negatives int
 }
 
-// AssembleLinkBatch merges decoded LinkRecords into a single LinkBatch.
-// When rng is non-nil, negPerPos uniform negatives are sampled per positive
+// AssembleLinkBatchWS merges decoded LinkRecords into a single LinkBatch,
+// with the batch graph drawn from a per-step workspace (nil allocates);
+// Labels stay heap-allocated for callers that outlive the workspace. When
+// rng is non-nil, negPerPos uniform negatives are sampled per positive
 // record at batch-assembly time (the GraphSAGE/GiGL in-batch scheme): the
 // source endpoint is kept and the destination is drawn uniformly from the
 // batch's node rows, skipping pairs that exist as batch edges or positive
 // pairs. Evaluation callers pass a nil rng and pre-materialized negatives.
-func AssembleLinkBatch(recs []*wire.LinkRecord, negPerPos int, rng *rand.Rand) (*LinkBatch, error) {
-	return AssembleLinkBatchWS(nil, recs, negPerPos, rng)
-}
-
-// AssembleLinkBatchWS is AssembleLinkBatch with the batch feature matrix X
-// drawn from a per-step workspace (nil allocates). Labels stay
-// heap-allocated for callers that outlive the workspace.
 func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPos int, rng *rand.Rand) (*LinkBatch, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("core: empty link batch")
 	}
-	sgs := make([]*wire.Subgraph, len(recs))
-	for i, rec := range recs {
-		sgs[i] = rec.SG
-	}
-	m, err := mergeSubgraphs(ws, sgs)
+	g, nodeIDs, err := recordBatch(ws, recs, func(r *wire.LinkRecord) *wire.Subgraph { return r.SG })
 	if err != nil {
 		return nil, err
 	}
-	nodeIDs := m.nodeIDs
-	b := &LinkBatch{NodeIDs: nodeIDs}
+	b := &LinkBatch{Graph: g, NodeIDs: nodeIDs}
 	posSeen := make(map[[2]int64]bool, len(recs))
 	var labels []float64
 	addPair := func(srcRow, dstRow int, srcID, dstID int64, label float64) {
@@ -163,8 +154,8 @@ func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPo
 		labels = append(labels, label)
 	}
 	for _, rec := range recs {
-		si, ok1 := m.row[rec.Src]
-		di, ok2 := m.row[rec.Dst]
+		si, ok1 := slices.BinarySearch(nodeIDs, rec.Src)
+		di, ok2 := slices.BinarySearch(nodeIDs, rec.Dst)
 		if !ok1 || !ok2 {
 			return nil, fmt.Errorf("core: pair (%d,%d) endpoints missing from merged subgraph", rec.Src, rec.Dst)
 		}
@@ -173,12 +164,18 @@ func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPo
 		}
 		addPair(si, di, rec.Src, rec.Dst, float64(rec.Label))
 	}
+	// hasEdge: a binary search of dst's CSR row, whose sources ascend.
+	hasEdge := func(dst, src int) bool {
+		cols, _ := g.Adj.Row(dst)
+		_, ok := slices.BinarySearch(cols, src)
+		return ok
+	}
 	if rng != nil && negPerPos > 0 && len(nodeIDs) > 1 {
 		for _, rec := range recs {
 			if rec.Label == 0 {
 				continue
 			}
-			si := m.row[rec.Src]
+			si, _ := slices.BinarySearch(nodeIDs, rec.Src)
 			for k := 0; k < negPerPos; k++ {
 				for attempt := 0; attempt < 10; attempt++ {
 					di := rng.Intn(len(nodeIDs))
@@ -189,7 +186,7 @@ func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPo
 					// datagen.Links' negative sampling).
 					if di == si ||
 						posSeen[[2]int64{rec.Src, dstID}] || posSeen[[2]int64{dstID, rec.Src}] ||
-						m.edges[[2]int64{rec.Src, dstID}] || m.edges[[2]int64{dstID, rec.Src}] {
+						hasEdge(di, si) || hasEdge(si, di) {
 						continue
 					}
 					addPair(si, di, rec.Src, dstID, 0)
@@ -201,17 +198,8 @@ func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPo
 	}
 	// Every endpoint row (including sampled negatives) is a pruning target:
 	// its embedding must survive all K layers.
-	var targets []int
-	seenT := make(map[int]bool, len(b.SrcRows)*2)
-	for _, rows := range [][]int{b.SrcRows, b.DstRows} {
-		for _, r := range rows {
-			if !seenT[r] {
-				seenT[r] = true
-				targets = append(targets, r)
-			}
-		}
-	}
-	b.Graph = m.graph(targets)
+	g.Targets = slices.Compact(slices.Sorted(slices.Values(slices.Concat(b.SrcRows, b.DstRows))))
+	g.Dist = gnn.ComputeDistances(g.Adj, g.Targets)
 	b.Labels = tensor.FromSlice(len(labels), 1, labels)
 	return b, nil
 }

@@ -317,7 +317,7 @@ func TestAssembleLinkBatchNegativeSampling(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(3))
-	b, err := AssembleLinkBatch(recs, 2, rng)
+	b, err := AssembleLinkBatchWS(nil, recs, 2, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestAssembleLinkBatchNegativeSampling(t *testing.T) {
 		}
 	}
 	// Without an rng no negatives appear (evaluation mode).
-	b2, err := AssembleLinkBatch(recs, 2, nil)
+	b2, err := AssembleLinkBatchWS(nil, recs, 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

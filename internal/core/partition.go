@@ -168,9 +168,6 @@ func (m PartitionManifest) check() error {
 	return nil
 }
 
-// Manifest returns the dataset's manifest.
-func (p *PartitionSet) Manifest() PartitionManifest { return p.man }
-
 // NumPartitions returns the partition count.
 func (p *PartitionSet) NumPartitions() int { return p.man.Partitions }
 

@@ -72,8 +72,8 @@ func TestPartitionedFlattenMatchesUnpartitioned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != parts.Manifest().Counts[i] {
-			t.Fatalf("partition %d: %d records, manifest says %d", i, len(recs), parts.Manifest().Counts[i])
+		if len(recs) != parts.man.Counts[i] {
+			t.Fatalf("partition %d: %d records, manifest says %d", i, len(recs), parts.man.Counts[i])
 		}
 		for _, rec := range recs {
 			tr, err := wire.DecodeTrainRecord(rec)
@@ -155,7 +155,7 @@ func FuzzOpenPartitions(f *testing.F) {
 		if err != nil {
 			return
 		}
-		man := parts.Manifest()
+		man := parts.man
 		left := man.Records
 		for i, c := range man.Counts {
 			if c < 0 || c > left {
@@ -423,7 +423,7 @@ func TestPartitionSetFirstAndLoadBounds(t *testing.T) {
 	}
 	var want []byte
 	for i := 0; i < parts.NumPartitions(); i++ {
-		if parts.Manifest().Counts[i] == 0 {
+		if parts.man.Counts[i] == 0 {
 			continue
 		}
 		recs, err := parts.Load(i)

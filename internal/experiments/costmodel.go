@@ -35,16 +35,6 @@ func MemGBMin(bytes int64, d time.Duration) float64 {
 	return float64(bytes) / 1e9 * d.Minutes()
 }
 
-// JobCosts folds a job's wall time, summed busy time and peak working-set
-// estimate into Costs.
-func JobCosts(wall, busy time.Duration, peakBytes int64) Costs {
-	return Costs{
-		Wall:       wall,
-		CPUCoreMin: CPUCoreMin(busy),
-		MemGBMin:   MemGBMin(peakBytes, wall),
-	}
-}
-
 // SpeedupModel predicts training speedup versus worker count.
 type SpeedupModel struct {
 	// BatchCompute is the measured pure model-compute time of one

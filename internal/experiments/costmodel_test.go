@@ -13,10 +13,6 @@ func TestCostConversions(t *testing.T) {
 	if got := MemGBMin(2e9, time.Minute); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("MemGBMin=%v", got)
 	}
-	c := JobCosts(time.Minute, 3*time.Minute, 1e9)
-	if c.CPUCoreMin != 3 || math.Abs(c.MemGBMin-1) > 1e-9 {
-		t.Fatalf("JobCosts: %+v", c)
-	}
 }
 
 func TestSpeedupMonotonicAndSubLinear(t *testing.T) {

@@ -40,13 +40,12 @@ type Layer interface {
 // ApplyDense computes a dense layer's output for a single row vector
 // without touching the layer's forward cache, so concurrent callers can
 // share one prediction slice: GraphInfer's prediction round, the serving
-// warm path and the MLP edge head. Its sums start from the bias and skip
-// zero inputs, so a logit may differ from nn.Dense.Forward's in the last
-// bits; GraphInfer's scores and the warm-served ones agree bit for bit
-// because both go through it.
+// warm path and the MLP edge head. Like nn.Dense.Forward it sums the
+// products in input order and adds the bias last, so its logits equal the
+// batch forward pass's bit for bit (with finite weights a zero input adds
+// nothing either way).
 func ApplyDense(d *nn.Dense, h []float64) []float64 {
 	out := make([]float64, d.W.W.Cols)
-	copy(out, d.B.W.Row(0))
 	for i, v := range h {
 		if v == 0 {
 			continue
@@ -55,6 +54,9 @@ func ApplyDense(d *nn.Dense, h []float64) []float64 {
 		for j, w := range row {
 			out[j] += v * w
 		}
+	}
+	for j, b := range d.B.W.Row(0) {
+		out[j] += b
 	}
 	return out
 }

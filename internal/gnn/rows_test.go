@@ -84,7 +84,9 @@ func TestPrunedRowsNeverReadUnlistedRows(t *testing.T) {
 						h = m.drops[i].Forward(ws, h)
 						h = layer.Forward(ws, prep.Aggs[i], prep.Rows[i], poisonRows(ws, h, prep.Rows[i].In))
 					}
-					logits := m.Head.Forward(ws, h.RowsSubset(b.Targets))
+					emb := ws.GetUninit(len(b.Targets), h.Cols)
+					h.RowsSubsetInto(emb, b.Targets)
+					logits := m.Head.Forward(ws, emb)
 					_, dl := nn.SoftmaxCrossEntropy(logits, labels)
 					dh := ws.Get(h.Rows, h.Cols)
 					tensor.ScatterRowsAdd(dh, m.Head.Backward(ws, dl), b.Targets)

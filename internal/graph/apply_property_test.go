@@ -113,7 +113,7 @@ func equalsBuild(t *testing.T, what string, g *Graph, tb tables) {
 			t.Fatalf("%s: edge %d->%d is %+v, rebuild has %+v", what, e.Src, e.Dst, got[key{e.Src, e.Dst}], e)
 		}
 	}
-	if !reflect.DeepEqual(g.InDegrees(), want.InDegrees()) || !reflect.DeepEqual(g.OutDegrees(), want.OutDegrees()) {
+	if !reflect.DeepEqual(g.InDegrees(), want.InDegrees()) || !reflect.DeepEqual(outDegrees(g), outDegrees(want)) {
 		t.Fatalf("%s: degrees differ from the rebuild", what)
 	}
 	if !reflect.DeepEqual(g.CSR(), want.CSR()) {

@@ -203,9 +203,6 @@ func (g *Graph) CSR() *sparse.CSR {
 // InDegrees returns the (unweighted) in-degree of every node by dense index.
 func (g *Graph) InDegrees() []int { return g.degrees(func(e Edge) int64 { return e.Dst }) }
 
-// OutDegrees returns the (unweighted) out-degree of every node by dense index.
-func (g *Graph) OutDegrees() []int { return g.degrees(func(e Edge) int64 { return e.Src }) }
-
 func (g *Graph) degrees(end func(Edge) int64) []int {
 	deg := make([]int, len(g.Nodes))
 	for _, e := range g.EdgeTable() {

@@ -77,10 +77,14 @@ func TestCSROrientation(t *testing.T) {
 	}
 }
 
+// outDegrees returns the (unweighted) out-degree of every node by dense
+// index.
+func outDegrees(g *Graph) []int { return g.degrees(func(e Edge) int64 { return e.Src }) }
+
 func TestDegrees(t *testing.T) {
 	g := testGraph(t)
 	in := g.InDegrees()
-	out := g.OutDegrees()
+	out := outDegrees(g)
 	if in[g.MustIndex(20)] != 1 || out[g.MustIndex(10)] != 1 {
 		t.Fatalf("degrees wrong: in=%v out=%v", in, out)
 	}

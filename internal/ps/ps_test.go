@@ -216,7 +216,8 @@ func TestDistributedConvergence(t *testing.T) {
 	nSamples := 200
 	X := tensor.New(nSamples, dim)
 	X.RandFill(rng, 1)
-	y := tensor.MatMulNew(X, trueW)
+	y := tensor.New(nSamples, 1)
+	tensor.MatMul(y, X, trueW)
 
 	global := nn.NewParamSet(nn.NewParam("w", dim, 1))
 	c := NewCluster(1, global, func() nn.Optimizer { return nn.NewAdam(0.02) }, Async)

@@ -739,12 +739,17 @@ func ctxFor(deadlineNanos int64) (context.Context, context.CancelFunc) {
 // costs one hop per owning peer however many ids it names, and an epoch
 // bounce or ErrPeerDown re-routes only the group that met it (retryRoute,
 // which refreshes the table); any other whole-call error fails the group.
-func gather[T, R any](ctx context.Context, r *Replica, nodes []int64, method string,
+// t, when set, routes the first attempt: a group's is the table that split
+// it, so a table another group's bounce installed meanwhile neither splits
+// nor re-stamps it. Later attempts read the replica's table.
+func gather[T, R any](ctx context.Context, r *Replica, t *placement.Table, nodes []int64, method string,
 	local func(context.Context, []int64) ([]T, []error), unpack func(*R) ([]T, []error),
 ) ([]T, []error) {
 	var err error
 	for attempt := 0; len(nodes) > 0; attempt++ {
-		t := r.Table()
+		if attempt > 0 || t == nil {
+			t = r.Table()
+		}
 		if t == nil {
 			err = errors.New("serve: replica has no placement table")
 			break
@@ -771,7 +776,7 @@ func gather[T, R any](ctx context.Context, r *Replica, nodes []int64, method str
 					for k, i := range pos {
 						ids[k] = nodes[i]
 					}
-					vals, perr := gather(ctx, r, ids, method, local, unpack)
+					vals, perr := gather(ctx, r, t, ids, method, local, unpack)
 					for k, i := range pos {
 						out[i], errs[i] = vals[k], perr[k]
 					}
@@ -823,7 +828,7 @@ func (r *Replica) Score(ctx context.Context, node int64) ([]float64, error) {
 // Replica.Score call carrying all of its ids. Same positional contract as
 // Server.ScoreMany, each error typed as its owner returned it.
 func (r *Replica) ScoreMany(ctx context.Context, nodes []int64) ([][]float64, []error) {
-	return gather(ctx, r, nodes, "Replica.Score", r.srv.ScoreMany,
+	return gather(ctx, r, nil, nodes, "Replica.Score", r.srv.ScoreMany,
 		func(reply *ScoreReply) ([][]float64, []error) {
 			return reply.Scores, errsFromWire(reply.Errs, len(reply.Scores))
 		})
@@ -832,7 +837,7 @@ func (r *Replica) ScoreMany(ctx context.Context, nodes []int64) ([][]float64, []
 // embedRows gathers endpoint rows from their owners (local or remote) in
 // the owners' stored codecs: one Replica.Embed call per remote owner.
 func (r *Replica) embedRows(ctx context.Context, nodes []int64) ([]Row, []error) {
-	return gather(ctx, r, nodes, "Replica.Embed", r.srv.embedRows,
+	return gather(ctx, r, nil, nodes, "Replica.Embed", r.srv.embedRows,
 		func(reply *EmbedReply) ([]Row, []error) {
 			rows := make([]Row, len(reply.Rows))
 			for i, w := range reply.Rows {

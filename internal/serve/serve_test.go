@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"testing"
 
@@ -110,123 +109,176 @@ func TestStoreLookupAndRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWarmPathMatchesGraphInfer: scores served off the embedding store must
-// equal the offline GraphInfer scores — both apply the same prediction
-// slice to the same layer-K embedding.
-func TestWarmPathMatchesGraphInfer(t *testing.T) {
-	g, model, res := testGraph(t)
-	store, err := NewStore(8, res.Embeddings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Seed: 4}, model, g, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+// contractKinds are the model kinds the serving contract tests run over.
+var contractKinds = []string{gnn.KindGCN, gnn.KindSAGE, gnn.KindGAT, gnn.KindGIN}
 
-	for _, n := range g.Nodes[:50] {
-		got, err := srv.Score(context.Background(), n.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := res.Scores[n.ID]
-		if math.Abs(got[0]-want[0]) > 1e-12 {
-			t.Fatalf("node %d: serve %v offline %v", n.ID, got[0], want[0])
+// contractModel builds a two-layer model of kind over g with every weight
+// and bias set to a random nonzero value, so a bias added in another order
+// or a row summed in another order shows in the last bits.
+func contractModel(t *testing.T, g *graph.Graph, kind string) *gnn.Model {
+	t.Helper()
+	model, err := gnn.NewModel(gnn.Config{
+		Kind: kind, InDim: g.FeatureDim(), Hidden: 8, Classes: 1,
+		Layers: 2, Act: nn.ActTanh, Heads: 2, Seed: 21,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, p := range model.Params().List() {
+		for i := range p.W.Data {
+			p.W.Data[i] = rng.NormFloat64()*0.5 + 0.01
 		}
 	}
-	st := srv.Stats()
-	if st.Warm == 0 || st.Cold != 0 {
-		t.Fatalf("expected all-warm serving, got %+v", st)
+	return model
+}
+
+// contractInfer runs GraphInfer over g with cfg, keeping the embeddings.
+func contractInfer(t *testing.T, g *graph.Graph, model *gnn.Model, cfg core.InferConfig) *core.InferResult {
+	t.Helper()
+	cfg.TempDir, cfg.KeepEmbeddings = t.TempDir(), true
+	res, err := core.Infer(cfg, model, mapreduce.MemInput(core.TableRecords(g)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestWarmPathMatchesGraphInfer: scores served off the embedding store
+// equal the offline GraphInfer scores bit for bit — both apply the same
+// prediction slice to the same layer-K embedding — and those equal the
+// original per-node module's (one GraphFeature, one forward pass each),
+// whose prediction layer runs as nn.Dense.Forward.
+func TestWarmPathMatchesGraphInfer(t *testing.T) {
+	g, _, _ := testGraph(t)
+	for _, kind := range contractKinds {
+		t.Run(kind, func(t *testing.T) {
+			model := contractModel(t, g, kind)
+			res := contractInfer(t, g, model, core.InferConfig{Seed: 4})
+			orig, err := core.OriginalInfer(core.FlatConfig{Hops: 2, Seed: 4, TempDir: t.TempDir()},
+				model, mapreduce.MemInput(core.TableRecords(g)), g.IDs())
+			if err != nil {
+				t.Fatal(err)
+			}
+			store, err := NewStore(8, res.Embeddings)
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv, err := New(Config{Seed: 4}, model, g, store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			for _, n := range g.Nodes {
+				got, err := srv.Score(context.Background(), n.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want := res.Scores[n.ID]; got[0] != want[0] {
+					t.Fatalf("node %d: serve %v offline %v", n.ID, got[0], want[0])
+				}
+				if want := orig.Scores[n.ID]; got[0] != want[0] {
+					t.Fatalf("node %d: serve %v original module %v", n.ID, got[0], want[0])
+				}
+			}
+			if st := srv.Stats(); st.Warm == 0 || st.Cold != 0 {
+				t.Fatalf("expected all-warm serving, got %+v", st)
+			}
+		})
 	}
 }
 
 // TestColdPathMatchesGraphInfer: with no store, the request-time k-hop
-// extraction plus one forward pass must reproduce the offline scores
-// (sampling disabled, so the neighborhoods are information-complete).
+// extraction plus one forward pass reproduces the offline scores bit for
+// bit (sampling disabled, so the neighborhoods are information-complete):
+// both vectorize through the one batch builder, whose rows and in-edges
+// ascend by id.
 func TestColdPathMatchesGraphInfer(t *testing.T) {
-	g, model, res := testGraph(t)
-	srv, err := New(Config{Seed: 4, MaxBatch: 16}, model, g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	ids := make([]int64, 0, 40)
-	for _, n := range g.Nodes[:40] {
-		ids = append(ids, n.ID)
-	}
-	scores, errs := srv.ScoreMany(context.Background(), ids)
-	if err := errors.Join(errs...); err != nil {
-		t.Fatal(err)
-	}
-	for i, id := range ids {
-		want := res.Scores[id]
-		if math.Abs(scores[i][0]-want[0]) > 1e-9 {
-			t.Fatalf("node %d: cold serve %v offline %v", id, scores[i][0], want[0])
-		}
-	}
-	st := srv.Stats()
-	if st.Cold == 0 || st.Warm != 0 {
-		t.Fatalf("expected all-cold serving, got %+v", st)
+	g, _, _ := testGraph(t)
+	for _, kind := range contractKinds {
+		t.Run(kind, func(t *testing.T) {
+			model := contractModel(t, g, kind)
+			res := contractInfer(t, g, model, core.InferConfig{Seed: 4})
+			srv, err := New(Config{Seed: 4, MaxBatch: 16}, model, g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			ids := make([]int64, 0, len(g.Nodes))
+			for _, n := range g.Nodes {
+				ids = append(ids, n.ID)
+			}
+			scores, errs := srv.ScoreMany(context.Background(), ids)
+			if err := errors.Join(errs...); err != nil {
+				t.Fatal(err)
+			}
+			for i, id := range ids {
+				if want := res.Scores[id]; scores[i][0] != want[0] {
+					t.Fatalf("node %d: cold serve %v offline %v", id, scores[i][0], want[0])
+				}
+			}
+			if st := srv.Stats(); st.Cold == 0 || st.Warm != 0 {
+				t.Fatalf("expected all-cold serving, got %+v", st)
+			}
+		})
 	}
 }
 
 // TestWarmAndColdAgreeUnderSampling: GraphInfer and the request-time
 // extraction keep the same sampled in-edges for every node (same
-// MaxNeighbors, Strategy and Seed), so the score of a node is the same
-// whether it is served off a store built by Infer — here with every sampled
-// node re-indexed as a hub — or computed cold.
+// MaxNeighbors, Strategy and Seed), so the score of a node is the same bits
+// whether it is served off a store built by Infer — here with every
+// sampled node re-indexed as a hub — or computed cold.
 func TestWarmAndColdAgreeUnderSampling(t *testing.T) {
-	g, model, _ := testGraph(t)
+	g, _, _ := testGraph(t)
 	const seed = 17
-	res, err := core.Infer(core.InferConfig{MaxNeighbors: 3, Strategy: sampling.Weighted{}, Seed: seed, HubThreshold: 3,
-		TempDir: t.TempDir(), KeepEmbeddings: true}, model, mapreduce.MemInput(core.TableRecords(g)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := NewStore(8, res.Embeddings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{MaxNeighbors: 3, Strategy: sampling.Weighted{}, Seed: seed}
-	warm, err := New(cfg, model, g, store)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-	cold, err := New(cfg, model, g, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Close()
-
 	inDeg := map[int64]int{}
 	for _, e := range g.Edges {
 		inDeg[e.Dst]++
 	}
-	sampled := 0
-	for _, n := range g.Nodes {
-		if inDeg[n.ID] > 3 {
-			sampled++
-		}
-		w, err := warm.Score(context.Background(), n.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := cold.Score(context.Background(), n.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(w[0]-c[0]) > 1e-9 {
-			t.Fatalf("node %d (in-degree %d): warm %v cold %v", n.ID, inDeg[n.ID], w[0], c[0])
-		}
-	}
-	if sampled == 0 {
-		t.Fatal("no node exceeds MaxNeighbors: the test sampled nothing")
-	}
-	if ws, cs := warm.Stats(), cold.Stats(); ws.Cold != 0 || cs.Warm != 0 {
-		t.Fatalf("expected one all-warm and one all-cold server, got %+v and %+v", ws, cs)
+	for _, kind := range contractKinds {
+		t.Run(kind, func(t *testing.T) {
+			model := contractModel(t, g, kind)
+			res := contractInfer(t, g, model, core.InferConfig{MaxNeighbors: 3, Strategy: sampling.Weighted{}, Seed: seed, HubThreshold: 3})
+			store, err := NewStore(8, res.Embeddings)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := Config{MaxNeighbors: 3, Strategy: sampling.Weighted{}, Seed: seed}
+			warm, err := New(cfg, model, g, store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer warm.Close()
+			cold, err := New(cfg, model, g, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cold.Close()
+			sampled := 0
+			for _, n := range g.Nodes {
+				if inDeg[n.ID] > 3 {
+					sampled++
+				}
+				w, err := warm.Score(context.Background(), n.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				c, err := cold.Score(context.Background(), n.ID)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if w[0] != c[0] {
+					t.Fatalf("node %d (in-degree %d): warm %v cold %v", n.ID, inDeg[n.ID], w[0], c[0])
+				}
+			}
+			if sampled == 0 {
+				t.Fatal("no node exceeds MaxNeighbors: the test sampled nothing")
+			}
+			if ws, cs := warm.Stats(), cold.Stats(); ws.Cold != 0 || cs.Warm != 0 {
+				t.Fatalf("expected one all-warm and one all-cold server, got %+v and %+v", ws, cs)
+			}
+		})
 	}
 }
 

@@ -40,8 +40,10 @@ type Config struct {
 	// FlatConfig, for the cold path's request-time neighborhood extraction.
 	// Given the values of the training run and of the GraphInfer run that
 	// built the store, a cold extraction keeps exactly the in-edges those
-	// kept for every node, so warm and cold scores of a node agree within
-	// 1e-9 under sampling too. Hops defaults to the model's layer count.
+	// kept for every node and vectorizes them through the same batch
+	// builder, so warm and cold scores of a node are equal (==) under
+	// sampling too — for GCN when the two degree sums are exact, as with
+	// integer weights. Hops defaults to the model's layer count.
 	Hops         int
 	MaxNeighbors int
 	Strategy     sampling.Strategy

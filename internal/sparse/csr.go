@@ -218,21 +218,9 @@ func (m *CSR) spmmRows(dst, x *tensor.Matrix, lo, hi int) {
 	}
 }
 
-// SpMMNew allocates and returns m @ x.
-func (m *CSR) SpMMNew(x *tensor.Matrix) *tensor.Matrix {
-	dst := tensor.New(m.NumRows, x.Cols)
-	m.SpMM(dst, x)
-	return dst
-}
-
-// FilterEdges builds a new CSR keeping only entries for which keep returns
-// true. The dimensions are unchanged: dropped rows simply become empty.
-// This is the primitive behind the paper's graph-pruning strategy.
-func (m *CSR) FilterEdges(keep func(row, col int) bool) *CSR {
-	return m.FilterEdgesWS(nil, keep)
-}
-
-// FilterEdgesWS is FilterEdges with the result arrays drawn from ws.
+// FilterEdgesWS builds a new CSR keeping only entries for which keep
+// returns true, its arrays drawn from ws (nil allocates). The dimensions
+// are unchanged: dropped rows simply become empty.
 func (m *CSR) FilterEdgesWS(ws *tensor.Workspace, keep func(row, col int) bool) *CSR {
 	rowPtr := ws.Ints(m.NumRows + 1)
 	colIdx := ws.Ints(m.NNZ())
@@ -333,11 +321,9 @@ func (m *CSR) AddSelfLoopsWS(ws *tensor.Workspace, w float64) *CSR {
 	return c
 }
 
-// RowNormalize returns a copy of m whose rows each sum to 1 (empty rows are
-// left empty). This realizes mean aggregation for GraphSAGE.
-func (m *CSR) RowNormalize() *CSR { return m.RowNormalizeWS(nil) }
-
-// RowNormalizeWS is RowNormalize with the copy's arrays drawn from ws.
+// RowNormalizeWS returns a copy of m whose rows each sum to 1 (empty rows
+// are left empty), its arrays drawn from ws (nil allocates). This realizes
+// mean aggregation for GraphSAGE.
 func (m *CSR) RowNormalizeWS(ws *tensor.Workspace) *CSR {
 	c := m.CloneWS(ws)
 	for r := 0; r < c.NumRows; r++ {

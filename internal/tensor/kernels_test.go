@@ -3,6 +3,7 @@ package tensor
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -188,11 +189,19 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	idx := []int{3, 0, 6, 3}
 	sub := New(len(idx), 5)
 	m.RowsSubsetInto(sub, idx)
-	sameBits(t, "RowsSubsetInto", sub, m.RowsSubset(idx))
+	for k, r := range idx {
+		if !slices.Equal(sub.Row(k), m.Row(r)) {
+			t.Fatalf("RowsSubsetInto row %d = %v want row %d %v", k, sub.Row(k), r, m.Row(r))
+		}
+	}
 
 	sums := make([]float64, 5)
 	m.ColSumsInto(sums)
-	for j, v := range m.ColSums() {
+	for j := range sums {
+		var v float64
+		for i := range m.Rows {
+			v += m.At(i, j)
+		}
 		if sums[j] != v {
 			t.Fatalf("ColSumsInto[%d] = %v want %v", j, sums[j], v)
 		}
@@ -307,7 +316,10 @@ func FuzzMatMulMatchesNaive(f *testing.F) {
 		wantAB, wantABT := naiveMatMul(a, b), naiveMatMulABT(a, bt)
 		wantATB := naiveMatMulATB(a, g)
 		if rows != nil {
-			wantATB = naiveMatMulATB(a.RowsSubset(rows), g.RowsSubset(rows))
+			as, gs := New(len(rows), a.Cols), New(len(rows), g.Cols)
+			a.RowsSubsetInto(as, rows)
+			g.RowsSubsetInto(gs, rows)
+			wantATB = naiveMatMulATB(as, gs)
 		}
 		defer SetParallelism(SetParallelism(0))
 		for _, par := range []int{1, 3} {

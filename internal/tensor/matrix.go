@@ -187,13 +187,6 @@ func AXPYVec(dst, src []float64, a float64) {
 	}
 }
 
-// MatMulNew allocates and returns a @ b.
-func MatMulNew(a, b *Matrix) *Matrix {
-	dst := New(a.Rows, b.Cols)
-	MatMul(dst, a, b)
-	return dst
-}
-
 // MatMulATB computes dst = aᵀ @ b. a is m×n, b is m×p, dst must be n×p.
 func MatMulATB(dst, a, b *Matrix) { MatMulATBRows(dst, a, b, nil) }
 
@@ -422,13 +415,6 @@ func (m *Matrix) AddRowVector(vec []float64) {
 	}
 }
 
-// ColSums returns the per-column sums of m (used for bias gradients).
-func (m *Matrix) ColSums() []float64 {
-	out := make([]float64, m.Cols)
-	m.ColSumsInto(out)
-	return out
-}
-
 // ColSumsInto accumulates the per-column sums of m into out (len m.Cols),
 // which the caller must have zeroed (or be accumulating into, as the bias
 // gradients do).
@@ -468,13 +454,6 @@ func EachRow(n int, rows []int) iter.Seq[int] {
 	}
 }
 
-// RowsSubset returns a new matrix containing the given rows of m, in order.
-func (m *Matrix) RowsSubset(idx []int) *Matrix {
-	out := New(len(idx), m.Cols)
-	m.RowsSubsetInto(out, idx)
-	return out
-}
-
 // RowsSubsetInto copies the given rows of m, in order, into dst
 // (len(idx)×m.Cols).
 func (m *Matrix) RowsSubsetInto(dst *Matrix, idx []int) {
@@ -498,15 +477,6 @@ func ScatterRowsAdd(dst, src *Matrix, idx []int) {
 			drow[j] += v
 		}
 	}
-}
-
-// Norm returns the Frobenius norm of m.
-func (m *Matrix) Norm() float64 {
-	var s float64
-	for _, v := range m.Data {
-		s += v * v
-	}
-	return math.Sqrt(s)
 }
 
 // MaxAbsDiff returns max_ij |a_ij - b_ij|; useful in tests.
