@@ -272,18 +272,12 @@ const (
 )
 
 // Train runs distributed parameter-server training over GraphFeature
-// records produced by Flatten, scoring cfg.Eval once on the final model.
+// records produced by Flatten, scoring cfg.Eval every cfg.EvalEvery epochs
+// (0: on the final model only) and stopping early under cfg.Patience.
 // With one worker the result is a function of cfg and the records alone,
 // byte for byte; see core.Train for the guarantee and its limit.
 func Train(cfg TrainConfig, records [][]byte) (*TrainResult, error) {
 	return core.Train(cfg, records)
-}
-
-// TrainWithHistory is Train scoring a snapshot every cfg.EvalEvery epochs
-// (convergence curves) and stopping early under cfg.Patience. It is the same
-// training run as Train: without early stopping both return the same model.
-func TrainWithHistory(cfg TrainConfig, records [][]byte) (*TrainResult, error) {
-	return core.TrainWithHistory(cfg, records)
 }
 
 // Evaluate scores a model over GraphFeature records.

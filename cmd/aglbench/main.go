@@ -29,24 +29,23 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("aglbench: ")
 
+	var opt experiments.Options
 	exp := flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments.AllExperiments, "|")+"|all")
-	quick := flag.Bool("quick", false, "CI-scale datasets and epochs")
-	seed := flag.Int64("seed", 1, "global seed")
+	flag.BoolVar(&opt.Quick, "quick", false, "CI-scale datasets and epochs")
+	flag.Int64Var(&opt.Seed, "seed", 1, "global seed")
 	verbose := flag.Bool("v", false, "progress logging")
-
 	gen := flag.String("gen", "", "write a generated UUG dataset (nodes.tsv/edges.tsv/targets.tsv) to this directory and exit")
 	genNodes := flag.Int("gen-nodes", 400, "node count for -gen")
 	genDim := flag.Int("gen-dim", 8, "feature dimension for -gen")
 	flag.Parse()
 
 	if *gen != "" {
-		if err := runGen(*gen, *genNodes, *genDim, *seed); err != nil {
+		if err := runGen(*gen, *genNodes, *genDim, opt.Seed); err != nil {
 			log.Fatal(err)
 		}
 		return
 	}
 
-	opt := experiments.Options{Quick: *quick, Seed: *seed}
 	if *verbose {
 		opt.Logf = log.Printf
 	}

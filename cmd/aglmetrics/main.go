@@ -2,9 +2,8 @@
 // the server runs with -flight) and prints it for post-hoc incident
 // diagnosis — no logs, no live server needed.
 //
-//	aglmetrics -i flight.aglfr            # summary + per-sample table
-//	aglmetrics -i flight.aglfr -last 30   # newest 30 samples only
-//	aglmetrics -i flight.aglfr -json      # one JSON object per sample
+//	aglmetrics -i flight.aglfr                 # summary + per-sample table
+//	aglmetrics -i flight.aglfr -json | tail    # one JSON object per sample
 //
 // The file is a fixed-size binary ring of per-interval counter samples
 // (queue depth, batch occupancy, shed/expired counts, warm/cold latency
@@ -28,7 +27,6 @@ func main() {
 	log.SetPrefix("aglmetrics: ")
 
 	input := flag.String("i", "", "flight-recorder file written by aglserve -flight")
-	last := flag.Int("last", 0, "print only the newest N samples (0 = all)")
 	asJSON := flag.Bool("json", false, "emit one JSON object per sample instead of the table")
 	flag.Parse()
 
@@ -42,10 +40,6 @@ func main() {
 	}
 	if len(samples) == 0 {
 		log.Fatal("flight file holds no samples yet")
-	}
-	total := len(samples)
-	if *last > 0 && len(samples) > *last {
-		samples = samples[len(samples)-*last:]
 	}
 
 	if *asJSON {
@@ -79,8 +73,8 @@ func main() {
 			worstCold = s.ColdP99us
 		}
 	}
-	fmt.Printf("flight %s: %d samples (%d retained), %s .. %s (%s)\n",
-		*input, len(samples), total,
+	fmt.Printf("flight %s: %d samples, %s .. %s (%s)\n",
+		*input, len(samples),
 		first.Format(time.RFC3339), lastT.Format(time.RFC3339),
 		lastT.Sub(first).Round(time.Second))
 	fmt.Printf("totals: %d requests, %d shed, %d expired, %d errors; max queue %d, worst cold p99 %s\n",

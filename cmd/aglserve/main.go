@@ -76,44 +76,46 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("aglserve: ")
 
+	var (
+		cfg  serve.Config
+		spec serve.StoreSpec
+		cons = serve.ConsensusConfig{Logf: log.Printf}
+	)
 	modelPath := flag.String("m", "model.agl", "trained model file")
 	nodePath := flag.String("n", "", "node table TSV")
 	edgePath := flag.String("e", "", "edge table TSV")
 	addr := flag.String("addr", ":8080", "HTTP listen address")
-	strategy := flag.String("s", "uniform", "sampling strategy (match training)")
-	maxNeighbors := flag.Int("max-neighbors", 0, "per-node in-edge cap (match training)")
-	seed := flag.Int64("seed", 1, "sampling seed (match training)")
+	flag.Func("s", "sampling strategy (match training; default uniform)", func(s string) (err error) {
+		cfg.Strategy, err = sampling.Parse(s)
+		return err
+	})
+	flag.IntVar(&cfg.MaxNeighbors, "max-neighbors", 0, "per-node in-edge cap (match training)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "sampling seed (match training)")
 	precompute := flag.Bool("precompute", true, "run GraphInfer at startup to build the embedding store")
-	storeBackend := flag.String("store-backend", "", "embedding store backend: mem (heap, default), mmap (out-of-core), or quant (int8-quantized)")
-	storeFile := flag.String("store-path", "", "open the embedding store from this file instead of precomputing")
-	storeSave := flag.String("store-save", "", "persist the embedding store to this file")
-	storeVerify := flag.Bool("store-verify", false, "run the store file's full checksum verification at startup")
-	cacheSize := flag.Int("cache", 4096, "LRU score-cache entries")
-	maxBatch := flag.Int("max-batch", 64, "micro-batch size cap")
-	maxWait := flag.Duration("max-wait", 0, "micro-batch linger: wait up to this long for batch companions (0 flushes greedily)")
-	queueDepth := flag.Int("queue", 0, "cold-path queue depth (0 selects 4*max-batch)")
-	shed := flag.Int("shed", 0, "cold requests in flight before admission control sheds with 429 (0 selects the queue depth)")
+	flag.StringVar(&spec.Backend, "store-backend", "", "embedding store backend: mem (heap, default), mmap (out-of-core), or quant (int8-quantized)")
+	flag.StringVar(&spec.Path, "store-path", "", "open the embedding store from this file instead of precomputing")
+	flag.StringVar(&spec.SavePath, "store-save", "", "persist the embedding store to this file")
+	flag.BoolVar(&spec.Verify, "store-verify", false, "run the store file's full checksum verification at startup")
+	flag.IntVar(&cfg.CacheSize, "cache", 4096, "LRU score-cache entries")
+	flag.IntVar(&cfg.MaxBatch, "max-batch", 64, "micro-batch size cap")
+	flag.DurationVar(&cfg.MaxWait, "max-wait", 0, "micro-batch linger: wait up to this long for batch companions (0 flushes greedily; else at least 1ms)")
+	flag.IntVar(&cfg.ShedThreshold, "shed", 0, "cold requests in flight before admission control sheds with 429 (0 selects 4*max-batch)")
 	deadline := flag.Duration("deadline", 0, "per-request deadline enforced end to end (0 disables; clients can only shorten it)")
-	flightPath := flag.String("flight", "", "mirror the always-on metrics ring to this flight-recorder file (read it with aglmetrics)")
-	flightInterval := flag.Duration("flight-interval", 0, "flight-recorder sampling period (0 selects 1s)")
+	flag.StringVar(&cfg.FlightPath, "flight", "", "mirror the always-on metrics ring to this flight-recorder file (read it with aglmetrics)")
+	flag.DurationVar(&cfg.FlightInterval, "flight-interval", 0, "flight-recorder sampling period (0 selects 1s)")
 	peers := flag.String("peers", "", "cluster mode: comma-separated internal RPC addresses, one per replica (index = replica id)")
 	replicaID := flag.Int("replica-id", 0, "cluster mode: this process's index into -peers")
 	slots := flag.Int("slots", placement.DefaultSlots, "cluster mode: hash-slot count (must match across replicas)")
 	placementPath := flag.String("placement", "", "cluster mode: load the slot->replica table from this file instead of the even default")
 	raftOn := flag.Bool("raft", false, "cluster mode: replicate the placement table through a raft log, with leader-driven failure detection and automatic slot failover")
-	raftDir := flag.String("raft-dir", "", "cluster mode: directory for this replica's raft WAL (empty runs without persistence — crash-restart then forgets votes and log)")
-	suspectAfter := flag.Duration("suspect-after", 2*time.Second, "cluster mode: heartbeat-reply age at which a peer is counted suspect")
-	deadAfter := flag.Duration("dead-after", 5*time.Second, "cluster mode: heartbeat-reply age at which a peer is declared dead and its slots fail over")
+	flag.StringVar(&cons.WALDir, "raft-dir", "", "cluster mode: directory for this replica's raft WAL (empty runs without persistence — crash-restart then forgets votes and log)")
+	flag.DurationVar(&cons.SuspectAfter, "suspect-after", 2*time.Second, "cluster mode: heartbeat-reply age at which a peer is counted suspect")
+	flag.DurationVar(&cons.DeadAfter, "dead-after", 5*time.Second, "cluster mode: heartbeat-reply age at which a peer is declared dead and its slots fail over")
 	flag.Parse()
 
 	if *nodePath == "" || *edgePath == "" {
 		flag.Usage()
 		os.Exit(2)
-	}
-
-	spec := serve.StoreSpec{
-		Backend: *storeBackend, Path: *storeFile,
-		Verify: *storeVerify, SavePath: *storeSave,
 	}
 	if err := spec.Validate(); err != nil {
 		log.Fatal(err)
@@ -128,10 +130,6 @@ func main() {
 		log.Fatal(err)
 	}
 	g, err := graph.LoadTables(*nodePath, *edgePath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	strat, err := sampling.Parse(*strategy)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -166,7 +164,7 @@ func main() {
 		computed := 0
 		if spec.Path == "" {
 			res, err := core.Infer(core.InferConfig{
-				MaxNeighbors: *maxNeighbors, Strategy: strat, Seed: *seed, KeepEmbeddings: true,
+				MaxNeighbors: cfg.MaxNeighbors, Strategy: cfg.Strategy, Seed: cfg.Seed, KeepEmbeddings: true,
 			}, model, mapreduce.MemInput(core.TableRecords(g)))
 			if err != nil {
 				log.Fatal(err)
@@ -209,12 +207,7 @@ func main() {
 		}
 	}
 
-	srv, err := serve.New(serve.Config{
-		MaxNeighbors: *maxNeighbors, Strategy: strat, Seed: *seed,
-		CacheSize: *cacheSize, MaxBatch: *maxBatch, MaxWait: *maxWait,
-		QueueDepth: *queueDepth, ShedThreshold: *shed,
-		FlightPath: *flightPath, FlightInterval: *flightInterval,
-	}, model, g, store)
+	srv, err := serve.New(cfg, model, g, store)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -237,16 +230,11 @@ func main() {
 			*replicaID, len(peerList), rep.Addr(), table.Epoch,
 			len(table.SlotsOf(*replicaID)), table.Slots())
 		if *raftOn {
-			if err := rep.EnableConsensus(serve.ConsensusConfig{
-				WALDir:       *raftDir,
-				SuspectAfter: *suspectAfter,
-				DeadAfter:    *deadAfter,
-				Logf:         log.Printf,
-			}); err != nil {
+			if err := rep.EnableConsensus(cons); err != nil {
 				log.Fatal(err)
 			}
 			log.Printf("raft-backed placement on (wal dir %q, suspect after %s, dead after %s)",
-				*raftDir, *suspectAfter, *deadAfter)
+				cons.WALDir, cons.SuspectAfter, cons.DeadAfter)
 		}
 	}
 	if *raftOn && !clusterMode {

@@ -28,18 +28,22 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("graphflat: ")
 
+	var cfg core.FlatConfig
 	nodePath := flag.String("n", "", "node table TSV (id<TAB>f1,f2,...)")
 	edgePath := flag.String("e", "", "edge table TSV (src<TAB>dst<TAB>weight)")
 	targetPath := flag.String("t", "", "target table TSV (id<TAB>label); default: all nodes")
 	pairPath := flag.String("p", "", "pair target TSV (src<TAB>dst<TAB>label) for link prediction; emits LinkRecords instead of node records")
-	hops := flag.Int("hops", 2, "neighborhood radius K")
-	strategy := flag.String("s", "uniform", "sampling strategy: uniform|weighted|topk")
-	maxNeighbors := flag.Int("max-neighbors", 0, "per-node in-edge cap (0 = unlimited)")
-	hubThreshold := flag.Int("hub-threshold", 0, "re-indexing threshold (0 = disabled)")
-	seed := flag.Int64("seed", 1, "sampling seed")
-	reducers := flag.Int("reducers", 8, "reduce partitions")
-	partitions := flag.Int("partitions", 1, "part files the output is hash-partitioned into by target id; graphtrainer and graphinfer -flat hold about two partitions in memory at once")
-	spill := flag.Bool("spill", false, "spill intermediate rounds to disk instead of RAM")
+	flag.IntVar(&cfg.Hops, "hops", 2, "neighborhood radius K")
+	flag.Func("s", "sampling strategy: uniform|weighted|topk (default uniform)", func(s string) (err error) {
+		cfg.Strategy, err = sampling.Parse(s)
+		return err
+	})
+	flag.IntVar(&cfg.MaxNeighbors, "max-neighbors", 0, "per-node in-edge cap (0 = unlimited)")
+	flag.IntVar(&cfg.HubThreshold, "hub-threshold", 0, "re-indexing threshold (0 = disabled)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "sampling seed")
+	flag.IntVar(&cfg.NumReducers, "reducers", 8, "reduce partitions")
+	flag.IntVar(&cfg.Partitions, "partitions", 1, "part files the output is hash-partitioned into by target id; graphtrainer and graphinfer -flat hold about two partitions in memory at once")
+	flag.BoolVar(&cfg.SpillRounds, "spill", false, "spill intermediate rounds to disk instead of RAM")
 	out := flag.String("o", "graphfeatures", "output dataset directory")
 	flag.Parse()
 
@@ -52,13 +56,12 @@ func main() {
 		log.Fatal(err)
 	}
 	var targets map[int64]core.Target
-	var pairs []core.EdgeTarget
 	if *pairPath != "" {
 		if *targetPath != "" {
 			log.Fatal("-t and -p are mutually exclusive (node vs edge targets)")
 		}
-		pairs, err = loadPairs(*pairPath)
-		if err == nil && len(pairs) == 0 {
+		cfg.EdgeTargets, err = loadPairs(*pairPath)
+		if err == nil && len(cfg.EdgeTargets) == 0 {
 			// Without this, an empty pair table would silently fall back to
 			// node-target mode and emit 0 records.
 			log.Fatalf("pair table %s holds no pairs", *pairPath)
@@ -69,31 +72,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	strat, err := sampling.Parse(*strategy)
-	if err != nil {
+	if cfg.Output, err = dfs.Create(*out); err != nil {
 		log.Fatal(err)
 	}
-	outDir, err := dfs.Create(*out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	res, err := core.Flatten(core.FlatConfig{
-		Hops:         *hops,
-		MaxNeighbors: *maxNeighbors,
-		Strategy:     strat,
-		Seed:         *seed,
-		HubThreshold: *hubThreshold,
-		NumReducers:  *reducers,
-		Output:       outDir,
-		EdgeTargets:  pairs,
-		Partitions:   *partitions,
-		SpillRounds:  *spill,
-	}, mapreduce.MemInput(core.TableRecords(g)), targets)
+	res, err := core.Flatten(cfg, mapreduce.MemInput(core.TableRecords(g)), targets)
 	if err != nil {
 		log.Fatal(err)
 	}
 	kind := "GraphFeature"
-	if len(pairs) > 0 {
+	if len(cfg.EdgeTargets) > 0 {
 		kind = "LinkRecord"
 	}
 	fmt.Printf("graph: %d nodes, %d edges; hubs re-indexed: %d\n",

@@ -30,16 +30,20 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("graphinfer: ")
 
+	var cfg core.InferConfig
 	modelPath := flag.String("m", "model.agl", "trained model file")
 	nodePath := flag.String("n", "", "node table TSV")
 	edgePath := flag.String("e", "", "edge table TSV")
 	flatPath := flag.String("flat", "", "graphflat output dataset to score one partition at a time (bounded memory); replaces -n/-e")
 	batch := flag.Int("batch", 256, "scoring batch size (-flat mode)")
-	strategy := flag.String("s", "uniform", "sampling strategy (match training)")
-	maxNeighbors := flag.Int("max-neighbors", 0, "per-node in-edge cap (match training)")
-	hubThreshold := flag.Int("hub-threshold", 0, "re-indexing threshold: shuffle layout only (0 = disabled)")
-	seed := flag.Int64("seed", 1, "sampling seed (match training)")
-	reducers := flag.Int("reducers", 8, "reduce partitions")
+	flag.Func("s", "sampling strategy (match training; default uniform)", func(s string) (err error) {
+		cfg.Strategy, err = sampling.Parse(s)
+		return err
+	})
+	flag.IntVar(&cfg.MaxNeighbors, "max-neighbors", 0, "per-node in-edge cap (match training)")
+	flag.IntVar(&cfg.HubThreshold, "hub-threshold", 0, "re-indexing threshold: shuffle layout only (0 = disabled)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "sampling seed (match training)")
+	flag.IntVar(&cfg.NumReducers, "reducers", 8, "reduce partitions")
 	out := flag.String("o", "scores.tsv", "output scores TSV (id<TAB>score...)")
 	flag.Parse()
 
@@ -64,18 +68,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	strat, err := sampling.Parse(*strategy)
-	if err != nil {
-		log.Fatal(err)
-	}
-
-	res, err := core.Infer(core.InferConfig{
-		MaxNeighbors: *maxNeighbors,
-		Strategy:     strat,
-		Seed:         *seed,
-		HubThreshold: *hubThreshold,
-		NumReducers:  *reducers,
-	}, model, mapreduce.MemInput(core.TableRecords(g)))
+	res, err := core.Infer(cfg, model, mapreduce.MemInput(core.TableRecords(g)))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -25,41 +25,61 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("graphtrainer: ")
 
-	modelName := flag.String("m", "gcn", "model: gcn|sage|gat|gin")
+	cfg := core.TrainConfig{Model: gnn.Config{Act: nn.ActReLU}, Logf: log.Printf}
+	flag.StringVar(&cfg.Model.Kind, "m", "gcn", "model: gcn|sage|gat|gin")
 	input := flag.String("i", "graphfeatures", "input dataset directory (graphflat output)")
 	evalInput := flag.String("eval", "", "optional eval dataset directory (graphflat output)")
-	loss := flag.String("loss", "ce", "loss: ce|bce")
-	metric := flag.String("metric", "accuracy", "eval metric: accuracy|f1|auc")
-	hidden := flag.Int("hidden", 16, "embedding dimension")
-	classes := flag.Int("classes", 2, "output classes (1 for binary BCE)")
-	layers := flag.Int("layers", 2, "GNN layers K")
-	heads := flag.Int("heads", 1, "attention heads (gat)")
-	dropout := flag.Float64("dropout", 0.1, "dropout rate")
-	batch := flag.Int("batch", 64, "batch size")
-	epochs := flag.Int("epochs", 10, "training epochs")
-	lr := flag.Float64("lr", 0.01, "Adam learning rate")
-	workers := flag.Int("workers", 1, "training workers")
-	shards := flag.Int("ps", 1, "parameter-server shards")
-	mode := flag.String("mode", "async", "consistency: async|sync")
-	strategy := flag.String("t", "pipeline,pruning,partition", "train strategy: comma list of pipeline,pruning,partition")
-	edgeHead := flag.String("edge-head", "", "link prediction: pairwise head dot|bilinear|mlp; input must be graphflat -p LinkRecords")
-	negRatio := flag.Int("neg-ratio", 0, "negatives sampled per positive pair at batch time (link mode; 0 selects 1)")
-	seed := flag.Int64("seed", 1, "seed")
+	flag.Func("loss", "loss: ce|bce (default ce)", choice(&cfg.Loss,
+		map[string]core.LossKind{"ce": core.LossCE, "bce": core.LossBCE}))
+	flag.Func("metric", "eval metric: accuracy|f1|auc (default accuracy)", choice(&cfg.EvalMetric,
+		map[string]core.MetricKind{"accuracy": core.MetricAccuracy, "f1": core.MetricMicroF1, "auc": core.MetricAUC}))
+	flag.IntVar(&cfg.Model.Hidden, "hidden", 16, "embedding dimension")
+	flag.IntVar(&cfg.Model.Classes, "classes", 2, "output classes (1 for binary BCE)")
+	flag.IntVar(&cfg.Model.Layers, "layers", 2, "GNN layers K")
+	flag.IntVar(&cfg.Model.Heads, "heads", 1, "attention heads (gat)")
+	flag.Float64Var(&cfg.Model.Dropout, "dropout", 0.1, "dropout rate")
+	flag.IntVar(&cfg.BatchSize, "batch", 64, "batch size")
+	flag.IntVar(&cfg.Epochs, "epochs", 10, "training epochs")
+	flag.Float64Var(&cfg.LR, "lr", 0.01, "Adam learning rate")
+	flag.IntVar(&cfg.Workers, "workers", 1, "training workers")
+	flag.IntVar(&cfg.PSShards, "ps", 1, "parameter-server shards")
+	flag.Func("mode", "consistency: async|sync (default async)", choice(&cfg.Mode,
+		map[string]ps.Mode{"async": ps.Async, "sync": ps.Sync}))
+	cfg.Pipeline, cfg.Pruning, cfg.AggThreads = true, true, 8
+	flag.Func("t", "train strategy: comma list of pipeline,pruning,partition (default all three)", func(list string) error {
+		cfg.Pipeline, cfg.Pruning, cfg.AggThreads = false, false, 0
+		for _, s := range strings.Split(list, ",") {
+			switch strings.TrimSpace(s) {
+			case "pipeline":
+				cfg.Pipeline = true
+			case "pruning":
+				cfg.Pruning = true
+			case "partition":
+				cfg.AggThreads = 8
+			case "":
+			default:
+				return fmt.Errorf("unknown train strategy %q", s)
+			}
+		}
+		return nil
+	})
+	flag.StringVar(&cfg.Model.EdgeHead, "edge-head", "", "link prediction: pairwise head dot|bilinear|mlp; input must be graphflat -p LinkRecords")
+	flag.IntVar(&cfg.NegativeRatio, "neg-ratio", 0, "negatives sampled per positive pair at batch time (link mode; 0 selects 1)")
+	flag.Int64Var(&cfg.Seed, "seed", 1, "seed")
 	out := flag.String("o", "model.agl", "output model file")
 	flag.Parse()
+	cfg.Model.Seed = cfg.Seed
 
-	link := *edgeHead != ""
+	link := cfg.Model.EdgeHead != ""
 	parts := openDataset(*input, link)
 	first, err := parts.First()
 	if err != nil {
 		log.Fatal(err)
 	}
-	inDim, err := sniffDim(first, link)
-	if err != nil {
+	if cfg.Model.InDim, err = sniffDim(first, link); err != nil {
 		log.Fatalf("%s: %v", *input, err)
 	}
 	log.Printf("input: %d records across %d partitions", parts.Records(), parts.NumPartitions())
-	var eval [][]byte
 	if *evalInput != "" {
 		evalParts := openDataset(*evalInput, link)
 		for i := 0; i < evalParts.NumPartitions(); i++ {
@@ -67,53 +87,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			eval = append(eval, recs...)
-		}
-	}
-
-	cfg := core.TrainConfig{
-		Model: gnn.Config{
-			Kind: *modelName, InDim: inDim, Hidden: *hidden, Classes: *classes,
-			Layers: *layers, Heads: *heads, Act: nn.ActReLU, Dropout: *dropout,
-			Seed: *seed, EdgeHead: *edgeHead,
-		},
-		BatchSize: *batch, Epochs: *epochs, LR: *lr,
-		Workers: *workers, PSShards: *shards,
-		Eval: eval, Seed: *seed, NegativeRatio: *negRatio,
-		Logf: log.Printf,
-	}
-	switch *loss {
-	case "ce":
-		cfg.Loss = core.LossCE
-	case "bce":
-		cfg.Loss = core.LossBCE
-	default:
-		log.Fatalf("unknown loss %q", *loss)
-	}
-	switch *metric {
-	case "accuracy":
-		cfg.EvalMetric = core.MetricAccuracy
-	case "f1":
-		cfg.EvalMetric = core.MetricMicroF1
-	case "auc":
-		cfg.EvalMetric = core.MetricAUC
-	default:
-		log.Fatalf("unknown metric %q", *metric)
-	}
-	if *mode == "sync" {
-		cfg.Mode = ps.Sync
-	}
-	for _, s := range strings.Split(*strategy, ",") {
-		switch strings.TrimSpace(s) {
-		case "pipeline":
-			cfg.Pipeline = true
-		case "pruning":
-			cfg.Pruning = true
-		case "partition":
-			cfg.AggThreads = 8
-		case "":
-		default:
-			log.Fatalf("unknown train strategy %q", s)
+			cfg.Eval = append(cfg.Eval, recs...)
 		}
 	}
 
@@ -136,6 +110,18 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("model saved to %s\n", *out)
+}
+
+// choice returns a flag.Func setter that stores in dst the value s names.
+func choice[T any](dst *T, values map[string]T) func(s string) error {
+	return func(s string) error {
+		v, ok := values[s]
+		if !ok {
+			return fmt.Errorf("unknown value %q", s)
+		}
+		*dst = v
+		return nil
+	}
 }
 
 // openDataset opens a graphflat output dataset whose records must be

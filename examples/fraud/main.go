@@ -44,7 +44,7 @@ func main() {
 
 	// 2-layer GAT with 8-dim embeddings — the paper's UUG model — trained
 	// with 4 async workers.
-	res, err := agl.TrainWithHistory(agl.TrainConfig{
+	res, err := agl.Train(agl.TrainConfig{
 		Model: agl.ModelConfig{
 			Kind: agl.GAT, InDim: 32, Hidden: 8, Classes: 1, Layers: 2,
 			Act: agl.ActReLU, Seed: 17,

@@ -505,7 +505,7 @@ func flattenOnePartition(t *testing.T, g *graph.Graph, cfg FlatConfig, targets m
 // TestTrainPipelineDoesNotChangeResults: for a fixed seed and one worker the
 // trained model is a function of the records alone. Neither the training
 // pipeline nor the entry point may change it: Train with and without
-// Pipeline, TrainWithHistory (which evaluates every epoch) and
+// Pipeline, Train with EvalEvery 1 (which evaluates every epoch) and
 // TrainPartitions over GraphFlat's default one-partition dataset must
 // return byte-identical models and identical per-epoch losses, with dropout
 // on (so no epoch may replay another's masks) and for the link task too (so
@@ -569,13 +569,15 @@ func TestTrainPipelineDoesNotChangeResults(t *testing.T) {
 		cfg.LR, cfg.Seed, cfg.Eval = 0.02, 4, recs
 		pipelined := cfg
 		pipelined.Pipeline = true
+		everyEpoch := cfg
+		everyEpoch.EvalEvery = 1
 		runs := []struct {
 			name string
 			run  func() (*TrainResult, error)
 		}{
 			{"Train", func() (*TrainResult, error) { return Train(cfg, mem) }},
 			{"Train pipelined", func() (*TrainResult, error) { return Train(pipelined, mem) }},
-			{"TrainWithHistory", func() (*TrainResult, error) { return TrainWithHistory(cfg, mem) }},
+			{"Train EvalEvery 1", func() (*TrainResult, error) { return Train(everyEpoch, mem) }},
 			{"TrainPartitions", func() (*TrainResult, error) { return TrainPartitions(pipelined, parts) }},
 		}
 		var wantModel []byte
@@ -650,9 +652,9 @@ func TestTrainPruningAndPartitioningConsistent(t *testing.T) {
 	}
 }
 
-func TestTrainWithHistoryProducesCurve(t *testing.T) {
+func TestTrainEvalEveryProducesCurve(t *testing.T) {
 	train, test, _ := miniCora(t, 1)
-	res, err := TrainWithHistory(TrainConfig{
+	res, err := Train(TrainConfig{
 		Model: gnn.Config{
 			Kind: gnn.KindGCN, InDim: 48, Hidden: 8, Classes: 4, Layers: 1,
 			Act: nn.ActReLU, Seed: 1,
@@ -998,9 +1000,9 @@ func TestFlattenSpillRoundsMatchesMemory(t *testing.T) {
 	}
 }
 
-func TestTrainWithHistoryEarlyStopping(t *testing.T) {
+func TestTrainEarlyStopping(t *testing.T) {
 	train, test, _ := miniCora(t, 1)
-	res, err := TrainWithHistory(TrainConfig{
+	res, err := Train(TrainConfig{
 		Model: gnn.Config{
 			Kind: gnn.KindGCN, InDim: 48, Hidden: 8, Classes: 4, Layers: 1,
 			Act: nn.ActReLU, Seed: 1,

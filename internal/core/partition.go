@@ -266,14 +266,14 @@ func (p *PartitionSet) each(order []int, fn func(part int, recs [][]byte) error)
 // ordering, and over a single partition (GraphFlat's default) the two
 // return the same model.
 //
-// cfg.Eval is evaluated once on the final model, as in Train.
+// cfg.Eval, cfg.EvalEvery and cfg.Patience work as in Train.
 func TrainPartitions(cfg TrainConfig, parts *PartitionSet) (*TrainResult, error) {
 	if link := cfg.Model.EdgeHead != ""; link != parts.Link() {
 		return nil, fmt.Errorf("core: dataset link=%v does not match model edge head %q",
 			parts.Link(), cfg.Model.EdgeHead)
 	}
 	order := rand.New(rand.NewSource(cfg.Seed))
-	return train(cfg, false, parts.Records(), func(pass func([][]byte) error) error {
+	return train(cfg, parts.Records(), func(pass func([][]byte) error) error {
 		return parts.each(order.Perm(parts.NumPartitions()), func(_ int, recs [][]byte) error { return pass(recs) })
 	})
 }

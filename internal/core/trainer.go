@@ -75,8 +75,9 @@ type TrainConfig struct {
 	// created once per run and carried across epochs and partitions.
 	Seed int64
 
-	// Eval, when non-nil, is scored with EvalMetric (the final model in
-	// Train and TrainPartitions; every EvalEvery epochs in TrainWithHistory).
+	// Eval, when non-nil, is scored with EvalMetric every EvalEvery epochs
+	// and on the final model, which gives the convergence curves of the
+	// paper's Figure 7. EvalEvery 0 scores the final model only.
 	Eval       [][]byte
 	EvalEvery  int
 	EvalMetric MetricKind
@@ -86,11 +87,11 @@ type TrainConfig struct {
 	// 0 selects 1). Meaningless for node tasks and rejected there.
 	NegativeRatio int
 
-	// Patience enables early stopping in TrainWithHistory: training stops
-	// once the eval metric has not improved for Patience consecutive
-	// evaluations, and the best snapshot is returned (0 disables). This is
-	// the paper's protocol of training "at a maximum of 200 epochs" against
-	// a validation set.
+	// Patience enables early stopping: training stops once the eval metric
+	// has not improved for Patience consecutive evaluations, and the best
+	// snapshot is returned (0 disables; requires EvalEvery > 0). This is the
+	// paper's protocol of training "at a maximum of 200 epochs" against a
+	// validation set.
 	Patience int
 
 	// Logf, when set, receives progress lines.
@@ -113,8 +114,8 @@ func (c TrainConfig) withDefaults() TrainConfig {
 	if c.PSShards <= 0 {
 		c.PSShards = 1
 	}
-	if c.EvalEvery <= 0 {
-		c.EvalEvery = 1
+	if c.EvalEvery == 0 {
+		c.EvalEvery = c.Epochs // score the final model only
 	}
 	return c
 }
@@ -168,32 +169,25 @@ func (a *epochAcc) add(b epochAcc) {
 
 // Train runs distributed parameter-server training over encoded
 // GraphFeature records (GraphFlat's output; LinkRecords when
-// cfg.Model.EdgeHead is set). Every epoch is one pass over records, and
-// cfg.Eval is scored once, on the final model.
+// cfg.Model.EdgeHead is set). Every epoch is one pass over records;
+// cfg.Eval is scored on a consistent global snapshot every cfg.EvalEvery
+// epochs and on the final model, and cfg.Patience stops early.
 //
-// Train, TrainWithHistory and TrainPartitions are one driver fed from
-// different record sources under different evaluation policies. With
-// Workers 1, the same Seed and the same records in the same order give the
-// same model byte for byte whichever of the three is called (early stopping
-// aside). With several workers the order gradients reach the servers
-// depends on scheduling, so Async runs are not bit-reproducible.
+// Train and TrainPartitions are one driver fed from different record
+// sources. With Workers 1, the same Seed and the same records in the same
+// order give the same model byte for byte whichever is called and however
+// often it evaluates (early stopping aside). With several workers the order
+// gradients reach the servers depends on scheduling, so Async runs are not
+// bit-reproducible.
 func Train(cfg TrainConfig, records [][]byte) (*TrainResult, error) {
-	return train(cfg, false, len(records), func(pass func([][]byte) error) error { return pass(records) })
-}
-
-// TrainWithHistory is Train scoring a consistent global snapshot after every
-// EvalEvery epochs, which produces the convergence curves of the paper's
-// Figure 7, and stopping early under cfg.Patience.
-func TrainWithHistory(cfg TrainConfig, records [][]byte) (*TrainResult, error) {
-	return train(cfg, true, len(records), func(pass func([][]byte) error) error { return pass(records) })
+	return train(cfg, len(records), func(pass func([][]byte) error) error { return pass(records) })
 }
 
 // train is GraphTrainer's one driver. It runs cfg.Epochs epochs; epoch feeds
 // one epoch's share of the n records to pass, one call per slice it holds
-// resident. After each epoch the evaluation policy decides whether to score
-// a snapshot and whether to stop: cfg.EvalEvery and cfg.Patience with curve
-// set, the final model only without.
-func train(cfg TrainConfig, curve bool, n int, epoch func(pass func([][]byte) error) error) (*TrainResult, error) {
+// resident. After each epoch cfg.EvalEvery decides whether to score a
+// snapshot and cfg.Patience whether to stop.
+func train(cfg TrainConfig, n int, epoch func(pass func([][]byte) error) error) (*TrainResult, error) {
 	t, err := newTrainer(cfg)
 	if err != nil {
 		return nil, err
@@ -202,9 +196,6 @@ func train(cfg TrainConfig, curve bool, n int, epoch func(pass func([][]byte) er
 		return nil, fmt.Errorf("core: no training records")
 	}
 	cfg = t.cfg
-	if !curve {
-		cfg.EvalEvery, cfg.Patience = cfg.Epochs, 0 // score the last epoch only, never stop early
-	}
 	res := &TrainResult{}
 	var best *gnn.Model
 	bestMetric, sinceBest := -1.0, 0

@@ -105,10 +105,13 @@ func (c TrainConfig) Validate() error {
 		return Invalidf("TrainConfig.AggThreads", "must be >= 0 (<= 1 aggregates serially), got %d", c.AggThreads)
 	}
 	if c.EvalEvery < 0 {
-		return Invalidf("TrainConfig.EvalEvery", "must be >= 0 (0 selects the default), got %d", c.EvalEvery)
+		return Invalidf("TrainConfig.EvalEvery", "must be >= 0 (0 scores the final model only), got %d", c.EvalEvery)
 	}
 	if c.Patience < 0 {
 		return Invalidf("TrainConfig.Patience", "must be >= 0 (0 disables early stopping), got %d", c.Patience)
+	}
+	if c.Patience > 0 && c.EvalEvery == 0 {
+		return Invalidf("TrainConfig.Patience", "early stopping needs EvalEvery > 0 (0 scores the final model only), got Patience %d", c.Patience)
 	}
 	if c.Model.Dropout < 0 || c.Model.Dropout >= 1 {
 		return Invalidf("TrainConfig.Model.Dropout", "must be in [0, 1), got %v", c.Model.Dropout)

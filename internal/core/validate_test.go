@@ -80,6 +80,8 @@ func TestTrainConfigValidate(t *testing.T) {
 		{"negative agg threads", TrainConfig{AggThreads: -1}, "AggThreads"},
 		{"negative eval every", TrainConfig{EvalEvery: -1}, "EvalEvery"},
 		{"negative patience", TrainConfig{Patience: -1}, "Patience"},
+		{"patience without eval every", TrainConfig{Patience: 3}, "Patience"},
+		{"patience with eval every", TrainConfig{Patience: 3, EvalEvery: 2}, ""},
 		{"dropout too high", trainCfgDropout(1.0), "Dropout"},
 		{"dropout negative", trainCfgDropout(-0.2), "Dropout"},
 		{"negative layers", trainCfgLayers(-1), "Layers"},
@@ -164,7 +166,7 @@ func TestValidationRejectsBeforeRunning(t *testing.T) {
 	if _, err := Train(TrainConfig{Workers: -1}, nil); err == nil {
 		t.Fatal("Train accepted negative Workers")
 	}
-	if _, err := TrainWithHistory(TrainConfig{Epochs: -1}, nil); err == nil {
-		t.Fatal("TrainWithHistory accepted negative Epochs")
+	if _, err := Train(TrainConfig{Epochs: -1}, nil); err == nil {
+		t.Fatal("Train accepted negative Epochs")
 	}
 }

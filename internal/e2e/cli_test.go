@@ -77,7 +77,7 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		t.Skip("builds binaries")
 	}
 	dir := t.TempDir()
-	bins := buildCmds(t, dir)
+	bins := buildSome(t, dir, "graphflat", "graphtrainer", "graphinfer", "aglserve", "aglbench", "aglmetrics")
 
 	// Materialize a small UUG-like dataset as TSV tables.
 	ds, err := datagen.UUG(datagen.UUGConfig{Nodes: 400, FeatDim: 8, Seed: 7})
@@ -151,6 +151,22 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 		"-o", scoresPath)
 	if !strings.Contains(out, "scored 400 nodes") {
 		t.Fatalf("graphinfer output: %s", out)
+	}
+
+	// The trainer flags no other run sets: a 2-head GAT with dropout,
+	// trained sync on two workers against two PS shards and scored every
+	// epoch on an eval dataset. graphinfer -flat must load what it saves.
+	syncModel := filepath.Join(dir, "model-sync.agl")
+	out = run(t, bins["graphtrainer"],
+		"-m", "gat", "-heads", "2", "-dropout", "0.2", "-workers", "2", "-ps", "2",
+		"-mode", "sync", "-eval", features, "-i", features, "-loss", "bce", "-metric", "auc",
+		"-hidden", "8", "-classes", "1", "-epochs", "2", "-batch", "32", "-o", syncModel)
+	if !strings.Contains(out, "  AUC ") || !strings.Contains(out, "model saved") {
+		t.Fatalf("graphtrainer -mode sync -eval output lacks a metric or the save: %s", out)
+	}
+	out = run(t, bins["graphinfer"], "-m", syncModel, "-flat", features, "-o", filepath.Join(dir, "scores-sync.tsv"))
+	if want := fmt.Sprintf("scored %d nodes", len(ds.Train)); !strings.Contains(out, want) {
+		t.Fatalf("graphinfer -flat on the sync model: %q, want %q", out, want)
 	}
 
 	// Scores must cover every node with probabilities in [0, 1].
@@ -420,24 +436,39 @@ func TestCLIPipelineEndToEnd(t *testing.T) {
 	}
 
 	// Step 6: what was removed fails fast and says what to do. The saved
-	// store reopens through the flags that replaced the aliases; a removed
-	// alias, -hub-threshold (re-indexing only lays out the precompute's
-	// shuffle) and -flight-slots (the ring size is serve.Config's default)
-	// are unknown flags; a store file in a retired format is refused with
-	// the regenerate message.
-	mustFail := func(wantSub string, extra ...string) {
+	// store reopens through the flags that replaced the aliases; the
+	// removed aliases, -hub-threshold (re-indexing only lays out the
+	// precompute's shuffle), -flight-slots (the ring size is fixed) and
+	// -queue (the queue is as deep as the admission cap) are unknown flags;
+	// a store file in a retired format is refused with the regenerate
+	// message.
+	mustFailCmd := func(bin, wantSub string, args ...string) {
 		t.Helper()
-		out, err := exec.Command(bins["aglserve"], append(serveArgs, extra...)...).CombinedOutput()
+		out, err := exec.Command(bins[bin], args...).CombinedOutput()
 		if err == nil || !strings.Contains(string(out), wantSub) {
-			t.Fatalf("aglserve %v: err %v, want a failure mentioning %q; output:\n%s", extra, err, wantSub, out)
+			t.Fatalf("%s %v: err %v, want a failure mentioning %q; output:\n%s", bin, args, err, wantSub, out)
 		}
 	}
-	mustFail("flag provided but not defined: -store-mmap", "-store-mmap", storePath)
-	mustFail("flag provided but not defined: -store-quant", "-store-quant")
-	mustFail("flag provided but not defined: -hub-threshold", "-hub-threshold", "20")
-	// The bad backend makes a binary that still accepts -flight-slots exit
+	mustFail := func(wantSub string, extra ...string) {
+		t.Helper()
+		mustFailCmd("aglserve", wantSub, append(serveArgs, extra...)...)
+	}
+	// The bad backend makes a binary that still accepts a flag exit
 	// instead of serving forever.
-	mustFail("flag provided but not defined: -flight-slots", "-flight-slots", "10", "-store-backend", "none")
+	for _, flag := range []string{"-store", "-store-mmap", "-save-store", "-save-store-mmap", "-hub-threshold", "-flight-slots", "-queue"} {
+		mustFail("flag provided but not defined: "+flag, flag, "1", "-store-backend", "none")
+	}
+	mustFail("flag provided but not defined: -store-quant", "-store-quant")
+	mustFailCmd("aglmetrics", "flag provided but not defined: -last", "-last", "5", "-i", filepath.Join(dir, "none.aglfr"))
+	mustFailCmd("graphtrainer", `invalid value "bogus" for flag -mode`, "-mode", "bogus", "-i", features)
+	// aglbench is the paper's tables and figures only: the in-process
+	// latency experiments and the baseline-check flags are gone.
+	for _, exp := range []string{"shuffle", "serve", "update", "link", "train", "oocore", "overload", "cluster", "quant", "chaos"} {
+		mustFailCmd("aglbench", fmt.Sprintf("unknown experiment %q", exp), "-exp", exp, "-quick")
+	}
+	for _, flag := range []string{"-json", "-check", "-baseline", "-tolerance", "-cpuprofile", "-memprofile"} {
+		mustFailCmd("aglbench", "flag provided but not defined: "+flag, flag, "x", "-exp", "table1")
+	}
 	retired := filepath.Join(dir, "old.aglmap")
 	if err := os.WriteFile(retired, append([]byte("AGLMAP01"), make([]byte, 56)...), 0o644); err != nil {
 		t.Fatal(err)
@@ -831,7 +862,7 @@ func TestCLIServeOverloadEndToEnd(t *testing.T) {
 	serveCmd := exec.Command(bins["aglserve"],
 		"-m", modelPath, "-n", nodePath, "-e", edgePath,
 		"-seed", "3", "-precompute=false",
-		"-max-batch", "2", "-max-wait", "5s", "-queue", "1", "-shed", "1",
+		"-max-batch", "2", "-max-wait", "5s", "-shed", "1",
 		"-deadline", "500ms", "-cache", "8",
 		"-flight", flightPath, "-flight-interval", "100ms",
 		"-addr", addr)

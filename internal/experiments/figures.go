@@ -53,7 +53,7 @@ func Fig7(opt Options) (*Fig7Result, error) {
 	fmt.Fprintf(&b, "(worker counts scaled to host; paper uses 1/10/20/30)\n")
 	for _, workers := range workerSets {
 		opt.logf("fig7: %d workers", workers)
-		tres, err := core.TrainWithHistory(core.TrainConfig{
+		tres, err := core.Train(core.TrainConfig{
 			Model: gnn.Config{
 				Kind: gnn.KindGAT, InDim: uug.G.FeatureDim(), Hidden: 8, Classes: 1,
 				Layers: 2, Heads: 1, Act: nn.ActReLU, Seed: opt.Seed + 37,

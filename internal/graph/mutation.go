@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+
+	"agl/internal/tensor"
 )
 
 // Sentinel errors for mutation application. Callers distinguish client
@@ -136,7 +138,7 @@ func (m *Mutation) UnmarshalJSON(b []byte) error {
 	}
 	feat := w.Feat
 	if len(w.FeatQ8) > 0 {
-		feat = dequantFeat(w.FeatQ8, w.FeatScale, w.FeatZero)
+		feat = tensor.Dequantize(nil, w.FeatQ8, w.FeatScale, w.FeatZero)
 	}
 	*m = Mutation{Op: op, ID: w.ID, Feat: feat, Src: w.Src, Dst: w.Dst, Weight: w.Weight}
 	return nil

@@ -60,30 +60,6 @@ func SoftmaxCrossEntropyWS(ws *tensor.Workspace, logits *tensor.Matrix, labels [
 	return loss, grad
 }
 
-// Softmax returns the row-wise softmax of logits.
-func Softmax(logits *tensor.Matrix) *tensor.Matrix {
-	out := tensor.New(logits.Rows, logits.Cols)
-	for i := 0; i < logits.Rows; i++ {
-		row := logits.Row(i)
-		orow := out.Row(i)
-		maxv := math.Inf(-1)
-		for _, v := range row {
-			if v > maxv {
-				maxv = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			orow[j] = math.Exp(v - maxv)
-			sum += orow[j]
-		}
-		for j := range orow {
-			orow[j] /= sum
-		}
-	}
-	return out
-}
-
 // SigmoidBCE computes the mean binary cross-entropy between elementwise
 // sigmoid(logits) and 0/1 targets, returning the loss and the gradient
 // w.r.t. logits. It supports multi-label targets (any number of columns)

@@ -109,16 +109,6 @@ func (c *Client) Retries() int64 { return c.retries.Load() }
 // (re-opens after a failed probe count).
 func (c *Client) BreakerOpens() int64 { return c.bOpensN.Load() }
 
-// BreakerOpen reports whether calls would currently fail fast.
-func (c *Client) BreakerOpen() bool {
-	c.bmu.Lock()
-	defer c.bmu.Unlock()
-	if c.bThreshold <= 0 || c.bOpenUntil.IsZero() {
-		return false
-	}
-	return c.clock().Now().Before(c.bOpenUntil)
-}
-
 // clock returns the injected clock, defaulting to the real one. Callers
 // hold c.bmu.
 func (c *Client) clock() clockx.Clock {

@@ -24,6 +24,16 @@ func deadAddr(t *testing.T) string {
 	return addr
 }
 
+// breakerOpen reports whether calls would currently fail fast.
+func breakerOpen(c *Client) bool {
+	c.bmu.Lock()
+	defer c.bmu.Unlock()
+	if c.bThreshold <= 0 || c.bOpenUntil.IsZero() {
+		return false
+	}
+	return c.clock().Now().Before(c.bOpenUntil)
+}
+
 // TestBreakerOpensAndFailsFast: after threshold consecutive transport
 // failures the breaker opens and subsequent calls return PeerDownError
 // without dialing; after the cooldown a probe is admitted.
@@ -43,7 +53,7 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 			t.Fatalf("call %d: want transport error, got %v", i, err)
 		}
 	}
-	if !c.BreakerOpen() {
+	if !breakerOpen(c) {
 		t.Fatal("breaker should be open after 3 transport failures")
 	}
 	if got := c.BreakerOpens(); got != 1 {
@@ -77,7 +87,7 @@ func TestBreakerOpensAndFailsFast(t *testing.T) {
 	if err := c.Call(ctx, "Echo.Echo", &EchoArgs{S: "probe"}, &reply); err != nil {
 		t.Fatalf("probe call: %v", err)
 	}
-	if c.BreakerOpen() {
+	if breakerOpen(c) {
 		t.Fatal("breaker should close after successful probe")
 	}
 }
@@ -97,7 +107,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		c.Call(ctx, "Echo.Echo", &EchoArgs{S: "x"}, &reply)
 	}
-	if !c.BreakerOpen() {
+	if !breakerOpen(c) {
 		t.Fatal("breaker not open")
 	}
 	clk.Advance(1500 * time.Millisecond)
@@ -105,7 +115,7 @@ func TestBreakerProbeFailureReopens(t *testing.T) {
 	if err := c.Call(ctx, "Echo.Echo", &EchoArgs{S: "x"}, &reply); !IsTransport(err) {
 		t.Fatalf("probe: want transport error, got %v", err)
 	}
-	if !c.BreakerOpen() {
+	if !breakerOpen(c) {
 		t.Fatal("breaker should re-open after failed probe")
 	}
 	if got := c.BreakerOpens(); got != 2 {
@@ -127,7 +137,7 @@ func TestServerErrorDoesNotTripBreaker(t *testing.T) {
 			t.Fatalf("want app error, got %v", err)
 		}
 	}
-	if c.BreakerOpen() {
+	if breakerOpen(c) {
 		t.Fatal("application errors tripped the breaker")
 	}
 }
@@ -241,7 +251,7 @@ func TestChaosPartitionTripsBreaker(t *testing.T) {
 			t.Fatalf("partitioned call %d: %v", i, err)
 		}
 	}
-	if !c.BreakerOpen() {
+	if !breakerOpen(c) {
 		t.Fatal("partition did not trip breaker")
 	}
 	// Heal + cooldown: traffic flows again.
@@ -416,7 +426,7 @@ func TestCancelMidDial(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancelled dial never returned")
 	}
-	if c.BreakerOpen() {
+	if breakerOpen(c) {
 		t.Fatal("caller cancellation tripped the breaker")
 	}
 }

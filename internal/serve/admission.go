@@ -13,9 +13,9 @@ package serve
 // The controller is deliberately simple: a hard cap on in-flight cold
 // requests (admitted but not yet completed) plus an EWMA of per-request
 // cold-path service time used to compute honest Retry-After hints. The cap
-// doubles as the safety invariant for the batcher's plain channel send:
-// pending <= limit <= QueueDepth, so the send can never block on a full
-// channel while holding admission.
+// is also the batcher's queue capacity, so pending <= limit = capacity and
+// the plain channel send can never block on a full channel while holding
+// admission.
 
 import (
 	"errors"

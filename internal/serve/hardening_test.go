@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -53,7 +54,7 @@ func hardenedServer(t *testing.T, cfg Config) (*Server, []int64, []int64) {
 // with -race: the shed path, inline warm path, and batcher all overlap.
 func TestOverloadShedsColdNeverWarm(t *testing.T) {
 	srv, warmIDs, coldIDs := hardenedServer(t, Config{
-		Seed: 1, MaxBatch: 4, QueueDepth: 4, ShedThreshold: 2,
+		Seed: 1, MaxBatch: 4, ShedThreshold: 2,
 		FlightInterval: -1, // recorder off: this test is about admission
 	})
 
@@ -198,7 +199,7 @@ func TestNoResultServedPastDeadline(t *testing.T) {
 // outstanding) and require warm scoring to still finish quickly.
 func TestWarmStaysInlineUnderColdSaturation(t *testing.T) {
 	srv, warmIDs, coldIDs := hardenedServer(t, Config{
-		Seed: 1, MaxBatch: 1, QueueDepth: 1, ShedThreshold: 1,
+		Seed: 1, MaxBatch: 1, ShedThreshold: 1,
 		FlightInterval: -1,
 	})
 	// Keep the single admission slot permanently busy.
@@ -239,7 +240,7 @@ func TestFlightRecorderCoversTraffic(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "flight.aglfr")
 	srv, warmIDs, coldIDs := hardenedServer(t, Config{
 		Seed: 1, ShedThreshold: 2,
-		FlightPath: path, FlightInterval: 5 * time.Millisecond, FlightSlots: 4096,
+		FlightPath: path, FlightInterval: 5 * time.Millisecond,
 	})
 	start := time.Now()
 	// Hold both admission slots: these cold requests are shed.
@@ -317,9 +318,8 @@ func TestServeConfigValidationError(t *testing.T) {
 		{Config{CacheSize: -1}, "ServeConfig.CacheSize"},
 		{Config{MaxBatch: -1}, "ServeConfig.MaxBatch"},
 		{Config{MaxWait: -time.Second}, "ServeConfig.MaxWait"},
-		{Config{QueueDepth: -1}, "ServeConfig.QueueDepth"},
+		{Config{MaxWait: 200 * time.Microsecond}, "ServeConfig.MaxWait"},
 		{Config{ShedThreshold: -1}, "ServeConfig.ShedThreshold"},
-		{Config{FlightSlots: -1}, "ServeConfig.FlightSlots"},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -339,6 +339,14 @@ func TestServeConfigValidationError(t *testing.T) {
 	}
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config rejected: %v", err)
+	}
+	// A sub-millisecond linger is refused with the reason: the timer would
+	// fire ~1ms late anyway. 1ms itself is a real linger.
+	if err := (Config{MaxWait: 50 * time.Microsecond}).Validate(); err == nil || !strings.Contains(err.Error(), "timers fire about 1ms late") {
+		t.Fatalf("MaxWait 50us: err = %v, want the timer-granularity reason", err)
+	}
+	if err := (Config{MaxWait: time.Millisecond}).Validate(); err != nil {
+		t.Fatalf("MaxWait 1ms rejected: %v", err)
 	}
 }
 

@@ -106,56 +106,11 @@ type ScoreReply struct {
 	Errs   []string
 }
 
-// WireRow is the gob form of a Row: rows cross the cluster in their
-// native codec, so a quantized replica's scatter-gather and migration
-// payloads stay int8 on the wire (1 byte per dimension + 8 bytes of
-// scale/zero instead of 8 bytes per dimension) and float rows stay
-// bit-exact float64 — the cluster's bit-identical-serving invariant never
-// rides through a lossy re-encode.
-type WireRow struct {
-	F []float64 // CodecF64 payload (nil for quantized rows)
-
-	Q     []int8 // CodecQ8 payload
-	Scale float32
-	Zero  float32
-}
-
-// rowToWire flattens a Row for the RPC boundary (referencing, not
-// copying — gob serializes immediately).
-func rowToWire(r Row) WireRow {
-	return WireRow{F: r.F64, Q: r.Q8, Scale: r.Scale, Zero: r.Zero}
-}
-
-// row re-types a WireRow; the decoded slices are owned by the receiver.
-func (w WireRow) row() Row {
-	if w.Q != nil {
-		return Q8Row(w.Q, w.Scale, w.Zero)
-	}
-	return F64Row(w.F)
-}
-
-// wireRows converts a row map for the RPC boundary.
-func wireRows(rows map[int64]Row) map[int64]WireRow {
-	out := make(map[int64]WireRow, len(rows))
-	for id, r := range rows {
-		out[id] = rowToWire(r)
-	}
-	return out
-}
-
-// rowsFromWire re-types a received row map.
-func rowsFromWire(rows map[int64]WireRow) map[int64]Row {
-	out := make(map[int64]Row, len(rows))
-	for id, w := range rows {
-		out[id] = w.row()
-	}
-	return out
-}
-
 // EmbedReply answers ScoreArgs.Nodes by position with layer-K rows in
-// their native codecs; Errs as errsToWire.
+// their native codecs, so a quantized replica's payloads stay int8 on the
+// wire and float rows stay bit-exact; Errs as errsToWire.
 type EmbedReply struct {
-	Rows []WireRow
+	Rows []Row
 	Errs []string
 }
 
@@ -196,7 +151,7 @@ type SyncReply struct{ AckSeq uint64 }
 type InstallArgs struct {
 	Epoch uint64
 	Slot  int
-	Rows  map[int64]WireRow
+	Rows  map[int64]Row
 }
 
 // InstallReply reports how many rows were admitted.
@@ -839,11 +794,7 @@ func (r *Replica) ScoreMany(ctx context.Context, nodes []int64) ([][]float64, []
 func (r *Replica) embedRows(ctx context.Context, nodes []int64) ([]Row, []error) {
 	return gather(ctx, r, nil, nodes, "Replica.Embed", r.srv.embedRows,
 		func(reply *EmbedReply) ([]Row, []error) {
-			rows := make([]Row, len(reply.Rows))
-			for i, w := range reply.Rows {
-				rows[i] = w.row()
-			}
-			return rows, errsFromWire(reply.Errs, len(rows))
+			return reply.Rows, errsFromWire(reply.Errs, len(reply.Rows))
 		})
 }
 
@@ -1096,7 +1047,7 @@ func (r *Replica) Migrate(ctx context.Context, slot, dst int) (*MigrateResult, e
 	// happened yet).
 	var ir InstallReply
 	if err := r.call(ctx, dst, "Replica.Install",
-		&InstallArgs{Epoch: t.Epoch, Slot: slot, Rows: wireRows(rows)}, &ir); err != nil {
+		&InstallArgs{Epoch: t.Epoch, Slot: slot, Rows: rows}, &ir); err != nil {
 		r.unfreezeAll(t)
 		return nil, fmt.Errorf("serve: install slot %d on replica %d: %w", slot, dst, err)
 	}
@@ -1196,11 +1147,7 @@ func (rs *replicaService) Embed(args *ScoreArgs, reply *EmbedReply) error {
 	ctx, cancel := ctxFor(args.DeadlineUnixNanos)
 	defer cancel()
 	rows, errs := r.srv.embedRows(ctx, args.Nodes)
-	reply.Rows = make([]WireRow, len(rows))
-	for i, row := range rows {
-		reply.Rows[i] = rowToWire(row)
-	}
-	reply.Errs = errsToWire(errs)
+	reply.Rows, reply.Errs = rows, errsToWire(errs)
 	return nil
 }
 
@@ -1261,7 +1208,7 @@ func (rs *replicaService) Install(args *InstallArgs, reply *InstallReply) error 
 	if err := r.fence(args.Epoch); err != nil {
 		return errToWire(err)
 	}
-	reply.Installed = r.srv.InstallRows(rowsFromWire(args.Rows))
+	reply.Installed = r.srv.InstallRows(args.Rows)
 	return nil
 }
 

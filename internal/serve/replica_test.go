@@ -103,7 +103,7 @@ func buildCluster(t testing.TB, n int) *cluster {
 				owned[id] = emb
 			}
 		}
-		r.Server().InstallRows(FloatRows(owned))
+		r.Server().InstallRows(floatRows(owned))
 	}
 	return &cluster{reps: reps, ref: ref, g: ds.G}
 }
@@ -328,10 +328,10 @@ func TestMigrationLiveBitExact(t *testing.T) {
 		}
 	}
 	// Destination serves the probe warm; source dropped its copy.
-	if !cl.reps[2].Server().WarmRow(probe) {
+	if !warmRow(cl.reps[2].Server(), probe) {
 		t.Fatal("destination did not install the migrated row")
 	}
-	if cl.reps[0].Server().WarmRow(probe) {
+	if warmRow(cl.reps[0].Server(), probe) {
 		t.Fatal("source kept a warm copy after migration")
 	}
 	// Scores still exact after the move, from every router.

@@ -2,7 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"math"
+
+	"agl/internal/tensor"
 )
 
 // Codec identifies the packed layout of a stored embedding row. It is the
@@ -85,7 +86,7 @@ func (r Row) Floats(buf []float64) []float64 {
 	if r.Q8 == nil {
 		return r.F64
 	}
-	return dequantInto(buf, r.Q8, r.Scale, r.Zero)
+	return tensor.Dequantize(buf, r.Q8, r.Scale, r.Zero)
 }
 
 // FloatsCopy returns the row decoded to float64s in freshly allocated
@@ -97,7 +98,7 @@ func (r Row) FloatsCopy() []float64 {
 		}
 		return append([]float64(nil), r.F64...)
 	}
-	return dequantInto(make([]float64, len(r.Q8)), r.Q8, r.Scale, r.Zero)
+	return tensor.Dequantize(make([]float64, len(r.Q8)), r.Q8, r.Scale, r.Zero)
 }
 
 // Clone returns a deep copy of the row in its native codec.
@@ -110,70 +111,6 @@ func (r Row) Clone() Row {
 		cp.Q8 = append([]int8(nil), r.Q8...)
 	}
 	return cp
-}
-
-// quantizeRow encodes src into dst (len(dst) == len(src)) with per-row
-// affine int8 quantization: scale spans the row's [min, max] across the
-// 255 usable steps and zero maps min to -128, so the absolute
-// reconstruction error is at most scale/2. Both parameters are rounded to
-// float32 before quantizing, so encode and decode see identical values.
-// Non-finite inputs are rejected: NaN/Inf have no meaningful affine image
-// and would silently poison the whole row's scale.
-func quantizeRow(dst []int8, src []float64) (scale, zero float32, err error) {
-	if len(dst) != len(src) {
-		return 0, 0, fmt.Errorf("serve: quantize: dst dim %d != src dim %d", len(dst), len(src))
-	}
-	low, high := math.Inf(1), math.Inf(-1)
-	for i, v := range src {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return 0, 0, fmt.Errorf("serve: quantize: non-finite value %v at dim %d", v, i)
-		}
-		if v < low {
-			low = v
-		}
-		if v > high {
-			high = v
-		}
-	}
-	var s64 float64
-	switch {
-	case len(src) == 0:
-		return 1, 0, nil
-	case low == high && low == 0:
-		s64 = 1
-	case low == high:
-		s64 = math.Abs(low) / 127
-	default:
-		s64 = (high - low) / 255
-	}
-	scale = float32(s64)
-	s64 = float64(scale) // quantize against the value decode will see
-	zero = float32(-128 - low/s64)
-	z64 := float64(zero)
-	for i, v := range src {
-		q := math.Round(v/s64 + z64)
-		if q < -128 {
-			q = -128
-		} else if q > 127 {
-			q = 127
-		}
-		dst[i] = int8(q)
-	}
-	return scale, zero, nil
-}
-
-// dequantInto decodes q into dst (reused when capacity suffices, allocated
-// otherwise) and returns the decoded slice.
-func dequantInto(dst []float64, q []int8, scale, zero float32) []float64 {
-	if cap(dst) < len(q) {
-		dst = make([]float64, len(q))
-	}
-	dst = dst[:len(q)]
-	s, z := float64(scale), float64(zero)
-	for i, v := range q {
-		dst[i] = (float64(v) - z) * s
-	}
-	return dst
 }
 
 // quantDot computes the dot product of two quantized rows without

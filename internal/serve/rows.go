@@ -83,17 +83,6 @@ func (s *Server) RowsInSlot(slot, slots int, slotOf func(id int64, slots int) in
 	return out
 }
 
-// FloatRows wraps a float64 row map as CodecF64 Rows (referencing the
-// slices, not copying) — the adapter for callers holding raw GraphInfer
-// embeddings.
-func FloatRows(rows map[int64][]float64) map[int64]Row {
-	out := make(map[int64]Row, len(rows))
-	for id, emb := range rows {
-		out[id] = F64Row(emb)
-	}
-	return out
-}
-
 // InstallRows admits migrated rows into the warm tier (the overlay, which
 // shadows the base store), preserving each row's codec. A row this replica
 // has already marked dirty is NOT resurrected: the dirty mark records a
@@ -147,15 +136,6 @@ func (s *Server) DropRows(match func(id int64) bool) int {
 		}
 	}
 	return n
-}
-
-// WarmRow reports whether id currently serves warm (clean store or overlay
-// row) — a test and stats observable for migration.
-func (s *Server) WarmRow(id int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.lookupRowLocked(id)
-	return ok
 }
 
 // keys lists the cached ids (callers hold the server mutex).

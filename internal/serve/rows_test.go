@@ -14,9 +14,29 @@ import (
 // place ids in slots by construction.
 func slotMod(id int64, slots int) int { return int(id % int64(slots)) }
 
+// floatRows wraps a float64 row map as CodecF64 Rows (referencing the
+// slices, not copying) — the adapter for callers holding raw GraphInfer
+// embeddings.
+func floatRows(rows map[int64][]float64) map[int64]Row {
+	out := make(map[int64]Row, len(rows))
+	for id, emb := range rows {
+		out[id] = F64Row(emb)
+	}
+	return out
+}
+
+// warmRow reports whether id currently serves warm (clean store or overlay
+// row) — the observable of migration.
+func warmRow(s *Server, id int64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.lookupRowLocked(id)
+	return ok
+}
+
 // TestRowSurfaceForMigration exercises the Server primitives the slot
 // migration protocol is assembled from: snapshot (RowsInSlot), install
-// (InstallRows), drop (DropRows), and the WarmRow observable — including
+// (InstallRows), drop (DropRows), and the warm-row observable — including
 // the dirty-row exclusions that make a migrated snapshot always safe to
 // serve.
 func TestRowSurfaceForMigration(t *testing.T) {
@@ -64,15 +84,15 @@ func TestRowSurfaceForMigration(t *testing.T) {
 	// InstallRows must not resurrect the dirty row, and an overlay-only id
 	// (no base store row) must round-trip through the next snapshot.
 	ghost := ids[len(ids)-1]*2 + 2 // even, not in the store
-	installed := srv.InstallRows(FloatRows(map[int64][]float64{
+	installed := srv.InstallRows(floatRows(map[int64][]float64{
 		even:  make([]float64, model.Cfg.Hidden),
 		ghost: make([]float64, model.Cfg.Hidden),
 	}))
 	if installed != 1 {
 		t.Fatalf("installed %d rows, want 1 (dirty id must be refused)", installed)
 	}
-	if !srv.WarmRow(ghost) || srv.WarmRow(even) {
-		t.Fatalf("warm observability wrong: ghost=%v dirty=%v", srv.WarmRow(ghost), srv.WarmRow(even))
+	if !warmRow(srv, ghost) || warmRow(srv, even) {
+		t.Fatalf("warm observability wrong: ghost=%v dirty=%v", warmRow(srv, ghost), warmRow(srv, even))
 	}
 	rows = srv.RowsInSlot(0, 2, slotMod)
 	if _, ok := rows[ghost]; !ok {
@@ -84,7 +104,7 @@ func TestRowSurfaceForMigration(t *testing.T) {
 	if dropped != 1 {
 		t.Fatalf("dropped %d overlay rows, want 1", dropped)
 	}
-	if srv.WarmRow(ghost) {
+	if warmRow(srv, ghost) {
 		t.Fatal("dropped row still serves warm")
 	}
 }
@@ -201,12 +221,12 @@ func TestFlightAccessors(t *testing.T) {
 	}
 
 	g, model, _ := testLinkGraph(t, gnn.EdgeHeadBilinear)
-	srv, err := New(Config{Seed: 4, FlightSlots: 7}, model, g, nil)
+	srv, err := New(Config{Seed: 4}, model, g, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if spec := srv.FlightInfo(); spec.Slots != 7 || spec.Interval <= 0 {
+	if spec := srv.FlightInfo(); spec.Slots != flightSlots || spec.Interval <= 0 {
 		t.Fatalf("flight spec %+v", spec)
 	}
 	if srv.Flight() == nil {
@@ -239,14 +259,14 @@ func TestDropRowsNeverExposesStaleStoreRows(t *testing.T) {
 	if _, err := srv.Score(ctx, readmitted); err != nil {
 		t.Fatal(err)
 	}
-	if !srv.WarmRow(readmitted) || srv.WarmRow(dirty) {
+	if !warmRow(srv, readmitted) || warmRow(srv, dirty) {
 		t.Fatal("setup: want one re-admitted and one dirty row")
 	}
 	srv.DropRows(func(id int64) bool { return id == dirty || id == readmitted })
 	cur, _ := srv.Graph()
 	want := coldRecompute(t, Config{Seed: 4}, cloneModel(t, model), cur, []int64{dirty, readmitted})
 	for _, id := range []int64{dirty, readmitted} {
-		if srv.WarmRow(id) {
+		if warmRow(srv, id) {
 			t.Fatalf("DropRows exposed the store row of %d", id)
 		}
 		got, err := srv.Score(ctx, id)

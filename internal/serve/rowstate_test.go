@@ -153,7 +153,7 @@ func (r *rowStateRun) step(kind int, id int64) bool {
 		}
 		r.mask |= 1 << id
 	case evInstall:
-		s.InstallRows(FloatRows(map[int64][]float64{id: r.refs[r.mask].embs[id]}))
+		s.InstallRows(floatRows(map[int64][]float64{id: r.refs[r.mask].embs[id]}))
 	case evDrop:
 		s.DropRows(func(x int64) bool { return x == id })
 	case evRead:

@@ -370,7 +370,7 @@ func TestConfigValidation(t *testing.T) {
 		{CacheSize: -1},
 		{MaxBatch: -2},
 		{MaxWait: -1},
-		{QueueDepth: -5},
+		{ShedThreshold: -5},
 	}
 	for _, cfg := range bad {
 		if _, err := New(cfg, model, g, nil); err == nil {

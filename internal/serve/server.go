@@ -59,30 +59,32 @@ type Config struct {
 	// flushing, trading latency for batch size. 0 (the default) flushes
 	// greedily as soon as the queue is momentarily empty — concurrent
 	// traffic still coalesces because requests queue up while the previous
-	// batch computes.
+	// batch computes. A nonzero linger must be at least 1ms: Go timers fire
+	// about 1ms late, so a shorter one waits ~1ms all the same.
 	MaxWait time.Duration
-	// QueueDepth bounds the pending-request channel (0 selects 4*MaxBatch).
-	// Enqueues beyond it block, providing backpressure.
-	QueueDepth int
 
 	// ShedThreshold caps cold-path requests in flight (admitted but not
 	// yet completed); beyond it new cold requests are rejected immediately
 	// with a ShedError instead of queueing into latency they cannot
-	// survive. 0 selects QueueDepth. Warm, cache-hit, and single-flight
-	// collapsed requests are never subject to admission.
+	// survive. It is also the capacity of the batcher's queue, so an
+	// admitted request never blocks on the send. 0 selects 4*MaxBatch.
+	// Warm, cache-hit, and single-flight collapsed requests are never
+	// subject to admission.
 	ShedThreshold int
 
-	// FlightPath, when non-empty, mirrors the always-on metrics ring to a
-	// fixed-size binary flight-recorder file (see ring.go for the format),
-	// readable post-hoc with cmd/aglmetrics or ReadFlightFile.
+	// FlightPath, when non-empty, mirrors the always-on metrics ring
+	// (flightSlots samples) to a fixed-size binary flight-recorder file
+	// (see ring.go for the format), readable post-hoc with cmd/aglmetrics
+	// or ReadFlightFile.
 	FlightPath string
-	// FlightSlots is the ring capacity in samples (0 selects 3600 — one
-	// hour at the default interval).
-	FlightSlots int
 	// FlightInterval is the sampling period (0 selects 1s; < 0 disables
 	// the recorder entirely).
 	FlightInterval time.Duration
 }
+
+// flightSlots is the flight ring's capacity in samples: one hour at the
+// default interval.
+const flightSlots = 3600
 
 // Validate rejects nonsensical serving parameters. Failures are
 // *core.ValidationError with the public field name ("ServeConfig.Hops").
@@ -102,14 +104,12 @@ func (c Config) Validate() error {
 	if c.MaxWait < 0 {
 		return core.Invalidf("ServeConfig.MaxWait", "must be >= 0 (0 selects the default), got %v", c.MaxWait)
 	}
-	if c.QueueDepth < 0 {
-		return core.Invalidf("ServeConfig.QueueDepth", "must be >= 0 (0 selects the default), got %d", c.QueueDepth)
+	if c.MaxWait > 0 && c.MaxWait < time.Millisecond {
+		return core.Invalidf("ServeConfig.MaxWait",
+			"must be 0 (flush greedily) or >= 1ms: Go timers fire about 1ms late, so a shorter linger waits ~1ms anyway, got %v", c.MaxWait)
 	}
 	if c.ShedThreshold < 0 {
-		return core.Invalidf("ServeConfig.ShedThreshold", "must be >= 0 (0 selects QueueDepth), got %d", c.ShedThreshold)
-	}
-	if c.FlightSlots < 0 {
-		return core.Invalidf("ServeConfig.FlightSlots", "must be >= 0 (0 selects the default), got %d", c.FlightSlots)
+		return core.Invalidf("ServeConfig.ShedThreshold", "must be >= 0 (0 selects 4*MaxBatch), got %d", c.ShedThreshold)
 	}
 	return nil
 }
@@ -127,17 +127,8 @@ func (c Config) withDefaults(modelLayers int) Config {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 64
 	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = 4 * c.MaxBatch
-	}
 	if c.ShedThreshold == 0 {
-		// Matching QueueDepth keeps the batcher's plain channel send
-		// non-blocking: admitted-but-unconsumed calls never exceed the
-		// channel capacity.
-		c.ShedThreshold = c.QueueDepth
-	}
-	if c.FlightSlots == 0 {
-		c.FlightSlots = 3600
+		c.ShedThreshold = 4 * c.MaxBatch
 	}
 	if c.FlightInterval == 0 {
 		c.FlightInterval = time.Second
@@ -350,12 +341,12 @@ func New(cfg Config, model *gnn.Model, g *graph.Graph, store Store) (*Server, er
 		inflight: make(map[int64]*call),
 		ws:       tensor.NewWorkspace(),
 		adm:      newAdmission(cfg.ShedThreshold, cfg.MaxBatch),
-		reqs:     make(chan *call, cfg.QueueDepth),
+		reqs:     make(chan *call, cfg.ShedThreshold),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
 	if cfg.FlightInterval > 0 {
-		ring, err := NewFlightRing(cfg.FlightSlots, cfg.FlightPath)
+		ring, err := NewFlightRing(flightSlots, cfg.FlightPath)
 		if err != nil {
 			return nil, err
 		}
@@ -1053,7 +1044,7 @@ func (s *Server) FlightInfo() FlightSpec {
 	if s.flight == nil {
 		return FlightSpec{}
 	}
-	return FlightSpec{Interval: s.cfg.FlightInterval, Slots: s.cfg.FlightSlots, Path: s.cfg.FlightPath}
+	return FlightSpec{Interval: s.cfg.FlightInterval, Slots: flightSlots, Path: s.cfg.FlightPath}
 }
 
 // lruCache is a minimal bounded LRU over score vectors. Callers hold the

@@ -28,6 +28,7 @@ import (
 	"unsafe"
 
 	"agl/internal/dfs"
+	"agl/internal/tensor"
 )
 
 // Store is the read interface of an embedding store. The serving tier
@@ -212,10 +213,11 @@ func NewStore(_ int, embeddings map[int64][]float64) (*RowStore, error) {
 }
 
 // Quantize builds a heap-resident q8 store from any source store, encoding
-// every row with per-row affine int8 parameters (reconstruction error at
-// most scale/2 per dimension). It fails on non-finite values: NaN/Inf have
-// no affine image and would corrupt the row's scale (serve such stores in
-// f64 instead).
+// every row with tensor.Quantize (reconstruction error at most scale/2 per
+// dimension). It fails, naming the node, on a row that codec refuses: a
+// non-finite value, or a range whose scale or zero point a float32 cannot
+// hold, either of which would decode to NaN (serve such stores in f64
+// instead).
 func Quantize(src Store) (*RowStore, error) {
 	if src == nil {
 		src = (*RowStore)(nil)
@@ -234,7 +236,7 @@ func Quantize(src Store) (*RowStore, error) {
 			return fmt.Errorf("serve: quantize: store changed during encode: node %d (dim %d, want %d)",
 				ids[i], len(emb), dim)
 		}
-		scale, zero, err := quantizeRow(viewLE[int8](row), emb)
+		scale, zero, err := tensor.Quantize(viewLE[int8](row), emb)
 		if err != nil {
 			return fmt.Errorf("serve: quantize node %d: %w", ids[i], err)
 		}
@@ -390,7 +392,7 @@ func (s *RowStore) LookupInto(dst []float64, id int64) ([]float64, bool) {
 		return nil, false
 	}
 	if s.codec == CodecQ8 {
-		return dequantInto(dst, s.q8[i*s.dim:(i+1)*s.dim], s.meta[2*i], s.meta[2*i+1]), true
+		return tensor.Dequantize(dst, s.q8[i*s.dim:(i+1)*s.dim], s.meta[2*i], s.meta[2*i+1]), true
 	}
 	if cap(dst) < s.dim {
 		dst = make([]float64, s.dim)

@@ -16,6 +16,7 @@ import (
 
 	"agl/internal/gnn"
 	"agl/internal/graph"
+	"agl/internal/tensor"
 )
 
 // randomEmbeddings builds n random embeddings with mixed-sign ids,
@@ -560,11 +561,11 @@ func TestQuantRoundTripErrorBound(t *testing.T) {
 		for j := range row {
 			row[j] = rng.NormFloat64() * mag
 		}
-		scale, zero, err := quantizeRow(q, row)
+		scale, zero, err := tensor.Quantize(q, row)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		got := dequantInto(dst, q, scale, zero)
+		got := tensor.Dequantize(dst, q, scale, zero)
 		bound := float64(scale) / 2
 		for j := range row {
 			// The half-step bound plus a relative term for the float32
@@ -583,11 +584,11 @@ func TestQuantRoundTripErrorBound(t *testing.T) {
 		{0, 0, 0, 0},
 		{},
 	} {
-		scale, zero, err := quantizeRow(q[:len(row)], row)
+		scale, zero, err := tensor.Quantize(q[:len(row)], row)
 		if err != nil {
 			t.Fatalf("degenerate row %v: %v", row, err)
 		}
-		got := dequantInto(dst[:0], q[:len(row)], scale, zero)
+		got := tensor.Dequantize(dst[:0], q[:len(row)], scale, zero)
 		for j := range row {
 			if math.Abs(got[j]-row[j]) > float64(scale)/2+1e-6*(1+math.Abs(row[j])) {
 				t.Fatalf("degenerate row %v dim %d: got %v", row, j, got[j])
@@ -609,6 +610,25 @@ func TestQuantizeRejectsNonFinite(t *testing.T) {
 		}
 		if _, err := Quantize(mem); err == nil {
 			t.Fatalf("Quantize accepted %v", bad)
+		} else if !strings.Contains(err.Error(), "node 7") {
+			t.Fatalf("error %q does not name the offending node", err)
+		}
+	}
+}
+
+// TestQuantizeRejectsUnrepresentableRange: finite rows whose scale or zero
+// point a float32 cannot hold (a tiny constant or span underflows the scale
+// to 0, a huge span overflows it to +Inf) would decode to NaN; Quantize
+// must refuse them and name the node, as the mutation feed's q8 form does.
+func TestQuantizeRejectsUnrepresentableRange(t *testing.T) {
+	for _, bad := range [][]float64{{0, 1e-44}, {1e-44, 1e-44}, {0, 1e300}} {
+		mem, err := NewStore(0, map[int64][]float64{1: {1, 2}, 7: bad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q, err := Quantize(mem); err == nil {
+			row, _ := q.LookupRow(7)
+			t.Fatalf("Quantize accepted %v: scale %v zero %v decodes to %v", bad, row.Scale, row.Zero, row.Floats(nil))
 		} else if !strings.Contains(err.Error(), "node 7") {
 			t.Fatalf("error %q does not name the offending node", err)
 		}

@@ -121,36 +121,6 @@ func (m *CSR) Clone() *CSR {
 	return c
 }
 
-// Transpose returns mᵀ. Used to backpropagate through an aggregation:
-// if Y = A·X then ∂L/∂X = Aᵀ·∂L/∂Y.
-func (m *CSR) Transpose() *CSR {
-	nnz := m.NNZ()
-	t := &CSR{
-		NumRows: m.NumCols,
-		NumCols: m.NumRows,
-		RowPtr:  make([]int, m.NumCols+1),
-		ColIdx:  make([]int, nnz),
-		Val:     make([]float64, nnz),
-	}
-	for _, c := range m.ColIdx {
-		t.RowPtr[c+1]++
-	}
-	for r := 0; r < t.NumRows; r++ {
-		t.RowPtr[r+1] += t.RowPtr[r]
-	}
-	next := append([]int(nil), t.RowPtr...)
-	for r := 0; r < m.NumRows; r++ {
-		cols, vals := m.Row(r)
-		for i, c := range cols {
-			pos := next[c]
-			next[c]++
-			t.ColIdx[pos] = r
-			t.Val[pos] = vals[i]
-		}
-	}
-	return t
-}
-
 // transposeWithMapIntoWS fills t (a caller-owned struct, typically embedded
 // in an Aggregator) with mᵀ and returns the edge map: fwd[i] is the index
 // into m's edge arrays of the transpose's i-th edge. GAT's backward pass
@@ -216,28 +186,6 @@ func (m *CSR) spmmRows(dst, x *tensor.Matrix, lo, hi int) {
 			tensor.AXPYVec(drow, x.Data[c*n:(c+1)*n], vals[i])
 		}
 	}
-}
-
-// FilterEdgesWS builds a new CSR keeping only entries for which keep
-// returns true, its arrays drawn from ws (nil allocates). The dimensions
-// are unchanged: dropped rows simply become empty.
-func (m *CSR) FilterEdgesWS(ws *tensor.Workspace, keep func(row, col int) bool) *CSR {
-	rowPtr := ws.Ints(m.NumRows + 1)
-	colIdx := ws.Ints(m.NNZ())
-	val := ws.Floats(m.NNZ())
-	out := 0
-	for r := 0; r < m.NumRows; r++ {
-		cols, vals := m.Row(r)
-		for i, c := range cols {
-			if keep(r, c) {
-				colIdx[out] = c
-				val[out] = vals[i]
-				out++
-			}
-		}
-		rowPtr[r+1] = out
-	}
-	return &CSR{NumRows: m.NumRows, NumCols: m.NumCols, RowPtr: rowPtr, ColIdx: colIdx[:out], Val: val[:out]}
 }
 
 // FilterByDistWS keeps edge (v, u) only when dist[v] ∈ [0, maxDst] and

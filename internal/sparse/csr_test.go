@@ -9,6 +9,60 @@ import (
 	"agl/internal/tensor"
 )
 
+// transpose returns mᵀ, the reference for backpropagating through an
+// aggregation: if Y = A·X then ∂L/∂X = Aᵀ·∂L/∂Y.
+func transpose(m *CSR) *CSR {
+	nnz := m.NNZ()
+	t := &CSR{
+		NumRows: m.NumCols,
+		NumCols: m.NumRows,
+		RowPtr:  make([]int, m.NumCols+1),
+		ColIdx:  make([]int, nnz),
+		Val:     make([]float64, nnz),
+	}
+	for _, c := range m.ColIdx {
+		t.RowPtr[c+1]++
+	}
+	for r := 0; r < t.NumRows; r++ {
+		t.RowPtr[r+1] += t.RowPtr[r]
+	}
+	next := append([]int(nil), t.RowPtr...)
+	for r := 0; r < m.NumRows; r++ {
+		cols, vals := m.Row(r)
+		for i, c := range cols {
+			pos := next[c]
+			next[c]++
+			t.ColIdx[pos] = r
+			t.Val[pos] = vals[i]
+		}
+	}
+	return t
+}
+
+// filterEdges builds a new CSR keeping only entries for which keep returns
+// true. The dimensions are unchanged: dropped rows simply become empty.
+func filterEdges(m *CSR, keep func(row, col int) bool) *CSR {
+	rowPtr := make([]int, m.NumRows+1)
+	colIdx := make([]int, m.NNZ())
+	val := make([]float64, m.NNZ())
+	out := 0
+	for r := 0; r < m.NumRows; r++ {
+		cols, vals := m.Row(r)
+		for i, c := range cols {
+			if keep(r, c) {
+				colIdx[out] = c
+				val[out] = vals[i]
+				out++
+			}
+		}
+		rowPtr[r+1] = out
+	}
+	return &CSR{NumRows: m.NumRows, NumCols: m.NumCols, RowPtr: rowPtr, ColIdx: colIdx[:out], Val: val[:out]}
+}
+
+// newAggregator builds an Aggregator over a with allocated arrays.
+func newAggregator(a *CSR, threads int) *Aggregator { return NewAggregatorWS(nil, a, threads) }
+
 // spmm allocates and returns m @ x.
 func spmm(m *CSR, x *tensor.Matrix) *tensor.Matrix {
 	dst := tensor.New(m.NumRows, x.Cols)
@@ -83,7 +137,7 @@ func TestEntriesRoundTrip(t *testing.T) {
 
 func TestTranspose(t *testing.T) {
 	m := smallCSR()
-	mt := m.Transpose()
+	mt := transpose(m)
 	for _, e := range m.Entries() {
 		if mt.At(e.Col, e.Row) != e.Val {
 			t.Fatalf("transpose missing (%d,%d)", e.Col, e.Row)
@@ -174,7 +228,7 @@ func TestPartitionEdgesBalance(t *testing.T) {
 
 func TestFilterEdges(t *testing.T) {
 	m := smallCSR()
-	f := m.FilterEdgesWS(nil, func(row, col int) bool { return row != 0 })
+	f := filterEdges(m, func(row, col int) bool { return row != 0 })
 	if f.NNZ() != 3 || f.RowNNZ(0) != 0 || f.At(1, 2) != 3 {
 		t.Fatalf("FilterEdges wrong: nnz=%d", f.NNZ())
 	}
@@ -277,7 +331,7 @@ func TestAggregatorForwardBackward(t *testing.T) {
 	x := tensor.New(20, 6)
 	x.RandFill(rng, 1)
 	for _, threads := range []int{1, 4} {
-		ag := NewAggregator(m, threads)
+		ag := newAggregator(m, threads)
 		fwd := tensor.New(20, 6)
 		ag.Forward(fwd, x)
 		if !tensor.Equalish(fwd, spmm(m, x), 1e-12) {
@@ -285,7 +339,7 @@ func TestAggregatorForwardBackward(t *testing.T) {
 		}
 		bwd := tensor.New(20, 6)
 		ag.Backward(bwd, x)
-		if !tensor.Equalish(bwd, spmm(m.Transpose(), x), 1e-12) {
+		if !tensor.Equalish(bwd, spmm(transpose(m), x), 1e-12) {
 			t.Fatalf("Backward mismatch threads=%d", threads)
 		}
 	}
@@ -294,7 +348,7 @@ func TestAggregatorForwardBackward(t *testing.T) {
 func TestRangeEdgesParallelCoversAllRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := randomCSR(rng, 40, 40, 0.1)
-	ag := NewAggregator(m, 4)
+	ag := newAggregator(m, 4)
 	covered := make([]bool, 40)
 	var mu chan struct{} = make(chan struct{}, 1)
 	mu <- struct{}{}
@@ -322,7 +376,7 @@ func TestTransposeInvolutionProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := randomCSR(rng, 1+rng.Intn(15), 1+rng.Intn(15), 0.3)
-		tt := m.Transpose().Transpose()
+		tt := transpose(transpose(m))
 		if tt.NNZ() != m.NNZ() {
 			return false
 		}
@@ -409,6 +463,6 @@ func BenchmarkPrepareAlloc(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		norm := m.SymNormalize()
-		NewAggregator(norm, 0)
+		newAggregator(norm, 0)
 	}
 }

@@ -74,12 +74,10 @@ type Aggregator struct {
 	threads int
 }
 
-// NewAggregator builds an Aggregator over a. threads <= 1 disables
-// partitioned (parallel) aggregation.
-func NewAggregator(a *CSR, threads int) *Aggregator { return NewAggregatorWS(nil, a, threads) }
-
-// NewAggregatorWS is NewAggregator with the transpose arrays drawn from a
-// per-batch workspace, so repeated batch preparation stops allocating.
+// NewAggregatorWS builds an Aggregator over a, its transpose arrays drawn
+// from a per-batch workspace (nil allocates), so repeated batch
+// preparation stops allocating. threads <= 1 disables partitioned
+// (parallel) aggregation.
 func NewAggregatorWS(ws *tensor.Workspace, a *CSR, threads int) *Aggregator {
 	ag := &Aggregator{A: a, threads: threads}
 	ag.FwdIdx = a.transposeWithMapIntoWS(ws, &ag.AT)

@@ -182,10 +182,6 @@ func TestIntoVariantsMatchAllocating(t *testing.T) {
 	}
 
 	m := randMat(rng, 7, 5)
-	tr := New(5, 7)
-	m.TransposeInto(tr)
-	sameBits(t, "TransposeInto", tr, m.Transpose())
-
 	idx := []int{3, 0, 6, 3}
 	sub := New(len(idx), 5)
 	m.RowsSubsetInto(sub, idx)

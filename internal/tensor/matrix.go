@@ -317,13 +317,6 @@ func dotRowsRange(dst, a, b *Matrix, rows []int, lo, hi int) {
 // strides the whole matrix per element.
 const transposeTile = 16
 
-// Transpose returns a newly allocated mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	m.TransposeInto(out)
-	return out
-}
-
 // TransposeInto writes mᵀ into dst (m.Cols×m.Rows), which must not alias m.
 func (m *Matrix) TransposeInto(dst *Matrix) {
 	if dst.Rows != m.Cols || dst.Cols != m.Rows {

@@ -22,8 +22,8 @@ var (
 	poolOnce  sync.Once
 	poolTasks chan *poolJob
 
-	// parOverride, when > 0, caps the number of chunks any ParallelFor
-	// call fans out to. 1 forces every kernel serial. 0 means "use
+	// parOverride, when > 0, caps the number of chunks any parallel
+	// kernel fans out to. 1 forces every kernel serial. 0 means "use
 	// GOMAXPROCS". It exists for determinism tests and benchmarks; the
 	// kernels are row-partitioned, so results are bit-identical at any
 	// setting.
@@ -34,12 +34,11 @@ var (
 // that workers (and the submitting goroutine) claim with an atomic
 // counter. kindDot dispatches the dense product kernel without a closure,
 // keeping the hot training path at one allocation per parallel matmul;
-// kindFunc and kindEach cover generic callers.
+// kindEach covers generic callers.
 type poolJob struct {
 	kind      int
 	dst, a, b *Matrix
 	rows      []int // kindDot's destination rows; nil means all
-	fn        func(lo, hi int)
 	each      func(i int)
 	n, size   int
 	chunks    int32
@@ -49,8 +48,7 @@ type poolJob struct {
 
 // poolJob kinds.
 const (
-	kindFunc = iota
-	kindEach
+	kindEach = iota
 	kindDot
 )
 
@@ -69,8 +67,6 @@ func (j *poolJob) run() {
 			hi = j.n
 		}
 		switch j.kind {
-		case kindFunc:
-			j.fn(lo, hi)
 		case kindEach:
 			for i := lo; i < hi; i++ {
 				j.each(i)
@@ -146,27 +142,10 @@ func SetParallelism(n int) int {
 	return int(parOverride.Swap(int32(n)))
 }
 
-// ParallelFor splits [0, n) into contiguous chunks of at least grain
-// elements and runs fn over the chunks on the shared pool, returning when
-// every chunk is done. Chunks are disjoint, so fn may write freely to its
-// own output rows. With one chunk (or parallelism 1) fn runs inline on the
-// caller's goroutine without touching the pool.
-func ParallelFor(n, grain int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	chunks, size := jobChunks(n, grain)
-	if chunks <= 1 {
-		fn(0, n)
-		return
-	}
-	dispatch(&poolJob{kind: kindFunc, fn: fn, n: n, size: size, chunks: chunks})
-}
-
 // ParallelEach runs fn(i) for i in [0, n) on the shared pool, returning
 // when all are done. It is the hook for callers that have already
-// partitioned their work (sparse edge partitions). Like ParallelFor it
-// honors the SetParallelism cap — indices are grouped into at most that
+// partitioned their work (sparse edge partitions). Like the dense kernels
+// it honors the SetParallelism cap — indices are grouped into at most that
 // many chunks — and degrades to inline execution at parallelism 1.
 func ParallelEach(n int, fn func(i int)) {
 	if n <= 0 {

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// parallelFor splits [0, n) into contiguous chunks of at least grain
+// elements and runs fn over them on the shared pool through ParallelEach.
+func parallelFor(n, grain int, fn func(lo, hi int)) {
+	chunks, size := jobChunks(n, grain)
+	ParallelEach(int(chunks), func(c int) { fn(c*size, min((c+1)*size, n)) })
+}
+
 func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 	defer SetParallelism(SetParallelism(0))
 	for _, par := range []int{1, 4} {
@@ -13,7 +20,7 @@ func TestParallelForCoversRangeExactlyOnce(t *testing.T) {
 		for _, n := range []int{0, 1, 5, 97, 1024} {
 			var mu sync.Mutex
 			hits := make([]int, n)
-			ParallelFor(n, 3, func(lo, hi int) {
+			parallelFor(n, 3, func(lo, hi int) {
 				mu.Lock()
 				defer mu.Unlock()
 				for i := lo; i < hi; i++ {
@@ -36,9 +43,9 @@ func TestParallelForNested(t *testing.T) {
 	// the pool deadlock-free even when tasks submit subtasks).
 	var mu sync.Mutex
 	total := 0
-	ParallelFor(8, 1, func(lo, hi int) {
+	parallelFor(8, 1, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ParallelFor(16, 1, func(l, h int) {
+			parallelFor(16, 1, func(l, h int) {
 				mu.Lock()
 				total += h - l
 				mu.Unlock()

