@@ -49,7 +49,7 @@ var goldenRuns = []goldenRun{
 		train: agl.TrainConfig{Loss: agl.LossBCE, Epochs: 2, BatchSize: 32, Workers: 2, PSShards: 2,
 			Mode: agl.Sync, Pipeline: true, Pruning: true, AggThreads: 2, Seed: 1},
 		recordsSum: "33a65d215a2875eade6918b6793f85fc19846cf4ce47b19cda77ada165a24d86",
-		modelSum:   "8d39daca9234a84698c9138cfaa02333ba006a0edd09dfc1b5953f064aa72b9e",
+		modelSum:   "44f4e5d63c3eb514a3e8ca909c47f77e48cc5eb0fe8249ac0be8591cc958f4b7",
 	},
 	{
 		// The shape of bench's offline_hub: weighted sampling with hub
@@ -62,9 +62,9 @@ var goldenRuns = []goldenRun{
 		infer: true,
 
 		recordsSum:    "ecdca0703fb4a7a9c65b0f3b20eea28dfa75b94e9aac304cfa40b0a0406ca6e8",
-		modelSum:      "80ec0c1a4ad9005f33cf50dc78c74f43bfa51261f4f808b2968a6b4b9b889776",
-		scoresSum:     "b116787b19a5bf17c44ad823eb7edd1800795c665f1a3a8cde65425a61473b5a",
-		embeddingsSum: "a6ce31c4fb9e574f8e18f9b97be59e099c7548a64c2c3f6ed87446659fc8c8ff",
+		modelSum:      "3dfc3c22f9cab24ee621c21f5bc2d13cf3548e880f848593d3172809aa3994d7",
+		scoresSum:     "c20e7234d7cd7f1b109e144ce66efbdff7839d6f405007e4a5cc21e92141882a",
+		embeddingsSum: "befb9e6c9d37698371f6462c9cd5065364641e37bd9088a8576643955866bd1b",
 	},
 }
 

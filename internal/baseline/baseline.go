@@ -64,6 +64,7 @@ func Train(ds *datagen.Dataset, cfg Config) (*Result, error) {
 	var total time.Duration
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		t0 := time.Now()
+		opt.Key = uint64(epoch) // a fresh dropout mask every epoch
 		prep := model.Prepare(bg, opt)
 		st := model.Forward(bg, prep, opt)
 		var loss float64

@@ -453,8 +453,8 @@ func TestSyncWorkersAllRegisterBeforeAnyPush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e := 0; e < epochs; e++ {
-		if err := tr.pass(train); err != nil {
+	for e := 1; e <= epochs; e++ {
+		if err := tr.pass(e, 0, train); err != nil {
 			t.Fatal(err)
 		}
 	}

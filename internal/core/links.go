@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"slices"
 	"strconv"
 
@@ -10,6 +9,7 @@ import (
 	"agl/internal/mapreduce"
 	"agl/internal/metrics"
 	"agl/internal/nn"
+	"agl/internal/sampling"
 	"agl/internal/tensor"
 	"agl/internal/wire"
 )
@@ -130,13 +130,13 @@ type LinkBatch struct {
 
 // AssembleLinkBatchWS merges decoded LinkRecords into a single LinkBatch,
 // with the batch graph drawn from a per-step workspace (nil allocates);
-// Labels stay heap-allocated for callers that outlive the workspace. When
-// rng is non-nil, negPerPos uniform negatives are sampled per positive
-// record at batch-assembly time (the GraphSAGE/GiGL in-batch scheme): the
-// source endpoint is kept and the destination is drawn uniformly from the
-// batch's node rows, skipping pairs that exist as batch edges or positive
-// pairs. Evaluation callers pass a nil rng and pre-materialized negatives.
-func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPos int, rng *rand.Rand) (*LinkBatch, error) {
+// Labels stay heap-allocated for callers that outlive the workspace.
+// negPerPos uniform negatives are sampled per positive record at
+// batch-assembly time (the GraphSAGE/GiGL in-batch scheme): the source
+// endpoint is kept and attempt a at negative k of record i draws the
+// destination row from U(key, i, k, a), skipping pairs that exist as batch
+// edges or positive pairs. Evaluation passes negPerPos 0.
+func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPos int, key uint64) (*LinkBatch, error) {
 	if len(recs) == 0 {
 		return nil, fmt.Errorf("core: empty link batch")
 	}
@@ -170,15 +170,15 @@ func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPo
 		_, ok := slices.BinarySearch(cols, src)
 		return ok
 	}
-	if rng != nil && negPerPos > 0 && len(nodeIDs) > 1 {
-		for _, rec := range recs {
+	if negPerPos > 0 && len(nodeIDs) > 1 {
+		for i, rec := range recs {
 			if rec.Label == 0 {
 				continue
 			}
 			si, _ := slices.BinarySearch(nodeIDs, rec.Src)
 			for k := 0; k < negPerPos; k++ {
 				for attempt := 0; attempt < 10; attempt++ {
-					di := rng.Intn(len(nodeIDs))
+					di := int(sampling.U(key, uint64(i), uint64(k), uint64(attempt)) * float64(len(nodeIDs)))
 					dstID := nodeIDs[di]
 					// Both orientations count as "known edge": reciprocal
 					// pairs are one relationship, and a sampled subgraph may
@@ -210,12 +210,12 @@ func AssembleLinkBatchWS(ws *tensor.Workspace, recs []*wire.LinkRecord, negPerPo
 func linkTask(cfg TrainConfig) task {
 	negPerPos := max(cfg.NegativeRatio, 1)
 	return task{
-		assemble: func(ws *tensor.Workspace, encoded [][]byte, neg *rand.Rand) (*vectorized, error) {
+		assemble: func(ws *tensor.Workspace, encoded [][]byte, key uint64) (*vectorized, error) {
 			recs, err := DecodeLinkRecords(encoded)
 			if err != nil {
 				return nil, err
 			}
-			b, err := AssembleLinkBatchWS(ws, recs, negPerPos, neg)
+			b, err := AssembleLinkBatchWS(ws, recs, negPerPos, key)
 			if err != nil {
 				return nil, err
 			}
@@ -249,7 +249,7 @@ func PredictLinks(model *gnn.Model, records [][]byte, batchSize int, opt gnn.Run
 		if err != nil {
 			return err
 		}
-		b, err := AssembleLinkBatchWS(opt.Workspace, recs, 0, nil)
+		b, err := AssembleLinkBatchWS(opt.Workspace, recs, 0, 0)
 		if err != nil {
 			return err
 		}

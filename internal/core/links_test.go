@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -316,8 +317,7 @@ func TestAssembleLinkBatchNegativeSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	b, err := AssembleLinkBatchWS(nil, recs, 2, rng)
+	b, err := AssembleLinkBatchWS(nil, recs, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,13 +344,21 @@ func TestAssembleLinkBatchNegativeSampling(t *testing.T) {
 			t.Fatalf("negative pair %v is a real batch edge", b.Pairs[p])
 		}
 	}
-	// Without an rng no negatives appear (evaluation mode).
-	b2, err := AssembleLinkBatchWS(nil, recs, 2, nil)
+	// Without a ratio no negatives appear (evaluation mode).
+	b2, err := AssembleLinkBatchWS(nil, recs, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if b2.Negatives != 0 || len(b2.SrcRows) != 8 {
 		t.Fatalf("eval assembly sampled negatives: %+v", b2.Negatives)
+	}
+	// The negatives are a function of the records and the key.
+	again, err := AssembleLinkBatchWS(nil, recs, 2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(again.Pairs, b.Pairs) {
+		t.Fatal("same records and key sampled different negatives")
 	}
 }
 

@@ -3,7 +3,7 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"math/rand"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -11,6 +11,7 @@ import (
 	"agl/internal/dfs"
 	"agl/internal/gnn"
 	"agl/internal/mapreduce"
+	"agl/internal/sampling"
 )
 
 // This file is GraphFlat's one output-dataset layout and the bounded-memory
@@ -103,12 +104,11 @@ func writePartitionedOutput(cfg FlatConfig, finalRound mapreduce.Input, pairs []
 			return nil, err
 		}
 	}
-	b, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	manPath := filepath.Join(cfg.Output.Path(), partitionManifestName)
-	if err := os.WriteFile(manPath, append(b, '\n'), 0o644); err != nil {
+	if err := dfs.WriteFile(filepath.Join(cfg.Output.Path(), partitionManifestName), func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(man)
+	}); err != nil {
 		return nil, err
 	}
 	return man, nil
@@ -259,8 +259,8 @@ func (p *PartitionSet) each(order []int, fn func(part int, recs [][]byte) error)
 }
 
 // TrainPartitions is Train over a GraphFlat output dataset with bounded
-// resident memory: each epoch streams the partitions, in an order shuffled
-// per epoch, through one pass each of the same workers and the same
+// resident memory: epoch e streams the partitions, in the order keyed
+// (cfg.Seed, e), through one pass each of the same workers and the same
 // parameter servers, holding one partition's records while the next loads.
 // Convergence matches Train over the concatenated records up to batch
 // ordering, and over a single partition (GraphFlat's default) the two
@@ -272,9 +272,8 @@ func TrainPartitions(cfg TrainConfig, parts *PartitionSet) (*TrainResult, error)
 		return nil, fmt.Errorf("core: dataset link=%v does not match model edge head %q",
 			parts.Link(), cfg.Model.EdgeHead)
 	}
-	order := rand.New(rand.NewSource(cfg.Seed))
-	return train(cfg, parts.Records(), func(pass func([][]byte) error) error {
-		return parts.each(order.Perm(parts.NumPartitions()), func(_ int, recs [][]byte) error { return pass(recs) })
+	return train(cfg, parts.Records(), func(e int, pass func(int, [][]byte) error) error {
+		return parts.each(sampling.Perm(sampling.Key(uint64(cfg.Seed), uint64(e)), parts.NumPartitions()), pass)
 	})
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -10,6 +9,7 @@ import (
 	"agl/internal/metrics"
 	"agl/internal/nn"
 	"agl/internal/ps"
+	"agl/internal/sampling"
 	"agl/internal/tensor"
 )
 
@@ -68,11 +68,11 @@ type TrainConfig struct {
 	Pruning    bool // per-layer pruned adjacency
 	AggThreads int  // edge-partitioned aggregation threads (<=1 serial)
 
-	// Seed fixes every random choice the trainer makes beyond the model's
-	// own (Model.Seed: initialization and dropout): worker w shuffles its
-	// records with Seed + 7919w and samples link negatives with that + 1,
-	// and TrainPartitions orders partitions with Seed. Each stream is
-	// created once per run and carried across epochs and partitions.
+	// Seed keys the trainer's draws (Model.Seed keys initialization and
+	// dropout): in epoch e worker w orders its share of partition p by the
+	// permutation keyed (Seed, e, p, w), link negatives by that and the batch
+	// index, and TrainPartitions orders partitions by (Seed, e), so epoch e
+	// draws alike whether or not epochs 1..e−1 ran.
 	Seed int64
 
 	// Eval, when non-nil, is scored with EvalMetric every EvalEvery epochs
@@ -180,14 +180,14 @@ func (a *epochAcc) add(b epochAcc) {
 // gradients reach the servers depends on scheduling, so Async runs are not
 // bit-reproducible.
 func Train(cfg TrainConfig, records [][]byte) (*TrainResult, error) {
-	return train(cfg, len(records), func(pass func([][]byte) error) error { return pass(records) })
+	return train(cfg, len(records), func(_ int, pass func(int, [][]byte) error) error { return pass(0, records) })
 }
 
-// train is GraphTrainer's one driver. It runs cfg.Epochs epochs; epoch feeds
-// one epoch's share of the n records to pass, one call per slice it holds
+// train is GraphTrainer's one driver. It runs cfg.Epochs epochs; epoch e
+// feeds its share of the n records to pass, one call per partition it holds
 // resident. After each epoch cfg.EvalEvery decides whether to score a
 // snapshot and cfg.Patience whether to stop.
-func train(cfg TrainConfig, n int, epoch func(pass func([][]byte) error) error) (*TrainResult, error) {
+func train(cfg TrainConfig, n int, epoch func(e int, pass func(part int, recs [][]byte) error) error) (*TrainResult, error) {
 	t, err := newTrainer(cfg)
 	if err != nil {
 		return nil, err
@@ -203,7 +203,7 @@ func train(cfg TrainConfig, n int, epoch func(pass func([][]byte) error) error) 
 	for e := 1; e <= cfg.Epochs && !res.Stopped; e++ {
 		t0 := time.Now()
 		t.acc = epochAcc{}
-		if err := epoch(t.pass); err != nil {
+		if err := epoch(e, func(part int, recs [][]byte) error { return t.pass(e, part, recs) }); err != nil {
 			return nil, err
 		}
 		st := EpochStats{Epoch: e, Duration: time.Since(t0), VecBusy: t.acc.vec, ComputeBusy: t.acc.compute}
@@ -257,17 +257,12 @@ type trainer struct {
 	acc     epochAcc
 }
 
-// worker is one persistent training worker (paper Figure 4). Its model
-// replica's dropout stream, its shuffle stream and its negative-sampling
-// stream run on from pass to pass, so an epoch never replays an earlier
-// epoch's masks, order or negatives.
+// worker is one persistent training worker (paper Figure 4): a model
+// replica, its parameter-server client and two workspaces. It carries no
+// random state: every draw of a pass is keyed by the pass's coordinates.
 type worker struct {
-	local   *gnn.Model
-	client  ps.Client
-	shuffle *rand.Rand
-	// neg samples link negatives. Only the prepare stage draws from it,
-	// which keeps it off the stream the runner shuffles with.
-	neg *rand.Rand
+	local  *gnn.Model
+	client ps.Client
 	// free holds the worker's two workspaces between uses: batch N+1 is
 	// vectorized into one arena while batch N's step runs against the other
 	// (the paper's training pipeline, §3.3.2). A workspace comes back only
@@ -290,13 +285,7 @@ func newTrainer(cfg TrainConfig) (*trainer, error) {
 		if err != nil {
 			return nil, err
 		}
-		seed := cfg.Seed + int64(id)*7919
-		w := &worker{
-			local:   local,
-			shuffle: rand.New(rand.NewSource(seed)),
-			neg:     rand.New(rand.NewSource(seed + 1)),
-			free:    make(chan *tensor.Workspace, 2),
-		}
+		w := &worker{local: local, free: make(chan *tensor.Workspace, 2)}
 		w.free <- tensor.NewWorkspace()
 		w.free <- tensor.NewWorkspace()
 		t.workers = append(t.workers, w)
@@ -321,15 +310,16 @@ func (t *trainer) snapshot() (*gnn.Model, error) {
 	return m, nil
 }
 
-// pass trains once over records: they are dealt round-robin to the workers,
-// every worker runs its share, and the pass ends when all have finished, so
-// a pass is a barrier. All W workers join the synchronization group before
+// pass trains once over records, partition part of epoch e: they are dealt
+// round-robin to the workers, worker w runs its share in the order keyed
+// (cfg.Seed, e, part, w), and the pass ends when all have finished, so a
+// pass is a barrier. All W workers join the synchronization group before
 // any of them starts: in Sync mode a server averages over the workers
 // registered when a push arrives, and a worker that pushed before its peers
 // had joined would have its gradient applied alone. A worker leaves the
 // group as soon as its share is done, which releases peers with more
 // batches.
-func (t *trainer) pass(records [][]byte) error {
+func (t *trainer) pass(e, part int, records [][]byte) error {
 	shares := make([][][]byte, len(t.workers))
 	for i, rec := range records {
 		shares[i%len(shares)] = append(shares[i%len(shares)], rec)
@@ -345,7 +335,8 @@ func (t *trainer) pass(records [][]byte) error {
 		go func() {
 			defer wg.Done()
 			defer w.client.Deregister()
-			accs[i], errs[i] = w.run(t.cfg, t.task, shares[i])
+			key := sampling.Key(uint64(t.cfg.Seed), uint64(e), uint64(part), uint64(i))
+			accs[i], errs[i] = w.run(t.cfg, t.task, shares[i], key)
 		}()
 	}
 	wg.Wait()
@@ -369,6 +360,7 @@ type vectorized struct {
 	labels   []int
 	targets  *tensor.Matrix
 	src, dst []int
+	key      uint64 // the batch key, which keys its dropout masks
 
 	ws  *tensor.Workspace
 	vec time.Duration // time spent vectorizing
@@ -378,9 +370,8 @@ type vectorized struct {
 // loop.
 type task struct {
 	// assemble decodes one batch of encoded records and vectorizes it, with
-	// the feature matrix drawn from ws. neg is the worker's negative-sampling
-	// stream.
-	assemble func(ws *tensor.Workspace, encoded [][]byte, neg *rand.Rand) (*vectorized, error)
+	// the feature matrix drawn from ws. key is the batch key.
+	assemble func(ws *tensor.Workspace, encoded [][]byte, key uint64) (*vectorized, error)
 	// step runs forward, loss and backward on the replica m, leaving the
 	// gradients in its parameters, and returns the batch loss.
 	step func(m *gnn.Model, v *vectorized, opt gnn.RunOptions) (float64, error)
@@ -389,7 +380,7 @@ type task struct {
 // nodeTask trains on TrainRecords with cfg.Loss over the target rows.
 func nodeTask(cfg TrainConfig) task {
 	return task{
-		assemble: func(ws *tensor.Workspace, encoded [][]byte, _ *rand.Rand) (*vectorized, error) {
+		assemble: func(ws *tensor.Workspace, encoded [][]byte, _ uint64) (*vectorized, error) {
 			recs, err := DecodeRecords(encoded)
 			if err != nil {
 				return nil, err
@@ -418,15 +409,15 @@ func nodeTask(cfg TrainConfig) task {
 	}
 }
 
-// run trains the worker over its share of one pass: shuffle, slice into
-// batches, and for each batch vectorize (decode, merge, normalize the
-// adjacency), pull the latest weights, run the task's step and push the
-// gradients. Vectorization runs in its own goroutine, up to two batches
-// ahead of model compute when cfg.Pipeline is set and in lock-step
-// otherwise.
-func (w *worker) run(cfg TrainConfig, tk task, recs [][]byte) (epochAcc, error) {
+// run trains the worker over its share of one pass: order it by the
+// permutation keyed key, slice into batches, and for each batch vectorize
+// (decode, merge, normalize the adjacency), pull the latest weights, run
+// the task's step and push the gradients. Batch b's key is Key(key, b).
+// Vectorization runs in its own goroutine, up to two batches ahead of model
+// compute when cfg.Pipeline is set and in lock-step otherwise.
+func (w *worker) run(cfg TrainConfig, tk task, recs [][]byte, key uint64) (epochAcc, error) {
 	opt := gnn.RunOptions{Pruning: cfg.Pruning, Threads: cfg.AggThreads, Train: true}
-	order := w.shuffle.Perm(len(recs))
+	order := sampling.Perm(key, len(recs))
 	depth := 0
 	if cfg.Pipeline {
 		depth = 2 // the prepare stage runs ahead of model computation
@@ -443,7 +434,8 @@ func (w *worker) run(cfg TrainConfig, tk task, recs [][]byte) (epochAcc, error) 
 			for k, i := range idx {
 				batch[k] = recs[i]
 			}
-			v, err := tk.assemble(ws, batch, w.neg)
+			bkey := sampling.Key(key, uint64(lo/cfg.BatchSize))
+			v, err := tk.assemble(ws, batch, bkey)
 			if err != nil {
 				w.free <- ws
 				prepErr = err
@@ -452,7 +444,7 @@ func (w *worker) run(cfg TrainConfig, tk task, recs [][]byte) (epochAcc, error) 
 			o := opt
 			o.Workspace = ws
 			v.prep = w.local.Prepare(v.graph, o)
-			v.ws, v.vec = ws, time.Since(t0)
+			v.ws, v.key, v.vec = ws, bkey, time.Since(t0)
 			feed <- v
 		}
 	}()
@@ -460,7 +452,7 @@ func (w *worker) run(cfg TrainConfig, tk task, recs [][]byte) (epochAcc, error) 
 	for v := range feed {
 		t0 := time.Now()
 		o := opt
-		o.Workspace = v.ws
+		o.Workspace, o.Key = v.ws, v.key
 		loss, err := w.step(tk, v, o)
 		if err != nil {
 			// The prepare goroutine may be parked on a send or on a

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
+	"sync"
 	"testing"
 
 	"agl/internal/gnn"
@@ -135,8 +138,10 @@ func TestWarmTrainPassAllocsPerExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := 0
 	perPass := testing.AllocsPerRun(3, func() { // one warm-up pass, then three measured
-		if err := tr.pass(train); err != nil {
+		e++
+		if err := tr.pass(e, 0, train); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -144,5 +149,85 @@ func TestWarmTrainPassAllocsPerExample(t *testing.T) {
 	t.Logf("%.0f allocs per warm pass over %d examples: %.1f per example", perPass, len(train), perExample)
 	if perExample > 200 {
 		t.Fatalf("%.1f allocs per example in a warm pass, ceiling 200", perExample)
+	}
+}
+
+// TestEpochDrawsAreKeyed: epoch e's draws are a function of its key, not of
+// the epochs before it. Recorded through the task's assemble, every batch of
+// epoch e (its records in order, and for link batches the sampled
+// negatives) is the same on a fresh trainer that runs epoch e alone as on
+// one that ran epochs 1..e−1 first, for node and link tasks on two workers,
+// at the first, a middle and the last epoch.
+func TestEpochDrawsAreKeyed(t *testing.T) {
+	nodeTrain, _, _ := miniCora(t, 2)
+	linkTrain, _, linkDim := linkTrainingFixture(t, 13)
+	cases := []struct {
+		name string
+		cfg  TrainConfig
+		recs [][]byte
+	}{
+		{"node", TrainConfig{
+			Model: gnn.Config{Kind: gnn.KindGCN, InDim: 48, Hidden: 8, Classes: 4, Layers: 2,
+				Act: nn.ActReLU, Dropout: 0.2, Seed: 1},
+			Loss: LossCE, BatchSize: 4, Workers: 2, Pipeline: true, Seed: 4,
+		}, nodeTrain},
+		{"link", TrainConfig{
+			Model: gnn.Config{Kind: gnn.KindGCN, InDim: linkDim, Hidden: 8, Classes: 1, Layers: 2,
+				Act: nn.ActTanh, Dropout: 0.2, Seed: 5, EdgeHead: gnn.EdgeHeadBilinear},
+			Loss: LossBCE, BatchSize: 16, Workers: 2, Pipeline: true, NegativeRatio: 2, Seed: 4,
+		}, linkTrain},
+	}
+	const epochs = 5
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			// recorder returns a pass over c.recs whose assemble files each
+			// batch's records and pairs under the batch key, one map per
+			// epoch run; negatives counts the link negatives drawn.
+			negatives := 0
+			recorder := func() func(e int) map[uint64]string {
+				tr, err := newTrainer(c.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var mu sync.Mutex
+				var batches map[uint64]string
+				assemble := tr.task.assemble
+				tr.task.assemble = func(ws *tensor.Workspace, encoded [][]byte, key uint64) (*vectorized, error) {
+					v, err := assemble(ws, encoded, key)
+					if err == nil {
+						mu.Lock()
+						batches[key] = fmt.Sprintf("%x %v %v", encoded, v.src, v.dst)
+						negatives += max(len(v.src)-len(encoded), 0)
+						mu.Unlock()
+					}
+					return v, err
+				}
+				return func(e int) map[uint64]string {
+					batches = map[uint64]string{}
+					if err := tr.pass(e, 0, c.recs); err != nil {
+						t.Fatal(err)
+					}
+					return batches
+				}
+			}
+			carried := recorder()
+			var after []map[uint64]string
+			for e := 1; e <= epochs; e++ {
+				after = append(after, carried(e))
+			}
+			for _, e := range []int{1, epochs / 2, epochs} {
+				alone := recorder()(e)
+				if len(alone) == 0 || !maps.Equal(alone, after[e-1]) {
+					t.Fatalf("epoch %d: %d batches run alone, %d after epochs 1..%d, or they differ",
+						e, len(alone), len(after[e-1]), e-1)
+				}
+				if e > 1 && maps.Equal(alone, after[e-2]) {
+					t.Fatalf("epochs %d and %d drew the same batches", e-1, e)
+				}
+			}
+			if c.name == "link" && negatives == 0 {
+				t.Fatal("no link negatives drawn")
+			}
+		})
 	}
 }

@@ -17,7 +17,7 @@ func fullBackwardLayers(t *testing.T, m *Model, ws *tensor.Workspace, prep *Prep
 		if dh == nil {
 			t.Fatalf("layer %d returned no input gradient", i)
 		}
-		dh = m.drops[i].Backward(ws, dh)
+		dh = m.drops[i].Apply(ws, dh, prep.layer(i).In, 0)
 	}
 }
 
@@ -74,8 +74,8 @@ func TestFirstLayerSkipsInputGradient(t *testing.T) {
 			opt := RunOptions{Train: true, Workspace: ws}
 			prep := m.Prepare(b, opt)
 
-			// One forward pass feeds both backward passes, so dropout masks
-			// and cached activations are shared.
+			// One forward pass feeds both backward passes, so cached
+			// activations are shared and both recompute the same masks.
 			var skip, full func()
 			if cfg.EdgeHead != "" {
 				src, dst := []int{0, 3, 7, 3}, []int{5, 5, 1, 12}

@@ -198,7 +198,7 @@ type EdgeForwardState struct {
 	b      *BatchGraph
 	src    []int
 	dst    []int
-	ws     *tensor.Workspace
+	opt    RunOptions
 }
 
 // ForwardEdges runs the GNN stack on a prepared batch and scores the
@@ -208,16 +208,14 @@ func (m *Model) ForwardEdges(b *BatchGraph, prep *Prepared, src, dst []int, opt 
 	ws := opt.Workspace
 	h := b.X
 	for i, layer := range m.Layers {
-		m.drops[i].Train = opt.Train
-		h = m.drops[i].Forward(ws, h)
-		h = layer.Forward(ws, prep.Aggs[i], prep.layer(i), h)
+		h = layer.Forward(ws, prep.Aggs[i], prep.layer(i), m.dropout(i, prep, opt, h))
 	}
 	hs := ws.GetUninit(len(src), h.Cols)
 	h.RowsSubsetInto(hs, src)
 	hd := ws.GetUninit(len(dst), h.Cols)
 	h.RowsSubsetInto(hd, dst)
 	logits := m.Edge.Forward(ws, hs, hd)
-	return &EdgeForwardState{Prep: prep, H: h, Hs: hs, Hd: hd, Logits: logits, b: b, src: src, dst: dst, ws: ws}
+	return &EdgeForwardState{Prep: prep, H: h, Hs: hs, Hd: hd, Logits: logits, b: b, src: src, dst: dst, opt: opt}
 }
 
 // BackwardEdges propagates dLogits (P×1) through the edge head and all
@@ -225,12 +223,12 @@ func (m *Model) ForwardEdges(b *BatchGraph, prep *Prepared, src, dst []int, opt 
 // an endpoint row accumulate additively, as do pairs whose src and dst map
 // to the same row.
 func (m *Model) BackwardEdges(st *EdgeForwardState, dLogits *tensor.Matrix) {
-	ws := st.ws
+	ws := st.opt.Workspace
 	dhs, dhd := m.Edge.Backward(ws, dLogits)
 	dh := ws.Get(st.H.Rows, st.H.Cols)
 	tensor.ScatterRowsAdd(dh, dhs, st.src)
 	tensor.ScatterRowsAdd(dh, dhd, st.dst)
-	m.backwardLayers(ws, st.Prep, dh)
+	m.backwardLayers(st.opt, st.Prep, dh)
 }
 
 // InferEdges runs ForwardEdges with dropout disabled and returns the link

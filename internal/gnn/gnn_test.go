@@ -286,12 +286,18 @@ func TestDropoutActiveOnlyInTraining(t *testing.T) {
 	if !tensor.Equalish(a, c, 0) {
 		t.Fatal("eval passes nondeterministic (dropout leaked)")
 	}
-	// Training passes differ (dropout active).
-	opt := RunOptions{Train: true}
-	p1 := m.Forward(b, m.Prepare(b, opt), opt).Logits
-	p2 := m.Forward(b, m.Prepare(b, opt), opt).Logits
+	// Training passes of two batch keys differ (dropout active); the masks
+	// are the key's, so repeating a key repeats the pass.
+	pass := func(key uint64) *tensor.Matrix {
+		opt := RunOptions{Train: true, Key: key}
+		return m.Forward(b, m.Prepare(b, opt), opt).Logits
+	}
+	p1, p2 := pass(1), pass(2)
 	if tensor.Equalish(p1, p2, 1e-12) {
 		t.Fatal("training passes identical; dropout inactive")
+	}
+	if !sameBits(pass(1), p1) {
+		t.Fatal("one batch key drew two masks")
 	}
 }
 

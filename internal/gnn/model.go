@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"agl/internal/nn"
+	"agl/internal/sampling"
 	"agl/internal/sparse"
 	"agl/internal/tensor"
 )
@@ -27,7 +28,7 @@ type Config struct {
 	Heads   int        // attention heads (GAT only; default 1)
 	Act     nn.ActKind // activation between layers
 	Dropout float64    // drop probability during training (0 disables)
-	Seed    int64      // parameter initialization seed
+	Seed    int64      // parameter initialization and dropout-mask seed
 	// EdgeDim is the edge-feature dimensionality. When > 0, GAT layers add
 	// an edge term to their attention logits (paper Eq. 1's e_vu); GCN and
 	// GraphSAGE ignore edge features.
@@ -64,9 +65,8 @@ type Model struct {
 	// Edge is the pairwise link head; nil unless Cfg.EdgeHead is set.
 	Edge *EdgeScorer
 
-	drops  []*nn.Dropout
+	drops  []nn.Dropout
 	params *nn.ParamSet
-	rng    *rand.Rand
 }
 
 // NewModel constructs a model from cfg with Glorot-initialized parameters.
@@ -81,7 +81,7 @@ func NewModel(cfg Config) (*Model, error) {
 		return nil, fmt.Errorf("gnn: GAT hidden dim %d not divisible by %d heads", cfg.Hidden, cfg.Heads)
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Model{Cfg: cfg, rng: rng}
+	m := &Model{Cfg: cfg}
 	for i := 0; i < cfg.Layers; i++ {
 		in := cfg.Hidden
 		if i == 0 {
@@ -102,7 +102,7 @@ func NewModel(cfg Config) (*Model, error) {
 			return nil, fmt.Errorf("gnn: unknown model kind %q", cfg.Kind)
 		}
 		m.Layers = append(m.Layers, layer)
-		m.drops = append(m.drops, nn.NewDropout(cfg.Dropout, rng))
+		m.drops = append(m.drops, nn.Dropout{Rate: cfg.Dropout, Key: sampling.Key(uint64(cfg.Seed), uint64(i))})
 	}
 	m.Head = nn.NewDense("head", cfg.Hidden, cfg.Classes, rng)
 	if cfg.EdgeHead != "" {
@@ -196,6 +196,9 @@ type RunOptions struct {
 	Threads int
 	// Train enables dropout.
 	Train bool
+	// Key is the batch key: dropout masks are a function of (Config.Seed,
+	// Key, layer, row, col), the same wherever and whenever the step runs.
+	Key uint64
 	// Workspace, when non-nil, is the per-step arena every temporary of
 	// Prepare/Forward/Backward is drawn from. The caller resets it after
 	// the step (and after copying out anything it wants to keep). Nil
@@ -352,7 +355,7 @@ type ForwardState struct {
 	Emb    *tensor.Matrix // target-row embeddings
 	Logits *tensor.Matrix // head outputs for target rows
 	b      *BatchGraph
-	ws     *tensor.Workspace
+	opt    RunOptions
 }
 
 // Forward runs the full model on a prepared batch and returns the state
@@ -363,36 +366,43 @@ func (m *Model) Forward(b *BatchGraph, prep *Prepared, opt RunOptions) *ForwardS
 	ws := opt.Workspace
 	h := b.X
 	for i, layer := range m.Layers {
-		m.drops[i].Train = opt.Train
-		h = m.drops[i].Forward(ws, h)
-		h = layer.Forward(ws, prep.Aggs[i], prep.layer(i), h)
+		h = layer.Forward(ws, prep.Aggs[i], prep.layer(i), m.dropout(i, prep, opt, h))
 	}
 	emb := ws.GetUninit(len(b.Targets), h.Cols)
 	h.RowsSubsetInto(emb, b.Targets)
 	logits := m.Head.Forward(ws, emb)
-	return &ForwardState{Prep: prep, H: h, Emb: emb, Logits: logits, b: b, ws: ws}
+	return &ForwardState{Prep: prep, H: h, Emb: emb, Logits: logits, b: b, opt: opt}
+}
+
+// dropout applies layer i's mask, when opt trains, to h (the layer's input
+// or its gradient) on the rows the layer reads, the only rows it draws for.
+func (m *Model) dropout(i int, prep *Prepared, opt RunOptions, h *tensor.Matrix) *tensor.Matrix {
+	if !opt.Train {
+		return h
+	}
+	return m.drops[i].Apply(opt.Workspace, h, prep.layer(i).In, opt.Key)
 }
 
 // Backward propagates dLogits through the head and all layers, accumulating
 // gradients into the model's parameters.
 func (m *Model) Backward(st *ForwardState, dLogits *tensor.Matrix) {
-	ws := st.ws
+	ws := st.opt.Workspace
 	dEmb := m.Head.Backward(ws, dLogits)
 	dh := ws.Get(st.H.Rows, st.H.Cols)
 	tensor.ScatterRowsAdd(dh, dEmb, st.b.Targets)
-	m.backwardLayers(ws, st.Prep, dh)
+	m.backwardLayers(st.opt, st.Prep, dh)
 }
 
-// backwardLayers propagates dL/dH of the last layer down the layer stack,
-// accumulating every layer's parameter gradients. The first layer's input
-// is the batch's raw features, whose gradient nothing reads, so neither
-// that layer's input gradient nor its dropout backward is computed.
-func (m *Model) backwardLayers(ws *tensor.Workspace, prep *Prepared, dh *tensor.Matrix) {
+// backwardLayers propagates dL/dH of the last layer down the layer stack of
+// a pass run with opt, accumulating every layer's parameter gradients. The
+// first layer's input is the batch's raw features, whose gradient nothing
+// reads, so neither that layer's input gradient nor its dropout is computed.
+func (m *Model) backwardLayers(opt RunOptions, prep *Prepared, dh *tensor.Matrix) {
 	for i := len(m.Layers) - 1; i > 0; i-- {
-		dh = m.Layers[i].Backward(ws, prep.Aggs[i], prep.layer(i), dh, true)
-		dh = m.drops[i].Backward(ws, dh)
+		dh = m.Layers[i].Backward(opt.Workspace, prep.Aggs[i], prep.layer(i), dh, true)
+		dh = m.dropout(i, prep, opt, dh)
 	}
-	m.Layers[0].Backward(ws, prep.Aggs[0], prep.layer(0), dh, false)
+	m.Layers[0].Backward(opt.Workspace, prep.Aggs[0], prep.layer(0), dh, false)
 }
 
 // Infer runs a forward pass with dropout disabled and returns the target

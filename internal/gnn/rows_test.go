@@ -80,8 +80,7 @@ func TestPrunedRowsNeverReadUnlistedRows(t *testing.T) {
 					ws := poisonedWorkspace(400, b.Adj.NumRows, 8)
 					h := b.X
 					for i, layer := range m.Layers {
-						m.drops[i].Train = true
-						h = m.drops[i].Forward(ws, h)
+						h = m.drops[i].Apply(ws, h, prep.Rows[i].In, opt.Key)
 						h = layer.Forward(ws, prep.Aggs[i], prep.Rows[i], poisonRows(ws, h, prep.Rows[i].In))
 					}
 					emb := ws.GetUninit(len(b.Targets), h.Cols)
@@ -97,7 +96,7 @@ func TestPrunedRowsNeverReadUnlistedRows(t *testing.T) {
 							break
 						}
 						zeroOffRows(t, fmt.Sprintf("layer %d input gradient", i), dh, rows.In)
-						dh = m.drops[i].Backward(ws, dh)
+						dh = m.drops[i].Apply(ws, dh, rows.In, opt.Key)
 					}
 					return logits.Clone(), snapshotGrads(m)
 				}
@@ -116,6 +115,58 @@ func TestPrunedRowsNeverReadUnlistedRows(t *testing.T) {
 					t.Fatalf("batch too dense: every row within %d hops", layers)
 				}
 			})
+		}
+	}
+}
+
+// TestDropoutMasksAreKeyed: a training step's masks are a function of the
+// model seed and the batch key alone. A model that has already stepped
+// other batches takes the same step on batch key 3 as a fresh one, bit for
+// bit; each layer draws its mask only for the rows its Rows.In lists, and
+// those rows match the full-batch mask.
+func TestDropoutMasksAreKeyed(t *testing.T) {
+	cfg := Config{Kind: KindGCN, InDim: 5, Hidden: 6, Classes: 2, Layers: 2,
+		Act: nn.ActTanh, Dropout: 0.5, Seed: 9}
+	b := edgeBatch(rand.New(rand.NewSource(19)), 40, 5, 3, 3, 0.06)
+	labels := []int{0, 1, 1}
+	step := func(m *Model, key uint64) (*tensor.Matrix, map[string]*tensor.Matrix) {
+		opt := RunOptions{Pruning: true, Train: true, Key: key}
+		st := m.Forward(b, m.Prepare(b, opt), opt)
+		_, dl := nn.SoftmaxCrossEntropy(st.Logits, labels)
+		m.Params().ZeroGrads()
+		m.Backward(st, dl)
+		return st.Logits.Clone(), snapshotGrads(m)
+	}
+	fresh, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	used, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantLogits, wantGrads := step(fresh, 3)
+	step(used, 1)
+	step(used, 2)
+	gotLogits, gotGrads := step(used, 3)
+	sameBitsGNN(t, "logits after other batches", gotLogits, wantLogits)
+	sameGrads(t, "after other batches", gotGrads, wantGrads)
+
+	opt := RunOptions{Pruning: true, Train: true, Key: 3}
+	prep := fresh.Prepare(b, opt)
+	ones := tensor.New(b.Adj.NumRows, cfg.Hidden)
+	ones.Fill(1)
+	for i := range fresh.Layers {
+		in := prep.Rows[i].In
+		if in == nil {
+			t.Fatalf("layer %d lists every row; the batch must leave some out", i)
+		}
+		got := fresh.dropout(i, prep, opt, poisonRows(nil, ones, in))
+		full := fresh.drops[i].Apply(nil, ones, nil, opt.Key)
+		zeroOffRows(t, fmt.Sprintf("layer %d mask", i), got, in)
+		for _, r := range in {
+			sameBitsGNN(t, fmt.Sprintf("layer %d row %d mask", i, r),
+				tensor.FromSlice(1, cfg.Hidden, got.Row(r)), tensor.FromSlice(1, cfg.Hidden, full.Row(r)))
 		}
 	}
 }

@@ -261,16 +261,12 @@ func DecodeKV(rec []byte) (KeyValue, error) {
 
 // ---- spill files ----
 
-// spillWriter streams sorted pairs to a spill file. It enforces the sort
-// invariant the k-way merge depends on: appended keys must be
-// non-decreasing (a combiner that emits anything but its group key would
-// otherwise silently corrupt the shuffle).
+// spillWriter streams sorted pairs to a spill file; sortByKey, its one
+// caller's sort, gives the k-way merge its non-decreasing keys.
 type spillWriter struct {
-	f       *os.File
-	bw      *bufio.Writer
-	total   int64
-	lastKey string
-	wrote   bool
+	f     *os.File
+	bw    *bufio.Writer
+	total int64
 }
 
 func newSpillWriter(path string) (*spillWriter, error) {
@@ -282,11 +278,6 @@ func newSpillWriter(path string) (*spillWriter, error) {
 }
 
 func (w *spillWriter) append(kv KeyValue) error {
-	if w.wrote && kv.Key < w.lastKey {
-		return fmt.Errorf("mapreduce: spill keys out of order (%q after %q): combiners must emit non-decreasing keys", kv.Key, w.lastKey)
-	}
-	w.lastKey = kv.Key
-	w.wrote = true
 	var lenBuf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(lenBuf[:], uint64(len(kv.Key)))
 	w.bw.Write(lenBuf[:n])

@@ -15,8 +15,7 @@
 // The shuffle is streaming end to end: reducers receive their value groups
 // as pull-based ValueIter iterators fed directly from the k-way merge of
 // sorted spill files, so a single hub key whose fan-in exceeds RAM still
-// reduces in O(buffer) memory, and the combiner pre-reduces map output as
-// it is spilled, before it ever hits disk.
+// reduces in O(buffer) memory.
 package mapreduce
 
 import (
@@ -84,8 +83,9 @@ type Holder interface {
 // held: none of its output survives, and the retry starts from nothing.
 type PerTask func() (Holder, error)
 
-// Reduce implements Reducer outside a reduce task (as a Combiner): a fresh
-// instance reduces the one group and is flushed at once.
+// Reduce implements Reducer, so a PerTask goes wherever a Reducer does. A
+// reduce task never calls it (it builds one instance per attempt); called
+// directly, a fresh instance reduces the one group and is flushed at once.
 func (f PerTask) Reduce(key string, values ValueIter, emit Emit) error {
 	h, err := f()
 	if err == nil {
@@ -119,24 +119,6 @@ func (f ReducerFunc) Reduce(key string, values ValueIter, emit Emit) error {
 	return f(key, values, emit)
 }
 
-// sliceIter iterates an in-memory value slice. The engine uses it to feed
-// the combiner from the sorted map-output buffer.
-type sliceIter struct {
-	values [][]byte
-	pos    int
-}
-
-func (s *sliceIter) Next() ([]byte, bool) {
-	if s.pos >= len(s.values) {
-		return nil, false
-	}
-	v := s.values[s.pos]
-	s.pos++
-	return v, true
-}
-
-func (s *sliceIter) Err() error { return nil }
-
 // FaultInjector lets tests simulate task failures. It is consulted at the
 // start of each task attempt; a non-nil error fails that attempt.
 type FaultInjector func(taskKind string, taskIndex, attempt int) error
@@ -148,11 +130,6 @@ type Config struct {
 	NumReducers int    // shuffle partitions; default 4, GOMAXPROCS reduce at once
 	TempDir     string // spill directory; default os.TempDir()
 	MaxAttempts int    // attempts per task; default 3
-	// Combiner, when set, pre-reduces map-side output per partition as it
-	// is spilled, cutting shuffle volume (classic MapReduce combiner). It
-	// must emit keys in non-decreasing order — emitting its own group key,
-	// as standard combiners do, always satisfies this.
-	Combiner Reducer
 	// Faults is the test-only failure hook.
 	Faults FaultInjector
 }
@@ -318,9 +295,7 @@ func tryMapTask(cfg Config, stats *Stats, spillDir string, idx, attempt int, spl
 			return nil, err
 		}
 	}
-	// Buffer per partition, then sort and stream to the spill — through the
-	// combiner when one is configured, so pre-reduced output is what hits
-	// disk.
+	// Buffer per partition, then sort and stream to the spill.
 	buckets := make([][]KeyValue, cfg.NumReducers)
 	var recordsIn, recordsOut int64
 	emit := func(kv KeyValue) error {
@@ -342,7 +317,7 @@ func tryMapTask(cfg Config, stats *Stats, spillDir string, idx, attempt int, spl
 	for p, kvs := range buckets {
 		order = sortByKey(kvs, order)
 		path := fmt.Sprintf("%s/m%05d-r%05d-a%d", spillDir, idx, p, attempt)
-		n, err := spillPartition(cfg, path, kvs)
+		n, err := spillPartition(path, kvs)
 		if err != nil {
 			return nil, err
 		}
@@ -390,39 +365,17 @@ func sortByKey(kvs []KeyValue, idx []int32) []int32 {
 	return idx
 }
 
-// spillPartition writes one partition's sorted pairs to a spill file,
-// applying the combiner group by group as it writes so combined output
-// streams straight to disk.
-func spillPartition(cfg Config, path string, kvs []KeyValue) (int64, error) {
+// spillPartition writes one partition's sorted pairs to a spill file.
+func spillPartition(path string, kvs []KeyValue) (int64, error) {
 	w, err := newSpillWriter(path)
 	if err != nil {
 		return 0, err
 	}
-	if cfg.Combiner == nil {
-		for _, kv := range kvs {
-			if err := w.append(kv); err != nil {
-				w.abort()
-				return 0, err
-			}
-		}
-		return w.close()
-	}
-	emit := func(kv KeyValue) error { return w.append(kv) }
-	for i := 0; i < len(kvs); {
-		j := i
-		for j < len(kvs) && kvs[j].Key == kvs[i].Key {
-			j++
-		}
-		group := make([][]byte, 0, j-i)
-		for _, kv := range kvs[i:j] {
-			group = append(group, kv.Value)
-		}
-		it := &sliceIter{values: group}
-		if err := cfg.Combiner.Reduce(kvs[i].Key, it, emit); err != nil {
+	for _, kv := range kvs {
+		if err := w.append(kv); err != nil {
 			w.abort()
 			return 0, err
 		}
-		i = j
 	}
 	return w.close()
 }

@@ -82,27 +82,6 @@ func TestWordCount(t *testing.T) {
 	}
 }
 
-func TestCombinerReducesShuffleVolume(t *testing.T) {
-	base, err := Run(Config{Name: "nocomb", TempDir: t.TempDir(), NumMappers: 1},
-		wcMapper, wcReducer, wcInput(), NewMemOutput())
-	if err != nil {
-		t.Fatal(err)
-	}
-	outC := NewMemOutput()
-	withComb, err := Run(Config{Name: "comb", TempDir: t.TempDir(), NumMappers: 1, Combiner: wcReducer},
-		wcMapper, wcReducer, wcInput(), outC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withComb.BytesShuffled >= base.BytesShuffled {
-		t.Fatalf("combiner did not reduce shuffle: %d vs %d", withComb.BytesShuffled, base.BytesShuffled)
-	}
-	got := countsOf(outC.Pairs())
-	if got["the"] != 3 || got["dog"] != 2 {
-		t.Fatalf("combiner changed results: %v", got)
-	}
-}
-
 func TestMapTaskRetrySucceeds(t *testing.T) {
 	var failed int32
 	faults := func(kind string, idx, attempt int) error {

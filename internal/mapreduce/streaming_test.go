@@ -177,67 +177,6 @@ func TestStreamedMatchesCollected(t *testing.T) {
 	}
 }
 
-// TestCombinerAtSpillEquivalence runs a skewed word count with and without
-// the combiner: results must match exactly and the combined shuffle must be
-// strictly smaller, proving pre-reduction happens before bytes hit disk.
-func TestCombinerAtSpillEquivalence(t *testing.T) {
-	var in MemInput
-	for i := 0; i < 500; i++ {
-		in = append(in, []byte(fmt.Sprintf("k%02d 1", i%7)))
-	}
-	mapper := MapperFunc(func(rec []byte, emit Emit) error {
-		parts := strings.Fields(string(rec))
-		return emit(KeyValue{Key: parts[0], Value: []byte(parts[1])})
-	})
-	plainOut := NewMemOutput()
-	plain, err := Run(Config{Name: "plain", TempDir: t.TempDir(), NumMappers: 4},
-		mapper, wcReducer, in, plainOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	combOut := NewMemOutput()
-	comb, err := Run(Config{Name: "comb", TempDir: t.TempDir(), NumMappers: 4, Combiner: wcReducer},
-		mapper, wcReducer, in, combOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := countsOf(plainOut.Pairs()), countsOf(combOut.Pairs())
-	if len(want) != len(got) {
-		t.Fatalf("key counts differ: %v vs %v", want, got)
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("combiner changed result for %s: %d vs %d", k, got[k], v)
-		}
-	}
-	if comb.BytesShuffled >= plain.BytesShuffled {
-		t.Fatalf("combined shuffle not smaller: %d vs %d", comb.BytesShuffled, plain.BytesShuffled)
-	}
-	if comb.PeakGroupBytes >= plain.PeakGroupBytes {
-		t.Fatalf("combiner should shrink reduce groups: %d vs %d", comb.PeakGroupBytes, plain.PeakGroupBytes)
-	}
-}
-
-// TestCombinerMustEmitOrderedKeys: a combiner that rewrites keys out of
-// order corrupts the sorted-spill invariant; the engine must refuse it
-// loudly rather than merge garbage.
-func TestCombinerMustEmitOrderedKeys(t *testing.T) {
-	rogue := ReducerFunc(func(key string, values ValueIter, emit Emit) error {
-		// Two emits with descending keys — the second breaks the sorted-
-		// spill invariant no matter what the group key is.
-		if err := emit(KeyValue{Key: "z" + key, Value: []byte("1")}); err != nil {
-			return err
-		}
-		return emit(KeyValue{Key: "a" + key, Value: []byte("1")})
-	})
-	_, err := Run(Config{
-		Name: "rogue", TempDir: t.TempDir(), NumMappers: 1, MaxAttempts: 1, Combiner: rogue,
-	}, wcMapper, wcReducer, wcInput(), NewMemOutput())
-	if err == nil || !strings.Contains(err.Error(), "non-decreasing") {
-		t.Fatalf("err=%v want spill-order violation", err)
-	}
-}
-
 // TestEmptyReduceGroupNeverHappens documents the invariant that reducers
 // are only invoked for keys with at least one value, streaming included.
 func TestEmptyReduceGroupNeverHappens(t *testing.T) {

@@ -2,8 +2,8 @@ package nn
 
 import (
 	"math"
-	"math/rand"
 
+	"agl/internal/sampling"
 	"agl/internal/tensor"
 )
 
@@ -12,48 +12,6 @@ import (
 // scratch) are drawn from it and live until the workspace is Reset at the
 // end of the step. A nil workspace is always valid and falls back to plain
 // allocation, which is what one-shot callers (gradient checks, tests) use.
-
-// Dense is a fully connected layer Y = X·W + b.
-type Dense struct {
-	W, B *Param
-
-	x *tensor.Matrix // cached input for backward
-}
-
-// NewDense builds an in×out dense layer with Glorot-initialized weights.
-// name prefixes the parameter names ("<name>/W", "<name>/b").
-func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
-	return &Dense{
-		W: GlorotParam(name+"/W", in, out, rng),
-		B: NewParam(name+"/b", 1, out),
-	}
-}
-
-// Params returns the layer's trainable parameters.
-func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
-
-// Forward computes Y = X·W + b and caches X.
-func (d *Dense) Forward(ws *tensor.Workspace, x *tensor.Matrix) *tensor.Matrix {
-	d.x = x
-	y := ws.GetUninit(x.Rows, d.W.W.Cols)
-	tensor.MatMul(y, x, d.W.W)
-	y.AddRowVector(d.B.W.Row(0))
-	return y
-}
-
-// Backward accumulates dW, db and returns dX given dY.
-func (d *Dense) Backward(ws *tensor.Workspace, dy *tensor.Matrix) *tensor.Matrix {
-	// dW += Xᵀ·dY
-	dw := ws.GetUninit(d.W.W.Rows, d.W.W.Cols)
-	tensor.MatMulATB(dw, d.x, dy)
-	tensor.AXPY(d.W.Grad, 1, dw)
-	// db += colsum(dY)
-	dy.ColSumsInto(d.B.Grad.Row(0))
-	// dX = dY·Wᵀ
-	dx := ws.GetUninit(dy.Rows, d.W.W.Rows)
-	tensor.MatMulABT(dx, dy, d.W.W)
-	return dx
-}
 
 // Activation is an elementwise nonlinearity with a hand-written derivative.
 type Activation struct {
@@ -194,58 +152,35 @@ func (a *Activation) BackwardRows(ws *tensor.Workspace, dy *tensor.Matrix, rows 
 	return dx
 }
 
-// Dropout implements inverted dropout. In evaluation mode it is the
-// identity.
+// Dropout is inverted dropout with keyed masks. In the batch keyed b,
+// element (r, c) survives, scaled by 1/(1−Rate), when
+// sampling.U(sampling.Key(Key, b, r), c) < 1−Rate: a mask is a function of
+// (Key, b, r, c) alone, so any subset of rows draws exactly those rows of
+// the full-batch mask, and the backward pass recomputes it with Apply
+// instead of storing it.
 type Dropout struct {
-	Rate  float64
-	Train bool
-	Rng   *rand.Rand
-
-	// mask is reused across Forward calls whenever the incoming shape
-	// still fits its capacity; active reports whether the last Forward
-	// actually dropped (mask stays allocated while inactive).
-	mask   []float64
-	active bool
+	Rate float64
+	Key  uint64
 }
 
-// NewDropout builds a dropout layer with the given drop probability.
-func NewDropout(rate float64, rng *rand.Rand) *Dropout {
-	return &Dropout{Rate: rate, Train: true, Rng: rng}
-}
-
-// Forward drops entries with probability Rate and rescales survivors.
-func (d *Dropout) Forward(ws *tensor.Workspace, x *tensor.Matrix) *tensor.Matrix {
-	if !d.Train || d.Rate <= 0 {
-		d.active = false
-		return x
+// Apply multiplies the listed rows of m (ascending; nil means every row), an
+// input in the forward pass or its gradient in the backward pass, by the
+// batch's mask. No other row of m is read, and the other rows of the result
+// are zero. A non-positive Rate returns m itself.
+func (d Dropout) Apply(ws *tensor.Workspace, m *tensor.Matrix, rows []int, batch uint64) *tensor.Matrix {
+	if d.Rate <= 0 {
+		return m
 	}
 	keep := 1 - d.Rate
-	y := ws.Get(x.Rows, x.Cols)
-	n := len(x.Data)
-	if cap(d.mask) >= n {
-		d.mask = d.mask[:n]
-		clear(d.mask)
-	} else {
-		d.mask = make([]float64, n)
-	}
-	d.active = true
-	for i, v := range x.Data {
-		if d.Rng.Float64() < keep {
-			d.mask[i] = 1 / keep
-			y.Data[i] = v / keep
+	out := ws.Get(m.Rows, m.Cols)
+	for r := range tensor.EachRow(m.Rows, rows) {
+		key := sampling.Key(d.Key, batch, uint64(r))
+		or := out.Row(r)
+		for c, v := range m.Row(r) {
+			if sampling.U(key, uint64(c)) < keep {
+				or[c] = v / keep
+			}
 		}
 	}
-	return y
-}
-
-// Backward applies the saved mask to the incoming gradient.
-func (d *Dropout) Backward(ws *tensor.Workspace, dy *tensor.Matrix) *tensor.Matrix {
-	if !d.active {
-		return dy
-	}
-	dx := ws.Get(dy.Rows, dy.Cols)
-	for i, g := range dy.Data {
-		dx.Data[i] = g * d.mask[i]
-	}
-	return dx
+	return out
 }

@@ -160,12 +160,15 @@ func TestActivationNames(t *testing.T) {
 	}
 }
 
+// TestDropoutTrainEval: a mask drops about Rate of the entries, the
+// backward pass applies the same mask, a row subset draws exactly those rows of the
+// full-batch mask and reads no other row, another batch key draws another
+// mask, and a zero Rate is the identity.
 func TestDropoutTrainEval(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	d := NewDropout(0.5, rng)
+	d := Dropout{Rate: 0.5, Key: 5}
 	x := tensor.New(50, 40)
 	x.Fill(1)
-	y := d.Forward(nil, x)
+	y := d.Apply(nil, x, nil, 7)
 	zeros, twos := 0, 0
 	for _, v := range y.Data {
 		switch v {
@@ -184,19 +187,41 @@ func TestDropoutTrainEval(t *testing.T) {
 	if frac < 0.4 || frac > 0.6 {
 		t.Fatalf("drop fraction %v far from 0.5", frac)
 	}
-	// Backward respects the mask.
+	// The backward pass recomputes the mask.
 	dy := tensor.New(50, 40)
 	dy.Fill(1)
-	dx := d.Backward(nil, dy)
+	dx := d.Apply(nil, dy, nil, 7)
 	for i, v := range y.Data {
-		if (v == 0) != (dx.Data[i] == 0) {
+		if v != dx.Data[i] {
 			t.Fatal("dropout mask not applied to gradient")
 		}
 	}
-	// Eval mode is identity.
-	d.Train = false
-	if d.Forward(nil, x) != x {
-		t.Fatal("eval-mode dropout should pass through")
+	// A row subset: the full-batch mask on the listed rows, zero elsewhere,
+	// and no unlisted row read.
+	rows := []int{3, 17, 49}
+	poisoned := x.Clone()
+	for r := 0; r < poisoned.Rows; r++ {
+		if !slices.Contains(rows, r) {
+			poisoned.Row(r)[0] = math.NaN()
+		}
+	}
+	sub := d.Apply(nil, poisoned, rows, 7)
+	for r := 0; r < sub.Rows; r++ {
+		for c, v := range sub.Row(r) {
+			want := 0.0
+			if slices.Contains(rows, r) {
+				want = y.At(r, c)
+			}
+			if v != want {
+				t.Fatalf("row subset (%d,%d) = %v want %v", r, c, v, want)
+			}
+		}
+	}
+	if other := d.Apply(nil, x, nil, 8); slices.Equal(other.Data, y.Data) {
+		t.Fatal("batch keys 7 and 8 drew the same mask")
+	}
+	if (Dropout{Key: 5}).Apply(nil, x, nil, 7) != x {
+		t.Fatal("zero-rate dropout should pass through")
 	}
 }
 

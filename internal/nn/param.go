@@ -120,3 +120,45 @@ func (s *ParamSet) CopyWeightsFrom(src *ParamSet) error {
 	}
 	return nil
 }
+
+// Dense is a fully connected layer Y = X·W + b.
+type Dense struct {
+	W, B *Param
+
+	x *tensor.Matrix // cached input for backward
+}
+
+// NewDense builds an in×out dense layer with Glorot-initialized weights.
+// name prefixes the parameter names ("<name>/W", "<name>/b").
+func NewDense(name string, in, out int, rng *rand.Rand) *Dense {
+	return &Dense{
+		W: GlorotParam(name+"/W", in, out, rng),
+		B: NewParam(name+"/b", 1, out),
+	}
+}
+
+// Params returns the layer's trainable parameters.
+func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
+
+// Forward computes Y = X·W + b and caches X.
+func (d *Dense) Forward(ws *tensor.Workspace, x *tensor.Matrix) *tensor.Matrix {
+	d.x = x
+	y := ws.GetUninit(x.Rows, d.W.W.Cols)
+	tensor.MatMul(y, x, d.W.W)
+	y.AddRowVector(d.B.W.Row(0))
+	return y
+}
+
+// Backward accumulates dW, db and returns dX given dY.
+func (d *Dense) Backward(ws *tensor.Workspace, dy *tensor.Matrix) *tensor.Matrix {
+	// dW += Xᵀ·dY
+	dw := ws.GetUninit(d.W.W.Rows, d.W.W.Cols)
+	tensor.MatMulATB(dw, d.x, dy)
+	tensor.AXPY(d.W.Grad, 1, dw)
+	// db += colsum(dY)
+	dy.ColSumsInto(d.B.Grad.Row(0))
+	// dX = dY·Wᵀ
+	dx := ws.GetUninit(dy.Rows, d.W.W.Rows)
+	tensor.MatMulABT(dx, dy, d.W.W)
+	return dx
+}

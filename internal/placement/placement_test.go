@@ -2,6 +2,7 @@ package placement
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -282,7 +283,8 @@ func TestSlotOfStability(t *testing.T) {
 	}
 }
 
-// FuzzReadTable: the table reader never panics, accepts only tables that
+// FuzzReadTable: the table reader, which decodes both table files and the
+// raft entries replicas propose, never panics, accepts only tables that
 // pass Validate with every owner in range, and what it accepts survives
 // WriteTo→Read unchanged.
 func FuzzReadTable(f *testing.F) {
@@ -306,6 +308,12 @@ func FuzzReadTable(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// A raft entry: the compact json.Marshal form replicas propose.
+	entry, err := json.Marshal(next)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(entry)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tab, err := Read(bytes.NewReader(data))
 		if err != nil {

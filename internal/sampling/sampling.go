@@ -98,12 +98,34 @@ func Top(prio []float64, k int) []int {
 	return idx
 }
 
-// EdgeU is the key of candidate in-edge src→dst under seed: a splitmix hash
-// of (seed, dst, src) mapped into the open interval (0,1). No round, depth
-// or shard enters it, so every stage that meets the edge ranks it alike.
-func EdgeU(seed, dst, src int64) float64 {
-	h := mix(uint64(seed) ^ mix(uint64(dst)^mix(uint64(src))))
-	return (float64(h>>12) + 0.5) / (1 << 52)
+// EdgeU is the key of candidate in-edge src→dst under seed: U(seed, dst,
+// src). No round, depth or shard enters it, so every stage that meets the
+// edge ranks it alike.
+func EdgeU(seed, dst, src int64) float64 { return U(uint64(seed), uint64(dst), uint64(src)) }
+
+// U maps Key(xs...) into the open interval (0,1). Sampling priorities and
+// every training draw are U of their coordinates, never of earlier draws.
+func U(xs ...uint64) float64 { return (float64(Key(xs...)>>12) + 0.5) / (1 << 52) }
+
+// Key folds xs through splitmix64, last first: Key(a, b, c) =
+// mix(a ^ mix(b ^ mix(c))). A key is a coordinate of the draws it names.
+func Key(xs ...uint64) uint64 {
+	var h uint64
+	for i := len(xs) - 1; i >= 0; i-- {
+		h = mix(xs[i] ^ h)
+	}
+	return h
+}
+
+// Perm is the permutation of [0, n) keyed by key: an inside-out Fisher–Yates
+// shuffle whose step i moves p[j] to i and puts i at j = ⌊U(key, i)·(i+1)⌋.
+func Perm(key uint64, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := int(U(key, uint64(i)) * float64(i+1))
+		p[i], p[j] = p[j], i
+	}
+	return p
 }
 
 // mix is the splitmix64 step.

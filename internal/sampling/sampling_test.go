@@ -139,6 +139,45 @@ func TestEdgeUDeterministicAndDistinct(t *testing.T) {
 	}
 }
 
+// TestKeyedDrawsPinned pins EdgeU to the splitmix fold it has used since
+// sampled GraphFeatures became keyed, so routing it through U moves no
+// sampled output, and checks that Perm is a permutation of its key alone,
+// with each item about equally likely in every position.
+func TestKeyedDrawsPinned(t *testing.T) {
+	for _, k := range [][3]int64{{1, 2, 3}, {-7, 0, 1 << 40}, {0, 0, 0}} {
+		h := mix(uint64(k[0]) ^ mix(uint64(k[1])^mix(uint64(k[2]))))
+		if got, want := EdgeU(k[0], k[1], k[2]), (float64(h>>12)+0.5)/(1<<52); got != want {
+			t.Fatalf("EdgeU%v = %v, want %v", k, got, want)
+		}
+	}
+	const n, trials = 5, 20000
+	var seen [n][n]int
+	for key := uint64(0); key < trials; key++ {
+		p := Perm(key, n)
+		if !slices.Equal(p, Perm(key, n)) {
+			t.Fatalf("Perm(%d) not deterministic", key)
+		}
+		for i, v := range slices.Sorted(slices.Values(p)) {
+			if v != i {
+				t.Fatalf("Perm(%d) = %v, not a permutation", key, p)
+			}
+		}
+		for pos, v := range p {
+			seen[v][pos]++
+		}
+	}
+	for v := range seen {
+		for pos, c := range seen[v] {
+			if f := float64(c) / trials; f < 0.18 || f > 0.22 {
+				t.Fatalf("item %d at position %d in %.3f of permutations, want ~0.2", v, pos, f)
+			}
+		}
+	}
+	if len(Perm(1, 0)) != 0 || !slices.Equal(Perm(1, 1), []int{0}) {
+		t.Fatal("Perm of 0 or 1 items")
+	}
+}
+
 // Property: all strategies return valid subsets for random shapes.
 func TestStrategySubsetProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -116,9 +116,9 @@ func TestScoreManyEdgeInputs(t *testing.T) {
 	}
 }
 
-// TestScoreManyWindowBoundsAdmitted: with the admission cap equal to the
-// window (the default), one bulk of any size never sheds itself — which
-// it would if it ever held more than 4*MaxBatch calls at once.
+// TestScoreManyWindowBoundsAdmitted: with the default admission cap, one
+// bulk of any size never sheds itself — which it would if it ever held
+// more than 4*MaxBatch calls at once.
 func TestScoreManyWindowBoundsAdmitted(t *testing.T) {
 	srv, _, coldIDs := hardenedServer(t, Config{Seed: 1, MaxBatch: 4, FlightInterval: -1})
 	if srv.cfg.ShedThreshold != 16 {
@@ -131,6 +131,20 @@ func TestScoreManyWindowBoundsAdmitted(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Shed != 0 || st.Cold != 100 || st.ColdPending != 0 {
 		t.Fatalf("bulk of 100 over a window of 16: %+v", st)
+	}
+}
+
+// TestScoreManyWindowIsAdmissionCap: an admission cap below 4*MaxBatch
+// (aglserve -shed 4) still serves a cold bulk of 20 on an idle server
+// without shedding any of it: the bulk registers at most the cap at once.
+func TestScoreManyWindowIsAdmissionCap(t *testing.T) {
+	srv, _, coldIDs := hardenedServer(t, Config{Seed: 1, ShedThreshold: 4, FlightInterval: -1})
+	_, errs := srv.ScoreMany(context.Background(), coldIDs[:20])
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	if st := srv.Stats(); st.Shed != 0 || st.Cold != 20 || st.ColdPending != 0 {
+		t.Fatalf("bulk of 20 under an admission cap of 4: %+v", st)
 	}
 }
 

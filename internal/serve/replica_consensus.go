@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -208,12 +209,12 @@ func (t *raftTransport) AppendEntries(ctx context.Context, peer string, args *co
 type placementFSM struct{ c *replicaConsensus }
 
 func (f *placementFSM) Apply(e consensus.Entry) {
-	var t placement.Table
-	if err := json.Unmarshal(e.Cmd, &t); err != nil {
+	t, err := placement.Read(bytes.NewReader(e.Cmd))
+	if err != nil {
 		f.c.cfg.Logf("serve: consensus entry %d undecodable: %v", e.Index, err)
 		return
 	}
-	if err := f.c.r.adoptTable(&t); err != nil {
+	if err := f.c.r.adoptTable(t); err != nil {
 		f.c.cfg.Logf("serve: consensus entry %d rejected: %v", e.Index, err)
 	}
 }

@@ -475,9 +475,10 @@ func (s *Server) send(c *call, fresh bool) {
 
 // ScoreMany scores a set of nodes as one unit of work on the caller's
 // goroutine: cache hits and warm rows resolve inline, and the cold ids of
-// each window of 4*MaxBatch are all registered, then all sent, then waited
-// on, so the batcher folds them into one micro-batch (up to MaxBatch) and
-// no bulk holds more than a window of calls. A repeated id is computed
+// each window of ShedThreshold ids are all registered, then all sent, then
+// waited on, so the batcher folds them into one micro-batch (up to
+// MaxBatch) and no bulk holds more calls than admission lets in flight: on
+// an idle server a bulk never sheds itself. A repeated id is computed
 // once. Scores and errors are positional: one failed node does not discard
 // the others' results. Returned score slices are shared, same contract as
 // Score. errors.Join the second return value for a single verdict.
@@ -490,7 +491,7 @@ func (s *Server) ScoreMany(ctx context.Context, nodes []int64) ([][]float64, []e
 		fresh bool
 	}
 	var waits []waiter
-	window := 4 * s.cfg.MaxBatch
+	window := s.cfg.ShedThreshold
 	for lo := 0; lo < len(nodes); lo += window {
 		for i := lo; i < min(lo+window, len(nodes)); i++ {
 			var w waiter
